@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import encode_key, hash_pair, hash_pair_batch
+from .hashing import as_keys, encode_key, hash_pair, hash_pair_batch
 
 _MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
@@ -50,12 +50,9 @@ class BloomFilter:
     """
 
     def __init__(self, m: int, k: int, seed: int):
-        if m < 1:
-            raise ParameterError("bit count m must be >= 1")
-        if k < 1:
-            raise ParameterError("hash count k must be >= 1")
-        self.m = int(m)
-        self.k = int(k)
+        params = FilterParams(m=int(m), k=int(k))
+        self.m = params.m
+        self.k = params.k
         self.seed = int(seed) & _MASK
         self._bits = np.zeros(self.m, dtype=np.uint8)
         self.inserted_count = 0
@@ -68,7 +65,7 @@ class BloomFilter:
         h1, h2 = hash_pair(encode_key(key), self.seed)
         return [((h1 + i * h2) & _MASK) % self.m for i in range(self.k)]
 
-    def _probe_matrix(self, keys: np.ndarray) -> np.ndarray:
+    def _probe_matrix(self, keys) -> np.ndarray:
         h1, h2 = hash_pair_batch(keys, self.seed)
         i = np.arange(self.k, dtype=np.uint64)
         pos = (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self.m)
@@ -80,15 +77,10 @@ class BloomFilter:
         self.inserted_count += 1
 
     def insert_many(self, keys) -> None:
-        """Bulk insert of integer keys (uint64 array or sequence)."""
-        arr = _as_uint64(keys)
-        if arr is None:
-            for key in keys:
-                self.insert(key)
-            return
-        if arr.size:
-            self._bits[self._probe_matrix(arr).reshape(-1)] = 1
-        self.inserted_count += int(arr.size)
+        """Bulk insert of any key batch; the same bits as inserting each key in turn."""
+        keys = as_keys(keys)
+        self._bits[self._probe_matrix(keys).reshape(-1)] = 1
+        self.inserted_count += int(keys.size)
 
     def contains(self, key) -> bool:
         """True iff all k probed bits are set; never False for an inserted key."""
@@ -96,13 +88,8 @@ class BloomFilter:
         return all(bits[p] for p in self._positions(key))
 
     def contains_many(self, keys) -> np.ndarray:
-        """Vectorized membership test; returns a boolean array."""
-        arr = _as_uint64(keys)
-        if arr is None:
-            return np.fromiter((self.contains(k) for k in keys), dtype=bool)
-        if arr.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._bits[self._probe_matrix(arr)].all(axis=1)
+        """Membership test over any key batch; a boolean array of :meth:`contains` answers."""
+        return self._bits[self._probe_matrix(as_keys(keys))].all(axis=1)
 
     @property
     def popcount(self) -> int:
@@ -149,17 +136,6 @@ class BloomFilter:
             == (other.m, other.k, other.seed, other.inserted_count)
             and bool(np.array_equal(self._bits, other._bits))
         )
-
-
-def _as_uint64(keys) -> np.ndarray | None:
-    """Coerce to a uint64 array, or None when keys are not all integers."""
-    if isinstance(keys, np.ndarray) and keys.dtype.kind in "ui":
-        return keys.astype(np.uint64, copy=False)
-    try:
-        arr = np.asarray(keys, dtype=np.uint64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return arr
 
 
 def expected_fill_ratio(n: int, m: int, k: int) -> float:

@@ -17,8 +17,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .bloom import BloomFilter, FilterParams, params_for_target
 from .errors import (
     FilterFormatError,
@@ -64,6 +62,14 @@ def _load_filter(path: str):
     return LearnedBloomFilter.from_bytes(data)
 
 
+def _parse(cast, text, what: str):
+    """``cast(text)``, with a failure reported as a ParameterError naming ``what``."""
+    try:
+        return cast(text)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {what} {text!r}: {exc}") from exc
+
+
 def _parse_scorer(spec: str) -> Scorer:
     if spec.startswith("interval:"):
         parts = spec.split(":")
@@ -73,7 +79,9 @@ def _parse_scorer(spec: str) -> Scorer:
             )
         _, lo, hi, inside, outside = parts
         return IntervalScorer(
-            ((int(lo), int(hi)),), inside_score=float(inside), outside_score=float(outside)
+            ((_parse(int, lo, "interval bound"), _parse(int, hi, "interval bound")),),
+            inside_score=_parse(float, inside, "interval score"),
+            outside_score=_parse(float, outside, "interval score"),
         )
     with open(spec, "r", encoding="utf-8") as fh:
         return scorer_from_text(fh.read())
@@ -82,7 +90,8 @@ def _parse_scorer(spec: str) -> Scorer:
 def _parse_dist(spec: str, exclusion=frozenset()) -> QueryDistribution:
     parts = spec.split(":")
     if parts[0] == "uniform" and len(parts) == 3:
-        return QueryDistribution(UniformRange(int(parts[1]), int(parts[2])), exclusion)
+        lo, hi = (_parse(int, bound, "uniform bound") for bound in parts[1:])
+        return QueryDistribution(UniformRange(lo, hi), exclusion)
     if parts[0] == "fixed" and len(parts) == 2:
         return QueryDistribution(FixedSet(tuple(load_keys_text(parts[1]))), exclusion)
     raise ParameterError(f"unknown distribution spec {spec!r} (use uniform:LO:HI or fixed:PATH)")
@@ -101,19 +110,20 @@ def _flatten(payload, prefix="") -> list[tuple[str, object]]:
     return [(prefix.rstrip("."), payload)]
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _render(payload: dict, fmt: str, csv_rows=None) -> str:
+    """JSON, or CSV of ``csv_rows`` (by default the payload flattened to key,value rows)."""
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if csv_rows is None:
+        csv_rows = [("key", "value"), *_flatten(payload)]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for name, value in _flatten(payload):
-        writer.writerow([name, value])
+    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
     return buf.getvalue()
 
 
-def _emit(args, payload: dict) -> None:
-    text = _render(payload, args.format)
+def _emit(args, payload: dict, csv_rows=None) -> None:
+    """Print the rendered report, and with --out also write it to that file."""
+    text = _render(payload, args.format, csv_rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -134,10 +144,7 @@ class _Options:
         if value is None:
             value = default
         if value is not None and cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"bad value for --{name}: {exc}") from exc
+            value = _parse(cast, value, f"value for --{name}")
         return value
 
     def require(self, name: str, cast=None):
@@ -170,7 +177,7 @@ def _cmd_build(args) -> int:
         else:
             params = params_for_target(max(len(keys), 1), opts.require("target-fpp", cast=float))
         filt = BloomFilter.from_params(params, derive_seed(seed, "standard-filter"))
-        filt.insert_many(np.array(keys, dtype=np.uint64))
+        filt.insert_many(keys)
         payload = filt.to_bytes()
         summary = {
             "kind": "standard",
@@ -189,7 +196,7 @@ def _cmd_build(args) -> int:
             keys = load_keys_text(opts.require("keys"))
             scorer = _parse_scorer(opts.require("scorer"))
             tau = opts.require("tau", cast=float)
-        below = sum(1 for key in keys if scorer.score(key) < tau)
+        below = int((scorer.score_batch(keys) < tau).sum())
         lbf = LearnedBloomFilter.build(
             keys, scorer, tau, _backup_params(opts, below), derive_seed(seed, "backup-filter")
         )
@@ -231,7 +238,7 @@ def _cmd_query(args) -> int:
     opts = _Options(args)
     filt = _load_filter(opts.require("filter"))
     if args.key:
-        keys = [int(k) for k in args.key]
+        keys = [_parse(int, k, "query key") for k in args.key]
     else:
         keys = load_keys_text(opts.require("queries"))
     results = {str(k): bool(filt.contains(k)) for k in keys}
@@ -254,7 +261,7 @@ def _cmd_eval(args) -> int:
                 f"{len(overlap)} query keys overlap the key set (e.g. {min(overlap)})"
             )
         payload = {
-            "empirical_fpr": empirical_fpr(filt, np.array(queries, dtype=np.uint64)),
+            "empirical_fpr": empirical_fpr(filt, queries),
             "sample_count": len(queries),
             "seed": seed,
         }
@@ -288,7 +295,7 @@ def _cmd_sweep(args) -> int:
     keys = load_keys_text(opts.require("keys"))
     scorer = _parse_scorer(opts.require("scorer"))
     taus_raw = opts.require("taus")
-    taus = [float(t) for t in str(taus_raw).split(",") if t.strip() != ""]
+    taus = [_parse(float, t, "threshold") for t in str(taus_raw).split(",") if t.strip() != ""]
     if not taus:
         raise ParameterError("tau grid must be nonempty")
     dist = _parse_dist(opts.require("dist"), frozenset(keys))
@@ -305,19 +312,12 @@ def _cmd_sweep(args) -> int:
     for a, b in zip(ordered, ordered[1:]):  # sanity: inclusion forces monotonicity
         if b.alpha_estimate > a.alpha_estimate or b.backup_keys < a.backup_keys:
             raise RuntimeError("sweep monotonicity violated; shared-sample invariant broken")
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tau", "alpha_estimate", "backup_keys", "total_bits", "model_fpr"])
-        for p in points:
-            writer.writerow([p.tau, p.alpha_estimate, p.backup_keys, p.total_bits, p.model_fpr])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
-    else:
-        _emit(args, {"schema": "learnedbloom-sweep/1", "points": [vars(p) for p in points]})
+    columns = ("tau", "alpha_estimate", "backup_keys", "total_bits", "model_fpr")
+    _emit(
+        args,
+        {"schema": "learnedbloom-sweep/1", "points": [vars(p) for p in points]},
+        csv_rows=[columns, *([getattr(p, c) for c in columns] for p in points)],
+    )
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bloom import BloomFilter, expected_fill_ratio, expected_fpp, params_for_target
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
-from .hashing import derive_seed
+from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .scorers import Scorer
 from .workloads import (
@@ -122,14 +122,10 @@ class ComparisonReport:
 
 def empirical_fpr(filt, queries) -> float:
     """Fraction of positive answers over queries known to be non-members."""
-    queries = np.atleast_1d(np.asarray(queries))
+    queries = as_keys(queries)
     if queries.size == 0:
         raise ParameterError("query list must be nonempty")
-    if hasattr(filt, "contains_many"):
-        answers = np.asarray(filt.contains_many(queries), dtype=bool)
-    else:
-        answers = np.fromiter((filt.contains(q) for q in queries), dtype=bool)
-    return float(answers.mean())
+    return float(np.asarray(filt.contains_many(queries), dtype=bool).mean())
 
 
 def model_fpr(alpha: float, backup_fpr: float) -> float:
@@ -139,35 +135,21 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
     return alpha + (1.0 - alpha) * backup_fpr
 
 
-def _range_counts(
-    scorer: Scorer, tau: float, lo: int, hi: int, exclusion: frozenset
-) -> tuple[int, int]:
-    """(# eligible keys scoring >= tau, # eligible keys) for integers in [lo, hi)."""
-    above = 0
-    eligible = 0
-    excl = np.sort(np.fromiter(exclusion, dtype=np.uint64, count=len(exclusion)))
-    for start in range(lo, hi, _CHUNK):
-        block = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
-        if excl.size:
-            block = block[~np.isin(block, excl)]
-        if block.size == 0:
-            continue
-        eligible += int(block.size)
-        above += int((scorer.score_batch(block) >= tau).sum())
-    return above, eligible
-
-
 def _source_counts(scorer: Scorer, tau: float, source, exclusion) -> tuple[int, int]:
     """(# eligible keys scoring >= tau, # eligible keys) within one component."""
     if isinstance(source, UniformRange):
-        return _range_counts(scorer, tau, source.lo, source.hi, exclusion)
-    keys = np.array(source.keys, dtype=np.uint64)
-    if exclusion:
-        excl = np.sort(np.fromiter(exclusion, dtype=np.uint64, count=len(exclusion)))
-        keys = keys[~np.isin(keys, excl)]
-    if keys.size == 0:
-        return 0, 0
-    return int((scorer.score_batch(keys) >= tau).sum()), int(keys.size)
+        starts = range(source.lo, source.hi, _CHUNK)
+        blocks = (np.arange(s, min(s + _CHUNK, source.hi), dtype=np.uint64) for s in starts)
+    else:
+        blocks = [as_keys(source.keys)]
+    excl = np.sort(as_keys(exclusion))
+    above = eligible = 0
+    for block in blocks:
+        if excl.size:
+            block = block[~np.isin(block, excl)]
+        eligible += int(block.size)
+        above += int((scorer.score_batch(block) >= tau).sum())
+    return above, eligible
 
 
 def exact_alpha(
@@ -229,13 +211,7 @@ def evaluate(
     """Measure the empirical rate on a sampled workload and the model prediction."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    queries = sample(dist, samples, rng_seed)
-    scores = lbf.scorer.score_batch(queries)
-    above = scores >= lbf.tau
-    answers = above.copy()
-    pending = ~above
-    if pending.any():
-        answers[pending] = lbf.backup.contains_many(queries[pending])
+    above, answers = lbf.classify_many(sample(dist, samples, rng_seed))
     alpha = float(above.mean())
     backup_rate = backup_fpr_estimate(lbf, backup_fpr_mode)
     predicted = model_fpr(alpha, backup_rate)
@@ -349,7 +325,7 @@ def compare_with_standard(
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    keys = np.asarray(list(keys), dtype=np.uint64)
+    keys = as_keys(keys)
     if keys.size == 0:
         raise ParameterError("key set must be nonempty")
     learned_rate = empirical_fpr(lbf, sample(dist, samples, derive_seed(rng_seed, "learned-eval")))

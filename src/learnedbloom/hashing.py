@@ -6,7 +6,11 @@ hash split into a pair (h1, h2) with h2 forced odd, probe i landing on
 (h1 + i*h2) mod m.  Exactly 8-byte keys take a splitmix64-style mixing
 path that vectorizes with numpy; all other lengths go through keyed
 blake2b.  Both paths are deterministic functions of (key bytes, seed),
-and the scalar and batch integer paths agree bit for bit.
+and the scalar and batch paths agree bit for bit.
+
+:func:`as_keys` is the one boundary every batch entry point passes its
+keys through, so a batch accepts and rejects exactly what the per-key
+:func:`encode_key` does.
 """
 
 from __future__ import annotations
@@ -67,9 +71,45 @@ def hash_pair(key: bytes, seed: int) -> tuple[int, int]:
     return h1, h2 | 1
 
 
-def hash_pair_batch(keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`hash_pair` for uint64 key arrays (the 8-byte path)."""
-    z = np.atleast_1d(np.asarray(keys, dtype=np.uint64)) + np.uint64(_seed_base(seed))
+def as_keys(keys) -> np.ndarray:
+    """The key batch as a 1-D array, in order: the one key contract of every batch path.
+
+    A batch is an array or any iterable of keys, never a single key.  If every
+    key is an integer in [0, 2^64), Python or numpy, the result is a uint64
+    array (the vectorized path).  Otherwise, if every key is such an integer
+    or a byte string, it is an object array of the :func:`encode_key` bytes,
+    trailing NULs kept, which batch paths handle key by key (a numpy ``S``
+    array has already dropped its NULs).  A key :func:`encode_key` rejects
+    raises :class:`ParameterError`: an integer outside [0, 2^64), a float
+    (integral too), a string, ``None`` or a numpy bool.
+    """
+    if isinstance(keys, np.ndarray):
+        keys = keys.ravel()
+        if keys.dtype.kind == "u":
+            return keys.astype(np.uint64, copy=False)
+        if keys.dtype.kind == "i":
+            if keys.size and keys.min() < 0:
+                raise ParameterError(f"integer key {int(keys.min())} outside the 64-bit range")
+            return keys.astype(np.uint64)
+    elif isinstance(keys, (bytes, bytearray, str)) or not np.iterable(keys):
+        raise ParameterError(f"expected a batch of keys, got one {type(keys).__name__}")
+    items = list(keys)
+    plain_ints = set(map(type, items)) <= {int}
+    if plain_ints and 0 <= min(items, default=0) and max(items, default=0) < 1 << 64:
+        return np.fromiter(items, dtype=np.uint64, count=len(items))
+    encoded = [encode_key(k) for k in items]  # raises on the first key it rejects
+    if all(isinstance(k, (int, np.integer)) for k in items):
+        return np.array([int(k) for k in items], dtype=np.uint64)
+    return np.fromiter(encoded, dtype=object, count=len(encoded))
+
+
+def hash_pair_batch(keys, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hash_pair` over a key batch: integer batches vectorize, byte batches go key by key."""
+    keys = as_keys(keys)
+    if keys.dtype == object:
+        pairs = np.array([hash_pair(k, seed) for k in keys], dtype=np.uint64)
+        return pairs[:, 0], pairs[:, 1]
+    z = keys + np.uint64(_seed_base(seed))
     h1 = _mix64_batch(z + np.uint64(_GOLDEN))
     h2 = _mix64_batch(z + np.uint64(_GOLDEN2))
     return h1, h2 | np.uint64(1)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .bloom import BloomFilter, FilterParams, expected_fpp, params_for_target
 from .errors import FilterFormatError, ParameterError
-from .scorers import Scorer, _scores_for, scorer_from_text, scorer_to_text
+from .hashing import as_keys
+from .scorers import Scorer, scorer_from_text, scorer_to_text
 from .workloads import QueryDistribution, sample
 
 _LEN = struct.Struct("<Q")
@@ -59,21 +60,20 @@ class LearnedBloomFilter:
         seed: int,
     ) -> "LearnedBloomFilter":
         """Score every key and store the below-threshold ones in the backup filter."""
-        keys = list(keys)
-        if not keys:
+        keys = as_keys(keys)
+        if not keys.size:
             raise ParameterError("key set must be nonempty")
         if not 0.0 <= tau <= 1.0:
             raise ParameterError("threshold tau must lie in [0, 1]")
         backup = BloomFilter.from_params(backup_params, seed)
-        scores = _scores_for(scorer, keys)
-        below = [k for k, s in zip(keys, scores) if s < tau]
+        below = keys[scorer.score_batch(keys) < tau]
         backup.insert_many(below)
         return cls(
             scorer,
             tau,
             backup,
-            key_count=len(keys),
-            below_threshold_count=len(below),
+            key_count=keys.size,
+            below_threshold_count=below.size,
         )
 
     def contains(self, key) -> bool:
@@ -82,14 +82,19 @@ class LearnedBloomFilter:
             return True
         return self.backup.contains(key)
 
-    def contains_many(self, keys) -> np.ndarray:
-        """Vectorized membership test for integer keys."""
-        arr = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        result = self.scorer.score_batch(arr) >= self.tau
-        pending = ~result
+    def classify_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(score >= tau mask, answers) for any key batch; only keys below tau reach the backup."""
+        keys = as_keys(keys)
+        above = self.scorer.score_batch(keys) >= self.tau
+        answers = above.copy()
+        pending = ~above
         if pending.any():
-            result[pending] = self.backup.contains_many(arr[pending])
-        return result
+            answers[pending] = self.backup.contains_many(keys[pending])
+        return above, answers
+
+    def contains_many(self, keys) -> np.ndarray:
+        """Membership test over any key batch; a boolean array of :meth:`contains` answers."""
+        return self.classify_many(keys)[1]
 
     def insert(self, key) -> bool:
         """Add a key; returns True when the backup filter was modified.
@@ -194,12 +199,12 @@ def threshold_sweep(
         raise ParameterError("samples must be >= 1")
     if not 0.0 < backup_target_fpp < 1.0:
         raise ParameterError("backup_target_fpp must lie in (0, 1)")
-    keys = list(keys)
-    if not keys:
+    keys = as_keys(keys)
+    if not keys.size:
         raise ParameterError("key set must be nonempty")
     queries = sample(dist, samples, rng_seed)
     query_scores = scorer.score_batch(queries)
-    key_scores = _scores_for(scorer, keys)
+    key_scores = scorer.score_batch(keys)
     points = []
     for tau in taus:
         alpha = float((query_scores >= tau).mean())

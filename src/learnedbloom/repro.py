@@ -52,7 +52,7 @@ def build_report(
     example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
     keys = example.keys
 
-    scores_below = sum(1 for k in keys if scorer.score(k) < tau)
+    scores_below = int((scorer.score_batch(keys) < tau).sum())
     backup_params = params_for_target(max(scores_below, 1), backup_target_fpp)
     lbf = LearnedBloomFilter.build(
         keys, scorer, tau, backup_params, derive_seed(seed, "backup-filter")
@@ -86,7 +86,7 @@ def build_report(
         params_for_target(len(keys), max(model_full, 1.0 / full_samples)),
         derive_seed(seed, "reference-filter"),
     )
-    reference.insert_many(list(keys))
+    reference.insert_many(keys)
     ref_full = empirical_fpr(
         reference, sample(full, full_samples, derive_seed(seed, "reference-full"))
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError, TrainingError
-from .hashing import encode_key
+from .hashing import as_keys, encode_key
 
 LOG_CLAMP = 1e-9  # scores are clamped to [LOG_CLAMP, 1 - LOG_CLAMP] before logs
 SCORE_FLOAT_BITS = 64  # accounting convention for each stored real
@@ -35,8 +35,8 @@ class Scorer(ABC):
         """Score a single key (int or bytes)."""
 
     def score_batch(self, keys) -> np.ndarray:
-        """Scores for an array of integer keys. Default: scalar loop."""
-        return np.array([self.score(int(k)) for k in np.asarray(keys).ravel()], dtype=np.float64)
+        """Scores of any key batch (:func:`as_keys`), equal to :meth:`score` key by key."""
+        return np.array([self.score(k) for k in as_keys(keys)], dtype=np.float64)
 
     @abstractmethod
     def size_bits(self) -> int:
@@ -48,8 +48,6 @@ class Scorer(ABC):
 
 
 def _key_to_int(key) -> int:
-    if isinstance(key, (int, np.integer)):
-        return int(key)
     return int.from_bytes(encode_key(key), "little")
 
 
@@ -87,7 +85,9 @@ class IntervalScorer(Scorer):
         return self.outside_score
 
     def score_batch(self, keys) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+        x = as_keys(keys)
+        if x.dtype == object:
+            return super().score_batch(x)
         inside = np.zeros(x.shape, dtype=bool)
         for lo, hi in self.intervals:
             if hi < 0 or lo >= 1 << 64:
@@ -124,43 +124,37 @@ class FeatureMap(ABC):
     def transform_one(self, key) -> np.ndarray: ...
 
     def transform(self, keys) -> np.ndarray:
-        return np.stack([self.transform_one(k) for k in keys])
+        """Feature matrix, one row per key of the batch; row i is ``transform_one(keys[i])``."""
+        keys = as_keys(keys)
+        return np.array([self.transform_one(k) for k in keys]).reshape(keys.size, self.dim)
 
 
-class _IntNorm(FeatureMap):
-    """One feature: key / universe_max."""
+# (scale, offset) of each affine family; names are part of serialized scorer records.
+_AFFINE = {"int-norm": (1.0, 0.0), "int-centered": (2.0, -1.0)}
 
-    def __init__(self, universe_max: int):
+
+class _Affine(FeatureMap):
+    """One feature, scale * float(key) / universe_max + offset: onto [0, 1] or [-1, 1]."""
+
+    def __init__(self, family: str, universe_max: int):
         if universe_max < 1:
-            raise ParameterError("int-norm universe_max must be >= 1")
+            raise ParameterError(f"{family} universe_max must be >= 1")
         self.universe_max = universe_max
-        self.name = f"int-norm:{universe_max}"
+        self.name = f"{family}:{universe_max}"
         self.dim = 1
+        self._scale, self._offset = _AFFINE[family]
+        self._max = float(universe_max)
 
     def transform_one(self, key) -> np.ndarray:
-        return np.array([_key_to_int(key) / self.universe_max], dtype=np.float64)
+        x = float(_key_to_int(key))
+        return np.array([self._scale * x / self._max + self._offset], dtype=np.float64)
 
     def transform(self, keys) -> np.ndarray:
-        vals = np.array([_key_to_int(k) for k in keys], dtype=np.float64)
-        return (vals / self.universe_max)[:, None]
-
-
-class _IntCentered(FeatureMap):
-    """One feature: 2 * key / universe_max - 1, so the ends of the universe map to -1 and +1."""
-
-    def __init__(self, universe_max: int):
-        if universe_max < 1:
-            raise ParameterError("int-centered universe_max must be >= 1")
-        self.universe_max = universe_max
-        self.name = f"int-centered:{universe_max}"
-        self.dim = 1
-
-    def transform_one(self, key) -> np.ndarray:
-        return np.array([2.0 * _key_to_int(key) / self.universe_max - 1.0], dtype=np.float64)
-
-    def transform(self, keys) -> np.ndarray:
-        vals = np.array([_key_to_int(k) for k in keys], dtype=np.float64)
-        return (2.0 * vals / self.universe_max - 1.0)[:, None]
+        keys = as_keys(keys)
+        if keys.dtype == object:
+            return super().transform(keys)
+        x = keys.astype(np.float64)
+        return (self._scale * x / self._max + self._offset)[:, None]
 
 
 class _ByteNgram(FeatureMap):
@@ -197,23 +191,22 @@ def feature_map(name: str) -> FeatureMap:
         value = int(arg)
     except ValueError as exc:
         raise ParameterError(f"feature map parameter {arg!r} is not an integer") from exc
-    if family == "int-norm":
-        return _IntNorm(value)
-    if family == "int-centered":
-        return _IntCentered(value)
+    if family in _AFFINE:
+        return _Affine(family, value)
     if family == "byte-ngram":
         return _ByteNgram(value)
     raise ParameterError(f"unknown feature map family {family!r}")
 
 
+def _logit(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
+    """Row-wise x . w + b; unlike BLAS ``x @ w``, a row's rounding ignores the batch size."""
+    return np.einsum("ij,j->i", x, w) + b
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp overflows."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 @dataclass(frozen=True)
@@ -239,11 +232,10 @@ class LogisticScorer(Scorer):
 
     def score(self, key) -> float:
         phi = self._fm.transform_one(key)
-        return float(_sigmoid(np.atleast_1d(phi @ self._w + self.bias))[0])
+        return float(_sigmoid(_logit(phi[None, :], self._w, self.bias))[0])
 
     def score_batch(self, keys) -> np.ndarray:
-        x = self._fm.transform(np.atleast_1d(np.asarray(keys)))
-        return _sigmoid(x @ self._w + self.bias)
+        return _sigmoid(_logit(self._fm.transform(keys), self._w, self.bias))
 
     def size_bits(self) -> int:
         # 64 bits per weight + 64 for the bias; the feature-map name is free.
@@ -281,14 +273,6 @@ class TrainingSet:
         return len(self.positives) + len(self.negatives)
 
 
-def _scores_for(scorer: Scorer, keys) -> np.ndarray:
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.float64)
-    if all(isinstance(k, (int, np.integer)) for k in keys):
-        return scorer.score_batch(np.array(keys, dtype=np.uint64))
-    return np.array([scorer.score(k) for k in keys], dtype=np.float64)
-
-
 def _clamped_xent(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
     lo, hi = LOG_CLAMP, 1.0 - LOG_CLAMP
     loss = -np.log(np.clip(p_pos, lo, hi)).sum()
@@ -304,9 +288,19 @@ def log_loss(scorer: Scorer, data: TrainingSet) -> float:
     """
     if len(data) == 0:
         raise ParameterError("training set is empty")
-    return _clamped_xent(
-        _scores_for(scorer, data.positives), _scores_for(scorer, data.negatives)
-    )
+    return _clamped_xent(scorer.score_batch(data.positives), scorer.score_batch(data.negatives))
+
+
+def _design(fm: FeatureMap, data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and 0/1 labels of the labeled keys, positives first."""
+    x = fm.transform(data.positives + data.negatives)
+    y = np.concatenate([np.ones(len(data.positives)), np.zeros(len(data.negatives))])
+    return x, y
+
+
+def _gradient(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> tuple[np.ndarray, float]:
+    residual = _sigmoid(_logit(x, w, b)) - y
+    return x.T @ residual, float(residual.sum())
 
 
 def train_logistic(
@@ -314,7 +308,6 @@ def train_logistic(
     feature_map_name: str,
     epochs: int,
     learning_rate: float,
-    rng_seed: int = 0,
     loss_trace: list | None = None,
 ) -> LogisticScorer:
     """Full-batch gradient descent from zero weights with step backtracking.
@@ -322,22 +315,19 @@ def train_logistic(
     Each epoch takes one gradient step; if the step would increase the loss it
     is halved until the loss is non-increasing (or the step underflows, which
     freezes the weights).  The trainer is fully deterministic: zero
-    initialization and whole-batch updates leave nothing to chance, and
-    ``rng_seed`` is accepted for interface stability.  When ``loss_trace`` is
-    a list, the loss before training and after each epoch is appended to it.
+    initialization and whole-batch updates leave nothing to chance.  When
+    ``loss_trace`` is a list, the loss before training and after each epoch
+    is appended to it.
     """
     if epochs < 0:
         raise ParameterError("epochs must be >= 0")
     if not learning_rate > 0:
         raise ParameterError("learning_rate must be positive")
-    del rng_seed
     fm = feature_map(feature_map_name)
-    keys = list(data.positives) + list(data.negatives)
-    x = fm.transform(keys)
-    y = np.concatenate([np.ones(len(data.positives)), np.zeros(len(data.negatives))])
+    x, y = _design(fm, data)
 
     def loss_at(w: np.ndarray, b: float) -> float:
-        p = _sigmoid(x @ w + b)
+        p = _sigmoid(_logit(x, w, b))
         return _clamped_xent(p[y == 1.0], p[y == 0.0])
 
     w = np.zeros(fm.dim, dtype=np.float64)
@@ -346,9 +336,7 @@ def train_logistic(
     if loss_trace is not None:
         loss_trace.append(loss)
     for epoch in range(epochs):
-        p = _sigmoid(x @ w + b)
-        grad_w = x.T @ (p - y)
-        grad_b = float((p - y).sum())
+        grad_w, grad_b = _gradient(x, y, w, b)
         if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
             raise TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch)
         step = learning_rate
@@ -369,11 +357,8 @@ def log_loss_gradient(
     weights: np.ndarray, bias: float, fm: FeatureMap, data: TrainingSet
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of the clamped cross-entropy at (weights, bias)."""
-    keys = list(data.positives) + list(data.negatives)
-    x = fm.transform(keys)
-    y = np.concatenate([np.ones(len(data.positives)), np.zeros(len(data.negatives))])
-    p = _sigmoid(x @ np.asarray(weights, dtype=np.float64) + bias)
-    return x.T @ (p - y), float((p - y).sum())
+    x, y = _design(fm, data)
+    return _gradient(x, y, np.asarray(weights, dtype=np.float64), bias)
 
 
 # ---------------------------------------------------------------------------

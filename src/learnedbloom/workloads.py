@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, WorkloadError
+from .hashing import as_keys, encode_key
 from .scorers import IntervalScorer
 
 REJECTION_BUDGET = 10**6  # consecutive rejected draws before giving up
@@ -96,7 +97,7 @@ def _draw(source, rng: np.random.Generator, count: int) -> np.ndarray:
     if isinstance(source, UniformRange):
         return rng.integers(source.lo, source.hi, size=count, dtype=np.uint64)
     if isinstance(source, FixedSet):
-        keys = np.array(source.keys, dtype=np.uint64)
+        keys = as_keys(source.keys)
         return keys[rng.integers(0, len(keys), size=count)]
     if isinstance(source, Mixture):
         idx = rng.choice(len(source.components), size=count, p=np.array(source.weights))
@@ -120,7 +121,7 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     if n < 1:
         raise ParameterError("sample count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    exclusion = np.sort(np.fromiter(dist.exclusion, dtype=np.uint64, count=len(dist.exclusion)))
+    exclusion = np.sort(as_keys(dist.exclusion))
     out = np.empty(n, dtype=np.uint64)
     filled = 0
     consecutive = 0
@@ -232,14 +233,27 @@ def save_keys_text(path, keys) -> None:
 
 
 def load_keys_text(path) -> list[int]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [int(line) for line in fh if line.strip()]
+    """Newline-delimited decimal integers; blank lines are skipped."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    try:
+        return [int(line) for line in lines if line.strip()]
+    except ValueError:
+        number = next(n for n, line in enumerate(lines, 1) if not _is_key_line(line))
+        raise ParameterError(f"{path}: line {number}: not a decimal integer key") from None
+
+
+def _is_key_line(line: bytes) -> bool:
+    """True for a line :func:`load_keys_text` accepts: an integer, or blank."""
+    try:
+        int(line)
+    except ValueError:
+        return not line.strip()
+    return True
 
 
 def save_keys_binary(path, keys) -> None:
     """Length-prefixed byte-string keys: u64 count, then (u32 length, bytes) per key."""
-    from .hashing import encode_key
-
     encoded = [encode_key(k) for k in keys]
     with open(path, "wb") as fh:
         fh.write(_U64.pack(len(encoded)))

@@ -316,3 +316,29 @@ class TestExitCodes:
         bad.write_bytes(b"LBF1 but not really a filter")
         code, _ = run(capsys, "query", "--filter", bad, "5")
         assert code == EXIT_PARAMETER
+
+    @pytest.mark.parametrize(
+        "case",
+        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds"],
+    )
+    def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
+        path, _ = key_file
+        bad_keys = tmp_path / "bad.txt"
+        bad_keys.write_text("12\nx3\n")
+        out = tmp_path / "f.out"
+        argv = {
+            "key_file_line": ["build", "--kind", "standard", "--keys", bad_keys,
+                              "--target-fpp", "0.01", "--out", out],
+            "summary_dist_bounds": ["build", "--kind", "example", "--out", out,
+                                    "--summary-dist", "uniform:a:b"],
+            "tau_grid": ["sweep", "--keys", path, "--scorer", "interval:0:10:0.5:0.0",
+                         "--taus", "0.1,x", "--dist", "uniform:0:1000000"],
+            "interval_bounds": ["build", "--kind", "learned", "--keys", path, "--scorer",
+                                "interval:1.5:2000:0.5:0.0", "--tau", "0.4", "--out", out],
+        }[case]
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if case == "key_file_line":
+            assert "line 2" in err

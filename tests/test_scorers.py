@@ -225,8 +225,8 @@ class TestTrainer:
 
     def test_deterministic(self):
         data = TrainingSet(positives=(1, 2, 3), negatives=(7, 8, 9))
-        a = train_logistic(data, "int-norm:10", epochs=50, learning_rate=0.2, rng_seed=1)
-        b = train_logistic(data, "int-norm:10", epochs=50, learning_rate=0.2, rng_seed=1)
+        a = train_logistic(data, "int-norm:10", epochs=50, learning_rate=0.2)
+        b = train_logistic(data, "int-norm:10", epochs=50, learning_rate=0.2)
         assert a.weights == b.weights
         assert a.bias == b.bias
 
