@@ -20,6 +20,10 @@ _MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
 
 MAGIC = b"LBF1"
+# Largest hash count a filter may have; params_for_target never returns more
+# than 1,024 (at its smallest accepted target), and a loaded header above it
+# would make every probe build a list of k positions.
+MAX_K = 2048
 _HEADER = struct.Struct("<4sQIQQ")  # magic, m, k, seed, inserted_count
 
 
@@ -34,8 +38,8 @@ class FilterParams:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("bit count m must be >= 1")
-        if self.k < 1:
-            raise ParameterError("hash count k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise ParameterError(f"hash count k must lie in [1, {MAX_K}]")
         if self.target_fpp is not None and not 0.0 < self.target_fpp < 1.0:
             raise ParameterError("target_fpp must lie in (0, 1)")
 
@@ -118,6 +122,8 @@ class BloomFilter:
             raise FilterFormatError(f"bad magic {magic!r}")
         if m < 1 or k < 1:
             raise FilterFormatError("header declares an empty filter")
+        if k > MAX_K:
+            raise FilterFormatError(f"header declares k={k}, above the limit {MAX_K}")
         body = data[_HEADER.size :]
         if len(body) != (m + 7) // 8:
             raise FilterFormatError("bit array length does not match header")
@@ -169,7 +175,10 @@ def params_for_target(n: int, target_fpp: float) -> FilterParams:
         raise ParameterError("n must be >= 1")
     if not 0.0 < target_fpp < 1.0:
         raise ParameterError("target_fpp must lie in (0, 1)")
-    m = math.ceil(n * math.log2(1.0 / target_fpp) / _LN2)
+    bits = math.log2(1.0 / target_fpp)
+    if math.isinf(bits):
+        raise ParameterError(f"target_fpp {target_fpp!r} is too small: 1/target_fpp overflows")
+    m = math.ceil(n * bits / _LN2)
     while True:
         k = max(1, round((m / n) * _LN2))
         if expected_fpp(n, m, k) <= 1.1 * target_fpp:

@@ -1,7 +1,9 @@
 """Command-line front end for building filters and running experiments.
 
 Commands: build, query, eval, sweep, concentration, repro-example.
-Options may come from flags or from a key=value config file (flags win).
+Each option's type and default live in its argparse declaration.  A
+``--config FILE`` of ``key=value`` lines (keys are option names without
+``--``) supplies defaults that argparse casts like flags; flags win.
 Every command is deterministic given its options including --seed; reports
 carry no timestamps.
 
@@ -17,7 +19,7 @@ import io
 import json
 import sys
 
-from .bloom import BloomFilter, FilterParams, params_for_target
+from .bloom import MAGIC, BloomFilter, FilterParams, params_for_target
 from .errors import (
     FilterFormatError,
     OracleUnavailableError,
@@ -25,15 +27,10 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluation import (
-    concentration_experiment,
-    empirical_fpr,
-    evaluate,
-    exact_alpha,
-)
+from .evaluation import concentration_experiment, empirical_fpr, evaluate, exact_alpha
 from .hashing import derive_seed
 from .learned import LearnedBloomFilter, threshold_sweep
-from .repro import build_report
+from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
 from .workloads import (
     FixedSet,
@@ -45,7 +42,6 @@ from .workloads import (
     sample,
     save_keys_text,
 )
-from .bloom import MAGIC as _BLOOM_MAGIC
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -57,7 +53,7 @@ EXIT_TRAINING = 5
 def _load_filter(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == _BLOOM_MAGIC:
+    if data[:4] == MAGIC:
         return BloomFilter.from_bytes(data)
     return LearnedBloomFilter.from_bytes(data)
 
@@ -130,53 +126,30 @@ def _emit(args, payload: dict, csv_rows=None) -> None:
     sys.stdout.write(text)
 
 
-class _Options:
-    """Flag values backed by an optional key=value config file; flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = read_manifest(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, default=None, cast=None):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None and name in self.config:
-            value = self.config[name]
-        if value is None:
-            value = default
-        if value is not None and cast is not None:
-            value = _parse(cast, value, f"value for --{name}")
-        return value
-
-    def require(self, name: str, cast=None):
-        value = self.get(name, cast=cast)
-        if value is None:
-            raise ParameterError(f"missing required option --{name}")
-        return value
+def _required(args, name: str):
+    """The value of ``--name``, which the command needs in the mode its other options chose."""
+    value = getattr(args, name.replace("-", "_"))
+    if value is None:
+        raise ParameterError(f"missing required option --{name}")
+    return value
 
 
-def _backup_params(opts: _Options, below: int) -> FilterParams:
-    m = opts.get("backup-m", cast=int)
-    k = opts.get("backup-k", cast=int)
-    if m is not None and k is not None:
-        return FilterParams(m=m, k=k)
-    target = opts.get("backup-target-fpp", 0.0002, cast=float)
-    return params_for_target(max(below, 1), target)
+def _backup_params(args, below: int) -> FilterParams:
+    if args.backup_m is not None and args.backup_k is not None:
+        return FilterParams(m=args.backup_m, k=args.backup_k)
+    return params_for_target(max(below, 1), args.backup_target_fpp)
 
 
 def _cmd_build(args) -> int:
-    opts = _Options(args)
-    kind = opts.require("kind")
-    seed = opts.get("seed", 0, cast=int)
-    out = opts.require("out")
+    kind = _required(args, "kind")
+    out = _required(args, "out")
     if kind == "standard":
-        keys = load_keys_text(opts.require("keys"))
-        m = opts.get("m", cast=int)
-        k = opts.get("k", cast=int)
-        if m is not None and k is not None:
-            params = FilterParams(m=m, k=k)
+        keys = load_keys_text(_required(args, "keys"))
+        if args.m is not None and args.k is not None:
+            params = FilterParams(m=args.m, k=args.k)
         else:
-            params = params_for_target(max(len(keys), 1), opts.require("target-fpp", cast=float))
-        filt = BloomFilter.from_params(params, derive_seed(seed, "standard-filter"))
+            params = params_for_target(max(len(keys), 1), _required(args, "target-fpp"))
+        filt = BloomFilter.from_params(params, derive_seed(args.seed, "standard-filter"))
         filt.insert_many(keys)
         payload = filt.to_bytes()
         summary = {
@@ -187,18 +160,18 @@ def _cmd_build(args) -> int:
             "fill_ratio": filt.fill_ratio,
             "out": out,
         }
-    elif kind in ("learned", "example"):
+    else:  # learned or example
         if kind == "example":
-            example, scorer, default_tau = hot_range_example(derive_seed(seed, "dataset"))
+            example, scorer, tau = hot_range_example(derive_seed(args.seed, "dataset"))
             keys = list(example.keys)
-            tau = opts.get("tau", default_tau, cast=float)
+            tau = tau if args.tau is None else args.tau
         else:
-            keys = load_keys_text(opts.require("keys"))
-            scorer = _parse_scorer(opts.require("scorer"))
-            tau = opts.require("tau", cast=float)
+            keys = load_keys_text(_required(args, "keys"))
+            scorer = _parse_scorer(_required(args, "scorer"))
+            tau = _required(args, "tau")
         below = int((scorer.score_batch(keys) < tau).sum())
         lbf = LearnedBloomFilter.build(
-            keys, scorer, tau, _backup_params(opts, below), derive_seed(seed, "backup-filter")
+            keys, scorer, tau, _backup_params(args, below), derive_seed(args.seed, "backup-filter")
         )
         payload = lbf.to_bytes()
         summary = {
@@ -212,22 +185,18 @@ def _cmd_build(args) -> int:
             "total_bits": lbf.size_bits(),
             "out": out,
         }
-        summary_dist = opts.get("summary-dist")
-        if summary_dist:
-            dist = _parse_dist(summary_dist, frozenset(int(k) for k in keys))
+        if args.summary_dist:
+            dist = _parse_dist(args.summary_dist, frozenset(int(k) for k in keys))
             try:
                 alpha = float(exact_alpha(scorer, tau, dist))
             except OracleUnavailableError:
-                drawn = sample(dist, 100_000, derive_seed(seed, "summary-alpha"))
+                drawn = sample(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
                 alpha = float((scorer.score_batch(drawn) >= tau).mean())
             summary["alpha"] = alpha
-            summary["alpha_dist"] = summary_dist
-    else:
-        raise ParameterError(f"unknown build kind {kind!r}")
-    keys_out = opts.get("keys-out")
-    if keys_out:
-        save_keys_text(keys_out, keys)
-        summary["keys_out"] = keys_out
+            summary["alpha_dist"] = args.summary_dist
+    if args.keys_out:
+        save_keys_text(args.keys_out, keys)
+        summary["keys_out"] = args.keys_out
     with open(out, "wb") as fh:
         fh.write(payload)
     sys.stdout.write(_render(summary, args.format))
@@ -235,78 +204,64 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    opts = _Options(args)
-    filt = _load_filter(opts.require("filter"))
+    filt = _load_filter(_required(args, "filter"))
     if args.key:
         keys = [_parse(int, k, "query key") for k in args.key]
     else:
-        keys = load_keys_text(opts.require("queries"))
+        keys = load_keys_text(_required(args, "queries"))
     results = {str(k): bool(filt.contains(k)) for k in keys}
-    _emit(args, {"filter": opts.require("filter"), "results": results})
+    _emit(args, {"filter": args.filter, "results": results})
     return EXIT_OK
 
 
+def _config_echo(args) -> dict:
+    """Every resolved option of the run, typed: the ``config`` object of a report."""
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
+
+
 def _cmd_eval(args) -> int:
-    opts = _Options(args)
-    filt = _load_filter(opts.require("filter"))
-    seed = opts.get("seed", 0, cast=int)
-    key_path = opts.get("keys")
-    key_set = frozenset(load_keys_text(key_path)) if key_path else frozenset()
-    queries_path = opts.get("queries")
-    if queries_path:
-        queries = load_keys_text(queries_path)
+    filt = _load_filter(_required(args, "filter"))
+    key_set = frozenset(load_keys_text(args.keys)) if args.keys else frozenset()
+    if args.queries:
+        queries = load_keys_text(args.queries)
         overlap = key_set.intersection(queries)
         if overlap:
             raise WorkloadError(
                 f"{len(overlap)} query keys overlap the key set (e.g. {min(overlap)})"
             )
+    else:
+        dist = _parse_dist(_required(args, "dist"), key_set)
+        rng_seed = derive_seed(args.seed, "eval")
+        if isinstance(filt, LearnedBloomFilter):
+            queries = None
+            payload = evaluate(filt, dist, args.samples, rng_seed).to_dict()
+        else:
+            queries = sample(dist, args.samples, rng_seed)
+    if queries is not None:
         payload = {
             "empirical_fpr": empirical_fpr(filt, queries),
             "sample_count": len(queries),
-            "seed": seed,
+            "seed": args.seed,
         }
-    else:
-        dist = _parse_dist(opts.require("dist"), key_set)
-        samples = opts.get("samples", 100_000, cast=int)
-        if isinstance(filt, LearnedBloomFilter):
-            payload = evaluate(filt, dist, samples, derive_seed(seed, "eval")).to_dict()
-        else:
-            queries = sample(dist, samples, derive_seed(seed, "eval"))
-            payload = {
-                "empirical_fpr": empirical_fpr(filt, queries),
-                "sample_count": samples,
-                "seed": seed,
-            }
-    _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(opts), **payload})
+    _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **payload})
     return EXIT_OK
 
 
-def _config_echo(opts: _Options) -> dict:
-    echo = {}
-    for name, value in sorted(vars(opts.args).items()):
-        if name in ("func", "config") or value is None:
-            continue
-        echo[name] = value
-    return echo
-
-
 def _cmd_sweep(args) -> int:
-    opts = _Options(args)
-    keys = load_keys_text(opts.require("keys"))
-    scorer = _parse_scorer(opts.require("scorer"))
-    taus_raw = opts.require("taus")
-    taus = [_parse(float, t, "threshold") for t in str(taus_raw).split(",") if t.strip() != ""]
+    keys = load_keys_text(_required(args, "keys"))
+    scorer = _parse_scorer(_required(args, "scorer"))
+    taus = [_parse(float, t, "threshold") for t in _required(args, "taus").split(",") if t.strip()]
     if not taus:
         raise ParameterError("tau grid must be nonempty")
-    dist = _parse_dist(opts.require("dist"), frozenset(keys))
+    dist = _parse_dist(_required(args, "dist"), frozenset(keys))
     points = threshold_sweep(
         keys,
         scorer,
         taus,
         dist,
-        samples=opts.get("samples", 100_000, cast=int),
-        backup_target_fpp=opts.get("backup-target-fpp", 0.0002, cast=float),
-        rng_seed=derive_seed(opts.get("seed", 0, cast=int), "sweep"),
+        samples=args.samples,
+        backup_target_fpp=args.backup_target_fpp,
+        rng_seed=derive_seed(args.seed, "sweep"),
     )
     ordered = sorted(points, key=lambda p: p.tau)
     for a, b in zip(ordered, ordered[1:]):  # sanity: inclusion forces monotonicity
@@ -322,62 +277,79 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    opts = _Options(args)
-    seed = opts.get("seed", 0, cast=int)
-    filter_path = opts.get("filter")
-    if filter_path:
-        filt = _load_filter(filter_path)
-        key_path = opts.get("keys")
-        key_set = frozenset(load_keys_text(key_path)) if key_path else frozenset()
-        dist = _parse_dist(opts.require("dist"), key_set)
+    if args.filter:
+        filt = _load_filter(args.filter)
+        key_set = frozenset(load_keys_text(args.keys)) if args.keys else frozenset()
+        dist = _parse_dist(_required(args, "dist"), key_set)
     else:
-        example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
-        below = len(example.keys_outside)
-        filt = LearnedBloomFilter.build(
-            example.keys,
-            scorer,
-            tau,
-            params_for_target(below, opts.get("backup-target-fpp", 0.0002, cast=float)),
-            derive_seed(seed, "backup-filter"),
-        )
+        example, filt = worked_example_filter(args.seed, args.backup_target_fpp)
         dist = example.full_range_queries()
     report = concentration_experiment(
         filt,
         dist,
-        t_size=opts.get("t-size", 10_000, cast=int),
-        q_size=opts.get("q-size", 10_000, cast=int),
-        epsilon=opts.get("epsilon", 0.05, cast=float),
-        trials=opts.get("trials", 100, cast=int),
-        rng_seed=derive_seed(seed, "concentration"),
+        t_size=args.t_size,
+        q_size=args.q_size,
+        epsilon=args.epsilon,
+        trials=args.trials,
+        rng_seed=derive_seed(args.seed, "concentration"),
     )
     _emit(
         args,
-        {"schema": "learnedbloom-concentration/1", "config": _config_echo(opts), **report.to_dict()},
+        {"schema": "learnedbloom-concentration/1", "config": _config_echo(args), **report.to_dict()},
     )
     return EXIT_OK
 
 
 def _cmd_repro_example(args) -> int:
-    opts = _Options(args)
     report = build_report(
-        seed=opts.get("seed", 0, cast=int),
-        full_samples=opts.get("samples", 1_000_000, cast=int),
-        restricted_samples=opts.get("restricted-samples", 200_000, cast=int),
-        backup_target_fpp=opts.get("backup-target-fpp", 0.0002, cast=float),
-        restricted_hi=opts.get("restricted-hi", 100_000, cast=int),
+        seed=args.seed,
+        full_samples=args.samples,
+        restricted_samples=args.restricted_samples,
+        backup_target_fpp=args.backup_target_fpp,
+        restricted_hi=args.restricted_hi,
     )
     _emit(args, report)
     return EXIT_OK
 
 
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the ``key=value`` lines of ``path`` defaults of ``command``; flags still win.
+
+    A key is an option name without ``--``; argparse casts the values as it
+    casts flags when the command line is parsed again.
+    """
+    options = {
+        name[2:]: action
+        for action in command._actions
+        for name in action.option_strings
+        if name.startswith("--") and action.dest not in ("help", "config")
+    }
+    defaults = {}
+    for key, value in read_manifest(path).items():
+        action = options.get(key)
+        if action is None:
+            raise ParameterError(f"config key {key!r} in {path} names no option of this command")
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"config key {key!r} in {path} must be one of {action.choices}")
+        defaults[action.dest] = value
+    command.set_defaults(**defaults)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="top-level seed (default 0)")
-    parser.add_argument("--out", default=None, help="write output to this file as well")
+    parser.add_argument("--seed", type=int, default=0, help="top-level seed (default 0)")
+    parser.add_argument("--out", help="write output to this file as well")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--config", default=None, help="key=value config file; flags win")
+    parser.add_argument("--config", help="key=value config file; flags win")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_backup_target(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backup-target-fpp", type=float, default=0.0002, help="the backup filter's design rate"
+    )
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``lbf`` parser and its command subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="lbf",
         description="Build and evaluate Bloom filters and learned Bloom filters.",
@@ -386,77 +358,77 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a filter and write it to --out")
-    p.add_argument("--kind", choices=("standard", "learned", "example"), default=None)
-    p.add_argument("--keys", default=None, help="newline-delimited decimal key file")
-    p.add_argument("--target-fpp", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--k", default=None)
-    p.add_argument("--scorer", default=None, help="scorer record file or interval:LO:HI:IN:OUT")
-    p.add_argument("--tau", default=None)
-    p.add_argument("--backup-target-fpp", default=None)
-    p.add_argument("--backup-m", default=None)
-    p.add_argument("--backup-k", default=None)
-    p.add_argument("--keys-out", default=None, help="also write the key set to this file")
-    p.add_argument(
-        "--summary-dist", default=None,
-        help="also report the above-threshold query mass on this distribution",
-    )
+    p.add_argument("--kind", choices=("standard", "learned", "example"))
+    p.add_argument("--keys", help="newline-delimited decimal key file")
+    p.add_argument("--target-fpp", type=float)
+    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--scorer", help="scorer record file or interval:LO:HI:IN:OUT")
+    p.add_argument("--tau", type=float)
+    _add_backup_target(p)
+    p.add_argument("--backup-m", type=int)
+    p.add_argument("--backup-k", type=int)
+    p.add_argument("--keys-out", help="also write the key set to this file")
+    p.add_argument("--summary-dist", help="also report the query mass above tau on this distribution")
     _add_common(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="query a serialized filter")
-    p.add_argument("--filter", default=None)
-    p.add_argument("--queries", default=None, help="key file to query")
+    p.add_argument("--filter")
+    p.add_argument("--queries", help="key file to query")
     p.add_argument("key", nargs="*", help="integer keys to query")
     _add_common(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("eval", help="measure a filter's false positive rate")
-    p.add_argument("--filter", default=None)
-    p.add_argument("--keys", default=None, help="key set file (for disjointness/exclusion)")
-    p.add_argument("--dist", default=None, help="uniform:LO:HI or fixed:PATH")
-    p.add_argument("--queries", default=None, help="explicit query key file")
-    p.add_argument("--samples", default=None)
+    p.add_argument("--filter")
+    p.add_argument("--keys", help="key set file (for disjointness/exclusion)")
+    p.add_argument("--dist", help="uniform:LO:HI or fixed:PATH")
+    p.add_argument("--queries", help="explicit query key file")
+    p.add_argument("--samples", type=int, default=100_000)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="threshold sweep over a tau grid")
-    p.add_argument("--keys", default=None)
-    p.add_argument("--scorer", default=None)
-    p.add_argument("--taus", default=None, help="comma-separated thresholds")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--samples", default=None)
-    p.add_argument("--backup-target-fpp", default=None)
+    p.add_argument("--keys")
+    p.add_argument("--scorer")
+    p.add_argument("--taus", help="comma-separated thresholds")
+    p.add_argument("--dist")
+    p.add_argument("--samples", type=int, default=100_000)
+    _add_backup_target(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("concentration", help="test-vs-query rate concentration experiment")
-    p.add_argument("--filter", default=None)
-    p.add_argument("--keys", default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--t-size", default=None)
-    p.add_argument("--q-size", default=None)
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--trials", default=None)
-    p.add_argument("--backup-target-fpp", default=None)
+    p.add_argument("--filter")
+    p.add_argument("--keys")
+    p.add_argument("--dist")
+    p.add_argument("--t-size", type=int, default=10_000)
+    p.add_argument("--q-size", type=int, default=10_000)
+    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--trials", type=int, default=100)
+    _add_backup_target(p)
     _add_common(p)
     p.set_defaults(func=_cmd_concentration)
 
     p = sub.add_parser("repro-example", help="run the worked-example reproduction report")
-    p.add_argument("--samples", default=None)
-    p.add_argument("--restricted-samples", default=None)
-    p.add_argument("--restricted-hi", default=None)
-    p.add_argument("--backup-target-fpp", default=None)
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--restricted-samples", type=int, default=200_000)
+    p.add_argument("--restricted-hi", type=int, default=100_000)
+    _add_backup_target(p)
     _add_common(p)
     p.set_defaults(func=_cmd_repro_example)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)

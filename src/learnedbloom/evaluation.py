@@ -152,43 +152,35 @@ def _source_counts(scorer: Scorer, tau: float, source, exclusion) -> tuple[int, 
     return above, eligible
 
 
-def exact_alpha(
-    scorer: Scorer, tau: float, dist: QueryDistribution, support_limit: int = SUPPORT_LIMIT
-) -> Fraction:
+def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
     """Exact Pr(score >= tau) under the distribution, by support enumeration.
 
     Returns the exact rational: above-threshold eligible count over eligible
     count for uniform and fixed-set supports, the weighted analogue for
     mixtures.  Raises OracleUnavailableError when the support exceeds
-    ``support_limit``; callers should then fall back to sampling.
+    ``SUPPORT_LIMIT``; callers should then fall back to sampling.
     """
     source = dist.source
-    if isinstance(source, (UniformRange, FixedSet)):
-        if source.size > support_limit:
-            raise OracleUnavailableError(
-                f"support of {source.size} exceeds the enumeration limit {support_limit}"
-            )
-        above, eligible = _source_counts(scorer, tau, source, dist.exclusion)
-        if eligible == 0:
-            raise WorkloadError("exclusion removes the whole support")
-        return Fraction(above, eligible)
     if isinstance(source, Mixture):
-        total_size = sum(component.size for component in source.components)
-        if total_size > support_limit:
-            raise OracleUnavailableError(
-                f"support of {total_size} exceeds the enumeration limit {support_limit}"
-            )
-        above_mass = Fraction(0)
-        eligible_mass = Fraction(0)
-        for component, weight in zip(source.components, source.weights):
-            above, eligible = _source_counts(scorer, tau, component, dist.exclusion)
-            w = Fraction(weight)
-            above_mass += w * Fraction(above, component.size)
-            eligible_mass += w * Fraction(eligible, component.size)
-        if eligible_mass == 0:
-            raise WorkloadError("exclusion removes the whole support")
-        return above_mass / eligible_mass
-    raise ParameterError(f"unknown distribution source {type(source).__name__}")
+        parts = list(zip(source.components, source.weights))
+    elif isinstance(source, (UniformRange, FixedSet)):
+        parts = [(source, 1)]
+    else:
+        raise ParameterError(f"unknown distribution source {type(source).__name__}")
+    size = sum(component.size for component, _ in parts)
+    if size > SUPPORT_LIMIT:
+        raise OracleUnavailableError(
+            f"support of {size} exceeds the enumeration limit {SUPPORT_LIMIT}"
+        )
+    above_mass = eligible_mass = Fraction(0)
+    for component, weight in parts:
+        above, eligible = _source_counts(scorer, tau, component, dist.exclusion)
+        share = Fraction(weight) / component.size
+        above_mass += share * above
+        eligible_mass += share * eligible
+    if eligible_mass == 0:
+        raise WorkloadError("exclusion removes the whole support")
+    return above_mass / eligible_mass
 
 
 def backup_fpr_estimate(lbf: LearnedBloomFilter, mode: str = "fill") -> float:
@@ -202,18 +194,14 @@ def backup_fpr_estimate(lbf: LearnedBloomFilter, mode: str = "fill") -> float:
 
 
 def evaluate(
-    lbf: LearnedBloomFilter,
-    dist: QueryDistribution,
-    samples: int,
-    rng_seed: int,
-    backup_fpr_mode: str = "fill",
+    lbf: LearnedBloomFilter, dist: QueryDistribution, samples: int, rng_seed: int
 ) -> EvalReport:
     """Measure the empirical rate on a sampled workload and the model prediction."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     above, answers = lbf.classify_many(sample(dist, samples, rng_seed))
     alpha = float(above.mean())
-    backup_rate = backup_fpr_estimate(lbf, backup_fpr_mode)
+    backup_rate = backup_fpr_estimate(lbf)
     predicted = model_fpr(alpha, backup_rate)
     return EvalReport(
         empirical_fpr=float(answers.mean()),

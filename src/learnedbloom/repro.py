@@ -41,6 +41,15 @@ def _fraction_dict(value: Fraction) -> dict:
     return {"fraction": f"{value.numerator}/{value.denominator}", "value": float(value)}
 
 
+def worked_example_filter(seed: int, backup_target_fpp: float):
+    """``(example, filter)``: the hot-range example and its learned filter, all seeded from ``seed``."""
+    example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
+    below = int((scorer.score_batch(example.keys) < tau).sum())
+    backup = params_for_target(max(below, 1), backup_target_fpp)
+    lbf = LearnedBloomFilter.build(example.keys, scorer, tau, backup, derive_seed(seed, "backup-filter"))
+    return example, lbf
+
+
 def build_report(
     seed: int,
     full_samples: int = 1_000_000,
@@ -49,14 +58,8 @@ def build_report(
     restricted_hi: int = 100_000,
 ) -> dict:
     """Run the full pipeline and return a JSON-compatible report dict."""
-    example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
-    keys = example.keys
-
-    scores_below = int((scorer.score_batch(keys) < tau).sum())
-    backup_params = params_for_target(max(scores_below, 1), backup_target_fpp)
-    lbf = LearnedBloomFilter.build(
-        keys, scorer, tau, backup_params, derive_seed(seed, "backup-filter")
-    )
+    example, lbf = worked_example_filter(seed, backup_target_fpp)
+    keys, scorer, tau = example.keys, lbf.scorer, lbf.tau
 
     full = example.full_range_queries()
     restricted = example.restricted_range_queries(restricted_hi)

@@ -1,6 +1,8 @@
 """Standard Bloom filter: invariants, closed forms, sizing, serialization."""
 
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from learnedbloom.bloom import (
+    MAX_K,
     BloomFilter,
     FilterParams,
     expected_fill_ratio,
@@ -268,3 +271,26 @@ class TestSerialization:
             BloomFilter.from_bytes(blob[:10])
         with pytest.raises(FilterFormatError):
             BloomFilter.from_bytes(blob[:-2])
+
+    def test_header_k_above_the_bound_rejected(self):
+        # 33 bytes: an 8-bit filter whose header claims 2^31 hashes.  It must
+        # fail to load; a probe on it would build a 2^31-entry position list.
+        blob = struct.pack("<4sQIQQ", b"LBF1", 8, 1 << 31, 0, 0) + b"\x00"
+        assert len(blob) == 33
+        with pytest.raises(FilterFormatError, match="above the limit"):
+            BloomFilter.from_bytes(blob)
+        edge = struct.pack("<4sQIQQ", b"LBF1", 8, MAX_K, 0, 0) + b"\x00"
+        assert BloomFilter.from_bytes(edge).k == MAX_K
+        with pytest.raises(ParameterError):
+            FilterParams(m=8, k=MAX_K + 1)
+
+    def test_smallest_accepted_target_sizes_k_under_the_bound(self):
+        target = 1.0 / sys.float_info.max
+        while math.isinf(1.0 / target):
+            target = math.nextafter(target, 1.0)
+        for n in (1, 2, 7, 1000):
+            assert params_for_target(n, target).k <= MAX_K
+        with pytest.raises(ParameterError, match="too small"):
+            params_for_target(1, math.nextafter(target, 0.0))
+        with pytest.raises(ParameterError):
+            params_for_target(1000, 1e-310)

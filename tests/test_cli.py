@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -292,6 +293,75 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(stdout)["m"] < 9586
 
+    def test_flags_and_config_write_identical_eval_reports(self, tmp_path, capsys):
+        out = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", out)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("samples=5000\nseed=4\ndist=uniform:0:1000000\n")
+        _, by_flags = run(capsys, "eval", "--filter", out, "--samples", "5000", "--seed", "4",
+                          "--dist", "uniform:0:1000000")
+        code, by_config = run(capsys, "eval", "--filter", out, "--config", cfg)
+        assert code == 0
+        assert by_config == by_flags
+        config = json.loads(by_config)["config"]
+        assert (config["samples"], config["seed"], config["dist"]) == (5000, 4, "uniform:0:1000000")
+
+    def test_concentration_report_echoes_defaults_typed(self, capsys):
+        code, stdout = run(capsys, "concentration", "--trials", "2", "--t-size", "1000")
+        assert code == 0
+        config = json.loads(stdout)["config"]
+        assert config["t_size"] == 1000 and config["q_size"] == 10_000
+        assert config["seed"] == 0 and config["epsilon"] == 0.05
+        assert config["backup_target_fpp"] == 0.0002
+
+    def test_unknown_config_key_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", out)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("sampels=5000\n")
+        code = main(["eval", "--filter", str(out), "--dist", "uniform:0:1000000",
+                     "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'sampels'" in err
+
+    @pytest.mark.parametrize("line", ["format=xml", "key=5", "config=other.cfg"])
+    def test_config_key_that_is_no_settable_option_is_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["query", "--filter", str(tmp_path / "f"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_format_and_out_are_honoured(self, tmp_path, capsys):
+        out = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", out)
+        report = tmp_path / "report.csv"
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"format=csv\nout={report}\nsamples=2000\n")
+        code, stdout = run(capsys, "eval", "--filter", out, "--dist", "uniform:0:1000000",
+                           "--config", cfg)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0] == ["key", "value"]
+        assert ["config.samples", "2000"] in rows
+        assert report.read_text() == stdout
+
+    def test_mistyped_config_value_exits_2_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", out)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("samples=x\n")
+        code = main(["eval", "--filter", str(out), "--dist", "uniform:0:1000000",
+                     "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "--samples" in error_lines[0]
+
     def test_csv_format_flattens_report(self, capsys):
         code, stdout = run(
             capsys, "repro-example", "--seed", "7", "--samples", "20000",
@@ -311,6 +381,19 @@ class TestExitCodes:
     def test_missing_required_option(self, capsys):
         assert main(["build"]) == EXIT_PARAMETER
 
+    def test_header_k_above_the_bound_is_parameter_error(self, tmp_path, capsys, monkeypatch):
+        def no_probe(*_):
+            raise AssertionError("a filter with an out-of-bound k was probed")
+
+        monkeypatch.setattr(BloomFilter, "contains", no_probe)
+        monkeypatch.setattr(BloomFilter, "contains_many", no_probe)
+        bad = tmp_path / "bad.bloom"
+        bad.write_bytes(struct.pack("<4sQIQQ", b"LBF1", 8, 1 << 31, 0, 0) + b"\x00")
+        code = main(["query", "--filter", str(bad), "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_filter_format_error_is_parameter_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bloom"
         bad.write_bytes(b"LBF1 but not really a filter")
@@ -319,7 +402,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "case",
-        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds"],
+        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds", "tiny_target"],
     )
     def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
         path, _ = key_file
@@ -335,6 +418,8 @@ class TestExitCodes:
                          "--taus", "0.1,x", "--dist", "uniform:0:1000000"],
             "interval_bounds": ["build", "--kind", "learned", "--keys", path, "--scorer",
                                 "interval:1.5:2000:0.5:0.0", "--tau", "0.4", "--out", out],
+            "tiny_target": ["build", "--kind", "standard", "--keys", path,
+                            "--target-fpp", "1e-310", "--out", out],
         }[case]
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err
