@@ -79,7 +79,7 @@ def _parse_scorer(spec: str) -> Scorer:
             inside_score=_parse(float, inside, "interval score"),
             outside_score=_parse(float, outside, "interval score"),
         )
-    with open(spec, "r", encoding="utf-8") as fh:
+    with open(spec, "rb") as fh:
         return scorer_from_text(fh.read())
 
 
@@ -134,10 +134,9 @@ def _required(args, name: str):
     return value
 
 
-def _backup_params(args, below: int) -> FilterParams:
-    if args.backup_m is not None and args.backup_k is not None:
-        return FilterParams(m=args.backup_m, k=args.backup_k)
-    return params_for_target(max(below, 1), args.backup_target_fpp)
+def _config_echo(args) -> dict:
+    """Every resolved option of the run, typed: the ``config`` object of a report."""
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
 def _cmd_build(args) -> int:
@@ -169,10 +168,10 @@ def _cmd_build(args) -> int:
             keys = load_keys_text(_required(args, "keys"))
             scorer = _parse_scorer(_required(args, "scorer"))
             tau = _required(args, "tau")
-        below = int((scorer.score_batch(keys) < tau).sum())
-        lbf = LearnedBloomFilter.build(
-            keys, scorer, tau, _backup_params(args, below), derive_seed(args.seed, "backup-filter")
-        )
+        backup = args.backup_target_fpp
+        if args.backup_m is not None and args.backup_k is not None:
+            backup = FilterParams(m=args.backup_m, k=args.backup_k)
+        lbf = LearnedBloomFilter.build(keys, scorer, tau, backup, derive_seed(args.seed, "backup-filter"))
         payload = lbf.to_bytes()
         summary = {
             "kind": kind,
@@ -197,6 +196,7 @@ def _cmd_build(args) -> int:
     if args.keys_out:
         save_keys_text(args.keys_out, keys)
         summary["keys_out"] = args.keys_out
+    summary["config"] = _config_echo(args)
     with open(out, "wb") as fh:
         fh.write(payload)
     sys.stdout.write(_render(summary, args.format))
@@ -209,14 +209,9 @@ def _cmd_query(args) -> int:
         keys = [_parse(int, k, "query key") for k in args.key]
     else:
         keys = load_keys_text(_required(args, "queries"))
-    results = {str(k): bool(filt.contains(k)) for k in keys}
+    results = dict(zip(map(str, keys), filt.contains_many(keys).tolist()))
     _emit(args, {"filter": args.filter, "results": results})
     return EXIT_OK
-
-
-def _config_echo(args) -> dict:
-    """Every resolved option of the run, typed: the ``config`` object of a report."""
-    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
 def _cmd_eval(args) -> int:
@@ -270,7 +265,11 @@ def _cmd_sweep(args) -> int:
     columns = ("tau", "alpha_estimate", "backup_keys", "total_bits", "model_fpr")
     _emit(
         args,
-        {"schema": "learnedbloom-sweep/1", "points": [vars(p) for p in points]},
+        {
+            "schema": "learnedbloom-sweep/1",
+            "config": _config_echo(args),
+            "points": [vars(p) for p in points],
+        },
         csv_rows=[columns, *([getattr(p, c) for c in columns] for p in points)],
     )
     return EXIT_OK

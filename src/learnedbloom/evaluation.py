@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloom import BloomFilter, expected_fill_ratio, expected_fpp, params_for_target
+from .bloom import BloomFilter, expected_fill_ratio, params_for_target
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
@@ -183,14 +183,9 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     return above_mass / eligible_mass
 
 
-def backup_fpr_estimate(lbf: LearnedBloomFilter, mode: str = "fill") -> float:
-    """Backup filter rate: realized fill ratio^k ("fill") or the closed-form expectation."""
-    if mode == "fill":
-        return lbf.backup.fill_ratio ** lbf.backup.k
-    if mode == "expected":
-        stored = lbf.below_threshold_count + lbf.inserted_after_build
-        return expected_fpp(stored, lbf.backup.m, lbf.backup.k)
-    raise ParameterError(f"unknown backup fpr mode {mode!r}")
+def backup_fpr_estimate(lbf: LearnedBloomFilter) -> float:
+    """Backup filter rate from its realized fill: fill ratio^k (``expected_fpp`` is the closed form)."""
+    return lbf.backup.fill_ratio ** lbf.backup.k
 
 
 def evaluate(

@@ -23,6 +23,13 @@ from .workloads import QueryDistribution, sample
 _LEN = struct.Struct("<Q")
 
 
+def _sized_backup(backup: FilterParams | float, below: int) -> FilterParams:
+    """``backup`` if it is sized already, else a filter for ``below`` keys at the rate ``backup``."""
+    if isinstance(backup, FilterParams):
+        return backup
+    return params_for_target(max(below, 1), backup)
+
+
 class LearnedBloomFilter:
     """Composite membership filter with no false negatives.
 
@@ -56,22 +63,27 @@ class LearnedBloomFilter:
         keys,
         scorer: Scorer,
         tau: float,
-        backup_params: FilterParams,
+        backup: FilterParams | float,
         seed: int,
     ) -> "LearnedBloomFilter":
-        """Score every key and store the below-threshold ones in the backup filter."""
+        """Score every key and store the below-threshold ones in the backup filter.
+
+        ``backup`` is the backup filter's ``FilterParams``, or its design false
+        positive rate, in which case the backup is sized for exactly the keys
+        found below ``tau``: ``params_for_target(max(below, 1), backup)``.
+        """
         keys = as_keys(keys)
         if not keys.size:
             raise ParameterError("key set must be nonempty")
         if not 0.0 <= tau <= 1.0:
             raise ParameterError("threshold tau must lie in [0, 1]")
-        backup = BloomFilter.from_params(backup_params, seed)
         below = keys[scorer.score_batch(keys) < tau]
-        backup.insert_many(below)
+        backup_filter = BloomFilter.from_params(_sized_backup(backup, below.size), seed)
+        backup_filter.insert_many(below)
         return cls(
             scorer,
             tau,
-            backup,
+            backup_filter,
             key_count=keys.size,
             below_threshold_count=below.size,
         )
@@ -145,7 +157,7 @@ class LearnedBloomFilter:
             offset += length
         if offset != len(data):
             raise FilterFormatError("trailing bytes after learned filter record")
-        scorer = scorer_from_text(parts[0].decode("utf-8"))
+        scorer = scorer_from_text(parts[0])
         try:
             tau = float.fromhex(parts[1].decode("ascii"))
             meta = json.loads(parts[3].decode("utf-8"))
@@ -157,7 +169,7 @@ class LearnedBloomFilter:
                 below_threshold_count=int(meta["below_threshold_count"]),
                 inserted_after_build=int(meta["inserted_after_build"]),
             )
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise FilterFormatError(f"malformed learned filter record: {exc}") from exc
 
 
@@ -187,8 +199,9 @@ def threshold_sweep(
     alpha estimates are non-increasing and the backup key counts
     non-decreasing by pointwise set inclusion, not merely in expectation.
     The backup for each candidate is sized for its below-threshold keys at
-    ``backup_target_fpp``, and the predicted rate composes the sampled alpha
-    with the sized backup's expected false positive probability.
+    ``backup_target_fpp``, as :meth:`LearnedBloomFilter.build` sizes it, and
+    the predicted rate composes the sampled alpha with the sized backup's
+    expected false positive probability.
     """
     taus = [float(t) for t in taus]
     if not taus:
@@ -209,7 +222,7 @@ def threshold_sweep(
     for tau in taus:
         alpha = float((query_scores >= tau).mean())
         below = int((key_scores < tau).sum())
-        params = params_for_target(max(below, 1), backup_target_fpp)
+        params = _sized_backup(backup_target_fpp, below)
         backup_fpr = expected_fpp(below, params.m, params.k)
         points.append(
             SweepPoint(

@@ -44,9 +44,9 @@ def _fraction_dict(value: Fraction) -> dict:
 def worked_example_filter(seed: int, backup_target_fpp: float):
     """``(example, filter)``: the hot-range example and its learned filter, all seeded from ``seed``."""
     example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
-    below = int((scorer.score_batch(example.keys) < tau).sum())
-    backup = params_for_target(max(below, 1), backup_target_fpp)
-    lbf = LearnedBloomFilter.build(example.keys, scorer, tau, backup, derive_seed(seed, "backup-filter"))
+    lbf = LearnedBloomFilter.build(
+        example.keys, scorer, tau, backup_target_fpp, derive_seed(seed, "backup-filter")
+    )
     return example, lbf
 
 

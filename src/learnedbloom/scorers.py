@@ -256,12 +256,10 @@ class TrainingSet:
 
     positives: tuple
     negatives: tuple
-    disjoint_checked: bool = True
 
     def __init__(self, positives, negatives, check_disjoint: bool = True):
         object.__setattr__(self, "positives", tuple(positives))
         object.__setattr__(self, "negatives", tuple(negatives))
-        object.__setattr__(self, "disjoint_checked", bool(check_disjoint))
         if not self.positives:
             raise ParameterError("training set needs at least one positive key")
         if check_disjoint:
@@ -389,10 +387,11 @@ def scorer_from_record(record: dict) -> Scorer:
     raise FilterFormatError(f"unknown scorer kind {record.get('kind')!r}")
 
 
-def scorer_from_text(text: str) -> Scorer:
+def scorer_from_text(text: str | bytes) -> Scorer:
+    """The scorer a record describes; a ``bytes`` record is decoded as UTF-8."""
     try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
+        record = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FilterFormatError(f"scorer record is not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise FilterFormatError("scorer record must be a JSON object")

@@ -8,13 +8,12 @@ reproduction experiments, and dataset file I/O.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, WorkloadError
-from .hashing import as_keys, encode_key
+from .hashing import as_keys
 from .scorers import IntervalScorer
 
 REJECTION_BUDGET = 10**6  # consecutive rejected draws before giving up
@@ -81,12 +80,6 @@ class QueryDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "exclusion", frozenset(int(k) for k in self.exclusion))
-
-    @property
-    def kind(self) -> str:
-        return {UniformRange: "uniform_range", FixedSet: "fixed_set", Mixture: "mixture"}[
-            type(self.source)
-        ]
 
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
@@ -219,10 +212,7 @@ def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: decimal text, length-prefixed binary, and key=value manifests.
-
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
+# Dataset files: decimal text keys, and key=value config files.
 
 
 def save_keys_text(path, keys) -> None:
@@ -252,50 +242,17 @@ def _is_key_line(line: bytes) -> bool:
     return True
 
 
-def save_keys_binary(path, keys) -> None:
-    """Length-prefixed byte-string keys: u64 count, then (u32 length, bytes) per key."""
-    encoded = [encode_key(k) for k in keys]
-    with open(path, "wb") as fh:
-        fh.write(_U64.pack(len(encoded)))
-        for item in encoded:
-            fh.write(_U32.pack(len(item)))
-            fh.write(item)
-
-
-def load_keys_binary(path) -> list[bytes]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _U64.size:
-        raise ParameterError("truncated binary key file")
-    (count,) = _U64.unpack_from(data)
-    keys = []
-    offset = _U64.size
-    for _ in range(count):
-        if offset + _U32.size > len(data):
-            raise ParameterError("truncated binary key file")
-        (length,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        if offset + length > len(data):
-            raise ParameterError("truncated binary key file")
-        keys.append(data[offset : offset + length])
-        offset += length
-    return keys
-
-
-def write_manifest(path, entries: dict) -> None:
-    """Reproducibility manifest: sorted key=value lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(entries):
-            fh.write(f"{key}={entries[key]}\n")
-
-
 def read_manifest(path) -> dict:
+    """``key=value`` lines of a UTF-8 text file (blank lines skipped) as a dict."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            entries[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                key, _, value = line.partition("=")
+                entries[key] = value
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     return entries

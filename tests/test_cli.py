@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from learnedbloom.bloom import BloomFilter
+from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.cli import (
     EXIT_IO,
     EXIT_PARAMETER,
@@ -16,6 +16,7 @@ from learnedbloom.cli import (
     main,
 )
 from learnedbloom.learned import LearnedBloomFilter
+from learnedbloom.scorers import IntervalScorer
 from learnedbloom.workloads import save_keys_text
 
 
@@ -26,6 +27,20 @@ def key_file(tmp_path):
     path = tmp_path / "keys.txt"
     save_keys_text(path, keys)
     return path, keys
+
+
+def _learned_filter_with_part(index: int, part: bytes) -> bytes:
+    """A serialized learned filter whose length-prefixed part ``index`` is ``part``."""
+    blob = LearnedBloomFilter.build(
+        [5, 1500], IntervalScorer(((1000, 2000),), 0.5, 0.0), 0.4, FilterParams(64, 2), seed=0
+    ).to_bytes()
+    parts, offset = [], 0
+    while offset < len(blob):
+        (length,) = struct.unpack_from("<Q", blob, offset)
+        parts.append(blob[offset + 8 : offset + 8 + length])
+        offset += 8 + length
+    parts[index] = part
+    return b"".join(struct.pack("<Q", len(p)) + p for p in parts)
 
 
 def run(capsys, *argv):
@@ -97,6 +112,16 @@ class TestBuild:
         summary = json.loads(stdout)
         in_hot = sum(1 for k in keys if 1000 <= k <= 2000)
         assert summary["backup_keys"] == len(keys) - in_hot
+
+    def test_summary_echoes_the_configuration(self, tmp_path, key_file, capsys):
+        path, _ = key_file
+        code, stdout = run(
+            capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", tmp_path / "std.bloom",
+        )
+        assert code == 0
+        config = json.loads(stdout)["config"]
+        assert (config["kind"], config["seed"], config["target_fpp"]) == ("standard", 3, 0.01)
 
     def test_missing_key_file_is_an_io_error(self, tmp_path, capsys):
         code, _ = run(
@@ -214,6 +239,17 @@ class TestSweep:
         assert alphas[1] == pytest.approx(501 / 999000, abs=3 * (5.1e-4 / 200000) ** 0.5)
         assert alphas[2] == 0.0
         assert [int(r["backup_keys"]) for r in rows] == [0, 500, 1000]
+
+    def test_report_echoes_the_configuration(self, tmp_path, key_file, capsys):
+        path, _ = key_file
+        code, stdout = run(
+            capsys, "sweep", "--keys", path, "--scorer", "interval:0:10:0.5:0.0",
+            "--taus", "0.5", "--dist", "uniform:0:1000000", "--samples", "1000", "--seed", "6",
+        )
+        assert code == 0
+        config = json.loads(stdout)["config"]
+        assert (config["dist"], config["samples"], config["seed"]) == ("uniform:0:1000000", 1000, 6)
+        assert config["backup_target_fpp"] == 0.0002
 
     def test_single_tau_single_row(self, tmp_path, key_file, capsys):
         path, _ = key_file
@@ -402,13 +438,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "case",
-        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds", "tiny_target"],
+        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds", "tiny_target",
+         "scorer_part_not_utf8", "scorer_part_nested_json", "meta_part_nested_json",
+         "scorer_file_not_utf8", "config_file_not_utf8"],
     )
     def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
         path, _ = key_file
         bad_keys = tmp_path / "bad.txt"
         bad_keys.write_text("12\nx3\n")
         out = tmp_path / "f.out"
+        nested = b"[" * 100_000 + b"]" * 100_000
+        bad = tmp_path / "bad"
+        bad.write_bytes({
+            "scorer_part_not_utf8": _learned_filter_with_part(0, b"\xff{}"),
+            "scorer_part_nested_json": _learned_filter_with_part(0, nested),
+            "meta_part_nested_json": _learned_filter_with_part(3, nested),
+            "scorer_file_not_utf8": b'{"kind": "interval\xff"}',
+            "config_file_not_utf8": b"samples=\xff\n",
+        }.get(case, b""))
         argv = {
             "key_file_line": ["build", "--kind", "standard", "--keys", bad_keys,
                               "--target-fpp", "0.01", "--out", out],
@@ -420,6 +467,12 @@ class TestExitCodes:
                                 "interval:1.5:2000:0.5:0.0", "--tau", "0.4", "--out", out],
             "tiny_target": ["build", "--kind", "standard", "--keys", path,
                             "--target-fpp", "1e-310", "--out", out],
+            "scorer_part_not_utf8": ["query", "--filter", bad, "5"],
+            "scorer_part_nested_json": ["query", "--filter", bad, "5"],
+            "meta_part_nested_json": ["query", "--filter", bad, "5"],
+            "scorer_file_not_utf8": ["build", "--kind", "learned", "--keys", path,
+                                     "--scorer", bad, "--tau", "0.4", "--out", out],
+            "config_file_not_utf8": ["eval", "--filter", out, "--config", bad],
         }[case]
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from learnedbloom.bloom import BloomFilter, params_for_target
+from learnedbloom.bloom import BloomFilter, expected_fpp, params_for_target
 from learnedbloom.errors import (
     OracleUnavailableError,
     ParameterError,
@@ -179,12 +179,12 @@ class TestEvaluate:
         assert report.seed == 5
 
     def test_backup_fpr_modes(self, example_lbf):
-        fill = backup_fpr_estimate(example_lbf, "fill")
-        expected = backup_fpr_estimate(example_lbf, "expected")
-        assert fill == example_lbf.backup.fill_ratio ** example_lbf.backup.k
+        fill = backup_fpr_estimate(example_lbf)
+        backup = example_lbf.backup
+        stored = example_lbf.below_threshold_count + example_lbf.inserted_after_build
+        expected = expected_fpp(stored, backup.m, backup.k)
+        assert fill == backup.fill_ratio ** backup.k
         assert expected == pytest.approx(fill, rel=0.5)  # same ballpark, different estimator
-        with pytest.raises(ParameterError):
-            backup_fpr_estimate(example_lbf, "nope")
 
     def test_empirical_matches_model_within_four_stderr(self, example, example_lbf):
         # rate predicted from the exact alpha oracle plus the realized backup,

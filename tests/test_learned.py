@@ -52,6 +52,26 @@ class TestBuild:
         with pytest.raises(ParameterError):
             LearnedBloomFilter.build([], HOT, 0.5, SMALL, seed=1)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "scorer",
+        [HOT, LogisticScorer(weights=(4.0,), bias=-2.0, feature_map="int-norm:1000000")],
+        ids=["interval", "logistic"],
+    )
+    def test_a_rate_sizes_the_backup_for_the_keys_below_tau(self, example, scorer, tau):
+        keys = example[0].keys
+        below = int((scorer.score_batch(keys) < tau).sum())
+        sized = params_for_target(max(below, 1), 0.001)
+        by_rate = LearnedBloomFilter.build(keys, scorer, tau, 0.001, seed=3)
+        by_params = LearnedBloomFilter.build(keys, scorer, tau, sized, seed=3)
+        assert by_rate.below_threshold_count == below
+        assert by_rate.to_bytes() == by_params.to_bytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 1e-310])
+    def test_rejects_a_rate_outside_the_unit_interval(self, rate):
+        with pytest.raises(ParameterError):
+            LearnedBloomFilter.build([5, 1500], HOT, 0.4, rate, seed=1)
+
     def test_worked_example_backup_holds_the_500_outside_keys(self, example, example_lbf):
         ex, scorer, tau = example
         assert example_lbf.below_threshold_count == 500

@@ -13,14 +13,11 @@ from learnedbloom.workloads import (
     QueryDistribution,
     UniformRange,
     hot_range_example,
-    load_keys_binary,
     load_keys_text,
     read_manifest,
     sample,
-    save_keys_binary,
     save_keys_text,
     uniform_queries,
-    write_manifest,
 )
 
 # 0.999 quantile of the chi-square distribution with 19 degrees of freedom
@@ -111,12 +108,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Mixture(components=(), weights=())
 
-    def test_kind_labels(self):
-        assert uniform_queries(0, 5).kind == "uniform_range"
-        assert QueryDistribution(FixedSet((1,))).kind == "fixed_set"
-        mix = Mixture(components=(UniformRange(0, 1),), weights=(1.0,))
-        assert QueryDistribution(mix).kind == "mixture"
-
 
 class TestHotRangeExample:
     def test_counts_and_distinctness(self):
@@ -165,25 +156,8 @@ class TestFiles:
         save_keys_text(path, keys)
         assert load_keys_text(path) == keys
 
-    def test_binary_round_trip(self, tmp_path):
-        path = tmp_path / "keys.bin"
-        save_keys_binary(path, [7, b"raw-bytes", b""])
-        assert load_keys_binary(path) == [
-            (7).to_bytes(8, "little"),
-            b"raw-bytes",
-            b"",
-        ]
-
-    def test_binary_truncation_detected(self, tmp_path):
-        path = tmp_path / "keys.bin"
-        save_keys_binary(path, [b"abcdef"])
-        data = path.read_bytes()
-        path.write_bytes(data[:-2])
-        with pytest.raises(ParameterError):
-            load_keys_binary(path)
-
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.txt"
         entries = {"seed": "42", "kind": "uniform_range", "lo": "0", "hi": "1000000"}
-        write_manifest(path, entries)
+        path.write_text("".join(f"{key}={value}\n" for key, value in entries.items()))
         assert read_manifest(path) == entries
