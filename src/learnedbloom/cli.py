@@ -19,6 +19,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .bloom import MAGIC, BloomFilter, FilterParams, params_for_target
 from .errors import (
     FilterFormatError,
@@ -28,7 +30,7 @@ from .errors import (
     WorkloadError,
 )
 from .evaluation import concentration_experiment, empirical_fpr, evaluate, exact_alpha
-from .hashing import derive_seed
+from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, threshold_sweep
 from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
@@ -83,13 +85,13 @@ def _parse_scorer(spec: str) -> Scorer:
         return scorer_from_text(fh.read())
 
 
-def _parse_dist(spec: str, exclusion=frozenset()) -> QueryDistribution:
+def _parse_dist(spec: str, exclusion=()) -> QueryDistribution:
     parts = spec.split(":")
     if parts[0] == "uniform" and len(parts) == 3:
         lo, hi = (_parse(int, bound, "uniform bound") for bound in parts[1:])
         return QueryDistribution(UniformRange(lo, hi), exclusion)
     if parts[0] == "fixed" and len(parts) == 2:
-        return QueryDistribution(FixedSet(tuple(load_keys_text(parts[1]))), exclusion)
+        return QueryDistribution(FixedSet(load_keys_text(parts[1])), exclusion)
     raise ParameterError(f"unknown distribution spec {spec!r} (use uniform:LO:HI or fixed:PATH)")
 
 
@@ -134,6 +136,15 @@ def _required(args, name: str):
     return value
 
 
+def _sizing(args, m: str, k: str) -> FilterParams | None:
+    """``FilterParams`` of the options ``--m`` and ``--k`` (or a like pair); None if neither is set."""
+    values = [getattr(args, name.replace("-", "_")) for name in (m, k)]
+    if None in values and values != [None, None]:
+        given, missing = (m, k) if values[1] is None else (k, m)
+        raise ParameterError(f"--{given} needs --{missing}: give both or neither")
+    return None if None in values else FilterParams(*values)
+
+
 def _config_echo(args) -> dict:
     """Every resolved option of the run, typed: the ``config`` object of a report."""
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
@@ -142,11 +153,11 @@ def _config_echo(args) -> dict:
 def _cmd_build(args) -> int:
     kind = _required(args, "kind")
     out = _required(args, "out")
+    params = _sizing(args, "m", "k")
+    backup = _sizing(args, "backup-m", "backup-k") or args.backup_target_fpp
     if kind == "standard":
         keys = load_keys_text(_required(args, "keys"))
-        if args.m is not None and args.k is not None:
-            params = FilterParams(m=args.m, k=args.k)
-        else:
+        if params is None:
             params = params_for_target(max(len(keys), 1), _required(args, "target-fpp"))
         filt = BloomFilter.from_params(params, derive_seed(args.seed, "standard-filter"))
         filt.insert_many(keys)
@@ -162,15 +173,12 @@ def _cmd_build(args) -> int:
     else:  # learned or example
         if kind == "example":
             example, scorer, tau = hot_range_example(derive_seed(args.seed, "dataset"))
-            keys = list(example.keys)
+            keys = example.keys
             tau = tau if args.tau is None else args.tau
         else:
             keys = load_keys_text(_required(args, "keys"))
             scorer = _parse_scorer(_required(args, "scorer"))
             tau = _required(args, "tau")
-        backup = args.backup_target_fpp
-        if args.backup_m is not None and args.backup_k is not None:
-            backup = FilterParams(m=args.backup_m, k=args.backup_k)
         lbf = LearnedBloomFilter.build(keys, scorer, tau, backup, derive_seed(args.seed, "backup-filter"))
         payload = lbf.to_bytes()
         summary = {
@@ -185,7 +193,7 @@ def _cmd_build(args) -> int:
             "out": out,
         }
         if args.summary_dist:
-            dist = _parse_dist(args.summary_dist, frozenset(int(k) for k in keys))
+            dist = _parse_dist(args.summary_dist, keys)
             try:
                 alpha = float(exact_alpha(scorer, tau, dist))
             except OracleUnavailableError:
@@ -206,24 +214,22 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     filt = _load_filter(_required(args, "filter"))
     if args.key:
-        keys = [_parse(int, k, "query key") for k in args.key]
+        keys = as_keys([_parse(int, k, "query key") for k in args.key])
     else:
         keys = load_keys_text(_required(args, "queries"))
-    results = dict(zip(map(str, keys), filt.contains_many(keys).tolist()))
+    results = dict(zip(map(str, keys.tolist()), filt.contains_many(keys).tolist()))
     _emit(args, {"filter": args.filter, "results": results})
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     filt = _load_filter(_required(args, "filter"))
-    key_set = frozenset(load_keys_text(args.keys)) if args.keys else frozenset()
+    key_set = load_keys_text(args.keys) if args.keys else as_keys(())  # uint64, as queries are
     if args.queries:
         queries = load_keys_text(args.queries)
-        overlap = key_set.intersection(queries)
-        if overlap:
-            raise WorkloadError(
-                f"{len(overlap)} query keys overlap the key set (e.g. {min(overlap)})"
-            )
+        overlap = np.intersect1d(queries, key_set)  # sorted and distinct
+        if overlap.size:
+            raise WorkloadError(f"{overlap.size} query keys overlap the key set (e.g. {overlap[0]})")
     else:
         dist = _parse_dist(_required(args, "dist"), key_set)
         rng_seed = derive_seed(args.seed, "eval")
@@ -248,7 +254,7 @@ def _cmd_sweep(args) -> int:
     taus = [_parse(float, t, "threshold") for t in _required(args, "taus").split(",") if t.strip()]
     if not taus:
         raise ParameterError("tau grid must be nonempty")
-    dist = _parse_dist(_required(args, "dist"), frozenset(keys))
+    dist = _parse_dist(_required(args, "dist"), keys)
     points = threshold_sweep(
         keys,
         scorer,
@@ -278,7 +284,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_concentration(args) -> int:
     if args.filter:
         filt = _load_filter(args.filter)
-        key_set = frozenset(load_keys_text(args.keys)) if args.keys else frozenset()
+        key_set = load_keys_text(args.keys) if args.keys else ()
         dist = _parse_dist(_required(args, "dist"), key_set)
     else:
         example, filt = worked_example_filter(args.seed, args.backup_target_fpp)

@@ -3,9 +3,8 @@
 Measures empirical false positive rates on sampled workloads, predicts
 them from the above-threshold query mass (alpha) composed with the
 backup filter's rate, computes alpha exactly by enumerating finite
-integer supports, and runs the two concentration experiments: test-set
-vs query-set rate agreement, and fill-ratio concentration for standard
-filters.
+integer supports, and runs the concentration experiment: test-set vs
+query-set rate agreement.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloom import BloomFilter, expected_fill_ratio, params_for_target
+from .bloom import BloomFilter, params_for_target
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .scorers import Scorer
 from .workloads import (
-    FixedSet,
     Mixture,
     QueryDistribution,
     UniformRange,
@@ -80,23 +78,6 @@ class ConcentrationReport:
 
 
 @dataclass(frozen=True)
-class FillConcentrationReport:
-    """How often the realized fill ratio strays from its expectation by >= gamma."""
-
-    gamma: float
-    trials: int
-    exceed_fraction: float
-    expected_fill: float
-    mean_fill: float
-    m: int
-    k: int
-    n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Learned filter vs a standard filter sized at the learned filter's measured rate."""
 
@@ -135,18 +116,17 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
     return alpha + (1.0 - alpha) * backup_fpr
 
 
-def _source_counts(scorer: Scorer, tau: float, source, exclusion) -> tuple[int, int]:
+def _source_counts(scorer: Scorer, tau: float, source, exclusion: np.ndarray) -> tuple[int, int]:
     """(# eligible keys scoring >= tau, # eligible keys) within one component."""
     if isinstance(source, UniformRange):
         starts = range(source.lo, source.hi, _CHUNK)
         blocks = (np.arange(s, min(s + _CHUNK, source.hi), dtype=np.uint64) for s in starts)
     else:
-        blocks = [as_keys(source.keys)]
-    excl = np.sort(as_keys(exclusion))
+        blocks = [source.keys]
     above = eligible = 0
     for block in blocks:
-        if excl.size:
-            block = block[~np.isin(block, excl)]
+        if exclusion.size:
+            block = block[~np.isin(block, exclusion)]
         eligible += int(block.size)
         above += int((scorer.score_batch(block) >= tau).sum())
     return above, eligible
@@ -161,12 +141,8 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     ``SUPPORT_LIMIT``; callers should then fall back to sampling.
     """
     source = dist.source
-    if isinstance(source, Mixture):
-        parts = list(zip(source.components, source.weights))
-    elif isinstance(source, (UniformRange, FixedSet)):
-        parts = [(source, 1)]
-    else:
-        raise ParameterError(f"unknown distribution source {type(source).__name__}")
+    mixture = source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
+    parts = list(zip(mixture.components, mixture.weights))
     size = sum(component.size for component, _ in parts)
     if size > SUPPORT_LIMIT:
         raise OracleUnavailableError(
@@ -253,47 +229,6 @@ def concentration_experiment(
         t_size=t_size,
         q_size=q_size,
         seed=rng_seed,
-    )
-
-
-def _distinct_keys(rng: np.random.Generator, n: int) -> np.ndarray:
-    keys = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    while np.unique(keys).size < n:  # vanishing probability, kept for exactness
-        keys = np.unique(keys)
-        extra = rng.integers(0, 1 << 64, size=n - keys.size, dtype=np.uint64)
-        keys = np.concatenate([keys, extra])
-    return keys
-
-
-def fill_concentration_experiment(
-    m: int, k: int, n: int, gamma: float, seeds
-) -> FillConcentrationReport:
-    """One filter per seed with n distinct random keys; how often |fill - E] >= gamma."""
-    seeds = list(seeds)
-    if len(seeds) < 30:
-        raise ParameterError("need at least 30 seeds")
-    if not gamma > 0:
-        raise ParameterError("gamma must be positive")
-    expected = expected_fill_ratio(n, m, k)
-    exceed = 0
-    fills = []
-    for seed in seeds:
-        filt = BloomFilter(m, k, seed)
-        if n:
-            rng = np.random.default_rng(derive_seed(seed, "fill-keys"))
-            filt.insert_many(_distinct_keys(rng, n))
-        fills.append(filt.fill_ratio)
-        if abs(filt.fill_ratio - expected) >= gamma:
-            exceed += 1
-    return FillConcentrationReport(
-        gamma=float(gamma),
-        trials=len(seeds),
-        exceed_fraction=exceed / len(seeds),
-        expected_fill=expected,
-        mean_fill=float(np.mean(fills)),
-        m=m,
-        k=k,
-        n=n,
     )
 
 

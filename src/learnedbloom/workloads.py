@@ -8,7 +8,7 @@ reproduction experiments, and dataset file I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,6 @@ from .hashing import as_keys
 from .scorers import IntervalScorer
 
 REJECTION_BUDGET = 10**6  # consecutive rejected draws before giving up
-
-_U64_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -37,20 +35,30 @@ class UniformRange:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class FixedSet:
-    """Uniform over an explicit key list (duplicates weight accordingly)."""
+def _held_keys(keys, what: str, distinct: bool) -> np.ndarray:
+    """A read-only uint64 copy of an integer key batch, sorted and deduplicated if ``distinct``."""
+    keys = as_keys(keys)
+    if keys.dtype == object:
+        raise ParameterError(f"{what} takes integer keys, not byte strings")
+    held = np.unique(keys) if distinct else keys.copy()  # a copy: never freeze the caller's array
+    held.flags.writeable = False
+    return held
 
-    keys: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class FixedSet:
+    """Uniform over an explicit key list (duplicates weight accordingly), held as uint64."""
+
+    keys: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "keys", tuple(int(k) for k in self.keys))
-        if not self.keys:
+        object.__setattr__(self, "keys", _held_keys(self.keys, "a fixed set", distinct=False))
+        if not self.keys.size:
             raise ParameterError("fixed key set must be nonempty")
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return int(self.keys.size)
 
 
 @dataclass(frozen=True)
@@ -65,43 +73,50 @@ class Mixture:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.components) != len(self.weights) or not self.components:
             raise ParameterError("mixture needs matching, nonempty components and weights")
+        if not all(isinstance(c, (UniformRange, FixedSet)) for c in self.components):
+            raise ParameterError("mixture components must be uniform ranges or fixed sets")
         if any(w <= 0 for w in self.weights):
             raise ParameterError("mixture weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ParameterError("mixture weights must sum to 1 within 1e-12")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryDistribution:
-    """A sampleable query description whose samples never land in ``exclusion``."""
+    """A sampleable query description whose samples never land in ``exclusion``.
+
+    ``exclusion`` may be any integer key batch (a set, a list, an array, ...);
+    it is held as a read-only, sorted, deduplicated uint64 array.
+    """
 
     source: UniformRange | FixedSet | Mixture
-    exclusion: frozenset = field(default_factory=frozenset)
+    exclusion: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "exclusion", frozenset(int(k) for k in self.exclusion))
+        if not isinstance(self.source, (UniformRange, FixedSet, Mixture)):
+            raise ParameterError(f"unknown distribution source {type(self.source).__name__}")
+        exclusion = _held_keys(self.exclusion, "an exclusion", distinct=True)
+        object.__setattr__(self, "exclusion", exclusion)
 
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
-    return QueryDistribution(UniformRange(lo, hi), frozenset(exclude))
+    return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
 def _draw(source, rng: np.random.Generator, count: int) -> np.ndarray:
     if isinstance(source, UniformRange):
         return rng.integers(source.lo, source.hi, size=count, dtype=np.uint64)
     if isinstance(source, FixedSet):
-        keys = as_keys(source.keys)
-        return keys[rng.integers(0, len(keys), size=count)]
-    if isinstance(source, Mixture):
-        idx = rng.choice(len(source.components), size=count, p=np.array(source.weights))
-        out = np.empty(count, dtype=np.uint64)
-        for ci, component in enumerate(source.components):
-            mask = idx == ci
-            hits = int(mask.sum())
-            if hits:
-                out[mask] = _draw(component, rng, hits)
-        return out
-    raise ParameterError(f"unknown distribution source {type(source).__name__}")
+        return source.keys[rng.integers(0, source.size, size=count)]
+    # A Mixture: QueryDistribution and Mixture admit no other source.
+    idx = rng.choice(len(source.components), size=count, p=np.array(source.weights))
+    out = np.empty(count, dtype=np.uint64)
+    for ci, component in enumerate(source.components):
+        mask = idx == ci
+        hits = int(mask.sum())
+        if hits:
+            out[mask] = _draw(component, rng, hits)
+    return out
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
@@ -114,15 +129,14 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     if n < 1:
         raise ParameterError("sample count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    exclusion = np.sort(as_keys(dist.exclusion))
     out = np.empty(n, dtype=np.uint64)
     filled = 0
     consecutive = 0
     while filled < n:
         batch = int(min(max(1024, 2 * (n - filled)), 1_000_000))
         candidates = _draw(dist.source, rng, batch)
-        if exclusion.size:
-            accepted = ~np.isin(candidates, exclusion)
+        if dist.exclusion.size:
+            accepted = ~np.isin(candidates, dist.exclusion)
         else:
             accepted = np.ones(batch, dtype=bool)
         hits = np.flatnonzero(accepted)
@@ -182,10 +196,10 @@ class HotRangeExample:
         return frozenset(self.keys)
 
     def full_range_queries(self) -> QueryDistribution:
-        return uniform_queries(0, self.universe_size, self.key_set)
+        return uniform_queries(0, self.universe_size, self.keys)
 
     def restricted_range_queries(self, hi: int = 100_000) -> QueryDistribution:
-        return uniform_queries(0, hi, self.key_set)
+        return uniform_queries(0, hi, self.keys)
 
 
 def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float]:
@@ -222,15 +236,19 @@ def save_keys_text(path, keys) -> None:
             fh.write(f"{int(key)}\n")
 
 
-def load_keys_text(path) -> list[int]:
-    """Newline-delimited decimal integers; blank lines are skipped."""
+def load_keys_text(path) -> np.ndarray:
+    """Newline-delimited decimal integers, blank lines skipped, as a uint64 array in file order.
+
+    A line that is no integer, or a key outside [0, 2^64), raises ParameterError.
+    """
     with open(path, "rb") as fh:
         lines = fh.readlines()
     try:
-        return [int(line) for line in lines if line.strip()]
+        keys = [int(line) for line in lines if line.strip()]
     except ValueError:
         number = next(n for n, line in enumerate(lines, 1) if not _is_key_line(line))
         raise ParameterError(f"{path}: line {number}: not a decimal integer key") from None
+    return as_keys(keys)  # outside the try: ParameterError is a ValueError
 
 
 def _is_key_line(line: bytes) -> bool:

@@ -138,6 +138,23 @@ class TestBuild:
         )
         assert code == EXIT_PARAMETER
 
+    @pytest.mark.parametrize(
+        "lone, partner",
+        [("--m", "--k"), ("--k", "--m"),
+         ("--backup-m", "--backup-k"), ("--backup-k", "--backup-m")],
+    )
+    def test_half_a_sizing_pair_is_one_error_line(self, tmp_path, key_file, capsys, lone, partner):
+        path, _ = key_file
+        kind = ["--kind", "standard"] if lone in ("--m", "--k") else [
+            "--kind", "learned", "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"]
+        code = main([str(a) for a in ["build", *kind, "--keys", path, "--target-fpp", "0.01",
+                                      lone, "100", "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert partner in err
+        assert not (tmp_path / "f.out").exists()
+
 
 class TestQuery:
     def test_queries_inserted_and_fresh_keys(self, tmp_path, key_file, capsys):
@@ -149,6 +166,19 @@ class TestQuery:
         assert code == 0
         results = json.loads(stdout)["results"]
         assert results[str(keys[0])] is True
+
+    @pytest.mark.parametrize("bad_key", [-1, 2**64])
+    def test_out_of_range_key_file_names_the_key(self, tmp_path, key_file, capsys, bad_key):
+        path, _ = key_file
+        out = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", out)
+        qpath = tmp_path / "queries.txt"
+        qpath.write_text(f"5\n{bad_key}\n")
+        code = main(["query", "--filter", str(out), "--queries", str(qpath)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err == f"error: integer key {bad_key} outside the 64-bit range\n"
 
     def test_query_learned_filter_file(self, tmp_path, capsys):
         out = tmp_path / "ex.lbf"
@@ -202,6 +232,51 @@ class TestEval:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    def test_overlap_message_counts_distinct_keys_and_names_the_smallest(
+        self, tmp_path, key_file, capsys
+    ):
+        path, keys = key_file
+        out = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", out)
+        qpath = tmp_path / "queries.txt"
+        save_keys_text(qpath, [keys[5], keys[2], keys[5], 10**6 + 5])
+        code = main(["eval", "--filter", str(out), "--keys", str(path), "--queries", str(qpath)])
+        err = capsys.readouterr().err
+        assert code == EXIT_WORKLOAD
+        assert err == f"error: 2 query keys overlap the key set (e.g. {keys[2]})\n"
+
+    @pytest.mark.parametrize("mode", ["queries", "dist"])
+    @pytest.mark.parametrize("bad_key", [-1, 2**64])
+    def test_out_of_range_key_file_is_one_error_line(
+        self, tmp_path, key_file, capsys, mode, bad_key
+    ):
+        path, _ = key_file
+        out = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", out)
+        bad_keys = tmp_path / "bad-keys.txt"
+        bad_keys.write_text(f"5\n{bad_key}\n")
+        qpath = tmp_path / "queries.txt"
+        save_keys_text(qpath, [10**7, 10**7 + 1])
+        where = ["--queries", qpath] if mode == "queries" else ["--dist", "uniform:0:1000000"]
+        code = main([str(a) for a in ["eval", "--filter", out, "--keys", bad_keys, *where]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_queries_without_a_key_set_keep_64_bit_keys_apart(self, tmp_path, key_file, capsys):
+        # two keys that float64 rounds to the same value must not count as overlapping
+        path, _ = key_file
+        out = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", out)
+        qpath = tmp_path / "queries.txt"
+        save_keys_text(qpath, [2**53, 2**53 + 1])
+        code, stdout = run(capsys, "eval", "--filter", out, "--queries", qpath)
+        assert code == 0
+        assert json.loads(stdout)["sample_count"] == 2
 
     def test_disjoint_explicit_queries_accepted(self, tmp_path, key_file, capsys):
         path, keys = key_file

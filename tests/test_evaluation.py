@@ -21,7 +21,6 @@ from learnedbloom.evaluation import (
     empirical_fpr,
     evaluate,
     exact_alpha,
-    fill_concentration_experiment,
     model_fpr,
     theorem_bound,
 )
@@ -240,27 +239,6 @@ class TestConcentration:
         a = concentration_experiment(example_lbf, ex.full_range_queries(), **kwargs)
         b = concentration_experiment(example_lbf, ex.full_range_queries(), **kwargs)
         assert a == b
-
-
-class TestFillConcentration:
-    def test_gamma_one_never_exceeds(self):
-        report = fill_concentration_experiment(100, 2, 20, 1.0, seeds=range(30))
-        assert report.exceed_fraction == 0.0
-
-    def test_zero_keys_zero_deviation(self):
-        report = fill_concentration_experiment(100, 2, 0, 0.01, seeds=range(30))
-        assert report.exceed_fraction == 0.0
-        assert report.mean_fill == 0.0
-        assert report.expected_fill == 0.0
-
-    def test_needs_thirty_seeds(self):
-        with pytest.raises(ParameterError):
-            fill_concentration_experiment(100, 2, 10, 0.1, seeds=range(29))
-
-    def test_main_regime(self):
-        report = fill_concentration_experiment(10_000, 7, 1000, 0.02, seeds=range(60))
-        assert report.exceed_fraction < 0.05
-        assert report.mean_fill == pytest.approx(report.expected_fill, abs=0.005)
 
 
 class TestCompareWithStandard:

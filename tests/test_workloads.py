@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from learnedbloom.errors import ParameterError, WorkloadError
+from learnedbloom.evaluation import exact_alpha
+from learnedbloom.scorers import IntervalScorer
 from learnedbloom.workloads import (
     FixedSet,
     HotRangeExample,
@@ -108,6 +110,66 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Mixture(components=(), weights=())
 
+    def test_nested_mixture_rejected(self):
+        inner = Mixture(components=(UniformRange(0, 10),), weights=(1.0,))
+        with pytest.raises(ParameterError):
+            Mixture(components=(inner, UniformRange(20, 30)), weights=(0.5, 0.5))
+
+    def test_byte_string_keys_rejected(self):
+        with pytest.raises(ParameterError):
+            FixedSet((b"12",))
+        with pytest.raises(ParameterError):
+            uniform_queries(0, 10, [b"1"])
+
+
+class TestHeldKeys:
+    def test_held_arrays_are_read_only_copies(self):
+        keys = np.array([7, 3, 7], dtype=np.uint64)
+        fixed = FixedSet(keys)
+        dist = uniform_queries(0, 10, keys)
+        for held in (fixed.keys, dist.exclusion):
+            with pytest.raises(ValueError):
+                held[0] = 1
+        keys[0] = 1  # the caller's array stays writable and is not shared
+        assert fixed.keys.tolist() == [7, 3, 7]
+        assert dist.exclusion.tolist() == [3, 7]
+
+    def test_exclusion_is_sorted_distinct_uint64(self):
+        dist = uniform_queries(0, 10, [9, 2, 9, 5])
+        assert dist.exclusion.dtype == np.uint64
+        assert dist.exclusion.tolist() == [2, 5, 9]
+        assert uniform_queries(0, 10).exclusion.size == 0
+
+
+_SCORER = IntervalScorer(((20, 40),), inside_score=0.9, outside_score=0.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    excluded=st.sets(st.integers(0, 63), max_size=40),
+    seed=st.integers(0, 2**32),
+    fixed=st.booleans(),
+)
+def test_exclusion_form_does_not_change_results(excluded, seed, fixed):
+    source = FixedSet(range(0, 64, 3)) if fixed else UniformRange(0, 64)
+    ordered = sorted(excluded)
+    forms = [
+        set(excluded),
+        frozenset(excluded),
+        ordered[::-1],
+        np.array(ordered, dtype=np.uint64),
+        np.array(ordered, dtype=np.int64),
+    ]
+    outcomes = []
+    for form in forms:
+        dist = QueryDistribution(source, form)
+        try:
+            drawn = sample(dist, 200, rng_seed=seed).tolist()
+            outcomes.append((drawn, exact_alpha(_SCORER, 0.5, dist)))
+        except WorkloadError as exc:
+            outcomes.append(str(exc))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
 
 class TestHotRangeExample:
     def test_counts_and_distinctness(self):
@@ -154,7 +216,7 @@ class TestFiles:
         path = tmp_path / "keys.txt"
         keys = [5, 0, 999999, 17]
         save_keys_text(path, keys)
-        assert load_keys_text(path) == keys
+        assert load_keys_text(path).tolist() == keys
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.txt"
