@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import as_keys, encode_key, hash_pair, hash_pair_batch
+from .hashing import encode_key, hash_pair, hash_pair_batch
 
 _MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
@@ -25,6 +25,7 @@ MAGIC = b"LBF1"
 # would make every probe build a list of k positions.
 MAX_K = 2048
 _HEADER = struct.Struct("<4sQIQQ")  # magic, m, k, seed, inserted_count
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ class BloomFilter:
         self.m = params.m
         self.k = params.k
         self.seed = int(seed) & _MASK
-        self._bits = np.zeros(self.m, dtype=np.uint8)
+        try:
+            self._bits = np.zeros((self.m + 7) // 8, dtype=np.uint8)
+        except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
+            raise ParameterError(f"bit count m={self.m} is too large to allocate") from exc
         self.inserted_count = 0
 
     @classmethod
@@ -69,35 +73,59 @@ class BloomFilter:
         h1, h2 = hash_pair(encode_key(key), self.seed)
         return [((h1 + i * h2) & _MASK) % self.m for i in range(self.k)]
 
-    def _probe_matrix(self, keys) -> np.ndarray:
-        h1, h2 = hash_pair_batch(keys, self.seed)
-        i = np.arange(self.k, dtype=np.uint64)
-        pos = (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self.m)
-        return pos.astype(np.int64)
-
     def insert(self, key) -> None:
         """Set the k probe bits for ``key``; idempotent on the bit array."""
-        self._bits[self._positions(key)] = 1
+        bits = self._bits.data
+        for p in self._positions(key):
+            bits[p >> 3] |= 1 << (p & 7)
         self.inserted_count += 1
 
     def insert_many(self, keys) -> None:
-        """Bulk insert of any key batch; the same bits as inserting each key in turn."""
-        keys = as_keys(keys)
-        self._bits[self._probe_matrix(keys).reshape(-1)] = 1
-        self.inserted_count += int(keys.size)
+        """Bulk insert of any key batch; the same bits as inserting each key in turn.
+
+        One hash round at a time: round i sets bit ``(h1 + i*h2) % m`` of every
+        key in a transient byte-per-bit copy of the array, packed back at the end.
+        """
+        acc, step = hash_pair_batch(keys, self.seed)
+        m = np.uint64(self.m)
+        unpacked = np.unpackbits(self._bits, count=self.m, bitorder="little")
+        for i in range(self.k):
+            if i:
+                acc += step
+            unpacked[(acc % m).view(np.int64)] = 1  # m < 2^63: the packed array was allocated
+        self._bits = np.packbits(unpacked, bitorder="little")
+        self.inserted_count += int(acc.size)
 
     def contains(self, key) -> bool:
         """True iff all k probed bits are set; never False for an inserted key."""
-        bits = self._bits
-        return all(bits[p] for p in self._positions(key))
+        bits = self._bits.data
+        return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(key))
 
     def contains_many(self, keys) -> np.ndarray:
-        """Membership test over any key batch; a boolean array of :meth:`contains` answers."""
-        return self._bits[self._probe_matrix(as_keys(keys))].all(axis=1)
+        """Membership test over any key batch; a boolean array of :meth:`contains` answers.
+
+        One hash round at a time: round i probes bit ``(h1 + i*h2) % m`` only of
+        the keys whose earlier probes all hit, so a non-member stops at its
+        first zero bit and no temporary grows with k.
+        """
+        acc, step = hash_pair_batch(keys, self.seed)
+        answers = np.zeros(acc.size, dtype=bool)
+        alive = np.arange(acc.size)
+        m = np.uint64(self.m)
+        for i in range(self.k):
+            if i:
+                acc += step
+            p = (acc % m).view(np.int64)  # m < 2^63: the packed array was allocated
+            hit = np.flatnonzero(self._bits[p >> 3] >> (p & 7).astype(np.uint8) & np.uint8(1))
+            alive, acc, step = alive[hit], acc[hit], step[hit]
+            if not alive.size:
+                return answers
+        answers[alive] = True
+        return answers
 
     @property
     def popcount(self) -> int:
-        return int(self._bits.sum())
+        return int(_POPCOUNT[self._bits].sum())
 
     @property
     def fill_ratio(self) -> float:
@@ -107,14 +135,15 @@ class BloomFilter:
     def to_bytes(self) -> bytes:
         """Header (magic, m, k, seed, inserted_count; little-endian) + packed bits.
 
-        The bit array is packed little-endian within each byte and padded to a
-        whole number of bytes.  Round-trips bit-exactly.
+        The bit array is held as it is stored: bit p is bit ``p & 7`` of byte
+        ``p >> 3``, and the padding bits past m are 0.  Round-trips bit-exactly.
         """
         header = _HEADER.pack(MAGIC, self.m, self.k, self.seed, self.inserted_count)
-        return header + np.packbits(self._bits, bitorder="little").tobytes()
+        return header + self._bits.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
+        """A filter from :meth:`to_bytes` output; set padding bits past m load as 0."""
         if len(data) < _HEADER.size:
             raise FilterFormatError("truncated filter header")
         magic, m, k, seed, inserted = _HEADER.unpack_from(data)
@@ -124,13 +153,11 @@ class BloomFilter:
             raise FilterFormatError("header declares an empty filter")
         if k > MAX_K:
             raise FilterFormatError(f"header declares k={k}, above the limit {MAX_K}")
-        body = data[_HEADER.size :]
-        if len(body) != (m + 7) // 8:
+        if len(data) - _HEADER.size != (m + 7) // 8:
             raise FilterFormatError("bit array length does not match header")
         filt = cls(m, k, seed)
-        filt._bits = np.unpackbits(
-            np.frombuffer(body, dtype=np.uint8), count=m, bitorder="little"
-        )
+        filt._bits[:] = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
+        filt._bits[-1] &= 0xFF >> (-m & 7)  # clear the padding bits past m
         filt.inserted_count = int(inserted)
         return filt
 

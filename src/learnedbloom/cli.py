@@ -150,10 +150,19 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
+# The sizing options a kind of filter has no use for: giving one is an error.
+_FOREIGN_SIZING = {"standard": ("backup-m", "backup-k"), "learned": ("m", "k"), "example": ("m", "k")}
+
+
 def _cmd_build(args) -> int:
     kind = _required(args, "kind")
     out = _required(args, "out")
+    for name in _FOREIGN_SIZING[kind]:
+        if getattr(args, name.replace("-", "_")) is not None:
+            raise ParameterError(f"--{name} does not apply to --kind {kind}")
     params = _sizing(args, "m", "k")
+    if params is not None and args.target_fpp is not None:
+        raise ParameterError("--m/--k and --target-fpp both size the filter: give one")
     backup = _sizing(args, "backup-m", "backup-k") or args.backup_target_fpp
     if kind == "standard":
         keys = load_keys_text(_required(args, "keys"))
@@ -212,6 +221,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.key and args.queries:
+        raise ParameterError("give --queries or key arguments, not both")
     filt = _load_filter(_required(args, "filter"))
     if args.key:
         keys = as_keys([_parse(int, k, "query key") for k in args.key])

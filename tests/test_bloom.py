@@ -3,6 +3,7 @@
 import math
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,11 @@ class TestConstruction:
         keys = rng.integers(0, 1 << 64, size=100, dtype=np.uint64)
         assert not f.contains_many(keys).any()
         assert not f.contains(b"anything at all")
+
+    def test_unallocatable_bit_array_is_a_parameter_error(self):
+        # numpy refuses a 2^59-byte array at once, so nothing is allocated
+        with pytest.raises(ParameterError, match="too large"):
+            BloomFilter(2**62, 3, seed=0)
 
     def test_filter_params_target_range(self):
         with pytest.raises(ParameterError):
@@ -139,6 +145,61 @@ def test_popcount_never_decreases(keys, seed):
         f.insert(key)
         assert f.popcount >= last
         last = f.popcount
+
+
+KEYS = st.lists(st.one_of(st.integers(0, 2**64 - 1), st.binary(max_size=12)), max_size=40)
+SHAPES = {"m": st.integers(1, 5000), "k": st.integers(1, 64), "seed": st.integers(0, 2**64 - 1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=KEYS, **SHAPES)
+def test_insert_many_sets_the_bits_of_a_per_key_insert_loop(keys, m, k, seed):
+    batch = BloomFilter(m, k, seed)
+    batch.insert_many(keys)
+    loop = BloomFilter(m, k, seed)
+    for key in keys:
+        loop.insert(key)
+    assert batch.to_bytes() == loop.to_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=KEYS, others=KEYS, **SHAPES)
+def test_contains_many_answers_as_contains_does(keys, others, m, k, seed):
+    f = BloomFilter(m, k, seed)
+    f.insert_many(keys)
+    queries = keys + others
+    expected = [f.contains(key) for key in queries]
+    assert f.contains_many(queries).tolist() == expected
+    assert all(expected[: len(keys)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=KEYS, **SHAPES)
+def test_popcount_counts_the_stored_bits(keys, m, k, seed):
+    f = BloomFilter(m, k, seed)
+    f.insert_many(keys)
+    stored = np.frombuffer(f.to_bytes()[32:], dtype=np.uint8)
+    assert f.popcount == int(np.unpackbits(stored, count=m, bitorder="little").sum())
+
+
+def _contains_many_peak_bytes(k: int) -> int:
+    rng = np.random.default_rng(k)
+    members = rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64)
+    f = BloomFilter(2_000_000, k, seed=k)
+    f.insert_many(members)
+    queries = np.concatenate([members, rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f.contains_many(queries)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_contains_many_temporaries_do_not_grow_with_k():
+    # 200k keys, half members: an n*k position matrix would make k=32 ~16x k=2.
+    assert _contains_many_peak_bytes(32) <= 2 * _contains_many_peak_bytes(2)
 
 
 def test_determinism_same_inputs_bit_identical():
@@ -258,6 +319,18 @@ class TestSerialization:
         g = BloomFilter.from_bytes(f.to_bytes())
         for key in (b"", b"x", b"a longer key", 7, b"absent"):
             assert g.contains(key) == f.contains(key)
+
+    def test_set_padding_bits_load_cleared(self):
+        f = BloomFilter(13, 2, seed=4)
+        f.insert_many([1, 2, 3])
+        clean = f.to_bytes()
+        assert len(clean) == 32 + 2 and clean[-1] & 0xE0 == 0
+        dirty = bytearray(clean)
+        dirty[-1] |= 0xE0  # bits 13, 14 and 15: past m, padding only
+        loaded = BloomFilter.from_bytes(bytes(dirty))
+        assert loaded == BloomFilter.from_bytes(clean)
+        assert loaded.popcount == f.popcount
+        assert loaded.to_bytes() == clean
 
     def test_bad_magic_rejected(self):
         blob = bytearray(BloomFilter(64, 2, seed=0).to_bytes())

@@ -155,8 +155,55 @@ class TestBuild:
         assert partner in err
         assert not (tmp_path / "f.out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, sizing",
+        [
+            ("learned", ["--m", "5000", "--k", "3"]),
+            ("example", ["--m", "5000", "--k", "3"]),
+            ("standard", ["--backup-m", "5000", "--backup-k", "3"]),
+            ("standard", ["--m", "100", "--k", "2", "--target-fpp", "0.5"]),
+        ],
+    )
+    def test_sizing_the_build_would_ignore_is_one_error_line(
+        self, tmp_path, key_file, capsys, kind, sizing
+    ):
+        path, _ = key_file
+        scorer = ["--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"] if kind == "learned" else []
+        code = main([str(a) for a in ["build", "--kind", kind, "--keys", path, *scorer, *sizing,
+                                      "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sizing[0] in err
+        assert not (tmp_path / "f.out").exists()
+
+    def test_unallocatable_filter_is_one_error_line(self, tmp_path, key_file, capsys):
+        path, _ = key_file
+        code = main([str(a) for a in ["build", "--kind", "standard", "--keys", path,
+                                      "--m", 2**62, "--k", "3", "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f.out").exists()
+
 
 class TestQuery:
+    def test_queries_file_and_key_arguments_together_are_one_error_line(
+        self, tmp_path, key_file, capsys
+    ):
+        path, keys = key_file
+        out = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", out)
+        qpath = tmp_path / "queries.txt"
+        save_keys_text(qpath, keys[:2])
+        code = main(["query", "--filter", str(out), "--queries", str(qpath), "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARAMETER
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--queries" in captured.err
+
     def test_queries_inserted_and_fresh_keys(self, tmp_path, key_file, capsys):
         path, keys = key_file
         out = tmp_path / "std.bloom"
