@@ -15,11 +15,9 @@ from .errors import (
     WorkloadError,
 )
 from .evaluation import (
-    ComparisonReport,
     ConcentrationReport,
     EvalReport,
     backup_fpr_estimate,
-    compare_with_standard,
     concentration_experiment,
     empirical_fpr,
     evaluate,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BloomFilter",
-    "ComparisonReport",
     "ConcentrationReport",
     "EvalReport",
     "FilterFormatError",
@@ -77,7 +74,6 @@ __all__ = [
     "WorkloadError",
     "as_keys",
     "backup_fpr_estimate",
-    "compare_with_standard",
     "concentration_experiment",
     "derive_seed",
     "empirical_fpr",

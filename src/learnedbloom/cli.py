@@ -3,7 +3,8 @@
 Commands: build, query, eval, sweep, concentration, repro-example.
 Each option's type and default live in its argparse declaration.  A
 ``--config FILE`` of ``key=value`` lines (keys are option names without
-``--``) supplies defaults that argparse casts like flags; flags win.
+``--``) supplies defaults that argparse casts like flags; flags win.  An
+option the command's chosen mode never reads is an error (``_UNREAD``).
 Every command is deterministic given its options including --seed; reports
 carry no timestamps.
 
@@ -150,16 +151,44 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
-# The sizing options a kind of filter has no use for: giving one is an error.
-_FOREIGN_SIZING = {"standard": ("backup-m", "backup-k"), "learned": ("m", "k"), "example": ("m", "k")}
+# Per command: how its options choose a mode, and the options (all None by
+# default) each mode never reads.  Giving one is an error, never an option
+# ignored but echoed in ``config``.
+_UNREAD = {
+    "build": (
+        lambda args: f"--kind {_required(args, 'kind')}",
+        {
+            "--kind standard": ("backup-m", "backup-k", "tau", "scorer", "summary-dist"),
+            "--kind learned": ("m", "k", "target-fpp"),
+            "--kind example": ("m", "k", "keys", "scorer", "target-fpp"),
+        },
+    ),
+    "eval": (lambda args: "--queries" if args.queries else "--dist", {"--queries": ("dist",)}),
+    "concentration": (
+        lambda args: "--filter" if args.filter else "without --filter",
+        {"without --filter": ("keys", "dist")},
+    ),
+    "query": (
+        lambda args: "with key arguments" if args.key else "--queries",
+        {"with key arguments": ("queries",)},
+    ),
+}
+
+
+def _reject_unread(args) -> None:
+    """ParameterError naming the first given option that the command's chosen mode never reads."""
+    if args.command not in _UNREAD:
+        return
+    choose_mode, unread = _UNREAD[args.command]
+    mode = choose_mode(args)
+    for name in unread.get(mode, ()):
+        if getattr(args, name.replace("-", "_")) is not None:
+            raise ParameterError(f"--{name} does not apply to {args.command} {mode}")
 
 
 def _cmd_build(args) -> int:
     kind = _required(args, "kind")
     out = _required(args, "out")
-    for name in _FOREIGN_SIZING[kind]:
-        if getattr(args, name.replace("-", "_")) is not None:
-            raise ParameterError(f"--{name} does not apply to --kind {kind}")
     params = _sizing(args, "m", "k")
     if params is not None and args.target_fpp is not None:
         raise ParameterError("--m/--k and --target-fpp both size the filter: give one")
@@ -221,8 +250,6 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.key and args.queries:
-        raise ParameterError("give --queries or key arguments, not both")
     filt = _load_filter(_required(args, "filter"))
     if args.key:
         keys = as_keys([_parse(int, k, "query key") for k in args.key])
@@ -445,6 +472,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
+        _reject_unread(args)
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)

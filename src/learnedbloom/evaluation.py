@@ -1,4 +1,4 @@
-"""False positive rates, concentration experiments, and size comparisons.
+"""False positive rates and concentration experiments.
 
 Measures empirical false positive rates on sampled workloads, predicts
 them from the above-threshold query mass (alpha) composed with the
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloom import BloomFilter, params_for_target
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
@@ -72,30 +71,6 @@ class ConcentrationReport:
         stated = theorem_bound(self.epsilon, self.t_size, self.q_size)
         if abs(self.theorem_bound - stated) > 1e-12 * max(stated, 1.0):
             raise ParameterError("theorem_bound must equal 2e^(-eps^2 t/4) + 2e^(-eps^2 q/4)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Learned filter vs a standard filter sized at the learned filter's measured rate."""
-
-    learned_fpr: float
-    standard_fpr: float
-    learned_total_bits: int
-    scorer_bits: int
-    backup_bits: int
-    backup_keys: int
-    standard_bits: int
-    standard_k: int
-    key_count: int
-    learned_bits_per_key: float
-    standard_bits_per_key: float
-    backup_bits_per_stored_key: float
-    standard_target_fpp: float
-    sample_count: int
-    seed: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -228,47 +203,5 @@ def concentration_experiment(
         theorem_bound=theorem_bound(epsilon, t_size, q_size),
         t_size=t_size,
         q_size=q_size,
-        seed=rng_seed,
-    )
-
-
-def compare_with_standard(
-    keys, lbf: LearnedBloomFilter, dist: QueryDistribution, samples: int, rng_seed: int
-) -> ComparisonReport:
-    """Measure the learned filter, then size a standard filter to that rate.
-
-    The standard filter holds every key and targets the learned filter's
-    measured rate (clamped away from 0 when no false positive was observed),
-    so the report compares total bits at matched accuracy.
-    """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    keys = as_keys(keys)
-    if keys.size == 0:
-        raise ParameterError("key set must be nonempty")
-    learned_rate = empirical_fpr(lbf, sample(dist, samples, derive_seed(rng_seed, "learned-eval")))
-    target = min(max(learned_rate, 1.0 / samples), 0.999)
-    params = params_for_target(int(keys.size), target)
-    standard = BloomFilter.from_params(params, derive_seed(rng_seed, "standard-filter"))
-    standard.insert_many(keys)
-    standard_rate = empirical_fpr(
-        standard, sample(dist, samples, derive_seed(rng_seed, "standard-eval"))
-    )
-    stored = lbf.below_threshold_count + lbf.inserted_after_build
-    return ComparisonReport(
-        learned_fpr=learned_rate,
-        standard_fpr=standard_rate,
-        learned_total_bits=lbf.size_bits(),
-        scorer_bits=lbf.scorer.size_bits(),
-        backup_bits=lbf.backup.m,
-        backup_keys=stored,
-        standard_bits=params.m,
-        standard_k=params.k,
-        key_count=int(keys.size),
-        learned_bits_per_key=lbf.size_bits() / keys.size,
-        standard_bits_per_key=params.m / keys.size,
-        backup_bits_per_stored_key=lbf.backup.m / stored if stored else math.inf,
-        standard_target_fpp=target,
-        sample_count=samples,
         seed=rng_seed,
     )

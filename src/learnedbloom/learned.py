@@ -169,7 +169,7 @@ class LearnedBloomFilter:
                 below_threshold_count=int(meta["below_threshold_count"]),
                 inserted_after_build=int(meta["inserted_after_build"]),
             )
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise FilterFormatError(f"malformed learned filter record: {exc}") from exc
 
 

@@ -382,7 +382,7 @@ def scorer_from_record(record: dict) -> Scorer:
                 bias=float.fromhex(record["bias"]),
                 feature_map=record["feature_map"],
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FilterFormatError(f"malformed scorer record: {exc}") from exc
     raise FilterFormatError(f"unknown scorer kind {record.get('kind')!r}")
 

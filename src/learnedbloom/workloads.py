@@ -128,8 +128,11 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
+    try:
+        out = np.empty(n, dtype=np.uint64)
+    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
+        raise ParameterError(f"sample count {n} is too large to allocate") from exc
     rng = np.random.default_rng(rng_seed)
-    out = np.empty(n, dtype=np.uint64)
     filled = 0
     consecutive = 0
     while filled < n:
@@ -171,29 +174,28 @@ HOT_LO = 1000
 HOT_HI = 2000  # closed interval [1000, 2000]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HotRangeExample:
-    """1000-key dataset over [0, 1000000): 500 keys in [1000, 2000], 500 outside."""
+    """1000-key dataset over [0, 1000000): 500 keys in [1000, 2000], 500 outside, held as uint64."""
 
-    keys_in_range: tuple[int, ...]
-    keys_outside: tuple[int, ...]
+    keys_in_range: np.ndarray
+    keys_outside: np.ndarray
     rng_seed: int
     universe_size: int = UNIVERSE_SIZE
     hot_lo: int = HOT_LO
     hot_hi: int = HOT_HI
 
     def __post_init__(self):
-        combined = set(self.keys_in_range) | set(self.keys_outside)
-        if len(combined) != len(self.keys_in_range) + len(self.keys_outside):
+        for name in ("keys_in_range", "keys_outside"):
+            held = _held_keys(getattr(self, name), "an example", distinct=False)
+            object.__setattr__(self, name, held)
+        if np.unique(self.keys).size != self.keys.size:
             raise ParameterError("example keys must be distinct")
 
     @property
-    def keys(self) -> tuple[int, ...]:
-        return self.keys_in_range + self.keys_outside
-
-    @property
-    def key_set(self) -> frozenset:
-        return frozenset(self.keys)
+    def keys(self) -> np.ndarray:
+        """The in-range keys, then the outside ones."""
+        return np.concatenate([self.keys_in_range, self.keys_outside])
 
     def full_range_queries(self) -> QueryDistribution:
         return uniform_queries(0, self.universe_size, self.keys)
@@ -216,11 +218,7 @@ def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float
         [np.arange(0, HOT_LO, dtype=np.uint64), np.arange(HOT_HI + 1, UNIVERSE_SIZE, dtype=np.uint64)]
     )
     outside = np.sort(rng.choice(rest, size=500, replace=False))
-    example = HotRangeExample(
-        keys_in_range=tuple(int(k) for k in in_range),
-        keys_outside=tuple(int(k) for k in outside),
-        rng_seed=seed,
-    )
+    example = HotRangeExample(keys_in_range=in_range, keys_outside=outside, rng_seed=seed)
     scorer = IntervalScorer(((HOT_LO, HOT_HI),), inside_score=0.5, outside_score=0.0)
     return example, scorer, 0.4
 

@@ -189,8 +189,9 @@ def test_c4_distribution_shift_jump_for_learned_but_not_standard():
     # range" null: binomial sampling noise for each measurement, plus the
     # finite-population noise of each eligible support (for one instantiated
     # filter, the per-range population rate itself fluctuates around rho^k).
-    pop_full = example.universe_size - len(example.key_set)
-    pop_restricted = 100_000 - sum(1 for key in example.key_set if key < 100_000)
+    key_set = set(example.keys.tolist())
+    pop_full = example.universe_size - len(key_set)
+    pop_restricted = 100_000 - sum(1 for key in key_set if key < 100_000)
     pooled = (std_full + std_restricted) / 2
     combined = math.sqrt(
         max(pooled * (1 - pooled), 1e-12)

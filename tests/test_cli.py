@@ -145,9 +145,9 @@ class TestBuild:
     )
     def test_half_a_sizing_pair_is_one_error_line(self, tmp_path, key_file, capsys, lone, partner):
         path, _ = key_file
-        kind = ["--kind", "standard"] if lone in ("--m", "--k") else [
+        kind = ["--kind", "standard", "--target-fpp", "0.01"] if lone in ("--m", "--k") else [
             "--kind", "learned", "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"]
-        code = main([str(a) for a in ["build", *kind, "--keys", path, "--target-fpp", "0.01",
+        code = main([str(a) for a in ["build", *kind, "--keys", path,
                                       lone, "100", "--out", tmp_path / "f.out"]])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
@@ -162,14 +162,25 @@ class TestBuild:
             ("example", ["--m", "5000", "--k", "3"]),
             ("standard", ["--backup-m", "5000", "--backup-k", "3"]),
             ("standard", ["--m", "100", "--k", "2", "--target-fpp", "0.5"]),
+            ("standard", ["--tau", "0.3", "--target-fpp", "0.01"]),
+            ("standard", ["--scorer", "interval:1000:2000:0.5:0.0", "--target-fpp", "0.01"]),
+            ("standard", ["--summary-dist", "uniform:0:1000000", "--target-fpp", "0.01"]),
+            ("example", ["--keys", "never-read.txt"]),
+            ("example", ["--scorer", "interval:1000:2000:0.5:0.0"]),
+            ("example", ["--target-fpp", "0.01"]),
+            ("learned", ["--target-fpp", "0.01"]),
         ],
     )
     def test_sizing_the_build_would_ignore_is_one_error_line(
         self, tmp_path, key_file, capsys, kind, sizing
     ):
         path, _ = key_file
-        scorer = ["--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"] if kind == "learned" else []
-        code = main([str(a) for a in ["build", "--kind", kind, "--keys", path, *scorer, *sizing,
+        reads = {  # what each kind does read, so that only ``sizing`` is out of place
+            "standard": ["--keys", path],
+            "learned": ["--keys", path, "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"],
+            "example": [],
+        }[kind]
+        code = main([str(a) for a in ["build", "--kind", kind, *reads, *sizing,
                                       "--out", tmp_path / "f.out"]])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
@@ -185,6 +196,43 @@ class TestBuild:
         assert code == EXIT_PARAMETER
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "f.out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, option",
+    [
+        ("eval_queries_with_dist", "--dist"),
+        ("concentration_example_with_keys", "--keys"),
+        ("concentration_example_with_dist", "--dist"),
+        ("concentration_example_with_dist_in_config", "--dist"),
+    ],
+)
+def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsys, case, option):
+    path, _ = key_file
+    filt = tmp_path / "std.bloom"
+    run(capsys, "build", "--kind", "standard", "--keys", path,
+        "--target-fpp", "0.01", "--seed", "3", "--out", filt)
+    queries = tmp_path / "queries.txt"
+    save_keys_text(queries, [10**7, 10**7 + 1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dist=uniform:0:1000000\n")
+    out = tmp_path / "report.json"
+    small = ["--trials", "1", "--t-size", "100", "--q-size", "100"]
+    argv = {
+        "eval_queries_with_dist": ["eval", "--filter", filt, "--queries", queries,
+                                   "--dist", "uniform:0:1000000"],
+        "concentration_example_with_keys": ["concentration", *small, "--keys", path],
+        "concentration_example_with_dist": ["concentration", *small,
+                                            "--dist", "uniform:0:1000000"],
+        "concentration_example_with_dist_in_config": ["concentration", *small, "--config", cfg],
+    }[case]
+    code = main([str(a) for a in [*argv, "--out", out]])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARAMETER
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option in captured.err
+    assert not out.exists()
 
 
 class TestQuery:
@@ -562,7 +610,9 @@ class TestExitCodes:
         "case",
         ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds", "tiny_target",
          "scorer_part_not_utf8", "scorer_part_nested_json", "meta_part_nested_json",
-         "scorer_file_not_utf8", "config_file_not_utf8"],
+         "scorer_file_not_utf8", "config_file_not_utf8", "meta_count_overflows",
+         "tau_part_overflows", "scorer_part_bound_overflows", "scorer_part_score_overflows",
+         "scorer_file_score_overflows"],
     )
     def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
         path, _ = key_file
@@ -570,6 +620,8 @@ class TestExitCodes:
         bad_keys.write_text("12\nx3\n")
         out = tmp_path / "f.out"
         nested = b"[" * 100_000 + b"]" * 100_000
+        huge_score = (b'{"inside_score": "0x1p99999", "intervals": [[1000, 2000]], '
+                      b'"kind": "interval", "outside_score": "0x0.0p+0"}')
         bad = tmp_path / "bad"
         bad.write_bytes({
             "scorer_part_not_utf8": _learned_filter_with_part(0, b"\xff{}"),
@@ -577,6 +629,14 @@ class TestExitCodes:
             "meta_part_nested_json": _learned_filter_with_part(3, nested),
             "scorer_file_not_utf8": b'{"kind": "interval\xff"}',
             "config_file_not_utf8": b"samples=\xff\n",
+            "meta_count_overflows": _learned_filter_with_part(
+                3, b'{"below_threshold_count": 1, "inserted_after_build": 0, "key_count": 1e400}'),
+            "tau_part_overflows": _learned_filter_with_part(1, b"0x1p99999"),
+            "scorer_part_bound_overflows": _learned_filter_with_part(
+                0, b'{"inside_score": "0x1p-1", "intervals": [[1000, 1e400]], '
+                   b'"kind": "interval", "outside_score": "0x0.0p+0"}'),
+            "scorer_part_score_overflows": _learned_filter_with_part(0, huge_score),
+            "scorer_file_score_overflows": huge_score,
         }.get(case, b""))
         argv = {
             "key_file_line": ["build", "--kind", "standard", "--keys", bad_keys,
@@ -595,10 +655,39 @@ class TestExitCodes:
             "scorer_file_not_utf8": ["build", "--kind", "learned", "--keys", path,
                                      "--scorer", bad, "--tau", "0.4", "--out", out],
             "config_file_not_utf8": ["eval", "--filter", out, "--config", bad],
+            "meta_count_overflows": ["query", "--filter", bad, "5"],
+            "tau_part_overflows": ["query", "--filter", bad, "5"],
+            "scorer_part_bound_overflows": ["query", "--filter", bad, "5"],
+            "scorer_part_score_overflows": ["query", "--filter", bad, "5"],
+            "scorer_file_score_overflows": ["build", "--kind", "learned", "--keys", path,
+                                            "--scorer", bad, "--tau", "0.4", "--out", out],
         }[case]
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
         if case == "key_file_line":
             assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--filter", "FILTER", "--dist", "uniform:0:1000000", "--samples", 10**13],
+            ["concentration", "--trials", "1", "--t-size", 10**13],
+            ["concentration", "--trials", "1", "--q-size", 10**13],
+            ["repro-example", "--samples", 10**13],
+        ],
+        ids=["eval_samples", "concentration_t_size", "concentration_q_size", "repro_samples"],
+    )
+    def test_unallocatable_sample_count_is_one_error_line(self, tmp_path, capsys, argv):
+        # numpy refuses an 80 TB sample array at once, so this allocates nothing
+        filt = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", filt)
+        out = tmp_path / "report.json"
+        code = main([str(filt if a == "FILTER" else a) for a in [*argv, "--out", out]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(10**13) in err
+        assert not out.exists()

@@ -1,4 +1,4 @@
-"""Rate measurement, the exact-alpha oracle, concentration experiments, comparisons."""
+"""Rate measurement, the exact-alpha oracle, concentration experiments."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,6 @@ from learnedbloom.errors import (
 )
 from learnedbloom.evaluation import (
     backup_fpr_estimate,
-    compare_with_standard,
     concentration_experiment,
     empirical_fpr,
     evaluate,
@@ -240,34 +239,3 @@ class TestConcentration:
         b = concentration_experiment(example_lbf, ex.full_range_queries(), **kwargs)
         assert a == b
 
-
-class TestCompareWithStandard:
-    def test_useless_prefilter_never_beats_standard(self, example):
-        ex, _, _ = example
-        # scorer that never fires on this universe: alpha = 0, backup holds all keys
-        scorer = IntervalScorer(((10**9, 10**9 + 1),), 0.9, 0.0)
-        lbf = LearnedBloomFilter.build(
-            ex.keys, scorer, 0.5, params_for_target(1000, 0.01), seed=3
-        )
-        report = compare_with_standard(
-            ex.keys, lbf, ex.full_range_queries(), samples=200_000, rng_seed=12
-        )
-        assert report.learned_total_bits >= report.standard_bits
-        assert report.backup_keys == 1000
-
-    def test_report_arithmetic(self, example, example_lbf):
-        ex, _, _ = example
-        report = compare_with_standard(
-            ex.keys, example_lbf, ex.full_range_queries(), samples=50_000, rng_seed=2
-        )
-        assert report.learned_total_bits == report.scorer_bits + report.backup_bits
-        assert report.learned_bits_per_key == pytest.approx(
-            report.learned_total_bits / report.key_count
-        )
-        assert report.standard_bits_per_key == pytest.approx(
-            report.standard_bits / report.key_count
-        )
-        assert report.backup_bits_per_stored_key == pytest.approx(
-            report.backup_bits / report.backup_keys
-        )
-        assert 0 < report.standard_target_fpp < 1

@@ -97,16 +97,18 @@ class TestContains:
 
     def test_in_range_non_key_is_a_false_positive(self, example, example_lbf):
         ex, _, _ = example
-        non_key = next(x for x in range(1000, 2001) if x not in ex.key_set)
-        assert non_key not in ex.key_set
+        key_set = set(ex.keys.tolist())
+        non_key = next(x for x in range(1000, 2001) if x not in key_set)
+        assert non_key not in key_set
         assert example_lbf.contains(non_key)
 
     def test_below_threshold_backup_miss_is_negative(self, example, example_lbf):
         ex, scorer, tau = example
+        key_set = set(ex.keys.tolist())
         query = next(
             x
             for x in range(900_000, 1_000_000)
-            if x not in ex.key_set and not example_lbf.backup.contains(x)
+            if x not in key_set and not example_lbf.backup.contains(x)
         )
         assert scorer.score(query) < tau
         assert not example_lbf.contains(query)
@@ -131,9 +133,10 @@ class TestInsert:
     def test_below_threshold_key_lands_in_backup(self, example):
         ex, scorer, tau = example
         lbf = LearnedBloomFilter.build(ex.keys, scorer, tau, SMALL, seed=2)
+        key_set = set(ex.keys.tolist())
         key = next(
             x for x in range(500_000, 600_000)
-            if x not in ex.key_set and not lbf.backup.contains(x)
+            if x not in key_set and not lbf.backup.contains(x)
         )
         assert lbf.insert(key) is True
         assert lbf.contains(key)
@@ -142,9 +145,10 @@ class TestInsert:
     def test_second_insert_returns_false(self, example):
         ex, scorer, tau = example
         lbf = LearnedBloomFilter.build(ex.keys, scorer, tau, SMALL, seed=2)
+        key_set = set(ex.keys.tolist())
         key = next(
             x for x in range(500_000, 600_000)
-            if x not in ex.key_set and not lbf.backup.contains(x)
+            if x not in key_set and not lbf.backup.contains(x)
         )
         assert lbf.insert(key) is True
         assert lbf.insert(key) is False

@@ -41,6 +41,11 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample(uniform_queries(0, 10), 0, rng_seed=1)
 
+    def test_unallocatable_sample_count_is_a_parameter_error(self):
+        # numpy refuses an 80 TB output at once, so this allocates nothing
+        with pytest.raises(ParameterError, match="10000000000000"):
+            sample(uniform_queries(0, 10), 10**13, rng_seed=1)
+
     def test_deterministic_given_seed(self):
         dist = uniform_queries(0, 1_000_000, exclude=(1, 2, 3))
         a = sample(dist, 5000, rng_seed=42)
@@ -176,7 +181,7 @@ class TestHotRangeExample:
         ex, scorer, tau = hot_range_example(7)
         assert len(ex.keys_in_range) == 500
         assert len(ex.keys_outside) == 500
-        assert len(ex.key_set) == 1000
+        assert len(set(ex.keys.tolist())) == 1000
         assert all(1000 <= k <= 2000 for k in ex.keys_in_range)
         assert all(k < 1000 or k > 2000 for k in ex.keys_outside)
         assert tau == 0.4
@@ -190,8 +195,16 @@ class TestHotRangeExample:
         a, _, _ = hot_range_example(3)
         b, _, _ = hot_range_example(3)
         c, _, _ = hot_range_example(4)
-        assert a.keys == b.keys
-        assert a.keys != c.keys
+        assert np.array_equal(a.keys, b.keys)
+        assert not np.array_equal(a.keys, c.keys)
+
+    def test_keys_are_held_as_read_only_uint64(self):
+        ex, _, _ = hot_range_example(7)
+        for held in (ex.keys_in_range, ex.keys_outside):
+            assert held.dtype == np.uint64
+            with pytest.raises(ValueError):
+                held[0] = 1
+        assert ex.keys.tolist() == ex.keys_in_range.tolist() + ex.keys_outside.tolist()
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ParameterError):
@@ -200,8 +213,9 @@ class TestHotRangeExample:
     def test_full_range_sample_hits_hot_interval_at_oracle_rate(self):
         ex, _, _ = hot_range_example(7)
         # oracle by direct counting: eligible hot keys over eligible keys
-        hot_eligible = sum(1 for x in range(1000, 2001) if x not in ex.key_set)
-        eligible = ex.universe_size - len(ex.key_set)
+        key_set = set(ex.keys.tolist())
+        hot_eligible = sum(1 for x in range(1000, 2001) if x not in key_set)
+        eligible = ex.universe_size - len(key_set)
         assert (hot_eligible, eligible) == (501, 999000)
         p = hot_eligible / eligible
         n = 1_000_000
