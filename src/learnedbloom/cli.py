@@ -4,7 +4,8 @@ Commands: build, query, eval, sweep, concentration, repro-example.
 Each option's type and default live in its argparse declaration.  A
 ``--config FILE`` of ``key=value`` lines (keys are option names without
 ``--``) supplies defaults that argparse casts like flags; flags win.  An
-option the command's chosen mode never reads is an error (``_UNREAD``).
+option the command's chosen mode never reads is an error (``_UNREAD``)
+unless it keeps its declared default.
 Every command is deterministic given its options including --seed; reports
 carry no timestamps.
 
@@ -97,16 +98,14 @@ def _parse_dist(spec: str, exclusion=()) -> QueryDistribution:
 
 
 def _flatten(payload, prefix="") -> list[tuple[str, object]]:
-    rows = []
+    """``(dotted.key, value)`` rows of a nested report, dict keys sorted."""
     if isinstance(payload, dict):
-        for key in sorted(payload):
-            rows.extend(_flatten(payload[key], f"{prefix}{key}." if prefix else f"{key}."))
-        return [(name.rstrip("."), value) for name, value in rows] if not prefix else rows
-    if isinstance(payload, (list, tuple)):
-        for i, item in enumerate(payload):
-            rows.extend(_flatten(item, f"{prefix}{i}."))
-        return rows
-    return [(prefix.rstrip("."), payload)]
+        items = ((key, payload[key]) for key in sorted(payload))
+    elif isinstance(payload, (list, tuple)):
+        items = enumerate(payload)
+    else:
+        return [(prefix.rstrip("."), payload)]
+    return [row for key, value in items for row in _flatten(value, f"{prefix}{key}.")]
 
 
 def _render(payload: dict, fmt: str, csv_rows=None) -> str:
@@ -151,39 +150,42 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
-# Per command: how its options choose a mode, and the options (all None by
-# default) each mode never reads.  Giving one is an error, never an option
-# ignored but echoed in ``config``.
+# Per command: how its options choose a mode, and the options each mode never
+# reads.  Giving one (a value other than its declared default) is an error,
+# never an option ignored but echoed in ``config``.
 _UNREAD = {
     "build": (
         lambda args: f"--kind {_required(args, 'kind')}",
         {
-            "--kind standard": ("backup-m", "backup-k", "tau", "scorer", "summary-dist"),
+            "--kind standard": ("backup-m", "backup-k", "backup-target-fpp",
+                                "tau", "scorer", "summary-dist"),
             "--kind learned": ("m", "k", "target-fpp"),
             "--kind example": ("m", "k", "keys", "scorer", "target-fpp"),
         },
     ),
-    "eval": (lambda args: "--queries" if args.queries else "--dist", {"--queries": ("dist",)}),
+    "eval": (lambda args: "--queries" if args.queries else "--dist", {"--queries": ("dist", "samples")}),
     "concentration": (
         lambda args: "--filter" if args.filter else "without --filter",
-        {"without --filter": ("keys", "dist")},
+        {"--filter": ("backup-target-fpp",), "without --filter": ("keys", "dist")},
     ),
     "query": (
         lambda args: "with key arguments" if args.key else "--queries",
-        {"with key arguments": ("queries",)},
+        {"with key arguments": ("queries", "seed"), "--queries": ("seed",)},
     ),
 }
 
 
-def _reject_unread(args) -> None:
-    """ParameterError naming the first given option that the command's chosen mode never reads."""
+def _drop_unread(args, declared: dict) -> None:
+    """Clear each option the chosen mode never reads; one off its ``declared`` default is an error."""
     if args.command not in _UNREAD:
         return
     choose_mode, unread = _UNREAD[args.command]
     mode = choose_mode(args)
     for name in unread.get(mode, ()):
-        if getattr(args, name.replace("-", "_")) is not None:
+        dest = name.replace("-", "_")
+        if getattr(args, dest) != declared[dest]:
             raise ParameterError(f"--{name} does not apply to {args.command} {mode}")
+        setattr(args, dest, None)  # so ``config`` does not echo it
 
 
 def _cmd_build(args) -> int:
@@ -469,10 +471,12 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        command = commands[args.command]
+        declared = {action.dest: action.default for action in command._actions}  # before --config
         if args.config:
-            _apply_config(commands[args.command], args.config)
+            _apply_config(command, args.config)
             args = parser.parse_args(argv)
-        _reject_unread(args)
+        _drop_unread(args, declared)
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)

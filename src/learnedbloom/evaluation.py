@@ -19,12 +19,7 @@ from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .scorers import Scorer
-from .workloads import (
-    Mixture,
-    QueryDistribution,
-    UniformRange,
-    sample,
-)
+from .workloads import QueryDistribution, UniformRange, _as_mixture, _excluded, sample
 
 SUPPORT_LIMIT = 10**7  # largest support exact enumeration will walk
 _CHUNK = 1 << 20
@@ -92,19 +87,22 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
 
 
 def _source_counts(scorer: Scorer, tau: float, source, exclusion: np.ndarray) -> tuple[int, int]:
-    """(# eligible keys scoring >= tau, # eligible keys) within one component."""
+    """(# eligible keys scoring >= tau, # eligible keys) within one component.
+
+    Every key of the component is scored, then the excluded ones (``_excluded``,
+    the positions ``sample`` never emits) are taken back out.
+    """
+    excluded = _excluded(source, exclusion)
     if isinstance(source, UniformRange):
         starts = range(source.lo, source.hi, _CHUNK)
         blocks = (np.arange(s, min(s + _CHUNK, source.hi), dtype=np.uint64) for s in starts)
+        excluded_keys = excluded + np.uint64(source.lo)
     else:
         blocks = [source.keys]
-    above = eligible = 0
-    for block in blocks:
-        if exclusion.size:
-            block = block[~np.isin(block, exclusion)]
-        eligible += int(block.size)
-        above += int((scorer.score_batch(block) >= tau).sum())
-    return above, eligible
+        excluded_keys = source.keys[excluded]
+    above = sum(int((scorer.score_batch(block) >= tau).sum()) for block in blocks)
+    above -= int((scorer.score_batch(excluded_keys) >= tau).sum())
+    return above, source.size - int(excluded.size)
 
 
 def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
@@ -115,16 +113,14 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     mixtures.  Raises OracleUnavailableError when the support exceeds
     ``SUPPORT_LIMIT``; callers should then fall back to sampling.
     """
-    source = dist.source
-    mixture = source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
-    parts = list(zip(mixture.components, mixture.weights))
-    size = sum(component.size for component, _ in parts)
+    mixture = _as_mixture(dist.source)
+    size = sum(component.size for component in mixture.components)
     if size > SUPPORT_LIMIT:
         raise OracleUnavailableError(
             f"support of {size} exceeds the enumeration limit {SUPPORT_LIMIT}"
         )
     above_mass = eligible_mass = Fraction(0)
-    for component, weight in parts:
+    for component, weight in zip(mixture.components, mixture.weights):
         above, eligible = _source_counts(scorer, tau, component, dist.exclusion)
         share = Fraction(weight) / component.size
         above_mass += share * above

@@ -1,9 +1,9 @@
 """Query workloads: sampleable distributions over the universe minus the key set.
 
-Distributions are immutable descriptions; sampling is seeded rejection
-sampling that never emits an excluded key.  Also provides the hot-range
-worked example (1000 keys, half clustered in one interval) used by the
-reproduction experiments, and dataset file I/O.
+Distributions are immutable descriptions; sampling draws each key straight from
+the eligible support, the source's keys outside the exclusion, so no draw is
+rejected.  Also provides the hot-range worked example (1000 keys, half clustered
+in one interval) used by the reproduction experiments, and dataset file I/O.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 from .errors import ParameterError, WorkloadError
 from .hashing import as_keys
 from .scorers import IntervalScorer
-
-REJECTION_BUDGET = 10**6  # consecutive rejected draws before giving up
 
 
 @dataclass(frozen=True)
@@ -103,28 +101,46 @@ def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
-def _draw(source, rng: np.random.Generator, count: int) -> np.ndarray:
-    if isinstance(source, UniformRange):
-        return rng.integers(source.lo, source.hi, size=count, dtype=np.uint64)
-    if isinstance(source, FixedSet):
-        return source.keys[rng.integers(0, source.size, size=count)]
-    # A Mixture: QueryDistribution and Mixture admit no other source.
-    idx = rng.choice(len(source.components), size=count, p=np.array(source.weights))
-    out = np.empty(count, dtype=np.uint64)
-    for ci, component in enumerate(source.components):
-        mask = idx == ci
-        hits = int(mask.sum())
-        if hits:
-            out[mask] = _draw(component, rng, hits)
-    return out
+def _as_mixture(source) -> Mixture:
+    """The source as a mixture: a lone range or fixed set is a one-component one."""
+    return source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
+
+
+def _excluded(component, exclusion: np.ndarray) -> np.ndarray:
+    """Sorted uint64 positions (``0..size-1``) of the component's keys that ``exclusion`` holds."""
+    if isinstance(component, UniformRange):
+        start = np.searchsorted(exclusion, np.uint64(component.lo))
+        stop = np.searchsorted(exclusion, np.uint64(component.hi - 1), side="right")
+        return exclusion[start:stop] - np.uint64(component.lo)
+    return np.flatnonzero(np.isin(component.keys, exclusion)).astype(np.uint64)
+
+
+def _draw(component, excluded: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` keys uniform over the component's positions outside ``excluded``.
+
+    Positions are drawn below ``cut = size - len(excluded)``; the excluded ones
+    below ``cut`` map, in order, onto the equally many eligible ones above it.
+    """
+    cut = component.size - excluded.size
+    pos = rng.integers(0, cut, size=count, dtype=np.uint64)
+    if excluded.size:
+        low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
+        free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
+        free[excluded[low.size :] - np.uint64(cut)] = False
+        top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
+        moved = np.isin(pos, low)
+        pos[moved] = top[np.searchsorted(low, pos[moved])]
+    if isinstance(component, UniformRange):
+        return pos + np.uint64(component.lo)
+    return component.keys[pos]
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
-    """Draw n i.i.d. keys from the distribution, rejecting excluded ones.
+    """Draw n i.i.d. keys from the source conditioned on missing the exclusion; none is rejected.
 
-    Deterministic for fixed (dist, n, rng_seed).  Raises WorkloadError once
-    REJECTION_BUDGET consecutive draws have been rejected, which is how an
-    exclusion set that covers the whole support surfaces.
+    A draw picks a component by its weight times its eligible share, then one of
+    its eligible keys uniformly.  Deterministic for fixed (dist, n, rng_seed).
+    Raises WorkloadError when no key is eligible.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
@@ -132,37 +148,20 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
         out = np.empty(n, dtype=np.uint64)
     except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
         raise ParameterError(f"sample count {n} is too large to allocate") from exc
+    mix = _as_mixture(dist.source)
+    excluded = [_excluded(c, dist.exclusion) for c in mix.components]
+    mass = [w * (c.size - e.size) / c.size for c, w, e in zip(mix.components, mix.weights, excluded)]
+    if not any(mass):
+        raise WorkloadError("exclusion removes the whole support")
     rng = np.random.default_rng(rng_seed)
-    filled = 0
-    consecutive = 0
-    while filled < n:
-        batch = int(min(max(1024, 2 * (n - filled)), 1_000_000))
-        candidates = _draw(dist.source, rng, batch)
-        if dist.exclusion.size:
-            accepted = ~np.isin(candidates, dist.exclusion)
-        else:
-            accepted = np.ones(batch, dtype=bool)
-        hits = np.flatnonzero(accepted)
-        if hits.size == 0:
-            consecutive += batch
-            if consecutive >= REJECTION_BUDGET:
-                raise WorkloadError(
-                    f"exceeded {REJECTION_BUDGET} consecutive rejections; "
-                    "the exclusion set may cover the support"
-                )
-            continue
-        # Longest run of rejections, counting the carry from previous batches.
-        gaps = np.diff(hits, prepend=-1) - 1
-        gaps[0] += consecutive
-        take = min(hits.size, n - filled)
-        if int(gaps[:take].max()) >= REJECTION_BUDGET:
-            raise WorkloadError(
-                f"exceeded {REJECTION_BUDGET} consecutive rejections; "
-                "the exclusion set may cover the support"
-            )
-        out[filled : filled + take] = candidates[hits[:take]]
-        filled += take
-        consecutive = batch - int(hits[-1]) - 1 if take == hits.size else 0
+    if len(mass) == 1:
+        out[:] = _draw(mix.components[0], excluded[0], rng, n)
+        return out
+    which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
+    for ci, component in enumerate(mix.components):
+        mask = which == ci
+        if mask.any():
+            out[mask] = _draw(component, excluded[ci], rng, int(mask.sum()))
     return out
 
 

@@ -205,6 +205,12 @@ class TestBuild:
         ("concentration_example_with_keys", "--keys"),
         ("concentration_example_with_dist", "--dist"),
         ("concentration_example_with_dist_in_config", "--dist"),
+        ("build_standard_with_backup_target", "--backup-target-fpp"),
+        ("eval_queries_with_samples", "--samples"),
+        ("eval_queries_with_samples_in_config", "--samples"),
+        ("concentration_filter_with_backup_target", "--backup-target-fpp"),
+        ("query_keys_with_seed", "--seed"),
+        ("query_queries_with_seed", "--seed"),
     ],
 )
 def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsys, case, option):
@@ -216,6 +222,8 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
     save_keys_text(queries, [10**7, 10**7 + 1])
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dist=uniform:0:1000000\n")
+    samples_cfg = tmp_path / "samples.cfg"
+    samples_cfg.write_text("samples=7\n")
     out = tmp_path / "report.json"
     small = ["--trials", "1", "--t-size", "100", "--q-size", "100"]
     argv = {
@@ -225,6 +233,18 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
         "concentration_example_with_dist": ["concentration", *small,
                                             "--dist", "uniform:0:1000000"],
         "concentration_example_with_dist_in_config": ["concentration", *small, "--config", cfg],
+        "build_standard_with_backup_target": ["build", "--kind", "standard", "--keys", path,
+                                              "--target-fpp", "0.01", "--backup-target-fpp", "0.3"],
+        "eval_queries_with_samples": ["eval", "--filter", filt, "--queries", queries,
+                                      "--samples", "7"],
+        "eval_queries_with_samples_in_config": ["eval", "--filter", filt, "--queries", queries,
+                                                "--config", samples_cfg],
+        "concentration_filter_with_backup_target": ["concentration", *small, "--filter", filt,
+                                                    "--dist", "uniform:0:1000000",
+                                                    "--backup-target-fpp", "0.3"],
+        "query_keys_with_seed": ["query", "--filter", filt, "--seed", "5", "1", "3"],
+        "query_queries_with_seed": ["query", "--filter", filt, "--queries", queries,
+                                    "--seed", "5"],
     }[case]
     code = main([str(a) for a in [*argv, "--out", out]])
     captured = capsys.readouterr()
@@ -233,6 +253,38 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert option in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["build", "--kind", "standard", "--keys", "KEYS", "--target-fpp", "0.01",
+          "--out", "OUT"], ["--backup-target-fpp", "2e-4"]),
+        (["eval", "--filter", "FILTER", "--queries", "QUERIES"], ["--samples", "100000"]),
+        (["concentration", "--trials", "1", "--t-size", "100", "--q-size", "100",
+          "--filter", "FILTER", "--dist", "uniform:0:1000000"], ["--backup-target-fpp", "0.0002"]),
+        (["query", "--filter", "FILTER", "1", "3"], ["--seed", "0"]),
+    ],
+    ids=["build_standard", "eval_queries", "concentration_filter", "query_keys"],
+)
+def test_an_unread_option_at_its_default_is_accepted_and_has_no_effect(
+    tmp_path, key_file, capsys, argv, unread
+):
+    path, _ = key_file
+    filt = tmp_path / "std.bloom"
+    run(capsys, "build", "--kind", "standard", "--keys", path,
+        "--target-fpp", "0.01", "--seed", "3", "--out", filt)
+    queries = tmp_path / "queries.txt"
+    save_keys_text(queries, [10**7, 10**7 + 1])
+    names = {"KEYS": path, "FILTER": filt, "QUERIES": queries, "OUT": tmp_path / "new.bloom"}
+    argv = [names.get(a, a) for a in argv]
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    code, given = run(capsys, *argv, *unread)
+    assert code == 0
+    assert given == plain
+    if argv[0] != "query":
+        assert unread[0][2:].replace("-", "_") not in json.loads(given)["config"]
 
 
 class TestQuery:

@@ -48,18 +48,18 @@ COMMANDS = {
 FILES = ("standard.bloom", "example.lbf", "example-keys.txt", "learned.lbf")
 
 EXPECTED = {
-    "build_standard": "325e37249a4597433574058b61d2f94787cfd692f6afcf79e15d6287322187f4",
+    "build_standard": "f7fb63f0f11bcf0cb7848091355fe97e9f5b4316cef137a07a1c6005301b38b7",
     "build_example": "bc845de00864630aed121445e008e1cbba28f752916028db79cdbeded92e0fd4",
     "build_learned": "df7fabd54ebadcb3bcd623989a6248995322731f2bd29daa9cf199258e4a0f9c",
     "query_standard": "41485d414affb63d5e04f039f09abd4d9a2b3590809d97bfcfa33b5ec21b5808",
     "query_example": "c6de042868171c2b4ab2e58d8ec8e64e49ba536bc3ac2af87b97309189df77c5",
-    "eval_standard": "8982cc8f01dda68efbb20adfd7d6a9d7a24245869d7521037c5d87c8a55c6746",
-    "eval_example": "c048f25852fc51a5f8233c2a25c3527d0ba0276ffc1d8d680ab5da0af39445d1",
-    "sweep_json": "d6109de0f32689a06b3ae73891d96f621ebea36d8585c9c2fea09865d0dc2dc3",
-    "sweep_csv": "166e6e78a702a044fb1699bdfb0c780ca7d41841802a33ad478ab4213b644dbb",
+    "eval_standard": "29073f2e57c8a0ac4811771385137aa7173b4ba4de11ac5668a1365198c393d0",
+    "eval_example": "38c6d9625521f0b060c6584698c8890c45136784bf45811c29269264045c8e4e",
+    "sweep_json": "05b9a076fa0ec920fa4d601af6d30b6262c8cec32d6f792bb6b540ff2422efd7",
+    "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
-    "repro_json": "502b20b2eb974734a6c6086678d1cc5e56a098785f63d77156dd184f476475bb",
-    "repro_csv": "c1a8423acab4363a9bb88879f2c19e2ca0c8c8ed3e81a8a1a87df873e051ce0e",
+    "repro_json": "54768398546d283615ede4b560f455c96583c5764fdb2ccc330cb9e7875c5420",
+    "repro_csv": "5d45fa39f8175175fbd92b931d1c87a2ff3ca8ed2f62862539852d3c5b14504d",
     "standard.bloom": "c01be39856e9570dc416886c59803137bbefc36e201e10b0a8f6a079b29e915a",
     "example.lbf": "f2f4f3a967abf412818bfa80bad0643caa884868b865a5c18579ab72a383f960",
     "example-keys.txt": "bc3b8f710571815c8bb74cdd092a941b4c8224f1b1096dc8931cd978380c6d62",

@@ -1,5 +1,7 @@
 """Query distributions, sampling, the worked-example dataset, and file I/O."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,17 @@ from learnedbloom.workloads import (
 
 # 0.999 quantile of the chi-square distribution with 19 degrees of freedom
 CHI2_CRIT_19_DOF = 43.8202
+Z_0999 = 3.090232  # 0.999 quantile of the standard normal
+
+
+def _chi2_crit_0999(dof: int) -> float:
+    """Wilson-Hilferty approximation of the chi-square 0.999 quantile.
+
+    It lies a little above the exact quantile at small dof (11.16 against
+    10.83 at 1, 43.95 against 43.82 at 19), so the test it gates errs lenient.
+    """
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + Z_0999 * a**0.5) ** 3
 
 
 class TestSampling:
@@ -83,6 +96,88 @@ class TestSampling:
         expected = 100_000 / 20
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_CRIT_19_DOF
+
+
+class TestSparseSupport:
+    def test_one_eligible_key_among_two_million(self):
+        dist = uniform_queries(0, 2_000_000, exclude=np.arange(1, 2_000_000))
+        for seed in range(10):
+            assert sample(dist, 1, seed).tolist() == [0]
+
+    def test_few_eligible_keys_are_drawn_at_once(self):
+        rng = np.random.default_rng(0)
+        eligible = np.sort(rng.choice(100_000, size=10, replace=False))
+        dist = uniform_queries(0, 100_000, exclude=np.setdiff1d(np.arange(100_000), eligible))
+        out = sample(dist, 2000, rng_seed=1)
+        assert set(out.tolist()) == set(eligible.tolist())
+
+    def test_top_of_the_universe(self):
+        # compared as Python ints: numpy 1.24 and numpy 2 disagree on uint64 < 2**64
+        dist = uniform_queries(2**64 - 3, 2**64, exclude=[2**64 - 3, 2**64 - 1])
+        for seed in range(5):
+            assert set(sample(dist, 200, seed).tolist()) == {2**64 - 2}
+
+    def test_whole_universe(self):
+        out = sample(uniform_queries(0, 2**64, exclude=[0, 2**64 - 1]), 1000, rng_seed=2)
+        assert out.dtype == np.uint64
+        assert not {0, 2**64 - 1} & set(out.tolist())
+
+
+_COMPONENTS = st.one_of(
+    st.builds(lambda lo, size: UniformRange(lo, lo + size), st.integers(0, 40), st.integers(1, 12)),
+    st.lists(st.integers(0, 50), min_size=1, max_size=12).map(FixedSet),  # duplicates weigh more
+)
+
+
+def _component_keys(component) -> list:
+    if isinstance(component, UniformRange):
+        return list(range(component.lo, component.hi))
+    return component.keys.tolist()
+
+
+@st.composite
+def _distributions(draw):
+    """A range, a fixed set or a two-component mixture, with a random exclusion."""
+    components = draw(st.lists(_COMPONENTS, min_size=1, max_size=2))
+    if len(components) == 1:
+        source = components[0]
+    else:
+        weight = draw(st.floats(0.25, 0.75))
+        source = Mixture(tuple(components), (weight, 1.0 - weight))
+    keys = sorted({key for c in components for key in _component_keys(c)} | {60, 61})
+    return QueryDistribution(source, draw(st.sets(st.sampled_from(keys))))
+
+
+def _exact_law(dist) -> dict:
+    """Key -> probability: each component's weight spread over its positions, the
+    excluded positions dropped, renormalised (the law rejection converges to)."""
+    source = dist.source
+    mixture = source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
+    excluded = set(dist.exclusion.tolist())
+    mass = Counter()
+    for component, weight in zip(mixture.components, mixture.weights):
+        for key in _component_keys(component):
+            if key not in excluded:
+                mass[key] += weight / component.size
+    total = sum(mass.values())
+    return {key: m / total for key, m in mass.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dist=_distributions(), seed=st.integers(0, 2**32))
+def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
+    law = _exact_law(dist)
+    if not law:
+        with pytest.raises(WorkloadError, match="whole support"):
+            sample(dist, 1, rng_seed=seed)
+        return
+    n = 4000
+    counts = Counter(sample(dist, n, rng_seed=seed).tolist())
+    assert not set(counts) - set(law)  # no draw is excluded
+    assert set(counts) == set(law)  # every eligible key appears
+    if len(law) > 1:
+        chi2 = sum((counts[key] - n * p) ** 2 / (n * p) for key, p in law.items())
+        assert chi2 < _chi2_crit_0999(len(law) - 1)
 
 
 @settings(max_examples=30, deadline=None)
