@@ -85,10 +85,14 @@ class BloomFilter:
 
         One hash round at a time: round i sets bit ``(h1 + i*h2) % m`` of every
         key in a transient byte-per-bit copy of the array, packed back at the end.
+        An m-byte copy numpy cannot allocate is a ParameterError; the filter is unchanged.
         """
         acc, step = hash_pair_batch(keys, self.seed)
         m = np.uint64(self.m)
-        unpacked = np.unpackbits(self._bits, count=self.m, bitorder="little")
+        try:
+            unpacked = np.unpackbits(self._bits, count=self.m, bitorder="little")
+        except MemoryError as exc:
+            raise ParameterError(f"bit count m={self.m} is too large to insert into") from exc
         for i in range(self.k):
             if i:
                 acc += step

@@ -163,7 +163,8 @@ _UNREAD = {
             "--kind example": ("m", "k", "keys", "scorer", "target-fpp"),
         },
     ),
-    "eval": (lambda args: "--queries" if args.queries else "--dist", {"--queries": ("dist", "samples")}),
+    "eval": (lambda args: "--queries" if args.queries else "--dist",
+             {"--queries": ("dist", "samples", "seed")}),
     "concentration": (
         lambda args: "--filter" if args.filter else "without --filter",
         {"--filter": ("backup-target-fpp",), "without --filter": ("keys", "dist")},
@@ -279,11 +280,9 @@ def _cmd_eval(args) -> int:
         else:
             queries = sample(dist, args.samples, rng_seed)
     if queries is not None:
-        payload = {
-            "empirical_fpr": empirical_fpr(filt, queries),
-            "sample_count": len(queries),
-            "seed": args.seed,
-        }
+        payload = {"empirical_fpr": empirical_fpr(filt, queries), "sample_count": len(queries)}
+        if args.seed is not None:  # a query file draws nothing, so only a sample has a seed
+            payload["seed"] = args.seed
     _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **payload})
     return EXIT_OK
 

@@ -2,9 +2,9 @@
 
 Measures empirical false positive rates on sampled workloads, predicts
 them from the above-threshold query mass (alpha) composed with the
-backup filter's rate, computes alpha exactly by enumerating finite
-integer supports, and runs the concentration experiment: test-set vs
-query-set rate agreement.
+backup filter's rate, computes alpha exactly by enumerating each finite
+component less the excluded positions its distribution holds, and runs
+the concentration experiment: test-set vs query-set rate agreement.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .scorers import Scorer
-from .workloads import QueryDistribution, UniformRange, _as_mixture, _excluded, sample
+from .workloads import QueryDistribution, sample
 
 SUPPORT_LIMIT = 10**7  # largest support exact enumeration will walk
 _CHUNK = 1 << 20
@@ -86,45 +86,29 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
     return alpha + (1.0 - alpha) * backup_fpr
 
 
-def _source_counts(scorer: Scorer, tau: float, source, exclusion: np.ndarray) -> tuple[int, int]:
-    """(# eligible keys scoring >= tau, # eligible keys) within one component.
-
-    Every key of the component is scored, then the excluded ones (``_excluded``,
-    the positions ``sample`` never emits) are taken back out.
-    """
-    excluded = _excluded(source, exclusion)
-    if isinstance(source, UniformRange):
-        starts = range(source.lo, source.hi, _CHUNK)
-        blocks = (np.arange(s, min(s + _CHUNK, source.hi), dtype=np.uint64) for s in starts)
-        excluded_keys = excluded + np.uint64(source.lo)
-    else:
-        blocks = [source.keys]
-        excluded_keys = source.keys[excluded]
-    above = sum(int((scorer.score_batch(block) >= tau).sum()) for block in blocks)
-    above -= int((scorer.score_batch(excluded_keys) >= tau).sum())
-    return above, source.size - int(excluded.size)
-
-
 def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
     """Exact Pr(score >= tau) under the distribution, by support enumeration.
 
     Returns the exact rational: above-threshold eligible count over eligible
     count for uniform and fixed-set supports, the weighted analogue for
-    mixtures.  Raises OracleUnavailableError when the support exceeds
-    ``SUPPORT_LIMIT``; callers should then fall back to sampling.
+    mixtures: every key scored in ``_CHUNK`` blocks, less the excluded ones.
+    Raises OracleUnavailableError when the support exceeds ``SUPPORT_LIMIT``;
+    callers should then fall back to sampling.
     """
-    mixture = _as_mixture(dist.source)
-    size = sum(component.size for component in mixture.components)
+    size = sum(component.size for component, _, _ in dist.parts)
     if size > SUPPORT_LIMIT:
         raise OracleUnavailableError(
             f"support of {size} exceeds the enumeration limit {SUPPORT_LIMIT}"
         )
     above_mass = eligible_mass = Fraction(0)
-    for component, weight in zip(mixture.components, mixture.weights):
-        above, eligible = _source_counts(scorer, tau, component, dist.exclusion)
+    for component, weight, excluded in dist.parts:
+        starts = range(0, component.size, _CHUNK)
+        blocks = (component.keys_between(s, min(s + _CHUNK, component.size)) for s in starts)
+        above = sum(int((scorer.score_batch(block) >= tau).sum()) for block in blocks)
+        above -= int((scorer.score_batch(component.keys_at(excluded)) >= tau).sum())
         share = Fraction(weight) / component.size
         above_mass += share * above
-        eligible_mass += share * eligible
+        eligible_mass += share * (component.size - int(excluded.size))
     if eligible_mass == 0:
         raise WorkloadError("exclusion removes the whole support")
     return above_mass / eligible_mass

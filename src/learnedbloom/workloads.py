@@ -1,6 +1,7 @@
 """Query workloads: sampleable distributions over the universe minus the key set.
 
-Distributions are immutable descriptions; sampling draws each key straight from
+Distributions are immutable descriptions; a distribution resolves each
+component's excluded positions once, and sampling draws each key straight from
 the eligible support, the source's keys outside the exclusion, so no draw is
 rejected.  Also provides the hot-range worked example (1000 keys, half clustered
 in one interval) used by the reproduction experiments, and dataset file I/O.
@@ -8,7 +9,7 @@ in one interval) used by the reproduction experiments, and dataset file I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +33,27 @@ class UniformRange:
     def size(self) -> int:
         return self.hi - self.lo
 
+    def excluded_positions(self, exclusion: np.ndarray) -> np.ndarray:
+        """Sorted uint64 positions of the keys the sorted, distinct ``exclusion`` holds."""
+        start = np.searchsorted(exclusion, np.uint64(self.lo))
+        stop = np.searchsorted(exclusion, np.uint64(self.hi - 1), side="right")
+        return exclusion[start:stop] - np.uint64(self.lo)
+
+    def keys_at(self, positions: np.ndarray) -> np.ndarray:
+        return positions + np.uint64(self.lo)
+
+    def keys_between(self, start: int, stop: int) -> np.ndarray:
+        return np.arange(self.lo + start, self.lo + stop, dtype=np.uint64)
+
 
 def _held_keys(keys, what: str, distinct: bool) -> np.ndarray:
     """A read-only uint64 copy of an integer key batch, sorted and deduplicated if ``distinct``."""
     keys = as_keys(keys)
     if keys.dtype == object:
         raise ParameterError(f"{what} takes integer keys, not byte strings")
-    held = np.unique(keys) if distinct else keys.copy()  # a copy: never freeze the caller's array
+    held = np.sort(keys) if distinct else keys.copy()  # a copy: never freeze the caller's array
+    if distinct and held.size:  # keep each key unlike its predecessor: np.unique is far slower
+        held = held[np.concatenate(([True], held[1:] != held[:-1]))]
     held.flags.writeable = False
     return held
 
@@ -57,6 +72,16 @@ class FixedSet:
     @property
     def size(self) -> int:
         return int(self.keys.size)
+
+    def excluded_positions(self, exclusion: np.ndarray) -> np.ndarray:
+        """Sorted uint64 positions of the keys ``exclusion`` holds."""
+        return np.flatnonzero(np.isin(self.keys, exclusion)).astype(np.uint64)
+
+    def keys_at(self, positions: np.ndarray) -> np.ndarray:
+        return self.keys[positions]
+
+    def keys_between(self, start: int, stop: int) -> np.ndarray:
+        return self.keys[start:stop]
 
 
 @dataclass(frozen=True)
@@ -84,43 +109,37 @@ class QueryDistribution:
     """A sampleable query description whose samples never land in ``exclusion``.
 
     ``exclusion`` may be any integer key batch (a set, a list, an array, ...);
-    it is held as a read-only, sorted, deduplicated uint64 array.
+    it is held as a read-only, sorted, deduplicated uint64 array.  ``parts`` holds each
+    ``(component, weight, excluded positions)``, resolved once; a lone component weighs 1.0.
     """
 
     source: UniformRange | FixedSet | Mixture
     exclusion: np.ndarray = ()
+    parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.source, (UniformRange, FixedSet, Mixture)):
             raise ParameterError(f"unknown distribution source {type(self.source).__name__}")
         exclusion = _held_keys(self.exclusion, "an exclusion", distinct=True)
         object.__setattr__(self, "exclusion", exclusion)
+        mix = self.source if isinstance(self.source, Mixture) else Mixture((self.source,), (1.0,))
+        excluded = [c.excluded_positions(exclusion) for c in mix.components]
+        for positions in excluded:
+            positions.flags.writeable = False
+        object.__setattr__(self, "parts", tuple(zip(mix.components, mix.weights, excluded)))
 
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
-def _as_mixture(source) -> Mixture:
-    """The source as a mixture: a lone range or fixed set is a one-component one."""
-    return source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
-
-
-def _excluded(component, exclusion: np.ndarray) -> np.ndarray:
-    """Sorted uint64 positions (``0..size-1``) of the component's keys that ``exclusion`` holds."""
-    if isinstance(component, UniformRange):
-        start = np.searchsorted(exclusion, np.uint64(component.lo))
-        stop = np.searchsorted(exclusion, np.uint64(component.hi - 1), side="right")
-        return exclusion[start:stop] - np.uint64(component.lo)
-    return np.flatnonzero(np.isin(component.keys, exclusion)).astype(np.uint64)
-
-
-def _draw(component, excluded: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` keys uniform over the component's positions outside ``excluded``.
+def _draw(part: tuple, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` keys uniform over a part's positions outside its ``excluded`` ones.
 
     Positions are drawn below ``cut = size - len(excluded)``; the excluded ones
     below ``cut`` map, in order, onto the equally many eligible ones above it.
     """
+    component, _, excluded = part
     cut = component.size - excluded.size
     pos = rng.integers(0, cut, size=count, dtype=np.uint64)
     if excluded.size:
@@ -130,9 +149,7 @@ def _draw(component, excluded: np.ndarray, rng: np.random.Generator, count: int)
         top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
         moved = np.isin(pos, low)
         pos[moved] = top[np.searchsorted(low, pos[moved])]
-    if isinstance(component, UniformRange):
-        return pos + np.uint64(component.lo)
-    return component.keys[pos]
+    return component.keys_at(pos)
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
@@ -148,20 +165,17 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
         out = np.empty(n, dtype=np.uint64)
     except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
         raise ParameterError(f"sample count {n} is too large to allocate") from exc
-    mix = _as_mixture(dist.source)
-    excluded = [_excluded(c, dist.exclusion) for c in mix.components]
-    mass = [w * (c.size - e.size) / c.size for c, w, e in zip(mix.components, mix.weights, excluded)]
+    mass = [w * (c.size - e.size) / c.size for c, w, e in dist.parts]
     if not any(mass):
         raise WorkloadError("exclusion removes the whole support")
     rng = np.random.default_rng(rng_seed)
     if len(mass) == 1:
-        out[:] = _draw(mix.components[0], excluded[0], rng, n)
-        return out
+        return _draw(dist.parts[0], rng, n)
     which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
-    for ci, component in enumerate(mix.components):
+    for ci, part in enumerate(dist.parts):
         mask = which == ci
         if mask.any():
-            out[mask] = _draw(component, excluded[ci], rng, int(mask.sum()))
+            out[mask] = _draw(part, rng, int(mask.sum()))
     return out
 
 
@@ -179,16 +193,15 @@ class HotRangeExample:
 
     keys_in_range: np.ndarray
     keys_outside: np.ndarray
-    rng_seed: int
-    universe_size: int = UNIVERSE_SIZE
-    hot_lo: int = HOT_LO
-    hot_hi: int = HOT_HI
+    universe_size: int = field(default=UNIVERSE_SIZE, init=False)
+    hot_lo: int = field(default=HOT_LO, init=False)
+    hot_hi: int = field(default=HOT_HI, init=False)
 
     def __post_init__(self):
         for name in ("keys_in_range", "keys_outside"):
             held = _held_keys(getattr(self, name), "an example", distinct=False)
             object.__setattr__(self, name, held)
-        if np.unique(self.keys).size != self.keys.size:
+        if _held_keys(self.keys, "an example", distinct=True).size != self.keys.size:
             raise ParameterError("example keys must be distinct")
 
     @property
@@ -217,7 +230,7 @@ def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float
         [np.arange(0, HOT_LO, dtype=np.uint64), np.arange(HOT_HI + 1, UNIVERSE_SIZE, dtype=np.uint64)]
     )
     outside = np.sort(rng.choice(rest, size=500, replace=False))
-    example = HotRangeExample(keys_in_range=in_range, keys_outside=outside, rng_seed=seed)
+    example = HotRangeExample(keys_in_range=in_range, keys_outside=outside)
     scorer = IntervalScorer(((HOT_LO, HOT_HI),), inside_score=0.5, outside_score=0.0)
     return example, scorer, 0.4
 

@@ -54,6 +54,20 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="too large"):
             BloomFilter(2**62, 3, seed=0)
 
+    def test_unallocatable_insert_scratch_is_a_parameter_error(self, monkeypatch):
+        # numpy refusing insert_many's m-byte unpacked copy, without allocating it
+        f = BloomFilter(1000, 3, seed=4)
+        f.insert_many([1, 2, 3])
+        before = f.to_bytes()
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("unable to allocate")
+
+        monkeypatch.setattr(np, "unpackbits", refuse)
+        with pytest.raises(ParameterError, match="m=1000"):
+            f.insert_many([4, 5])
+        assert f.to_bytes() == before
+
     def test_filter_params_target_range(self):
         with pytest.raises(ParameterError):
             FilterParams(m=8, k=1, target_fpp=1.5)

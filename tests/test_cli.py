@@ -197,6 +197,22 @@ class TestBuild:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "f.out").exists()
 
+    def test_unallocatable_insert_scratch_is_one_error_line(
+        self, tmp_path, key_file, capsys, monkeypatch
+    ):
+        # numpy refusing insert_many's m-byte unpacked copy, without allocating it
+        def refuse(*args, **kwargs):
+            raise MemoryError("unable to allocate")
+
+        monkeypatch.setattr(np, "unpackbits", refuse)
+        path, _ = key_file
+        code = main([str(a) for a in ["build", "--kind", "standard", "--keys", path,
+                                      "--m", "4096", "--k", "1", "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f.out").exists()
+
 
 @pytest.mark.parametrize(
     "case, option",
@@ -208,6 +224,7 @@ class TestBuild:
         ("build_standard_with_backup_target", "--backup-target-fpp"),
         ("eval_queries_with_samples", "--samples"),
         ("eval_queries_with_samples_in_config", "--samples"),
+        ("eval_queries_with_seed", "--seed"),
         ("concentration_filter_with_backup_target", "--backup-target-fpp"),
         ("query_keys_with_seed", "--seed"),
         ("query_queries_with_seed", "--seed"),
@@ -239,6 +256,7 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
                                       "--samples", "7"],
         "eval_queries_with_samples_in_config": ["eval", "--filter", filt, "--queries", queries,
                                                 "--config", samples_cfg],
+        "eval_queries_with_seed": ["eval", "--filter", filt, "--queries", queries, "--seed", "5"],
         "concentration_filter_with_backup_target": ["concentration", *small, "--filter", filt,
                                                     "--dist", "uniform:0:1000000",
                                                     "--backup-target-fpp", "0.3"],
@@ -261,11 +279,12 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
         (["build", "--kind", "standard", "--keys", "KEYS", "--target-fpp", "0.01",
           "--out", "OUT"], ["--backup-target-fpp", "2e-4"]),
         (["eval", "--filter", "FILTER", "--queries", "QUERIES"], ["--samples", "100000"]),
+        (["eval", "--filter", "FILTER", "--queries", "QUERIES"], ["--seed", "0"]),
         (["concentration", "--trials", "1", "--t-size", "100", "--q-size", "100",
           "--filter", "FILTER", "--dist", "uniform:0:1000000"], ["--backup-target-fpp", "0.0002"]),
         (["query", "--filter", "FILTER", "1", "3"], ["--seed", "0"]),
     ],
-    ids=["build_standard", "eval_queries", "concentration_filter", "query_keys"],
+    ids=["build_standard", "eval_queries", "eval_queries_seed", "concentration_filter", "query_keys"],
 )
 def test_an_unread_option_at_its_default_is_accepted_and_has_no_effect(
     tmp_path, key_file, capsys, argv, unread
@@ -434,7 +453,9 @@ class TestEval:
         save_keys_text(qpath, [k + 10**7 for k in keys[:100]])
         code, stdout = run(capsys, "eval", "--filter", out, "--keys", path, "--queries", qpath)
         assert code == 0
-        assert json.loads(stdout)["sample_count"] == 100
+        report = json.loads(stdout)
+        assert report["sample_count"] == 100
+        assert "seed" not in report  # a query file draws nothing
 
 
 class TestSweep:

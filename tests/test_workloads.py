@@ -1,14 +1,16 @@
 """Query distributions, sampling, the worked-example dataset, and file I/O."""
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from learnedbloom.bloom import BloomFilter
 from learnedbloom.errors import ParameterError, WorkloadError
-from learnedbloom.evaluation import exact_alpha
+from learnedbloom.evaluation import _CHUNK, concentration_experiment, exact_alpha
 from learnedbloom.scorers import IntervalScorer
 from learnedbloom.workloads import (
     FixedSet,
@@ -149,8 +151,8 @@ def _distributions(draw):
 
 
 def _exact_law(dist) -> dict:
-    """Key -> probability: each component's weight spread over its positions, the
-    excluded positions dropped, renormalised (the law rejection converges to)."""
+    """Key -> exact probability: each component's weight spread over its positions,
+    the excluded positions dropped, renormalised (the law rejection converges to)."""
     source = dist.source
     mixture = source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
     excluded = set(dist.exclusion.tolist())
@@ -158,7 +160,7 @@ def _exact_law(dist) -> dict:
     for component, weight in zip(mixture.components, mixture.weights):
         for key in _component_keys(component):
             if key not in excluded:
-                mass[key] += weight / component.size
+                mass[key] += Fraction(weight) / component.size
     total = sum(mass.values())
     return {key: m / total for key, m in mass.items()}
 
@@ -178,6 +180,23 @@ def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
     if len(law) > 1:
         chi2 = sum((counts[key] - n * p) ** 2 / (n * p) for key, p in law.items())
         assert chi2 < _chi2_crit_0999(len(law) - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dist=_distributions(),
+    interval=st.tuples(st.integers(0, 62), st.integers(0, 62)).map(sorted),
+    tau=st.sampled_from([0.1, 0.5, 0.95]),
+)
+def test_exact_alpha_is_the_exact_law_above_the_threshold(dist, interval, tau):
+    scorer = IntervalScorer((tuple(interval),), inside_score=0.9, outside_score=0.1)
+    law = _exact_law(dist)
+    if not law:
+        with pytest.raises(WorkloadError, match="whole support"):
+            exact_alpha(scorer, tau, dist)
+        return
+    above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
+    assert exact_alpha(scorer, tau, dist) == above
 
 
 @settings(max_examples=30, deadline=None)
@@ -239,6 +258,61 @@ class TestHeldKeys:
         assert dist.exclusion.dtype == np.uint64
         assert dist.exclusion.tolist() == [2, 5, 9]
         assert uniform_queries(0, 10).exclusion.size == 0
+        for batch, held in [
+            ([], []),
+            (np.array([], dtype=np.int64), []),
+            ([4, 4, 4], [4]),
+            (np.array([2**64 - 1, 7, 0, 7, 2**64 - 1], dtype=np.uint64), [0, 7, 2**64 - 1]),
+            ((8, 3, 6, 1), [1, 3, 6, 8]),
+        ]:
+            exclusion = uniform_queries(0, 10, batch).exclusion
+            assert exclusion.dtype == np.uint64
+            assert exclusion.tolist() == held
+
+
+class TestSupport:
+    def test_a_fixed_set_above_one_block_counts_as_a_direct_count(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 3000, size=_CHUNK + 5, dtype=np.uint64)  # many duplicates
+        keys[-5:] = [1002, 1002, 1500, 1998, 1001]  # the second block: above tau, 1001 excluded
+        exclusion = np.arange(0, 3000, 7, dtype=np.uint64)
+        scorer = IntervalScorer(((1000, 1999),), inside_score=0.9, outside_score=0.1)
+        batches = []
+        score_batch = IntervalScorer.score_batch
+
+        def recorded(self, batch):
+            batches.append(len(batch))
+            return score_batch(self, batch)
+
+        monkeypatch.setattr(IntervalScorer, "score_batch", recorded)
+        alpha = exact_alpha(scorer, 0.5, QueryDistribution(FixedSet(keys), exclusion))
+        eligible = ~np.isin(keys, exclusion)
+        above = eligible & (keys >= 1000) & (keys <= 1999)
+        assert alpha == Fraction(int(above.sum()), int(eligible.sum()))
+        assert max(batches) == _CHUNK  # enumerated block by block, not as one batch
+
+    def test_excluded_positions_are_resolved_once(self, monkeypatch):
+        mix = Mixture((UniformRange(0, 5000), FixedSet([3, 3, 9, 4000, 7000])), (0.4, 0.6))
+        dist = QueryDistribution(mix, np.arange(0, 5000, 3))
+        filt = BloomFilter(2000, 3, seed=1)
+        filt.insert_many(np.arange(0, 400))
+        scorer = IntervalScorer(((100, 4500),), inside_score=0.9, outside_score=0.1)
+
+        def results():
+            return (
+                sample(dist, 3000, rng_seed=8).tolist(),
+                exact_alpha(scorer, 0.5, dist),
+                concentration_experiment(filt, dist, 200, 300, 0.05, 4, rng_seed=2),
+            )
+
+        before = results()
+
+        def refuse(self, exclusion):
+            raise AssertionError("excluded positions resolved again")
+
+        for component_type in (UniformRange, FixedSet):
+            monkeypatch.setattr(component_type, "excluded_positions", refuse)
+        assert results() == before
 
 
 _SCORER = IntervalScorer(((20, 40),), inside_score=0.9, outside_score=0.1)
@@ -303,7 +377,9 @@ class TestHotRangeExample:
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ParameterError):
-            HotRangeExample(keys_in_range=(1000, 1000), keys_outside=(5,), rng_seed=0)
+            HotRangeExample(keys_in_range=(1000, 1000), keys_outside=(5,))
+        with pytest.raises(ParameterError):
+            HotRangeExample(keys_in_range=(1000,), keys_outside=(5, 1000))
 
     def test_full_range_sample_hits_hot_interval_at_oracle_rate(self):
         ex, _, _ = hot_range_example(7)
