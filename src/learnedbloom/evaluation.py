@@ -95,13 +95,13 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     Raises OracleUnavailableError when the support exceeds ``SUPPORT_LIMIT``;
     callers should then fall back to sampling.
     """
-    size = sum(component.size for component, _, _ in dist.parts)
+    size = sum(part.component.size for part in dist.parts)
     if size > SUPPORT_LIMIT:
         raise OracleUnavailableError(
             f"support of {size} exceeds the enumeration limit {SUPPORT_LIMIT}"
         )
     above_mass = eligible_mass = Fraction(0)
-    for component, weight, excluded in dist.parts:
+    for component, weight, excluded, _, _ in dist.parts:
         starts = range(0, component.size, _CHUNK)
         blocks = (component.keys_between(s, min(s + _CHUNK, component.size)) for s in starts)
         above = sum(int((scorer.score_batch(block) >= tau).sum()) for block in blocks)

@@ -6,11 +6,17 @@ elsewhere. Logistic scorers apply a sigmoid to a linear function of a
 named, deterministic feature encoding of the key, and are trained by
 full-batch gradient descent on the clamped cross-entropy loss.
 
+Every feature map has a per-key ``transform_one``, the specification, and a
+batch ``transform`` that equals it row for row.  ``byte-ngram`` batches of
+uint64 keys count bigrams through a 65,536-entry table of bigram digests,
+built on first use, once per process; byte-string batches go key by key.
+
 Scorers are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -157,8 +163,33 @@ class _Affine(FeatureMap):
         return (self._scale * x / self._max + self._offset)[:, None]
 
 
+_NGRAM_KEY = b"lbf-ngram"  # blake2b key of the byte-bigram hash
+
+
+@functools.cache
+def _pair_digests() -> np.ndarray:
+    """Read-only uint64 bigram digests, entry ``b0 | b1 << 8`` for the pair ``bytes([b0, b1])``.
+
+    :meth:`_ByteNgram._bucket` before its modulus, built on first use, once per process.
+    """
+    state = hashlib.blake2b(digest_size=8, key=_NGRAM_KEY)
+    digests = []
+    for pair in range(1 << 16):
+        h = state.copy()
+        h.update(pair.to_bytes(2, "little"))
+        digests.append(h.digest())
+    table = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 class _ByteNgram(FeatureMap):
-    """Hashed byte-bigram counts over the canonical key encoding, normalized per key."""
+    """Hashed byte-bigram counts over the canonical key encoding, normalized per key.
+
+    :meth:`transform_one` is the specification.  A uint64 batch reads each key's
+    seven bigram buckets from :func:`_pair_digests` instead; the counts are exact
+    integers either way, so the rows are equal bit for bit.
+    """
 
     def __init__(self, buckets: int):
         if buckets < 1:
@@ -168,7 +199,7 @@ class _ByteNgram(FeatureMap):
         self.dim = buckets
 
     def _bucket(self, pair: bytes) -> int:
-        digest = hashlib.blake2b(pair, digest_size=8, key=b"lbf-ngram").digest()
+        digest = hashlib.blake2b(pair, digest_size=8, key=_NGRAM_KEY).digest()
         return int.from_bytes(digest, "little") % self.buckets
 
     def transform_one(self, key) -> np.ndarray:
@@ -180,6 +211,22 @@ class _ByteNgram(FeatureMap):
         if pairs:
             out /= pairs
         return out
+
+    @functools.cached_property
+    def _pair_buckets(self) -> np.ndarray:
+        """The bucket of every bigram, indexed like :func:`_pair_digests`."""
+        return (_pair_digests() % np.uint64(self.buckets)).astype(np.intp)
+
+    def transform(self, keys) -> np.ndarray:
+        keys = as_keys(keys)
+        if keys.dtype == object:
+            return super().transform(keys)
+        data = keys.astype("<u8").view(np.uint8).reshape(-1, 8)  # encode_key's bytes, any host
+        pairs = data[:, :-1] | data[:, 1:].astype(np.uint16) << 8
+        cells = self._pair_buckets[pairs]
+        cells += np.arange(0, keys.size * self.buckets, self.buckets)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=keys.size * self.buckets)
+        return counts.reshape(keys.size, self.buckets) / 7
 
 
 def feature_map(name: str) -> FeatureMap:

@@ -10,6 +10,7 @@ in one interval) used by the reproduction experiments, and dataset file I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +105,40 @@ class Mixture:
             raise ParameterError("mixture weights must sum to 1 within 1e-12")
 
 
+class Part(NamedTuple):
+    """One component of a distribution, its weight and its excluded positions, all held.
+
+    A draw takes a position below ``cut = size - len(excluded)``; ``low`` holds the
+    excluded positions below ``cut`` and ``top`` the equally many eligible ones at or
+    above it, in order, so a draw landing on ``low[i]`` becomes ``top[i]``.
+    """
+
+    component: UniformRange | FixedSet
+    weight: float
+    excluded: np.ndarray
+    low: np.ndarray
+    top: np.ndarray
+
+
+def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
+    excluded = component.excluded_positions(exclusion)
+    cut = component.size - excluded.size
+    low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
+    free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
+    free[excluded[low.size :] - np.uint64(cut)] = False
+    top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
+    for held in (excluded, low, top):
+        held.flags.writeable = False
+    return Part(component, weight, excluded, low, top)
+
+
 @dataclass(frozen=True, eq=False)
 class QueryDistribution:
     """A sampleable query description whose samples never land in ``exclusion``.
 
     ``exclusion`` may be any integer key batch (a set, a list, an array, ...);
-    it is held as a read-only, sorted, deduplicated uint64 array.  ``parts`` holds each
-    ``(component, weight, excluded positions)``, resolved once; a lone component weighs 1.0.
+    it is held as a read-only, sorted, deduplicated uint64 array.  ``parts`` holds a
+    :class:`Part` per component, resolved once; a lone component weighs 1.0.
     """
 
     source: UniformRange | FixedSet | Mixture
@@ -123,33 +151,32 @@ class QueryDistribution:
         exclusion = _held_keys(self.exclusion, "an exclusion", distinct=True)
         object.__setattr__(self, "exclusion", exclusion)
         mix = self.source if isinstance(self.source, Mixture) else Mixture((self.source,), (1.0,))
-        excluded = [c.excluded_positions(exclusion) for c in mix.components]
-        for positions in excluded:
-            positions.flags.writeable = False
-        object.__setattr__(self, "parts", tuple(zip(mix.components, mix.weights, excluded)))
+        parts = tuple(_part(c, w, exclusion) for c, w in zip(mix.components, mix.weights))
+        object.__setattr__(self, "parts", parts)
 
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
-def _draw(part: tuple, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` keys uniform over a part's positions outside its ``excluded`` ones.
+def _draw(part: Part, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` keys uniform over a part's positions outside its excluded ones.
 
-    Positions are drawn below ``cut = size - len(excluded)``; the excluded ones
-    below ``cut`` map, in order, onto the equally many eligible ones above it.
+    A draw landing on ``low[i]`` becomes ``top[i]``.  Fewer than ``len(low) / 128``
+    draws are each binary-searched in ``low``, O(log low) a draw; more go through
+    one ``np.isin`` pass over ``low``, which then costs less than numpy's search
+    (~90 ns a draw).  Both move the same draws.
     """
-    component, _, excluded = part
-    cut = component.size - excluded.size
-    pos = rng.integers(0, cut, size=count, dtype=np.uint64)
-    if excluded.size:
-        low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
-        free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
-        free[excluded[low.size :] - np.uint64(cut)] = False
-        top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
+    pos = rng.integers(0, part.component.size - part.excluded.size, size=count, dtype=np.uint64)
+    low = part.low
+    if count * 128 < low.size:
+        at = np.searchsorted(low, pos)
+        moved = low[np.minimum(at, low.size - 1)] == pos
+        pos[moved] = part.top[at[moved]]
+    elif low.size:
         moved = np.isin(pos, low)
-        pos[moved] = top[np.searchsorted(low, pos[moved])]
-    return component.keys_at(pos)
+        pos[moved] = part.top[np.searchsorted(low, pos[moved])]
+    return part.component.keys_at(pos)
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
@@ -165,7 +192,7 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
         out = np.empty(n, dtype=np.uint64)
     except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
         raise ParameterError(f"sample count {n} is too large to allocate") from exc
-    mass = [w * (c.size - e.size) / c.size for c, w, e in dist.parts]
+    mass = [p.weight * (p.component.size - p.excluded.size) / p.component.size for p in dist.parts]
     if not any(mass):
         raise WorkloadError("exclusion removes the whole support")
     rng = np.random.default_rng(rng_seed)

@@ -1,11 +1,16 @@
 """Scorers, feature maps, the loss, and the trainer."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from learnedbloom.errors import FilterFormatError, ParameterError
 from learnedbloom.scorers import (
@@ -20,6 +25,7 @@ from learnedbloom.scorers import (
     train_logistic,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 HOT = IntervalScorer(((1000, 2000),), inside_score=0.5, outside_score=0.0)
 
 
@@ -151,6 +157,67 @@ class TestFeatureMaps:
     def test_bad_names_rejected(self, name):
         with pytest.raises(ParameterError):
             feature_map(name)
+
+
+def stacked_rows(fm, keys):
+    """The batch's feature matrix from ``transform_one``, the specification, key by key."""
+    return np.array([fm.transform_one(k) for k in keys]).reshape(len(keys), fm.dim)
+
+
+uint64_batches = st.one_of(
+    st.sampled_from([np.uint64, np.dtype(">u8")]).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.integers(0, 40))
+    ),
+    hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 2**63 - 1)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=40),
+)
+
+
+class TestByteNgramTable:
+    """A uint64 batch reads the bigram table; its rows equal ``transform_one``'s bit for bit."""
+
+    @pytest.mark.parametrize("buckets", [1, 3, 16, 65_537])
+    def test_every_pair_bucket_matches_the_scalar_hash(self, buckets):
+        fm = feature_map(f"byte-ngram:{buckets}")
+        expected = [fm._bucket(pair.to_bytes(2, "little")) for pair in range(1 << 16)]
+        assert fm._pair_buckets.tolist() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(buckets=st.integers(1, 300), keys=uint64_batches)
+    def test_batch_rows_equal_scalar_rows(self, buckets, keys):
+        fm = feature_map(f"byte-ngram:{buckets}")
+        got = fm.transform(keys)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, stacked_rows(fm, [int(k) for k in keys]))
+
+    def test_empty_batch(self):
+        fm = feature_map("byte-ngram:5")
+        for keys in ([], np.array([], dtype=np.uint64)):
+            assert fm.transform(keys).shape == (0, 5)
+
+    def test_mixed_int_and_bytes_batch_agrees_key_by_key(self):
+        fm = feature_map("byte-ngram:16")
+        keys = [0, b"hello world", 2**64 - 1, b"", b"a", 258, b"ab\x00\x00"]
+        assert np.array_equal(fm.transform(keys), stacked_rows(fm, keys))
+        ints = np.array([0, 2**64 - 1, 258], dtype=np.uint64)
+        assert np.array_equal(fm.transform(ints), fm.transform(keys)[[0, 2, 5]])
+
+    def test_table_is_built_only_by_byte_ngram_batches(self):
+        code = (
+            "import numpy as np, learnedbloom\n"
+            "from learnedbloom.scorers import TrainingSet, _pair_digests, train_logistic\n"
+            "data = TrainingSet([5, 6, 7], [70, 80])\n"
+            "scorer = train_logistic(data, 'int-centered:100', epochs=3, learning_rate=0.1)\n"
+            "scorer.score_batch(np.arange(100, dtype=np.uint64))\n"
+            "print(_pair_digests.cache_info().currsize)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
 
 class TestTrainingSet:
