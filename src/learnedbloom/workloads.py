@@ -122,11 +122,13 @@ class Part(NamedTuple):
 
 def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
     excluded = component.excluded_positions(exclusion)
-    cut = component.size - excluded.size
-    low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
-    free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
-    free[excluded[low.size :] - np.uint64(cut)] = False
-    top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
+    low = top = excluded
+    if excluded.size:  # else cut may be 2**64, past uint64
+        cut = np.uint64(component.size - excluded.size)
+        low = excluded[: np.searchsorted(excluded, cut)]
+        free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
+        free[excluded[low.size :] - cut] = False
+        top = cut + np.flatnonzero(free).astype(np.uint64)
     for held in (excluded, low, top):
         held.flags.writeable = False
     return Part(component, weight, excluded, low, top)
@@ -162,20 +164,12 @@ def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
 def _draw(part: Part, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` keys uniform over a part's positions outside its excluded ones.
 
-    A draw landing on ``low[i]`` becomes ``top[i]``.  Fewer than ``len(low) / 128``
-    draws are each binary-searched in ``low``, O(log low) a draw; more go through
-    one ``np.isin`` pass over ``low``, which then costs less than numpy's search
-    (~90 ns a draw).  Both move the same draws.
+    A draw landing on ``low[i]`` becomes ``top[i]``.
     """
     pos = rng.integers(0, part.component.size - part.excluded.size, size=count, dtype=np.uint64)
-    low = part.low
-    if count * 128 < low.size:
-        at = np.searchsorted(low, pos)
-        moved = low[np.minimum(at, low.size - 1)] == pos
-        pos[moved] = part.top[at[moved]]
-    elif low.size:
-        moved = np.isin(pos, low)
-        pos[moved] = part.top[np.searchsorted(low, pos[moved])]
+    if part.low.size:
+        moved = np.isin(pos, part.low)
+        pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
     return part.component.keys_at(pos)
 
 

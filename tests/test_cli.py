@@ -524,6 +524,17 @@ class TestConcentration:
         payload = json.loads(stdout)
         assert payload["theorem_bound"] == pytest.approx(0.007721816544910837, rel=1e-12)
 
+    def test_filter_over_the_whole_universe_without_keys(self, tmp_path, key_file, capsys):
+        path, _ = key_file
+        filt = tmp_path / "std.bloom"
+        run(capsys, "build", "--kind", "standard", "--keys", path,
+            "--target-fpp", "0.01", "--seed", "3", "--out", filt)
+        code, _ = run(
+            capsys, "concentration", "--trials", "1", "--t-size", "100", "--q-size", "100",
+            "--filter", filt, "--dist", f"uniform:0:{2**64}",
+        )
+        assert code == 0
+
 
 class TestReproExample:
     def test_flags_unreproduced_figures(self, capsys):

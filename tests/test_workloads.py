@@ -113,15 +113,6 @@ class TestSparseSupport:
         out = sample(dist, 2000, rng_seed=1)
         assert set(out.tolist()) == set(eligible.tolist())
 
-    def test_few_and_many_draws_move_the_same_positions(self):
-        # few draws next to the excluded positions are binary-searched, many go through np.isin
-        rng = np.random.default_rng(6)
-        for source in (UniformRange(0, 60_000), FixedSet(rng.integers(0, 90_000, size=60_000))):
-            dist = QueryDistribution(source, rng.choice(90_000, size=40_000, replace=False))
-            many = sample(dist, 50_000, rng_seed=3)
-            assert sample(dist, 20, rng_seed=3).tolist() == many[:20].tolist()
-            assert not np.isin(many, dist.exclusion).any()
-
     def test_top_of_the_universe(self):
         # compared as Python ints: numpy 1.24 and numpy 2 disagree on uint64 < 2**64
         dist = uniform_queries(2**64 - 3, 2**64, exclude=[2**64 - 3, 2**64 - 1])
@@ -132,6 +123,10 @@ class TestSparseSupport:
         out = sample(uniform_queries(0, 2**64, exclude=[0, 2**64 - 1]), 1000, rng_seed=2)
         assert out.dtype == np.uint64
         assert not {0, 2**64 - 1} & set(out.tolist())
+
+    def test_whole_universe_without_exclusion(self):
+        out = sample(uniform_queries(0, 2**64), 1000, rng_seed=2)
+        assert out.dtype == np.uint64 and out.size == 1000
 
 
 _COMPONENTS = st.one_of(
