@@ -31,7 +31,7 @@ def main() -> None:
     example, _, _ = hot_range_example(derive_seed(args.seed, "dataset"))
     dist = example.full_range_queries()
     negatives = sample(dist, args.negatives, derive_seed(args.seed, "train-negatives"))
-    data = TrainingSet(positives=example.keys, negatives=tuple(int(k) for k in negatives))
+    data = TrainingSet(positives=example.keys, negatives=negatives)
     scorer = train_logistic(
         data,
         f"int-centered:{example.universe_size}",

@@ -25,7 +25,7 @@ from .evaluation import (
     model_fpr,
     theorem_bound,
 )
-from .hashing import as_keys, derive_seed, encode_key
+from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, SweepPoint, threshold_sweep
 from .scorers import (
     IntervalScorer,
@@ -77,7 +77,6 @@ __all__ = [
     "concentration_experiment",
     "derive_seed",
     "empirical_fpr",
-    "encode_key",
     "evaluate",
     "exact_alpha",
     "expected_fill_ratio",

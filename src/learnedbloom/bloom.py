@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import encode_key, hash_pair, hash_pair_batch
+from .hashing import _key, hash_pair, hash_pair_batch
 
 _MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
@@ -70,7 +70,7 @@ class BloomFilter:
         return cls(params.m, params.k, seed)
 
     def _positions(self, key) -> list[int]:
-        h1, h2 = hash_pair(encode_key(key), self.seed)
+        h1, h2 = hash_pair(_key(key), self.seed)
         return [((h1 + i * h2) & _MASK) % self.m for i in range(self.k)]
 
     def insert(self, key) -> None:

@@ -198,8 +198,10 @@ def _cmd_build(args) -> int:
     backup = _sizing(args, "backup-m", "backup-k") or args.backup_target_fpp
     if kind == "standard":
         keys = load_keys_text(_required(args, "keys"))
+        if not keys.size:
+            raise ParameterError("key set must be nonempty")
         if params is None:
-            params = params_for_target(max(len(keys), 1), _required(args, "target-fpp"))
+            params = params_for_target(keys.size, _required(args, "target-fpp"))
         filt = BloomFilter.from_params(params, derive_seed(args.seed, "standard-filter"))
         filt.insert_many(keys)
         payload = filt.to_bytes()

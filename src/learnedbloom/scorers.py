@@ -6,10 +6,12 @@ elsewhere. Logistic scorers apply a sigmoid to a linear function of a
 named, deterministic feature encoding of the key, and are trained by
 full-batch gradient descent on the clamped cross-entropy loss.
 
-Every feature map has a per-key ``transform_one``, the specification, and a
-batch ``transform`` that equals it row for row.  ``byte-ngram`` batches of
-uint64 keys count bigrams through a 65,536-entry table of bigram digests,
-built on first use, once per process; byte-string batches go key by key.
+Keys are integers in [0, 2^64).  Every scorer scores one key (``score``) or a
+uint64 batch (``score_batch``), and every feature map encodes one key
+(``transform_one``, the specification) or a batch (``transform``, equal to it
+row for row); no batch path goes key by key.  ``byte-ngram`` counts the seven
+bigrams of each key's 8 little-endian bytes through a 65,536-entry table of
+bigram digests, built on first use, once per process.
 
 Scorers are immutable after construction and safe for concurrent reads.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError, TrainingError
-from .hashing import as_keys, encode_key
+from .hashing import _held_keys, _key, as_keys
 
 LOG_CLAMP = 1e-9  # scores are clamped to [LOG_CLAMP, 1 - LOG_CLAMP] before logs
 SCORE_FLOAT_BITS = 64  # accounting convention for each stored real
@@ -38,11 +40,11 @@ class Scorer(ABC):
 
     @abstractmethod
     def score(self, key) -> float:
-        """Score a single key (int or bytes)."""
+        """Score a single key."""
 
+    @abstractmethod
     def score_batch(self, keys) -> np.ndarray:
         """Scores of any key batch (:func:`as_keys`), equal to :meth:`score` key by key."""
-        return np.array([self.score(k) for k in as_keys(keys)], dtype=np.float64)
 
     @abstractmethod
     def size_bits(self) -> int:
@@ -51,10 +53,6 @@ class Scorer(ABC):
     @abstractmethod
     def to_record(self) -> dict:
         """JSON-compatible tagged record; reals are hex-float strings."""
-
-
-def _key_to_int(key) -> int:
-    return int.from_bytes(encode_key(key), "little")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class IntervalScorer(Scorer):
             raise ParameterError("inside_score must exceed outside_score")
 
     def score(self, key) -> float:
-        x = _key_to_int(key)
+        x = _key(key)
         for lo, hi in self.intervals:
             if x < lo:
                 break
@@ -92,8 +90,6 @@ class IntervalScorer(Scorer):
 
     def score_batch(self, keys) -> np.ndarray:
         x = as_keys(keys)
-        if x.dtype == object:
-            return super().score_batch(x)
         inside = np.zeros(x.shape, dtype=bool)
         for lo, hi in self.intervals:
             if hi < 0 or lo >= 1 << 64:
@@ -129,10 +125,9 @@ class FeatureMap(ABC):
     @abstractmethod
     def transform_one(self, key) -> np.ndarray: ...
 
+    @abstractmethod
     def transform(self, keys) -> np.ndarray:
         """Feature matrix, one row per key of the batch; row i is ``transform_one(keys[i])``."""
-        keys = as_keys(keys)
-        return np.array([self.transform_one(k) for k in keys]).reshape(keys.size, self.dim)
 
 
 # (scale, offset) of each affine family; names are part of serialized scorer records.
@@ -152,14 +147,11 @@ class _Affine(FeatureMap):
         self._max = float(universe_max)
 
     def transform_one(self, key) -> np.ndarray:
-        x = float(_key_to_int(key))
+        x = float(_key(key))
         return np.array([self._scale * x / self._max + self._offset], dtype=np.float64)
 
     def transform(self, keys) -> np.ndarray:
-        keys = as_keys(keys)
-        if keys.dtype == object:
-            return super().transform(keys)
-        x = keys.astype(np.float64)
+        x = as_keys(keys).astype(np.float64)
         return (self._scale * x / self._max + self._offset)[:, None]
 
 
@@ -184,11 +176,11 @@ def _pair_digests() -> np.ndarray:
 
 
 class _ByteNgram(FeatureMap):
-    """Hashed byte-bigram counts over the canonical key encoding, normalized per key.
+    """Hashed counts of the seven byte bigrams of a key's 8 little-endian bytes, over 7.
 
-    :meth:`transform_one` is the specification.  A uint64 batch reads each key's
-    seven bigram buckets from :func:`_pair_digests` instead; the counts are exact
-    integers either way, so the rows are equal bit for bit.
+    :meth:`transform_one` is the specification.  :meth:`transform` reads each
+    key's seven bigram buckets from :func:`_pair_digests` instead; the counts are
+    exact integers either way, so the rows are equal bit for bit.
     """
 
     def __init__(self, buckets: int):
@@ -203,14 +195,11 @@ class _ByteNgram(FeatureMap):
         return int.from_bytes(digest, "little") % self.buckets
 
     def transform_one(self, key) -> np.ndarray:
-        data = encode_key(key)
+        data = _key(key).to_bytes(8, "little")
         out = np.zeros(self.buckets, dtype=np.float64)
-        pairs = max(len(data) - 1, 0)
-        for i in range(pairs):
+        for i in range(7):
             out[self._bucket(data[i : i + 2])] += 1.0
-        if pairs:
-            out /= pairs
-        return out
+        return out / 7
 
     @functools.cached_property
     def _pair_buckets(self) -> np.ndarray:
@@ -219,9 +208,7 @@ class _ByteNgram(FeatureMap):
 
     def transform(self, keys) -> np.ndarray:
         keys = as_keys(keys)
-        if keys.dtype == object:
-            return super().transform(keys)
-        data = keys.astype("<u8").view(np.uint8).reshape(-1, 8)  # encode_key's bytes, any host
+        data = keys.astype("<u8").view(np.uint8).reshape(-1, 8)  # little-endian on any host
         pairs = data[:, :-1] | data[:, 1:].astype(np.uint16) << 8
         cells = self._pair_buckets[pairs]
         cells += np.arange(0, keys.size * self.buckets, self.buckets)[:, None]
@@ -297,25 +284,26 @@ class LogisticScorer(Scorer):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """Labeled keys: members of the set (positives) and known non-members (negatives)."""
+    """Labeled keys: members of the set (positives) and known non-members (negatives).
 
-    positives: tuple
-    negatives: tuple
+    Each is held as a read-only uint64 array, in the given order.
+    """
+
+    positives: np.ndarray
+    negatives: np.ndarray
 
     def __init__(self, positives, negatives, check_disjoint: bool = True):
-        object.__setattr__(self, "positives", tuple(positives))
-        object.__setattr__(self, "negatives", tuple(negatives))
-        if not self.positives:
+        object.__setattr__(self, "positives", _held_keys(positives))
+        object.__setattr__(self, "negatives", _held_keys(negatives))
+        if not self.positives.size:
             raise ParameterError("training set needs at least one positive key")
-        if check_disjoint:
-            pos = {encode_key(k) for k in self.positives}
-            if any(encode_key(k) in pos for k in self.negatives):
-                raise ParameterError("positives and negatives must be disjoint")
+        if check_disjoint and np.isin(self.negatives, self.positives).any():
+            raise ParameterError("positives and negatives must be disjoint")
 
     def __len__(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return self.positives.size + self.negatives.size
 
 
 def _clamped_xent(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
@@ -331,15 +319,13 @@ def log_loss(scorer: Scorer, data: TrainingSet) -> float:
     Scores are clamped to [1e-9, 1 - 1e-9] before logs so a hard 0/1 score
     cannot produce an infinite loss.
     """
-    if len(data) == 0:
-        raise ParameterError("training set is empty")
     return _clamped_xent(scorer.score_batch(data.positives), scorer.score_batch(data.negatives))
 
 
 def _design(fm: FeatureMap, data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and 0/1 labels of the labeled keys, positives first."""
-    x = fm.transform(data.positives + data.negatives)
-    y = np.concatenate([np.ones(len(data.positives)), np.zeros(len(data.negatives))])
+    x = fm.transform(np.concatenate([data.positives, data.negatives]))
+    y = np.concatenate([np.ones(data.positives.size), np.zeros(data.negatives.size)])
     return x, y
 
 

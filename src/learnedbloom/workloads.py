@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, WorkloadError
-from .hashing import as_keys
+from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
 
 
@@ -47,18 +47,6 @@ class UniformRange:
         return np.arange(self.lo + start, self.lo + stop, dtype=np.uint64)
 
 
-def _held_keys(keys, what: str, distinct: bool) -> np.ndarray:
-    """A read-only uint64 copy of an integer key batch, sorted and deduplicated if ``distinct``."""
-    keys = as_keys(keys)
-    if keys.dtype == object:
-        raise ParameterError(f"{what} takes integer keys, not byte strings")
-    held = np.sort(keys) if distinct else keys.copy()  # a copy: never freeze the caller's array
-    if distinct and held.size:  # keep each key unlike its predecessor: np.unique is far slower
-        held = held[np.concatenate(([True], held[1:] != held[:-1]))]
-    held.flags.writeable = False
-    return held
-
-
 @dataclass(frozen=True, eq=False)
 class FixedSet:
     """Uniform over an explicit key list (duplicates weight accordingly), held as uint64."""
@@ -66,7 +54,7 @@ class FixedSet:
     keys: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "keys", _held_keys(self.keys, "a fixed set", distinct=False))
+        object.__setattr__(self, "keys", _held_keys(self.keys))
         if not self.keys.size:
             raise ParameterError("fixed key set must be nonempty")
 
@@ -150,7 +138,7 @@ class QueryDistribution:
     def __post_init__(self):
         if not isinstance(self.source, (UniformRange, FixedSet, Mixture)):
             raise ParameterError(f"unknown distribution source {type(self.source).__name__}")
-        exclusion = _held_keys(self.exclusion, "an exclusion", distinct=True)
+        exclusion = _held_keys(self.exclusion, distinct=True)
         object.__setattr__(self, "exclusion", exclusion)
         mix = self.source if isinstance(self.source, Mixture) else Mixture((self.source,), (1.0,))
         parts = tuple(_part(c, w, exclusion) for c, w in zip(mix.components, mix.weights))
@@ -220,9 +208,8 @@ class HotRangeExample:
 
     def __post_init__(self):
         for name in ("keys_in_range", "keys_outside"):
-            held = _held_keys(getattr(self, name), "an example", distinct=False)
-            object.__setattr__(self, name, held)
-        if _held_keys(self.keys, "an example", distinct=True).size != self.keys.size:
+            object.__setattr__(self, name, _held_keys(getattr(self, name)))
+        if _held_keys(self.keys, distinct=True).size != self.keys.size:
             raise ParameterError("example keys must be distinct")
 
     @property

@@ -139,6 +139,26 @@ class TestBuild:
         assert code == EXIT_PARAMETER
 
     @pytest.mark.parametrize(
+        "kind",
+        [
+            ["--kind", "standard", "--target-fpp", "0.01"],
+            ["--kind", "standard", "--m", "100", "--k", "3"],
+            ["--kind", "learned", "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"],
+            ["--kind", "learned", "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4",
+             "--backup-m", "100", "--backup-k", "3"],
+        ],
+        ids=["standard-target-fpp", "standard-m-k", "learned-backup-target-fpp", "learned-backup-m-k"],
+    )
+    def test_empty_key_file_is_one_error_line(self, tmp_path, kind, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        code = main([str(a) for a in ["build", *kind, "--keys", empty, "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err == "error: key set must be nonempty\n"
+        assert not (tmp_path / "f.out").exists()
+
+    @pytest.mark.parametrize(
         "lone, partner",
         [("--m", "--k"), ("--k", "--m"),
          ("--backup-m", "--backup-k"), ("--backup-k", "--backup-m")],

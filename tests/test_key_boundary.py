@@ -1,8 +1,12 @@
 """Scalar and batch paths agree: the same answers and the same exceptions for every key batch.
 
-Each batch path is checked against a loop over its scalar counterpart, on
-integer, byte, float, string and None keys, in lists and numpy arrays.
+A key is an integer in [0, 2^64).  Each batch path is checked against a loop
+over its scalar counterpart, on integer keys and on rejected ones (integers out
+of range, floats, byte strings, strings and None), in lists and numpy arrays.
+No batch path may go key by key through a scalar path.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +18,13 @@ from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.errors import ParameterError
 from learnedbloom.evaluation import empirical_fpr
 from learnedbloom.learned import LearnedBloomFilter
-from learnedbloom.scorers import IntervalScorer, LogisticScorer
+from learnedbloom.scorers import (
+    FeatureMap,
+    IntervalScorer,
+    LogisticScorer,
+    TrainingSet,
+    train_logistic,
+)
 
 U64 = 2**64
 SCORERS = {
@@ -29,7 +39,7 @@ SCORERS = {
         feature_map="byte-ngram:16",
     ),
 }
-PREFILL = (0, 1, 1500, 2**63, U64 - 1, b"ab\x00\x00", b"12345678")
+PREFILL = (0, 1, 1500, 2**63, U64 - 1, 0x3030303030303030)
 
 valid_ints = st.integers(0, U64 - 1)
 bad_ints = st.one_of(st.integers(max_value=-1), st.integers(min_value=U64))
@@ -41,7 +51,7 @@ floats = st.one_of(
 byte_keys = st.one_of(
     st.binary(max_size=12),
     st.binary(min_size=8, max_size=8),
-    st.binary(max_size=6).map(lambda b: b + b"\x00\x00"),
+    st.binary(max_size=12).map(bytearray),
 )
 any_key = st.one_of(valid_ints, bad_ints, floats, byte_keys, st.text(max_size=3), st.none())
 batches = st.one_of(
@@ -189,12 +199,31 @@ class TestPinnedDisagreements:
         scorer = SCORERS["int-norm"]
         assert scorer.score_batch([1, 2**63]).tolist() == [scorer.score(1), scorer.score(2**63)]
 
-    def test_trailing_nul_bytes_are_kept(self):
-        scorer = SCORERS["byte-ngram"]
-        key = b"ab\x00\x00"
-        assert scorer.score_batch([key])[0] == scorer.score(key)
-        lbf = learned_filter(scorer)
-        assert lbf.contains_many([b"abc"]).tolist() == [lbf.contains(b"abc")]
+    def test_byte_keys_are_rejected_at_every_entry_point(self):
+        bloom = filled_filter()
+        lbf = learned_filter(SCORERS["interval"])
+        scalar = [bloom.insert, bloom.contains, lbf.insert, lbf.contains]
+        scalar += [scorer.score for scorer in SCORERS.values()]
+        batch = [
+            BloomFilter(64, 2, seed=1).insert_many,
+            bloom.contains_many,
+            lambda keys: LearnedBloomFilter.build(
+                keys, SCORERS["interval"], 0.5, FilterParams(64, 2), seed=2
+            ),
+            lbf.contains_many,
+            lambda keys: empirical_fpr(bloom, keys),
+            lambda keys: empirical_fpr(lbf, keys),
+            lambda keys: TrainingSet(keys, [3]),
+            lambda keys: TrainingSet([3], keys),
+            *(scorer.score_batch for scorer in SCORERS.values()),
+        ]
+        before = (bloom.to_bytes(), lbf.to_bytes())
+        for key in (b"12345678", b"ab\x00\x00", b"", bytearray(b"\x05")):
+            batches = ([key], [5, key], np.array([5, key], dtype=object))
+            for call, arg in [(f, key) for f in scalar] + [(f, b) for f in batch for b in batches]:
+                with pytest.raises(ParameterError):
+                    call(arg)
+        assert (bloom.to_bytes(), lbf.to_bytes()) == before
 
     def test_int_norm_key_at_the_threshold(self):
         scorer = LogisticScorer(weights=(3.0,), bias=-1.5, feature_map=f"int-norm:{U64 - 1}")
@@ -210,3 +239,37 @@ class TestPinnedDisagreements:
         singles = [scorer.score_batch(keys[i : i + 1])[0] for i in range(keys.size)]
         assert full.tolist() == singles
         assert full.tolist() == [scorer.score(int(k)) for k in keys]
+
+
+def test_no_batch_path_goes_key_by_key(monkeypatch):
+    """With every scalar key path made to raise, every batch path still runs."""
+
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("a batch path went key by key")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("learnedbloom"):
+            for attr in ("_key", "hash_pair"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, scalar_path)
+    monkeypatch.setattr(IntervalScorer, "score", scalar_path)
+    monkeypatch.setattr(LogisticScorer, "score", scalar_path)
+    for family in FeatureMap.__subclasses__():
+        monkeypatch.setattr(family, "transform_one", scalar_path)
+
+    rng = np.random.default_rng(12)
+    members = rng.integers(0, U64, size=300, dtype=np.uint64)
+    queries = rng.integers(0, U64, size=300, dtype=np.uint64)
+    for keys, others in ((members, queries), (members.tolist(), queries.tolist())):
+        bloom = BloomFilter(4096, 3, seed=1)
+        bloom.insert_many(keys)
+        assert bloom.contains_many(keys).all()
+        empirical_fpr(bloom, others)
+        data = TrainingSet(keys, others)
+        for name, scorer in SCORERS.items():
+            scorer.score_batch(others)
+            lbf = LearnedBloomFilter.build(keys, scorer, 0.5, 0.01, seed=2)
+            assert lbf.classify_many(keys)[1].all()
+            empirical_fpr(lbf, others)
+            if name != "interval":
+                train_logistic(data, scorer.feature_map, epochs=2, learning_rate=0.1)

@@ -40,10 +40,12 @@ class TestIntervalScorer:
         assert HOT.score(999) == 0.0
         assert HOT.score(2001) == 0.0
 
-    def test_bytes_key_decodes_little_endian(self):
-        assert HOT.score((1500).to_bytes(8, "little")) == 0.5
-        # long byte keys decode to huge integers, necessarily outside
-        assert HOT.score(b"\xff" * 16) == 0.0
+    def test_bytes_key_is_rejected(self):
+        for key in ((1500).to_bytes(8, "little"), b"\xff" * 16, bytearray(b"\x01")):
+            with pytest.raises(ParameterError):
+                HOT.score(key)
+            with pytest.raises(ParameterError):
+                HOT.score_batch([1500, key])
 
     def test_batch_matches_scalar(self):
         keys = np.array([0, 999, 1000, 1500, 2000, 2001, 10**6], dtype=np.uint64)
@@ -82,7 +84,7 @@ class TestLogisticScorer:
         s = LogisticScorer(weights=(0.0,), bias=0.0, feature_map="int-norm:1000")
         assert s.score(0) == 0.5
         assert s.score(999) == 0.5
-        assert s.score(b"\x01\x02") == 0.5
+        assert s.score(2**64 - 1) == 0.5
 
     def test_batch_matches_scalar(self):
         s = LogisticScorer(weights=(2.5,), bias=-1.0, feature_map="int-centered:1000")
@@ -91,9 +93,11 @@ class TestLogisticScorer:
         scalar = [s.score(int(k)) for k in keys]
         assert np.allclose(batch, scalar, atol=1e-15)
 
-    def test_int_and_bytes_encodings_agree(self):
+    def test_numpy_int_keys_score_as_python_ints(self):
         s = LogisticScorer(weights=(2.5,), bias=-1.0, feature_map="int-norm:1000")
-        assert s.score(750) == s.score((750).to_bytes(8, "little"))
+        assert s.score(750) == s.score(np.uint64(750)) == s.score(np.int16(750))
+        with pytest.raises(ParameterError):
+            s.score((750).to_bytes(8, "little"))  # the old byte encoding of 750
 
     def test_weight_dim_must_match_feature_map(self):
         with pytest.raises(ParameterError):
@@ -148,10 +152,10 @@ class TestFeatureMaps:
     def test_byte_ngram_deterministic(self):
         fm = feature_map("byte-ngram:16")
         assert fm.dim == 16
-        a = fm.transform_one(b"hello world")
-        b = fm.transform_one(b"hello world")
-        assert np.array_equal(a, b)
-        assert a.sum() == pytest.approx(1.0)
+        key = int.from_bytes(b"hello wo", "little")
+        a = fm.transform_one(key)
+        assert np.array_equal(a, fm.transform_one(key))
+        assert (a * 7).sum() == 7.0  # every key has seven bigrams
 
     @pytest.mark.parametrize("name", ["int-norm", "nope:3", "int-norm:x", "byte-ngram:0"])
     def test_bad_names_rejected(self, name):
@@ -197,10 +201,13 @@ class TestByteNgramTable:
 
     def test_mixed_int_and_bytes_batch_agrees_key_by_key(self):
         fm = feature_map("byte-ngram:16")
-        keys = [0, b"hello world", 2**64 - 1, b"", b"a", 258, b"ab\x00\x00"]
-        assert np.array_equal(fm.transform(keys), stacked_rows(fm, keys))
-        ints = np.array([0, 2**64 - 1, 258], dtype=np.uint64)
-        assert np.array_equal(fm.transform(ints), fm.transform(keys)[[0, 2, 5]])
+        for key in (b"hello world", b"", b"ab\x00\x00", bytearray(b"12345678")):
+            with pytest.raises(ParameterError):
+                fm.transform([0, 2**64 - 1, key, 258])
+            with pytest.raises(ParameterError):
+                fm.transform_one(key)
+        ints = [0, 2**64 - 1, 258, np.uint64(7), np.int8(3)]
+        assert np.array_equal(fm.transform(ints), stacked_rows(fm, ints))
 
     def test_table_is_built_only_by_byte_ngram_batches(self):
         code = (
@@ -231,7 +238,17 @@ class TestTrainingSet:
 
     def test_mixed_encodings_compared_canonically(self):
         with pytest.raises(ParameterError):
-            TrainingSet(positives=(5,), negatives=((5).to_bytes(8, "little"),))
+            TrainingSet(positives=(5,), negatives=(np.uint64(5),))
+        with pytest.raises(ParameterError):
+            TrainingSet(positives=np.array([7, 5], dtype=np.int8), negatives=[2**64 - 1, 5])
+
+    def test_holds_read_only_uint64_arrays(self):
+        pos = np.array([3, 1], dtype=np.uint64)
+        data = TrainingSet(positives=pos, negatives=[2, 4])
+        for held, expected in ((data.positives, [3, 1]), (data.negatives, [2, 4])):
+            assert held.dtype == np.uint64 and held.tolist() == expected
+            assert not held.flags.writeable
+        assert pos.flags.writeable  # the caller's array is copied, not frozen
 
     def test_len(self):
         assert len(TrainingSet(positives=(1,), negatives=(2, 3))) == 3
@@ -307,8 +324,8 @@ class TestTrainer:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(404)
         fm = feature_map("byte-ngram:6")
-        pos = tuple(bytes(rng.integers(0, 256, size=10, dtype=np.uint8)) for _ in range(8))
-        neg = tuple(bytes(rng.integers(0, 256, size=10, dtype=np.uint8)) for _ in range(8))
+        pos = rng.integers(0, 2**64, size=8, dtype=np.uint64)
+        neg = rng.integers(0, 2**64, size=8, dtype=np.uint64)
         data = TrainingSet(pos, neg)
         w = rng.normal(size=6)
         b = float(rng.normal())
