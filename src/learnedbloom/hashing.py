@@ -43,7 +43,7 @@ def _seed_base(seed: int) -> int:
 
 def _key(key) -> int:
     """The key as a Python int: an integer, Python or numpy, in [0, 2^64); else a ParameterError."""
-    if not isinstance(key, (int, np.integer)):
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
         raise ParameterError(f"keys are integers in [0, 2^64), not {type(key).__name__}")
     value = int(key)
     if not 0 <= value < 1 << 64:
@@ -63,7 +63,7 @@ def as_keys(keys) -> np.ndarray:
     A batch is an array or any iterable of keys, never a single key.  Every key
     must pass :func:`_key`; the first that does not raises its
     :class:`ParameterError`: an integer outside [0, 2^64), a float (integral
-    too), a byte string, a string, ``None`` or a numpy bool.
+    too), a byte string, a string, ``None`` or a bool, Python or numpy.
     """
     if isinstance(keys, np.ndarray):
         keys = keys.ravel()

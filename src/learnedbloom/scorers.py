@@ -1,29 +1,30 @@
 """Key scorers: pre-filter functions mapping keys to [0, 1].
 
-Two concrete families. Interval scorers return a fixed high score on a
-union of disjoint closed integer intervals and a fixed low score
-elsewhere. Logistic scorers apply a sigmoid to a linear function of a
-named, deterministic feature encoding of the key, and are trained by
-full-batch gradient descent on the clamped cross-entropy loss.
+Two concrete families. Interval scorers return a fixed high score on a union of disjoint
+closed integer intervals and a fixed low score elsewhere. Logistic scorers apply a sigmoid
+to a linear function of a named, deterministic feature encoding of the key, and are
+trained by full-batch gradient descent on the clamped cross-entropy loss.
 
 Keys are integers in [0, 2^64).  Every scorer scores one key (``score``) or a
-uint64 batch (``score_batch``), and every feature map encodes one key
-(``transform_one``, the specification) or a batch (``transform``, equal to it
-row for row); no batch path goes key by key.  ``byte-ngram`` counts the seven
-bigrams of each key's 8 little-endian bytes through a 65,536-entry table of
-bigram digests, built on first use, once per process.
-
+uint64 batch (``score_batch``) bit for bit alike, at a cost bounded by the batch,
+not the record: past 16 intervals an interval batch is one ``searchsorted`` on the
+starts, O(n log I); a logistic batch is encoded in O(1) values per key, never an
+n x dim matrix.  ``byte-ngram`` sums seven gathered weights per key in bigram order,
+O(n*7 + D) for D buckets, which can round unlike a dot product with bigram counts.
 Scorers are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,25 +79,24 @@ class IntervalScorer(Scorer):
                 raise ParameterError(f"{name} must lie in [0, 1]")
         if not self.inside_score > self.outside_score:
             raise ParameterError("inside_score must exceed outside_score")
+        kept = [(max(lo, 0), min(hi, (1 << 64) - 1)) for lo, hi in ivs if hi >= 0 and lo < 1 << 64]
+        object.__setattr__(self, "_lo", _held_keys([lo for lo, _ in kept]))  # clipped to [0, 2^64)
+        object.__setattr__(self, "_hi", _held_keys([hi for _, hi in kept]))
 
     def score(self, key) -> float:
         x = _key(key)
-        for lo, hi in self.intervals:
-            if x < lo:
-                break
-            if x <= hi:
-                return self.inside_score
-        return self.outside_score
+        i = bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1  # the last start <= x
+        return self.inside_score if i >= 0 and x <= self.intervals[i][1] else self.outside_score
 
     def score_batch(self, keys) -> np.ndarray:
         x = as_keys(keys)
-        inside = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            if hi < 0 or lo >= 1 << 64:
-                continue
-            lo_b = np.uint64(max(lo, 0))
-            hi_b = np.uint64(min(hi, (1 << 64) - 1))
-            inside |= (x >= lo_b) & (x <= hi_b)
+        if self._lo.size > 16:  # past 16 intervals, one binary search beats two compares each
+            last = np.searchsorted(self._lo, x, side="right") - 1  # the last start <= x
+            inside = (last >= 0) & (x <= self._hi[last])
+        else:
+            inside = np.zeros(x.shape, bool)
+            for lo, hi in zip(self._lo, self._hi):
+                inside |= (x >= lo) & (x <= hi)
         return np.where(inside, self.inside_score, self.outside_score)
 
     def size_bits(self) -> int:
@@ -113,21 +113,34 @@ class IntervalScorer(Scorer):
 
 
 # ---------------------------------------------------------------------------
-# Feature maps: named deterministic key -> vector encodings.
+# Feature maps: named deterministic key encodings with their logit and gradient.
 
 
 class FeatureMap(ABC):
-    """Named deterministic key -> feature-vector encoding."""
+    """Named deterministic key encoding, O(1) values per key, with its logit and gradient."""
 
     name: str
     dim: int
 
-    @abstractmethod
-    def transform_one(self, key) -> np.ndarray: ...
+    def held(self, weights: np.ndarray) -> np.ndarray:
+        """The weights in the form :meth:`logit` reads; a scorer computes it once."""
+        return weights
 
     @abstractmethod
-    def transform(self, keys) -> np.ndarray:
-        """Feature matrix, one row per key of the batch; row i is ``transform_one(keys[i])``."""
+    def encode(self, keys) -> np.ndarray:
+        """The encoding of a key batch (:func:`as_keys`), one entry per key along the last axis."""
+
+    @abstractmethod
+    def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
+        """weights . features(key) + bias of every encoded key."""
+
+    def logit_one(self, key, held: np.ndarray, bias: float) -> float:
+        """:meth:`logit` of one key, equal bit for bit to its logit in any batch."""
+        return float(self.logit(self.encode(np.array([_key(key)], dtype=np.uint64)), held, bias)[0])
+
+    @abstractmethod
+    def gradient(self, codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """The sum over encoded keys of residual * features(key): the weights' gradient."""
 
 
 # (scale, offset) of each affine family; names are part of serialized scorer records.
@@ -138,21 +151,23 @@ class _Affine(FeatureMap):
     """One feature, scale * float(key) / universe_max + offset: onto [0, 1] or [-1, 1]."""
 
     def __init__(self, family: str, universe_max: int):
-        if universe_max < 1:
-            raise ParameterError(f"{family} universe_max must be >= 1")
-        self.universe_max = universe_max
-        self.name = f"{family}:{universe_max}"
-        self.dim = 1
+        if not 1 <= universe_max <= sys.float_info.max:
+            raise ParameterError(f"{family} universe_max must lie in [1, {sys.float_info.max}]")
+        self.name, self.dim = f"{family}:{universe_max}", 1
         self._scale, self._offset = _AFFINE[family]
         self._max = float(universe_max)
 
-    def transform_one(self, key) -> np.ndarray:
-        x = float(_key(key))
-        return np.array([self._scale * x / self._max + self._offset], dtype=np.float64)
+    def encode(self, keys) -> np.ndarray:
+        return self._scale * as_keys(keys).astype(np.float64) / self._max + self._offset
 
-    def transform(self, keys) -> np.ndarray:
-        x = as_keys(keys).astype(np.float64)
-        return (self._scale * x / self._max + self._offset)[:, None]
+    def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
+        return codes * held[0] + bias
+
+    def logit_one(self, key, held: np.ndarray, bias: float) -> float:  # same sums, no array
+        return (self._scale * float(_key(key)) / self._max + self._offset) * float(held[0]) + bias
+
+    def gradient(self, codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        return np.array([codes @ residual])
 
 
 _NGRAM_KEY = b"lbf-ngram"  # blake2b key of the byte-bigram hash
@@ -160,10 +175,8 @@ _NGRAM_KEY = b"lbf-ngram"  # blake2b key of the byte-bigram hash
 
 @functools.cache
 def _pair_digests() -> np.ndarray:
-    """Read-only uint64 bigram digests, entry ``b0 | b1 << 8`` for the pair ``bytes([b0, b1])``.
-
-    :meth:`_ByteNgram._bucket` before its modulus, built on first use, once per process.
-    """
+    """Each bigram's :meth:`_ByteNgram._bucket` before the modulus, at ``b0 | b1 << 8`` for
+    ``bytes([b0, b1])``: read-only uint64, built on first use, once per process."""
     state = hashlib.blake2b(digest_size=8, key=_NGRAM_KEY)
     digests = []
     for pair in range(1 << 16):
@@ -178,42 +191,40 @@ def _pair_digests() -> np.ndarray:
 class _ByteNgram(FeatureMap):
     """Hashed counts of the seven byte bigrams of a key's 8 little-endian bytes, over 7.
 
-    :meth:`transform_one` is the specification.  :meth:`transform` reads each
-    key's seven bigram buckets from :func:`_pair_digests` instead; the counts are
-    exact integers either way, so the rows are equal bit for bit.
+    A key is encoded as its seven bigram buckets, one per row, read from a table
+    built from :meth:`_bucket`; its logit adds the seven held weights ``w / 7`` of
+    its buckets in bigram order, then the bias.
     """
 
     def __init__(self, buckets: int):
         if buckets < 1:
             raise ParameterError("byte-ngram bucket count must be >= 1")
-        self.buckets = buckets
-        self.name = f"byte-ngram:{buckets}"
-        self.dim = buckets
+        self.name, self.dim = f"byte-ngram:{buckets}", buckets
 
     def _bucket(self, pair: bytes) -> int:
         digest = hashlib.blake2b(pair, digest_size=8, key=_NGRAM_KEY).digest()
-        return int.from_bytes(digest, "little") % self.buckets
-
-    def transform_one(self, key) -> np.ndarray:
-        data = _key(key).to_bytes(8, "little")
-        out = np.zeros(self.buckets, dtype=np.float64)
-        for i in range(7):
-            out[self._bucket(data[i : i + 2])] += 1.0
-        return out / 7
+        return int.from_bytes(digest, "little") % self.dim
 
     @functools.cached_property
     def _pair_buckets(self) -> np.ndarray:
         """The bucket of every bigram, indexed like :func:`_pair_digests`."""
-        return (_pair_digests() % np.uint64(self.buckets)).astype(np.intp)
+        return (_pair_digests() % np.uint64(self.dim)).astype(np.intp)
 
-    def transform(self, keys) -> np.ndarray:
-        keys = as_keys(keys)
-        data = keys.astype("<u8").view(np.uint8).reshape(-1, 8)  # little-endian on any host
-        pairs = data[:, :-1] | data[:, 1:].astype(np.uint16) << 8
-        cells = self._pair_buckets[pairs]
-        cells += np.arange(0, keys.size * self.buckets, self.buckets)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=keys.size * self.buckets)
-        return counts.reshape(keys.size, self.buckets) / 7
+    def held(self, weights: np.ndarray) -> np.ndarray:
+        return weights / 7  # dividing first keeps every partial sum within the weights' range
+
+    def encode(self, keys) -> np.ndarray:
+        pairs = as_keys(keys) >> np.arange(0, 56, 8, dtype=np.uint64)[:, None]  # bytes i, i+1
+        return self._pair_buckets[pairs & np.uint64(0xFFFF)]
+
+    def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
+        z = held[codes[0]]
+        for row in codes[1:]:  # in bigram order
+            z += held[row]
+        return z + bias
+
+    def gradient(self, codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        return np.bincount(codes.ravel(), np.tile(residual, 7), minlength=self.dim) / 7
 
 
 def feature_map(name: str) -> FeatureMap:
@@ -230,11 +241,6 @@ def feature_map(name: str) -> FeatureMap:
     if family == "byte-ngram":
         return _ByteNgram(value)
     raise ParameterError(f"unknown feature map family {family!r}")
-
-
-def _logit(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """Row-wise x . w + b; unlike BLAS ``x @ w``, a row's rounding ignores the batch size."""
-    return np.einsum("ij,j->i", x, w) + b
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -258,18 +264,15 @@ class LogisticScorer(Scorer):
             raise ParameterError("logistic weights and bias must be finite")
         fm = feature_map(self.feature_map)
         if fm.dim != len(ws):
-            raise ParameterError(
-                f"feature map {fm.name} has dim {fm.dim}, got {len(ws)} weights"
-            )
+            raise ParameterError(f"feature map {fm.name} has dim {fm.dim}, got {len(ws)} weights")
         object.__setattr__(self, "_fm", fm)
-        object.__setattr__(self, "_w", np.array(ws, dtype=np.float64))
+        object.__setattr__(self, "_w", fm.held(np.array(ws, dtype=np.float64)))
 
     def score(self, key) -> float:
-        phi = self._fm.transform_one(key)
-        return float(_sigmoid(_logit(phi[None, :], self._w, self.bias))[0])
+        return float(_sigmoid(np.array([self._fm.logit_one(key, self._w, self.bias)]))[0])
 
     def score_batch(self, keys) -> np.ndarray:
-        return _sigmoid(_logit(self._fm.transform(keys), self._w, self.bias))
+        return _sigmoid(self._fm.logit(self._fm.encode(keys), self._w, self.bias))
 
     def size_bits(self) -> int:
         # 64 bits per weight + 64 for the bias; the feature-map name is free.
@@ -322,16 +325,11 @@ def log_loss(scorer: Scorer, data: TrainingSet) -> float:
     return _clamped_xent(scorer.score_batch(data.positives), scorer.score_batch(data.negatives))
 
 
-def _design(fm: FeatureMap, data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and 0/1 labels of the labeled keys, positives first."""
-    x = fm.transform(np.concatenate([data.positives, data.negatives]))
-    y = np.concatenate([np.ones(data.positives.size), np.zeros(data.negatives.size)])
-    return x, y
-
-
-def _gradient(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> tuple[np.ndarray, float]:
-    residual = _sigmoid(_logit(x, w, b)) - y
-    return x.T @ residual, float(residual.sum())
+def _gradient(fm: FeatureMap, codes: np.ndarray, n_pos: int, w: np.ndarray, b: float):
+    """(d/dw, d/db) of the clamped cross-entropy; the first ``n_pos`` encoded keys are positives."""
+    residual = _sigmoid(fm.logit(codes, fm.held(w), b))
+    residual[:n_pos] -= 1.0
+    return fm.gradient(codes, residual), float(residual.sum())
 
 
 def train_logistic(
@@ -355,11 +353,12 @@ def train_logistic(
     if not learning_rate > 0:
         raise ParameterError("learning_rate must be positive")
     fm = feature_map(feature_map_name)
-    x, y = _design(fm, data)
+    codes = fm.encode(np.concatenate([data.positives, data.negatives]))
+    n_pos = data.positives.size
 
     def loss_at(w: np.ndarray, b: float) -> float:
-        p = _sigmoid(_logit(x, w, b))
-        return _clamped_xent(p[y == 1.0], p[y == 0.0])
+        p = _sigmoid(fm.logit(codes, fm.held(w), b))
+        return _clamped_xent(p[:n_pos], p[n_pos:])
 
     w = np.zeros(fm.dim, dtype=np.float64)
     b = 0.0
@@ -367,7 +366,7 @@ def train_logistic(
     if loss_trace is not None:
         loss_trace.append(loss)
     for epoch in range(epochs):
-        grad_w, grad_b = _gradient(x, y, w, b)
+        grad_w, grad_b = _gradient(fm, codes, n_pos, w, b)
         if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
             raise TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch)
         step = learning_rate
@@ -388,8 +387,8 @@ def log_loss_gradient(
     weights: np.ndarray, bias: float, fm: FeatureMap, data: TrainingSet
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of the clamped cross-entropy at (weights, bias)."""
-    x, y = _design(fm, data)
-    return _gradient(x, y, np.asarray(weights, dtype=np.float64), bias)
+    codes = fm.encode(np.concatenate([data.positives, data.negatives]))
+    return _gradient(fm, codes, data.positives.size, np.asarray(weights, dtype=np.float64), bias)
 
 
 # ---------------------------------------------------------------------------

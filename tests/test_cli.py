@@ -16,7 +16,7 @@ from learnedbloom.cli import (
     main,
 )
 from learnedbloom.learned import LearnedBloomFilter
-from learnedbloom.scorers import IntervalScorer
+from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import save_keys_text
 
 
@@ -399,6 +399,19 @@ class TestEval:
         assert code == 0
         payload = json.loads(stdout)
         assert "alpha_estimate" in payload and "model_fpr" in payload
+
+    def test_byte_ngram_record_of_200k_buckets_evaluates_100k_samples(self, tmp_path, capsys):
+        # a dense n x D feature matrix here would be 100k x 200k floats: 149 GiB
+        scorer = LogisticScorer((0.0,) * 200_000, 0.0, "byte-ngram:200000")
+        out = tmp_path / "wide.lbf"
+        lbf = LearnedBloomFilter.build([5, 1500], scorer, 0.6, FilterParams(64, 2), seed=0)
+        out.write_bytes(lbf.to_bytes())
+        code, stdout = run(
+            capsys, "eval", "--filter", out, "--dist", "uniform:0:1000000",
+            "--samples", "100000", "--seed", "4",
+        )
+        assert code == 0
+        assert json.loads(stdout)["sample_count"] == 100000
 
     def test_overlapping_explicit_queries_rejected(self, tmp_path, key_file, capsys):
         path, keys = key_file

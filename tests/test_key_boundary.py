@@ -2,7 +2,7 @@
 
 A key is an integer in [0, 2^64).  Each batch path is checked against a loop
 over its scalar counterpart, on integer keys and on rejected ones (integers out
-of range, floats, byte strings, strings and None), in lists and numpy arrays.
+of range, floats, bools, byte strings, strings and None), in lists and numpy arrays.
 No batch path may go key by key through a scalar path.
 """
 
@@ -19,7 +19,6 @@ from learnedbloom.errors import ParameterError
 from learnedbloom.evaluation import empirical_fpr
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import (
-    FeatureMap,
     IntervalScorer,
     LogisticScorer,
     TrainingSet,
@@ -53,7 +52,10 @@ byte_keys = st.one_of(
     st.binary(min_size=8, max_size=8),
     st.binary(max_size=12).map(bytearray),
 )
-any_key = st.one_of(valid_ints, bad_ints, floats, byte_keys, st.text(max_size=3), st.none())
+bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+any_key = st.one_of(
+    valid_ints, bad_ints, floats, bools, byte_keys, st.text(max_size=3), st.none()
+)
 batches = st.one_of(
     st.lists(valid_ints, min_size=1, max_size=8),
     st.lists(st.one_of(valid_ints, byte_keys), min_size=1, max_size=8),
@@ -63,6 +65,7 @@ batches = st.one_of(
         lambda dtype: hnp.arrays(dtype, st.integers(1, 8))
     ),
     hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(0, 1e6)),
+    hnp.arrays(np.bool_, st.integers(1, 8)),
 )
 
 
@@ -225,6 +228,18 @@ class TestPinnedDisagreements:
                     call(arg)
         assert (bloom.to_bytes(), lbf.to_bytes()) == before
 
+    def test_python_and_numpy_bools_are_both_rejected(self):
+        bloom = filled_filter()
+        before = bloom.to_bytes()
+        scalar = [bloom.insert, bloom.contains] + [s.score for s in SCORERS.values()]
+        batch = [bloom.insert_many, bloom.contains_many, lambda keys: TrainingSet(keys, [3])]
+        batch += [s.score_batch for s in SCORERS.values()]
+        for key in (True, False, np.bool_(True)):
+            for call, arg in [(f, key) for f in scalar] + [(f, [5, key]) for f in batch]:
+                with pytest.raises(ParameterError):
+                    call(arg)
+        assert bloom.to_bytes() == before
+
     def test_int_norm_key_at_the_threshold(self):
         scorer = LogisticScorer(weights=(3.0,), bias=-1.5, feature_map=f"int-norm:{U64 - 1}")
         key = 1601451729539952256
@@ -253,9 +268,7 @@ def test_no_batch_path_goes_key_by_key(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, scalar_path)
     monkeypatch.setattr(IntervalScorer, "score", scalar_path)
-    monkeypatch.setattr(LogisticScorer, "score", scalar_path)
-    for family in FeatureMap.__subclasses__():
-        monkeypatch.setattr(family, "transform_one", scalar_path)
+    monkeypatch.setattr(LogisticScorer, "score", scalar_path)  # every feature map's one-key path
 
     rng = np.random.default_rng(12)
     members = rng.integers(0, U64, size=300, dtype=np.uint64)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from learnedbloom.scorers import (
     IntervalScorer,
     LogisticScorer,
     TrainingSet,
+    _sigmoid,
     feature_map,
     log_loss,
     log_loss_gradient,
@@ -71,6 +73,34 @@ class TestIntervalScorer:
             IntervalScorer(((0, 1),), inside_score=0.2, outside_score=0.5)
         with pytest.raises(ParameterError):
             IntervalScorer(((0, 1),), inside_score=1.2, outside_score=0.0)
+
+    @pytest.mark.parametrize("middle", [0, 20])  # past 16 intervals the batch searches
+    def test_bounds_outside_the_key_range_are_clipped(self, middle):
+        spans = [(10**6 + 3 * i, 10**6 + 3 * i + 1) for i in range(middle)]
+        ivs = [(-10, -2), (-1, 3), *spans, (2**64 - 2, 2**64 + 5), (2**64 + 10, 2**65)]
+        s = IntervalScorer(tuple(ivs), 0.5, 0.0)
+        keys = [0, 3, 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]
+        expected = [0.5, 0.5, 0.0, 0.0, 0.5, 0.5]
+        assert [s.score(k) for k in keys] == s.score_batch(keys).tolist() == expected
+
+    @pytest.mark.parametrize("sizes", [(0, 12), (18, 40)])  # past 16 intervals the batch searches
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_score_batch_equals_score_bit_for_bit(self, sizes, data):
+        # bounds may lie outside [0, 2^64), and are dense near its ends; all may lie above key 0
+        low = data.draw(st.sampled_from([-(2**65), 1]))
+        ends = st.one_of(
+            st.integers(low, 2**65), st.integers(max(low, -3), 3), st.integers(2**64 - 3, 2**64 + 3)
+        )
+        cuts = data.draw(st.lists(ends, min_size=sizes[0], max_size=sizes[1], unique=True))
+        cuts.sort()  # an interval may end one below the next one's start
+        spans = [(lo, data.draw(st.sampled_from([lo, hi - 1]))) for lo, hi in zip(cuts, cuts[1:])]
+        s = IntervalScorer(tuple(spans), inside_score=0.75, outside_score=0.25)
+        bounds = [b + d for iv in s.intervals for b in iv for d in (-1, 0, 1)]
+        keys = [k for k in bounds if 0 <= k < 2**64] + [0, 2**64 - 1]
+        keys += data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+        assert s.score_batch(keys).tolist() == [s.score(k) for k in keys]
+        assert s.score_batch(np.array(keys, dtype=np.uint64)).tolist() == [s.score(k) for k in keys]
 
     def test_size_bits(self):
         assert HOT.size_bits() == 256
@@ -136,38 +166,6 @@ def test_logistic_scores_stay_in_unit_range(weights, bias, key):
     assert 0.0 <= s.score(key) <= 1.0
 
 
-class TestFeatureMaps:
-    def test_int_norm(self):
-        fm = feature_map("int-norm:1000")
-        assert fm.dim == 1
-        assert fm.transform_one(500)[0] == 0.5
-        assert np.array_equal(fm.transform([0, 1000]), [[0.0], [1.0]])
-
-    def test_int_centered(self):
-        fm = feature_map("int-centered:1000")
-        assert fm.transform_one(0)[0] == -1.0
-        assert fm.transform_one(1000)[0] == 1.0
-        assert fm.transform_one(500)[0] == 0.0
-
-    def test_byte_ngram_deterministic(self):
-        fm = feature_map("byte-ngram:16")
-        assert fm.dim == 16
-        key = int.from_bytes(b"hello wo", "little")
-        a = fm.transform_one(key)
-        assert np.array_equal(a, fm.transform_one(key))
-        assert (a * 7).sum() == 7.0  # every key has seven bigrams
-
-    @pytest.mark.parametrize("name", ["int-norm", "nope:3", "int-norm:x", "byte-ngram:0"])
-    def test_bad_names_rejected(self, name):
-        with pytest.raises(ParameterError):
-            feature_map(name)
-
-
-def stacked_rows(fm, keys):
-    """The batch's feature matrix from ``transform_one``, the specification, key by key."""
-    return np.array([fm.transform_one(k) for k in keys]).reshape(len(keys), fm.dim)
-
-
 uint64_batches = st.one_of(
     st.sampled_from([np.uint64, np.dtype(">u8")]).flatmap(
         lambda dtype: hnp.arrays(dtype, st.integers(0, 40))
@@ -177,8 +175,51 @@ uint64_batches = st.one_of(
 )
 
 
+class TestFeatureMaps:
+    def test_int_norm(self):
+        fm = feature_map("int-norm:1000")
+        assert fm.dim == 1
+        assert fm.encode([0, 500, 1000]).tolist() == [0.0, 0.5, 1.0]
+
+    def test_int_centered(self):
+        fm = feature_map("int-centered:1000")
+        assert fm.encode([0, 1000, 500]).tolist() == [-1.0, 1.0, 0.0]
+
+    def test_byte_ngram_deterministic(self):
+        fm = feature_map("byte-ngram:16")
+        assert fm.dim == 16
+        key = int.from_bytes(b"hello wo", "little")
+        a = fm.encode([key])
+        assert a.shape == (7, 1)  # every key has seven bigrams
+        assert np.array_equal(a, fm.encode([key]))
+        pairs = (b"he", b"el", b"ll", b"lo", b"o ", b" w", b"wo")
+        assert a[:, 0].tolist() == [fm._bucket(pair) for pair in pairs]
+
+    @pytest.mark.parametrize(
+        "name", ["int-norm", "nope:3", "int-norm:x", "byte-ngram:0", "int-norm:1" + "0" * 400]
+    )
+    def test_bad_names_rejected(self, name):
+        with pytest.raises(ParameterError):
+            feature_map(name)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["int-norm:1000", f"int-norm:{2**64 - 1}", "int-centered:1000000"]
+        + ["byte-ngram:1", "byte-ngram:16", "byte-ngram:300"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), keys=uint64_batches)
+    def test_score_batch_equals_score_bit_for_bit(self, name, data, keys):
+        dim = feature_map(name).dim
+        weights = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+        s = LogisticScorer(tuple(weights), data.draw(st.floats(-1e3, 1e3)), name)
+        got = s.score_batch(keys)
+        assert got.dtype == np.float64
+        assert got.tolist() == [s.score(k) for k in keys]
+
+
 class TestByteNgramTable:
-    """A uint64 batch reads the bigram table; its rows equal ``transform_one``'s bit for bit."""
+    """A batch reads the bigram table; its buckets equal the scalar hash's key by key."""
 
     @pytest.mark.parametrize("buckets", [1, 3, 16, 65_537])
     def test_every_pair_bucket_matches_the_scalar_hash(self, buckets):
@@ -188,26 +229,61 @@ class TestByteNgramTable:
 
     @settings(max_examples=150, deadline=None)
     @given(buckets=st.integers(1, 300), keys=uint64_batches)
-    def test_batch_rows_equal_scalar_rows(self, buckets, keys):
+    def test_batch_buckets_equal_the_scalar_hash(self, buckets, keys):
         fm = feature_map(f"byte-ngram:{buckets}")
-        got = fm.transform(keys)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, stacked_rows(fm, [int(k) for k in keys]))
+        expected = []
+        for key in keys:
+            data = int(key).to_bytes(8, "little")
+            expected.append([fm._bucket(data[i : i + 2]) for i in range(7)])
+        assert fm.encode(keys).T.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), buckets=st.integers(1, 300), keys=uint64_batches)
+    def test_logit_adds_the_held_weights_in_bigram_order(self, data, buckets, keys):
+        weights = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=buckets, max_size=buckets))
+        bias = data.draw(st.floats(-1e3, 1e3))
+        s = LogisticScorer(tuple(weights), bias, f"byte-ngram:{buckets}")
+        logits = []
+        for key in keys:
+            data_bytes = int(key).to_bytes(8, "little")
+            held = [weights[s._fm._bucket(data_bytes[i : i + 2])] / 7 for i in range(7)]
+            z = held[0]
+            for term in held[1:]:
+                z += term
+            logits.append(z + bias)
+        assert s.score_batch(keys).tolist() == _sigmoid(np.array(logits)).tolist()
 
     def test_empty_batch(self):
-        fm = feature_map("byte-ngram:5")
+        s = LogisticScorer(tuple(range(5)), 0.5, "byte-ngram:5")
         for keys in ([], np.array([], dtype=np.uint64)):
-            assert fm.transform(keys).shape == (0, 5)
+            assert s._fm.encode(keys).shape == (7, 0)
+            got = s.score_batch(keys)
+            assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_mixed_int_and_bytes_batch_agrees_key_by_key(self):
-        fm = feature_map("byte-ngram:16")
+        s = LogisticScorer(tuple(np.linspace(-2, 2, 16)), 0.1, "byte-ngram:16")
         for key in (b"hello world", b"", b"ab\x00\x00", bytearray(b"12345678")):
             with pytest.raises(ParameterError):
-                fm.transform([0, 2**64 - 1, key, 258])
+                s.score_batch([0, 2**64 - 1, key, 258])
             with pytest.raises(ParameterError):
-                fm.transform_one(key)
+                s.score(key)
         ints = [0, 2**64 - 1, 258, np.uint64(7), np.int8(3)]
-        assert np.array_equal(fm.transform(ints), stacked_rows(fm, ints))
+        assert s.score_batch(ints).tolist() == [s.score(k) for k in ints]
+
+    def test_score_batch_peak_memory_is_bounded_by_the_batch(self):
+        # an n x D feature matrix at n = 20k, D = 200k would take 32 GB
+        n, buckets = 20_000, 200_000
+        s = LogisticScorer(tuple(np.linspace(-1, 1, buckets)), 0.0, f"byte-ngram:{buckets}")
+        keys = np.random.default_rng(9).integers(0, 2**64, size=n, dtype=np.uint64)
+        s.score_batch(keys[:1])  # builds the bucket table once, O(65,536)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s.score_batch(keys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (n * 7 * 8) + 8 * buckets
 
     def test_table_is_built_only_by_byte_ngram_batches(self):
         code = (
