@@ -132,7 +132,8 @@ class FeatureMap(ABC):
 
     @abstractmethod
     def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
-        """weights . features(key) + bias of every encoded key."""
+        """weights . features(key) + bias of every encoded key; one past the float range is
+        +-inf, silently, as in Python floats, so its score saturates."""
 
     def logit_one(self, key, held: np.ndarray, bias: float) -> float:
         """:meth:`logit` of one key, equal bit for bit to its logit in any batch."""
@@ -161,7 +162,8 @@ class _Affine(FeatureMap):
         return self._scale * as_keys(keys).astype(np.float64) / self._max + self._offset
 
     def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
-        return codes * held[0] + bias
+        with np.errstate(over="ignore"):
+            return codes * held[0] + bias
 
     def logit_one(self, key, held: np.ndarray, bias: float) -> float:  # same sums, no array
         return (self._scale * float(_key(key)) / self._max + self._offset) * float(held[0]) + bias
@@ -221,7 +223,8 @@ class _ByteNgram(FeatureMap):
         z = held[codes[0]]
         for row in codes[1:]:  # in bigram order
             z += held[row]
-        return z + bias
+        with np.errstate(over="ignore"):
+            return z + bias
 
     def gradient(self, codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
         return np.bincount(codes.ravel(), np.tile(residual, 7), minlength=self.dim) / 7

@@ -107,6 +107,11 @@ class Part(NamedTuple):
     low: np.ndarray
     top: np.ndarray
 
+    @property
+    def cut(self) -> int:
+        """The number of eligible positions: a draw takes a position below it."""
+        return self.component.size - self.excluded.size
+
 
 def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
     excluded = component.excluded_positions(exclusion)
@@ -149,12 +154,40 @@ def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
-def _draw(part: Part, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` keys uniform over a part's positions outside its excluded ones.
+def _draw_positions(
+    dist: QueryDistribution, n: int, rng_seed: int
+) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+    """The random part of :func:`sample`: each draw's part index, and each part's raw positions.
 
-    A draw landing on ``low[i]`` becomes ``top[i]``.
+    The index array is None for a lone component.  The positions of a part lie
+    below its ``cut``, in draw order; a part no draw picked gets an empty
+    array.  Raises ParameterError when ``n`` cannot be allocated and WorkloadError
+    when no key is eligible, before drawing anything.
     """
-    pos = rng.integers(0, part.component.size - part.excluded.size, size=count, dtype=np.uint64)
+    if n < 1:
+        raise ParameterError("sample count must be >= 1")
+    try:
+        np.empty(n, dtype=np.uint64)
+    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
+        raise ParameterError(f"sample count {n} is too large to allocate") from exc
+    mass = [p.weight * p.cut / p.component.size for p in dist.parts]
+    if not any(mass):
+        raise WorkloadError("exclusion removes the whole support")
+    rng = np.random.default_rng(rng_seed)
+    if len(mass) == 1:
+        return None, (rng.integers(0, dist.parts[0].cut, size=n, dtype=np.uint64),)
+    which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
+    counts = np.bincount(which, minlength=len(mass))
+    return which, tuple(
+        rng.integers(0, part.cut, size=int(count), dtype=np.uint64) if count
+        else np.empty(0, dtype=np.uint64)
+        for part, count in zip(dist.parts, counts)
+    )
+
+
+def _keys_at(part: Part, pos: np.ndarray) -> np.ndarray:
+    """The keys at raw positions below a part's cut; a position on ``low[i]`` becomes
+    ``top[i]``, in ``pos`` itself."""
     if part.low.size:
         moved = np.isin(pos, part.low)
         pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
@@ -168,23 +201,13 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     its eligible keys uniformly.  Deterministic for fixed (dist, n, rng_seed).
     Raises WorkloadError when no key is eligible.
     """
-    if n < 1:
-        raise ParameterError("sample count must be >= 1")
-    try:
-        out = np.empty(n, dtype=np.uint64)
-    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
-        raise ParameterError(f"sample count {n} is too large to allocate") from exc
-    mass = [p.weight * (p.component.size - p.excluded.size) / p.component.size for p in dist.parts]
-    if not any(mass):
-        raise WorkloadError("exclusion removes the whole support")
-    rng = np.random.default_rng(rng_seed)
-    if len(mass) == 1:
-        return _draw(dist.parts[0], rng, n)
-    which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
-    for ci, part in enumerate(dist.parts):
-        mask = which == ci
-        if mask.any():
-            out[mask] = _draw(part, rng, int(mask.sum()))
+    which, positions = _draw_positions(dist, n, rng_seed)
+    if which is None:
+        return _keys_at(dist.parts[0], positions[0])
+    out = np.empty(n, dtype=np.uint64)
+    for ci, (part, pos) in enumerate(zip(dist.parts, positions)):
+        if pos.size:
+            out[which == ci] = _keys_at(part, pos)
     return out
 
 

@@ -279,7 +279,7 @@ def test_c6_concentration_bound_over_the_grid():
         )
 
     elapsed = time.perf_counter() - start
-    assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
+    assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
     worst = max(results.values())
     _pass("C6", f"8 grid points x {trials} trials, worst exceedance {worst}, {elapsed:.1f}s")
 

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from learnedbloom.cli import (
 )
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
-from learnedbloom.workloads import save_keys_text
+from learnedbloom.workloads import sample, save_keys_text, uniform_queries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -412,6 +418,30 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(stdout)["sample_count"] == 100000
+
+    @pytest.mark.parametrize(
+        "scorer",
+        [
+            LogisticScorer((1e308,), 1e308, "int-norm:1"),  # overflows in the product
+            LogisticScorer((1.7e308,) * 4, 1.7e308, "byte-ngram:4"),  # overflows at + bias
+        ],
+        ids=["int-norm", "byte-ngram"],
+    )
+    def test_a_logit_past_the_float_range_saturates_silently(self, tmp_path, scorer):
+        out = tmp_path / "huge.lbf"
+        lbf = LearnedBloomFilter.build([5, 1500], scorer, 0.6, FilterParams(64, 2), seed=0)
+        out.write_bytes(lbf.to_bytes())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "learnedbloom", "eval", "--filter", str(out),
+             "--dist", f"uniform:0:{2**64}", "--samples", "2000", "--seed", "4"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )  # fmt: skip
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["alpha_estimate"] == 1.0
+        keys = sample(uniform_queries(0, 2**64), 2000, rng_seed=4).tolist() + [0, 2**63, 2**64 - 1]
+        assert [scorer.score(k) for k in keys] == scorer.score_batch(keys).tolist()
 
     def test_overlapping_explicit_queries_rejected(self, tmp_path, key_file, capsys):
         path, keys = key_file

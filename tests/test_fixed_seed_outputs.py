@@ -38,8 +38,12 @@ COMMANDS = {
     "sweep_csv": ["sweep", "--keys", "example-keys.txt", "--scorer", "interval:1000:2000:0.5:0.0",
                   "--taus", "0,0.25,0.5,1", "--dist", "uniform:0:1000000",
                   "--samples", "20000", "--seed", "1", "--format", "csv"],
+    # 3 x 2,000 draws against 999,000 eligible keys: every set sampled and answered
     "concentration": ["concentration", "--t-size", "1000", "--q-size", "1000",
                       "--trials", "3", "--seed", "2"],
+    # 50 x 20,000 draws cover the 999,000 eligible keys: answered once, from a table
+    "concentration_table": ["concentration", "--t-size", "10000", "--q-size", "10000",
+                            "--trials", "50", "--epsilon", "0.0003", "--seed", "5"],
     "repro_json": ["repro-example", "--seed", "7", "--samples", "20000",
                    "--restricted-samples", "10000"],
     "repro_csv": ["repro-example", "--seed", "7", "--samples", "20000",
@@ -58,6 +62,7 @@ EXPECTED = {
     "sweep_json": "05b9a076fa0ec920fa4d601af6d30b6262c8cec32d6f792bb6b540ff2422efd7",
     "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
+    "concentration_table": "f94c99e1e941812e33f00ca8e178324b69caaf55f9ef04b14c12075e657fddd9",
     "repro_json": "54768398546d283615ede4b560f455c96583c5764fdb2ccc330cb9e7875c5420",
     "repro_csv": "5d45fa39f8175175fbd92b931d1c87a2ff3ca8ed2f62862539852d3c5b14504d",
     "standard.bloom": "c01be39856e9570dc416886c59803137bbefc36e201e10b0a8f6a079b29e915a",

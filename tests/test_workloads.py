@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from learnedbloom import evaluation
 from learnedbloom.bloom import BloomFilter
 from learnedbloom.errors import ParameterError, WorkloadError
-from learnedbloom.evaluation import _CHUNK, concentration_experiment, exact_alpha
+from learnedbloom.evaluation import (
+    _CHUNK,
+    _answer_table,
+    concentration_experiment,
+    empirical_fpr,
+    exact_alpha,
+    theorem_bound,
+)
+from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import IntervalScorer
 from learnedbloom.workloads import (
     FixedSet,
@@ -18,6 +27,7 @@ from learnedbloom.workloads import (
     Mixture,
     QueryDistribution,
     UniformRange,
+    _draw_positions,
     hot_range_example,
     load_keys_text,
     read_manifest,
@@ -347,6 +357,128 @@ def test_exclusion_form_does_not_change_results(excluded, seed, fixed):
         except WorkloadError as exc:
             outcomes.append(str(exc))
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+# 22 of the keys 0..62 answer yes, so a misplaced answer moves a rate.
+_FILTER = BloomFilter(20, 2, seed=3)
+_FILTER.insert_many(np.array([2, 11, 29, 40, 57, 60], dtype=np.uint64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_answer_tables_give_the_sampled_answers_key_by_key(dist, n, seed):
+    if not any(part.cut for part in dist.parts):
+        with pytest.raises(WorkloadError, match="whole support"):
+            _draw_positions(dist, n, seed)
+        return
+    tables = [_answer_table(_FILTER, part) for part in dist.parts]
+    which, positions = _draw_positions(dist, n, seed)
+    if which is None:
+        which = np.zeros(n, dtype=np.intp)
+    answers = np.empty(n, dtype=bool)
+    for ci, (table, pos) in enumerate(zip(tables, positions)):
+        answers[which == ci] = table[pos]
+    drawn = sample(dist, n, seed)
+    assert answers.tolist() == _FILTER.contains_many(drawn).tolist()
+    assert float(answers.mean()) == empirical_fpr(_FILTER, drawn)
+
+
+def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed):
+    """The concentration report from a plain loop: every set sampled, then answered."""
+    exceed = 0
+    for trial in range(trials):
+        x = empirical_fpr(filt, sample(dist, t_size, derive_seed(rng_seed, f"T{trial}")))
+        y = empirical_fpr(filt, sample(dist, q_size, derive_seed(rng_seed, f"Q{trial}")))
+        exceed += abs(x - y) >= epsilon
+    return exceed / trials
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dist=_distributions(),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
+    epsilon=st.sampled_from([0.05, 0.2, 0.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
+    dist, sizes, epsilon, seed
+):
+    trials, t_size, q_size = sizes  # 2 to 72 draws, against 0 to 63 eligible keys
+    if not any(part.cut for part in dist.parts):
+        with pytest.raises(WorkloadError, match="whole support"):
+            concentration_experiment(_FILTER, dist, t_size, q_size, epsilon, trials, seed)
+        return
+    report = concentration_experiment(_FILTER, dist, t_size, q_size, epsilon, trials, seed)
+    assert report.exceed_fraction == _sampled_concentration(
+        _FILTER, dist, t_size, q_size, epsilon, trials, seed
+    )
+    assert report.theorem_bound == theorem_bound(epsilon, t_size, q_size)
+
+
+class _Counting:
+    """A filter that records every batch its ``contains_many`` answers."""
+
+    def __init__(self, filt):
+        self.filt, self.batches = filt, []
+
+    def contains_many(self, keys):
+        self.batches.append(np.array(keys, dtype=np.uint64))
+        return self.filt.contains_many(keys)
+
+    def queried(self) -> np.ndarray:
+        return np.concatenate(self.batches)
+
+
+class TestAnswerTables:
+    # 4 fixed keys and 150,000 - 2,143 range keys eligible, over three table blocks
+    DIST = QueryDistribution(
+        Mixture((UniformRange(0, 150_000), FixedSet([5, 5, 9, 7000, 200_000])), (0.8, 0.2)),
+        np.arange(0, 150_000, 70),
+    )
+    ELIGIBLE = np.sort(
+        np.concatenate(
+            [np.setdiff1d(np.arange(150_000), np.arange(0, 150_000, 70)), [5, 5, 9, 200_000]]
+        )
+    ).astype(np.uint64)
+
+    @pytest.mark.parametrize("trials", [8, 40, 150])
+    def test_each_eligible_position_is_answered_once_in_bounded_batches(self, trials):
+        filt = _Counting(_FILTER)
+        report = concentration_experiment(filt, self.DIST, 10_000, 10_000, 0.01, trials, 6)
+        assert report.trials == trials
+        assert np.sort(filt.queried()).tolist() == self.ELIGIBLE.tolist()
+        assert max(batch.size for batch in filt.batches) <= 1 << 16
+
+    def test_the_rule_picks_each_side_with_the_same_report(self):
+        eligible = self.ELIGIBLE.size
+        for trials, table in [(8, True), (7, False)]:  # eligible lies between 7 and 8 x 20,000
+            filt = _Counting(_FILTER)
+            report = concentration_experiment(filt, self.DIST, 10_000, 10_000, 0.002, trials, 9)
+            assert (filt.queried().size == eligible) is table
+            assert report.exceed_fraction == _sampled_concentration(
+                _FILTER, self.DIST, 10_000, 10_000, 0.002, trials, 9
+            )
+
+    def test_a_support_above_the_limit_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", 100)
+        filt = _Counting(_FILTER)
+        concentration_experiment(filt, uniform_queries(0, 101), 1000, 1000, 0.5, 3, 3)
+        assert filt.queried().size == 6000
+        filt = _Counting(_FILTER)
+        concentration_experiment(filt, uniform_queries(0, 100), 1000, 1000, 0.5, 3, 3)
+        assert filt.queried().size == 100
+
+    def test_an_unallocatable_set_size_is_refused_on_the_table_path(self):
+        filt = _Counting(_FILTER)
+        with pytest.raises(ParameterError, match="too large to allocate"):
+            concentration_experiment(filt, uniform_queries(0, 50, [3]), 10**13, 10, 0.5, 1, 2)
+        assert filt.queried().size == 49  # the table was built first
+
+    def test_an_exclusion_covering_the_support_raises_on_the_table_path(self):
+        mix = Mixture((UniformRange(0, 8), FixedSet([3, 3])), (0.5, 0.5))
+        dist = QueryDistribution(mix, range(8))
+        with pytest.raises(WorkloadError, match="whole support"):
+            concentration_experiment(_FILTER, dist, 10, 10, 0.5, 4, 2)
 
 
 class TestHotRangeExample:
