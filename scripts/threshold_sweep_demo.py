@@ -10,8 +10,8 @@ import argparse
 import csv
 import sys
 
+from learnedbloom.evaluation import threshold_sweep
 from learnedbloom.hashing import derive_seed
-from learnedbloom.learned import threshold_sweep
 from learnedbloom.scorers import TrainingSet, train_logistic
 from learnedbloom.workloads import hot_range_example, sample
 

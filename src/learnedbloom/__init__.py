@@ -17,6 +17,7 @@ from .errors import (
 from .evaluation import (
     ConcentrationReport,
     EvalReport,
+    SweepPoint,
     backup_fpr_estimate,
     concentration_experiment,
     empirical_fpr,
@@ -24,9 +25,10 @@ from .evaluation import (
     exact_alpha,
     model_fpr,
     theorem_bound,
+    threshold_sweep,
 )
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter, SweepPoint, threshold_sweep
+from .learned import LearnedBloomFilter
 from .scorers import (
     IntervalScorer,
     LogisticScorer,

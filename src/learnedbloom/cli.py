@@ -31,9 +31,9 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluation import concentration_experiment, empirical_fpr, evaluate, exact_alpha
+from .evaluation import concentration_experiment, empirical_fpr, evaluate, exact_alpha, threshold_sweep
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter, threshold_sweep
+from .learned import LearnedBloomFilter
 from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
 from .workloads import (

@@ -2,12 +2,12 @@
 
 Measures empirical false positive rates on sampled workloads, predicts
 them from the above-threshold query mass (alpha) composed with the
-backup filter's rate, computes alpha exactly by enumerating each finite
-component less the excluded positions its distribution holds, and runs
-the concentration experiment: test-set vs query-set rate agreement.  On an
-eligible support of at most ``min(SUPPORT_LIMIT, trials * (t_size + q_size))``
-keys the experiment answers each eligible key once and reads every trial's
-rates from that answer table; its reports keep the bytes sampling gives.
+backup filter's rate, sweeps candidate thresholds, and runs the concentration
+experiment: test-set vs query-set rate agreement.  ``exact_alpha`` and the
+experiment's answer tables walk the eligible support through one iterator,
+``workloads._eligible_blocks``, when it holds at most ``SUPPORT_LIMIT`` keys (a
+table, at most ``trials * (t_size + q_size)`` too); the tables answer each
+eligible key once, and the reports keep the bytes sampling gives.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from functools import partial
 
 import numpy as np
 
+from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter
+from .learned import LearnedBloomFilter, _sized_backup
 from .scorers import Scorer
-from .workloads import Part, QueryDistribution, _draw_positions, sample
+from .workloads import Part, QueryDistribution, _draw_positions, _eligible_blocks, sample
 
-SUPPORT_LIMIT = 10**7  # largest support exact enumeration or an answer table will walk
-_CHUNK = 1 << 20
-_TABLE_BLOCK = 1 << 16  # positions answered per contains_many call while filling a table
+SUPPORT_LIMIT = 10**7  # largest eligible support exact_alpha or an answer table will walk
 
 
 @dataclass(frozen=True)
@@ -92,28 +91,25 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
 
 
 def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
-    """Exact Pr(score >= tau) under the distribution, by support enumeration.
+    """Exact Pr(score >= tau) under the distribution, by eligible-support enumeration.
 
     Returns the exact rational: above-threshold eligible count over eligible
     count for uniform and fixed-set supports, the weighted analogue for
-    mixtures: every key scored in ``_CHUNK`` blocks, less the excluded ones.
-    Raises OracleUnavailableError when the support exceeds ``SUPPORT_LIMIT``;
-    callers should then fall back to sampling.
+    mixtures: each eligible key scored once, as ``_eligible_blocks`` walks them.
+    Raises OracleUnavailableError when the eligible count, summed over the
+    components, exceeds ``SUPPORT_LIMIT``; callers should then fall back to sampling.
     """
-    size = sum(part.component.size for part in dist.parts)
-    if size > SUPPORT_LIMIT:
+    eligible = sum(part.cut for part in dist.parts)
+    if eligible > SUPPORT_LIMIT:
         raise OracleUnavailableError(
-            f"support of {size} exceeds the enumeration limit {SUPPORT_LIMIT}"
+            f"eligible support of {eligible} exceeds the enumeration limit {SUPPORT_LIMIT}"
         )
     above_mass = eligible_mass = Fraction(0)
-    for component, weight, excluded, _, _ in dist.parts:
-        starts = range(0, component.size, _CHUNK)
-        blocks = (component.keys_between(s, min(s + _CHUNK, component.size)) for s in starts)
-        above = sum(int((scorer.score_batch(block) >= tau).sum()) for block in blocks)
-        above -= int((scorer.score_batch(component.keys_at(excluded)) >= tau).sum())
-        share = Fraction(weight) / component.size
+    for part in dist.parts:
+        above = sum(int((scorer.score_batch(keys) >= tau).sum()) for keys in _eligible_blocks(part))
+        share = Fraction(part.weight) / part.component.size
         above_mass += share * above
-        eligible_mass += share * (component.size - int(excluded.size))
+        eligible_mass += share * part.cut
     if eligible_mass == 0:
         raise WorkloadError("exclusion removes the whole support")
     return above_mass / eligible_mass
@@ -145,6 +141,68 @@ def evaluate(
     )
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One threshold candidate: query mass above it, backup load, size, predicted rate."""
+
+    tau: float
+    alpha_estimate: float
+    backup_keys: int
+    total_bits: int
+    model_fpr: float
+
+
+def threshold_sweep(
+    keys,
+    scorer: Scorer,
+    taus,
+    dist: QueryDistribution,
+    samples: int,
+    backup_target_fpp: float,
+    rng_seed: int,
+) -> list[SweepPoint]:
+    """Evaluate candidate thresholds against one shared query sample.
+
+    A single sample set serves every threshold, so along a sorted grid the
+    alpha estimates are non-increasing and the backup key counts
+    non-decreasing by pointwise set inclusion, not merely in expectation.
+    The backup for each candidate is sized for its below-threshold keys at
+    ``backup_target_fpp``, as :meth:`LearnedBloomFilter.build` sizes it, and
+    the predicted rate composes the sampled alpha with the sized backup's
+    expected false positive probability through :func:`model_fpr`.
+    """
+    taus = [float(t) for t in taus]
+    if not taus:
+        raise ParameterError("tau grid must be nonempty")
+    if any(not 0.0 <= t <= 1.0 for t in taus):
+        raise ParameterError("every tau must lie in [0, 1]")
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
+    if not 0.0 < backup_target_fpp < 1.0:
+        raise ParameterError("backup_target_fpp must lie in (0, 1)")
+    keys = as_keys(keys)
+    if not keys.size:
+        raise ParameterError("key set must be nonempty")
+    queries = sample(dist, samples, rng_seed)
+    query_scores = scorer.score_batch(queries)
+    key_scores = scorer.score_batch(keys)
+    points = []
+    for tau in taus:
+        alpha = float((query_scores >= tau).mean())
+        below = int((key_scores < tau).sum())
+        params = _sized_backup(backup_target_fpp, below)
+        points.append(
+            SweepPoint(
+                tau=tau,
+                alpha_estimate=alpha,
+                backup_keys=below,
+                total_bits=scorer.size_bits() + params.m,
+                model_fpr=model_fpr(alpha, expected_fpp(below, params.m, params.k)),
+            )
+        )
+    return points
+
+
 def theorem_bound(epsilon: float, t_size: int, q_size: int) -> float:
     """2 e^(-eps^2 t / 4) + 2 e^(-eps^2 q / 4)."""
     return 2.0 * math.exp(-(epsilon**2) * t_size / 4.0) + 2.0 * math.exp(
@@ -153,19 +211,10 @@ def theorem_bound(epsilon: float, t_size: int, q_size: int) -> float:
 
 
 def _answer_table(filt, part: Part) -> np.ndarray:
-    """The filter's answer at each of a part's eligible positions, indexed by raw position.
-
-    Position ``i`` asks for the key at ``i``, or at ``top[j]`` when ``i`` is ``low[j]``:
-    the key :func:`sample` draws for it.  Answered in ``_TABLE_BLOCK`` blocks.
-    """
-    table = np.empty(part.cut, dtype=bool)
-    for start in range(0, part.cut, _TABLE_BLOCK):
-        stop = min(start + _TABLE_BLOCK, part.cut)
-        pos = np.arange(start, stop, dtype=np.uint64)
-        first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
-        pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
-        table[start:stop] = np.asarray(filt.contains_many(part.component.keys_at(pos)), dtype=bool)
-    return table
+    """The filter's answer at each of a part's eligible positions, indexed by raw position:
+    its answer to the key :func:`sample` draws for that position, one block per call."""
+    answers = [np.asarray(filt.contains_many(keys), dtype=bool) for keys in _eligible_blocks(part)]
+    return np.concatenate(answers) if answers else np.empty(0, dtype=bool)
 
 
 def _table_rate(tables: list, dist: QueryDistribution, n: int, rng_seed: int) -> float:

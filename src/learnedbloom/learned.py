@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bloom import BloomFilter, FilterParams, expected_fpp, params_for_target
+from .bloom import BloomFilter, FilterParams, params_for_target
 from .errors import FilterFormatError, ParameterError
 from .hashing import as_keys
 from .scorers import Scorer, scorer_from_text, scorer_to_text
-from .workloads import QueryDistribution, sample
 
 _LEN = struct.Struct("<Q")
 
@@ -171,66 +169,3 @@ class LearnedBloomFilter:
             )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise FilterFormatError(f"malformed learned filter record: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One threshold candidate: query mass above it, backup load, size, predicted rate."""
-
-    tau: float
-    alpha_estimate: float
-    backup_keys: int
-    total_bits: int
-    model_fpr: float
-
-
-def threshold_sweep(
-    keys,
-    scorer: Scorer,
-    taus,
-    dist: QueryDistribution,
-    samples: int,
-    backup_target_fpp: float,
-    rng_seed: int,
-) -> list[SweepPoint]:
-    """Evaluate candidate thresholds against one shared query sample.
-
-    A single sample set serves every threshold, so along a sorted grid the
-    alpha estimates are non-increasing and the backup key counts
-    non-decreasing by pointwise set inclusion, not merely in expectation.
-    The backup for each candidate is sized for its below-threshold keys at
-    ``backup_target_fpp``, as :meth:`LearnedBloomFilter.build` sizes it, and
-    the predicted rate composes the sampled alpha with the sized backup's
-    expected false positive probability.
-    """
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ParameterError("tau grid must be nonempty")
-    if any(not 0.0 <= t <= 1.0 for t in taus):
-        raise ParameterError("every tau must lie in [0, 1]")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if not 0.0 < backup_target_fpp < 1.0:
-        raise ParameterError("backup_target_fpp must lie in (0, 1)")
-    keys = as_keys(keys)
-    if not keys.size:
-        raise ParameterError("key set must be nonempty")
-    queries = sample(dist, samples, rng_seed)
-    query_scores = scorer.score_batch(queries)
-    key_scores = scorer.score_batch(keys)
-    points = []
-    for tau in taus:
-        alpha = float((query_scores >= tau).mean())
-        below = int((key_scores < tau).sum())
-        params = _sized_backup(backup_target_fpp, below)
-        backup_fpr = expected_fpp(below, params.m, params.k)
-        points.append(
-            SweepPoint(
-                tau=tau,
-                alpha_estimate=alpha,
-                backup_keys=below,
-                total_bits=scorer.size_bits() + params.m,
-                model_fpr=alpha + (1.0 - alpha) * backup_fpr,
-            )
-        )
-    return points

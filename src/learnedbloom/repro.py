@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 from .bloom import BloomFilter, params_for_target
+from .errors import ParameterError
 from .evaluation import (
     backup_fpr_estimate,
     empirical_fpr,
@@ -58,6 +59,11 @@ def build_report(
     restricted_hi: int = 100_000,
 ) -> dict:
     """Run the full pipeline and return a JSON-compatible report dict."""
+    if not 0.0 < backup_target_fpp < 0.5:
+        raise ParameterError(
+            f"backup_target_fpp {backup_target_fpp} must lie in (0, 0.5): the standard "
+            "filter the report compares against is sized at twice that rate"
+        )
     example, lbf = worked_example_filter(seed, backup_target_fpp)
     keys, scorer, tau = example.keys, lbf.scorer, lbf.tau
 

@@ -1,22 +1,25 @@
 """Query workloads: sampleable distributions over the universe minus the key set.
 
 Distributions are immutable descriptions; a distribution resolves each
-component's excluded positions once, and sampling draws each key straight from
-the eligible support, the source's keys outside the exclusion, so no draw is
-rejected.  Also provides the hot-range worked example (1000 keys, half clustered
-in one interval) used by the reproduction experiments, and dataset file I/O.
+component's excluded positions once, into a draw map: sampling draws each key
+straight from the eligible support, the source's keys outside the exclusion, so
+no draw is rejected, and the exact oracles walk that support ``BLOCK`` keys at a
+time.  Also provides the hot-range worked example (1000 keys, half clustered in
+one interval) used by the reproduction experiments, and dataset file I/O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, WorkloadError
 from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
+
+BLOCK = 1 << 16  # positions per block of an eligible-support walk
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,6 @@ class UniformRange:
     def keys_at(self, positions: np.ndarray) -> np.ndarray:
         return positions + np.uint64(self.lo)
 
-    def keys_between(self, start: int, stop: int) -> np.ndarray:
-        return np.arange(self.lo + start, self.lo + stop, dtype=np.uint64)
-
 
 @dataclass(frozen=True, eq=False)
 class FixedSet:
@@ -69,9 +69,6 @@ class FixedSet:
     def keys_at(self, positions: np.ndarray) -> np.ndarray:
         return self.keys[positions]
 
-    def keys_between(self, start: int, stop: int) -> np.ndarray:
-        return self.keys[start:stop]
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -94,37 +91,32 @@ class Mixture:
 
 
 class Part(NamedTuple):
-    """One component of a distribution, its weight and its excluded positions, all held.
+    """One component of a distribution, its weight and its draw map, all held.
 
-    A draw takes a position below ``cut = size - len(excluded)``; ``low`` holds the
+    A draw takes a position below ``cut``, the eligible count; ``low`` holds the
     excluded positions below ``cut`` and ``top`` the equally many eligible ones at or
     above it, in order, so a draw landing on ``low[i]`` becomes ``top[i]``.
     """
 
     component: UniformRange | FixedSet
     weight: float
-    excluded: np.ndarray
+    cut: int
     low: np.ndarray
     top: np.ndarray
-
-    @property
-    def cut(self) -> int:
-        """The number of eligible positions: a draw takes a position below it."""
-        return self.component.size - self.excluded.size
 
 
 def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
     excluded = component.excluded_positions(exclusion)
+    cut = component.size - excluded.size
     low = top = excluded
     if excluded.size:  # else cut may be 2**64, past uint64
-        cut = np.uint64(component.size - excluded.size)
-        low = excluded[: np.searchsorted(excluded, cut)]
+        low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
         free = np.ones(excluded.size, dtype=bool)  # positions cut..size-1
-        free[excluded[low.size :] - cut] = False
-        top = cut + np.flatnonzero(free).astype(np.uint64)
-    for held in (excluded, low, top):
+        free[excluded[low.size :] - np.uint64(cut)] = False
+        top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
+    for held in (low, top):
         held.flags.writeable = False
-    return Part(component, weight, excluded, low, top)
+    return Part(component, weight, cut, low, top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +184,17 @@ def _keys_at(part: Part, pos: np.ndarray) -> np.ndarray:
         moved = np.isin(pos, part.low)
         pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
     return part.component.keys_at(pos)
+
+
+def _eligible_blocks(part: Part) -> Iterator[np.ndarray]:
+    """A part's eligible keys in raw-position order, ``BLOCK`` positions at a time: position
+    ``i`` yields the key at ``i``, or at ``top[j]`` when ``i`` is ``low[j]``, as in :func:`sample`."""
+    for start in range(0, part.cut, BLOCK):
+        stop = min(start + BLOCK, part.cut)
+        pos = np.arange(start, stop, dtype=np.uint64)
+        first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
+        pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
+        yield part.component.keys_at(pos)
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from learnedbloom.cli import (
     EXIT_WORKLOAD,
     main,
 )
+from learnedbloom.evaluation import SUPPORT_LIMIT
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import sample, save_keys_text, uniform_queries
@@ -105,6 +106,17 @@ class TestBuild:
         summary = json.loads(stdout)
         assert summary["alpha"] == pytest.approx(501 / 999000, abs=1e-15)
         assert summary["alpha_dist"] == "uniform:0:1000000"
+
+    def test_summary_dist_is_exact_when_the_exclusion_brings_the_support_to_the_limit(
+        self, tmp_path, capsys
+    ):
+        span = SUPPORT_LIMIT + 1000  # above the limit; the example's 1000 keys are excluded
+        code, stdout = run(
+            capsys, "build", "--kind", "example", "--seed", "7", "--out", tmp_path / "ex.lbf",
+            "--summary-dist", f"uniform:0:{span}",
+        )
+        assert code == 0
+        assert json.loads(stdout)["alpha"] == 501 / SUPPORT_LIMIT  # sampling reads k / 100,000
 
     def test_learned_build_with_inline_scorer(self, tmp_path, key_file, capsys):
         path, keys = key_file
@@ -612,6 +624,13 @@ class TestReproExample:
         assert figures["above_threshold_rate_full_range"]["derived"]["fraction"] == "167/333000"
         assert figures["backup_stored_keys"]["reproduced"] is True
         assert figures["extra_bits_per_stored_element"]["reproduced"] is True
+
+    @pytest.mark.parametrize("rate", ["0.5", "0.9"])
+    def test_a_backup_rate_the_comparison_cannot_double_is_refused(self, rate, capsys):
+        assert main(["repro-example", "--backup-target-fpp", rate]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert f"backup_target_fpp {rate} must lie in (0, 0.5)" in err
+        assert "twice that rate" in err
 
     def test_byte_identical_given_seed(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from learnedbloom.bloom import FilterParams, params_for_target
 from learnedbloom.errors import FilterFormatError, ParameterError, WorkloadError
-from learnedbloom.learned import LearnedBloomFilter, threshold_sweep
+from learnedbloom.evaluation import threshold_sweep
+from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     QueryDistribution,

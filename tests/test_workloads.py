@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from learnedbloom import evaluation
+from learnedbloom import evaluation, workloads
 from learnedbloom.bloom import BloomFilter
-from learnedbloom.errors import ParameterError, WorkloadError
+from learnedbloom.errors import OracleUnavailableError, ParameterError, WorkloadError
 from learnedbloom.evaluation import (
-    _CHUNK,
     _answer_table,
     concentration_experiment,
     empirical_fpr,
@@ -22,6 +21,7 @@ from learnedbloom.evaluation import (
 from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import IntervalScorer
 from learnedbloom.workloads import (
+    BLOCK,
     FixedSet,
     HotRangeExample,
     Mixture,
@@ -164,6 +164,17 @@ def _distributions(draw):
     return QueryDistribution(source, draw(st.sets(st.sampled_from(keys))))
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Walk eligible supports 3 positions at a time, so a support of up to 63 keys
+    crosses many block edges and its exclusions land on them."""
+    monkeypatch.setattr(workloads, "BLOCK", 3)
+
+
+# the fixture sets one constant, the same for every example
+_ACROSS_BLOCKS = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 def _exact_law(dist) -> dict:
     """Key -> exact probability: each component's weight spread over its positions,
     the excluded positions dropped, renormalised (the law rejection converges to)."""
@@ -196,13 +207,13 @@ def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
         assert chi2 < _chi2_crit_0999(len(law) - 1)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
 @given(
     dist=_distributions(),
     interval=st.tuples(st.integers(0, 62), st.integers(0, 62)).map(sorted),
     tau=st.sampled_from([0.1, 0.5, 0.95]),
 )
-def test_exact_alpha_is_the_exact_law_above_the_threshold(dist, interval, tau):
+def test_exact_alpha_is_the_exact_law_above_the_threshold(small_blocks, dist, interval, tau):
     scorer = IntervalScorer((tuple(interval),), inside_score=0.9, outside_score=0.1)
     law = _exact_law(dist)
     if not law:
@@ -287,8 +298,8 @@ class TestHeldKeys:
 class TestSupport:
     def test_a_fixed_set_above_one_block_counts_as_a_direct_count(self, monkeypatch):
         rng = np.random.default_rng(4)
-        keys = rng.integers(0, 3000, size=_CHUNK + 5, dtype=np.uint64)  # many duplicates
-        keys[-5:] = [1002, 1002, 1500, 1998, 1001]  # the second block: above tau, 1001 excluded
+        keys = rng.integers(0, 3000, size=2 * BLOCK, dtype=np.uint64)  # many duplicates
+        keys[-5:] = [1002, 1002, 1500, 1998, 1001]  # above tau, 1001 excluded
         exclusion = np.arange(0, 3000, 7, dtype=np.uint64)
         scorer = IntervalScorer(((1000, 1999),), inside_score=0.9, outside_score=0.1)
         batches = []
@@ -303,7 +314,7 @@ class TestSupport:
         eligible = ~np.isin(keys, exclusion)
         above = eligible & (keys >= 1000) & (keys <= 1999)
         assert alpha == Fraction(int(above.sum()), int(eligible.sum()))
-        assert max(batches) == _CHUNK  # enumerated block by block, not as one batch
+        assert max(batches) == BLOCK  # enumerated block by block, not as one batch
 
     def test_excluded_positions_are_resolved_once(self, monkeypatch):
         mix = Mixture((UniformRange(0, 5000), FixedSet([3, 3, 9, 4000, 7000])), (0.4, 0.6))
@@ -364,9 +375,9 @@ _FILTER = BloomFilter(20, 2, seed=3)
 _FILTER.insert_many(np.array([2, 11, 29, 40, 57, 60], dtype=np.uint64))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
 @given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
-def test_answer_tables_give_the_sampled_answers_key_by_key(dist, n, seed):
+def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n, seed):
     if not any(part.cut for part in dist.parts):
         with pytest.raises(WorkloadError, match="whole support"):
             _draw_positions(dist, n, seed)
@@ -393,7 +404,7 @@ def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed
     return exceed / trials
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
 @given(
     dist=_distributions(),
     sizes=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
@@ -401,7 +412,7 @@ def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed
     seed=st.integers(0, 2**32),
 )
 def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
-    dist, sizes, epsilon, seed
+    small_blocks, dist, sizes, epsilon, seed
 ):
     trials, t_size, q_size = sizes  # 2 to 72 draws, against 0 to 63 eligible keys
     if not any(part.cut for part in dist.parts):
@@ -447,7 +458,7 @@ class TestAnswerTables:
         report = concentration_experiment(filt, self.DIST, 10_000, 10_000, 0.01, trials, 6)
         assert report.trials == trials
         assert np.sort(filt.queried()).tolist() == self.ELIGIBLE.tolist()
-        assert max(batch.size for batch in filt.batches) <= 1 << 16
+        assert max(batch.size for batch in filt.batches) <= BLOCK
 
     def test_the_rule_picks_each_side_with_the_same_report(self):
         eligible = self.ELIGIBLE.size
@@ -467,6 +478,20 @@ class TestAnswerTables:
         filt = _Counting(_FILTER)
         concentration_experiment(filt, uniform_queries(0, 100), 1000, 1000, 0.5, 3, 3)
         assert filt.queried().size == 100
+
+    def test_exact_alpha_and_the_table_rule_switch_at_the_same_eligible_count(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", 100)
+        scorer = IntervalScorer(((0, 9),), inside_score=0.9, outside_score=0.1)
+        for excluded, walked in [(range(10, 60, 2), True), (range(10, 58, 2), False)]:
+            dist = uniform_queries(0, 125, excluded)  # 100 or 101 keys eligible
+            filt = _Counting(_FILTER)
+            concentration_experiment(filt, dist, 1000, 1000, 0.5, 3, 3)
+            assert (filt.queried().size == 100) is walked
+            if walked:
+                assert exact_alpha(scorer, 0.5, dist) == Fraction(10, 100)
+            else:
+                with pytest.raises(OracleUnavailableError, match="eligible support of 101"):
+                    exact_alpha(scorer, 0.5, dist)
 
     def test_an_unallocatable_set_size_is_refused_on_the_table_path(self):
         filt = _Counting(_FILTER)
