@@ -7,10 +7,12 @@ the backup filter grows.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
+from dataclasses import astuple, fields
 
-from learnedbloom.evaluation import threshold_sweep
+from learnedbloom.evaluation import SweepPoint, threshold_sweep
 from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import TrainingSet, train_logistic
 from learnedbloom.workloads import hot_range_example, sample
@@ -39,7 +41,7 @@ def main() -> None:
         learning_rate=args.learning_rate,
     )
 
-    taus = [float(t) for t in args.taus.split(",")]
+    taus = [float(t) for t in args.taus.split(",") if t.strip()]
     points = threshold_sweep(
         example.keys, scorer, taus, dist,
         samples=args.samples,
@@ -47,13 +49,13 @@ def main() -> None:
         rng_seed=derive_seed(args.seed, "sweep"),
     )
 
-    sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["tau", "alpha_estimate", "backup_keys", "total_bits", "model_fpr"])
-    for p in points:
-        writer.writerow([p.tau, p.alpha_estimate, p.backup_keys, p.total_bits, p.model_fpr])
+    sink = contextlib.nullcontext(sys.stdout)
     if args.out:
-        sink.close()
+        sink = open(args.out, "w", newline="", encoding="utf-8")
+    with sink as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([f.name for f in fields(SweepPoint)])
+        writer.writerows(map(astuple, points))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from .errors import (
     TrainingError,
     WorkloadError,
 )
-from .evaluation import concentration_experiment, empirical_fpr, evaluate, exact_alpha, threshold_sweep
+from .evaluation import (
+    SweepPoint,
+    concentration_experiment,
+    empirical_fpr,
+    evaluate,
+    exact_alpha,
+    threshold_sweep,
+)
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .repro import build_report, worked_example_filter
@@ -293,8 +301,6 @@ def _cmd_sweep(args) -> int:
     keys = load_keys_text(_required(args, "keys"))
     scorer = _parse_scorer(_required(args, "scorer"))
     taus = [_parse(float, t, "threshold") for t in _required(args, "taus").split(",") if t.strip()]
-    if not taus:
-        raise ParameterError("tau grid must be nonempty")
     dist = _parse_dist(_required(args, "dist"), keys)
     points = threshold_sweep(
         keys,
@@ -305,11 +311,6 @@ def _cmd_sweep(args) -> int:
         backup_target_fpp=args.backup_target_fpp,
         rng_seed=derive_seed(args.seed, "sweep"),
     )
-    ordered = sorted(points, key=lambda p: p.tau)
-    for a, b in zip(ordered, ordered[1:]):  # sanity: inclusion forces monotonicity
-        if b.alpha_estimate > a.alpha_estimate or b.backup_keys < a.backup_keys:
-            raise RuntimeError("sweep monotonicity violated; shared-sample invariant broken")
-    columns = ("tau", "alpha_estimate", "backup_keys", "total_bits", "model_fpr")
     _emit(
         args,
         {
@@ -317,7 +318,7 @@ def _cmd_sweep(args) -> int:
             "config": _config_echo(args),
             "points": [vars(p) for p in points],
         },
-        csv_rows=[columns, *([getattr(p, c) for c in columns] for p in points)],
+        csv_rows=[[f.name for f in fields(SweepPoint)], *map(astuple, points)],
     )
     return EXIT_OK
 

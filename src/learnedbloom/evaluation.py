@@ -7,7 +7,12 @@ experiment: test-set vs query-set rate agreement.  ``exact_alpha`` and the
 experiment's answer tables walk the eligible support through one iterator,
 ``workloads._eligible_blocks``, when it holds at most ``SUPPORT_LIMIT`` keys (a
 table, at most ``trials * (t_size + q_size)`` too); the tables answer each
-eligible key once, and the reports keep the bytes sampling gives.
+eligible key once, and the reports keep the bytes sampling gives.  A report
+stores what was measured, range-checked when built; ``model_fpr``,
+``binomial_std_err`` and ``theorem_bound`` are properties computed by this
+module's functions, which ``to_dict`` adds.  Sample counts and backup design
+rates are checked where they are used (``workloads`` sampling,
+``learned._sized_backup``), once for every caller.
 """
 
 from __future__ import annotations
@@ -37,19 +42,28 @@ class EvalReport:
     sample_count: int
     alpha_estimate: float
     backup_fpr_estimate: float
-    model_fpr: float
-    binomial_std_err: float
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.empirical_fpr <= 1.0:
-            raise ParameterError("empirical_fpr must lie in [0, 1]")
-        composed = self.alpha_estimate + (1.0 - self.alpha_estimate) * self.backup_fpr_estimate
-        if abs(self.model_fpr - composed) > 1e-12:
-            raise ParameterError("model_fpr must equal alpha + (1 - alpha) * backup_fpr")
+        for name in ("empirical_fpr", "alpha_estimate", "backup_fpr_estimate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        if self.sample_count < 1:
+            raise ParameterError("sample_count must be >= 1")
+
+    @property
+    def model_fpr(self) -> float:
+        """alpha + (1 - alpha) * backup rate, by :func:`model_fpr`."""
+        return model_fpr(self.alpha_estimate, self.backup_fpr_estimate)
+
+    @property
+    def binomial_std_err(self) -> float:
+        """sqrt(p (1 - p) / n) at p = ``model_fpr`` and n = ``sample_count``."""
+        return math.sqrt(max(self.model_fpr * (1.0 - self.model_fpr), 0.0) / self.sample_count)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        derived = {"model_fpr": self.model_fpr, "binomial_std_err": self.binomial_std_err}
+        return {**asdict(self), **derived}
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,6 @@ class ConcentrationReport:
     epsilon: float
     trials: int
     exceed_fraction: float
-    theorem_bound: float
     t_size: int
     q_size: int
     seed: int
@@ -67,12 +80,14 @@ class ConcentrationReport:
     def __post_init__(self):
         if not 0.0 <= self.exceed_fraction <= 1.0:
             raise ParameterError("exceed_fraction must lie in [0, 1]")
-        stated = theorem_bound(self.epsilon, self.t_size, self.q_size)
-        if abs(self.theorem_bound - stated) > 1e-12 * max(stated, 1.0):
-            raise ParameterError("theorem_bound must equal 2e^(-eps^2 t/4) + 2e^(-eps^2 q/4)")
+
+    @property
+    def theorem_bound(self) -> float:
+        """The bound :func:`theorem_bound` gives at this report's epsilon and set sizes."""
+        return theorem_bound(self.epsilon, self.t_size, self.q_size)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "theorem_bound": self.theorem_bound}
 
 
 def empirical_fpr(filt, queries) -> float:
@@ -124,19 +139,12 @@ def evaluate(
     lbf: LearnedBloomFilter, dist: QueryDistribution, samples: int, rng_seed: int
 ) -> EvalReport:
     """Measure the empirical rate on a sampled workload and the model prediction."""
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
     above, answers = lbf.classify_many(sample(dist, samples, rng_seed))
-    alpha = float(above.mean())
-    backup_rate = backup_fpr_estimate(lbf)
-    predicted = model_fpr(alpha, backup_rate)
     return EvalReport(
         empirical_fpr=float(answers.mean()),
         sample_count=samples,
-        alpha_estimate=alpha,
-        backup_fpr_estimate=backup_rate,
-        model_fpr=predicted,
-        binomial_std_err=math.sqrt(max(predicted * (1.0 - predicted), 0.0) / samples),
+        alpha_estimate=float(above.mean()),
+        backup_fpr_estimate=backup_fpr_estimate(lbf),
         seed=rng_seed,
     )
 
@@ -176,15 +184,11 @@ def threshold_sweep(
         raise ParameterError("tau grid must be nonempty")
     if any(not 0.0 <= t <= 1.0 for t in taus):
         raise ParameterError("every tau must lie in [0, 1]")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if not 0.0 < backup_target_fpp < 1.0:
-        raise ParameterError("backup_target_fpp must lie in (0, 1)")
     keys = as_keys(keys)
     if not keys.size:
         raise ParameterError("key set must be nonempty")
-    queries = sample(dist, samples, rng_seed)
-    query_scores = scorer.score_batch(queries)
+    _sized_backup(backup_target_fpp, 1)  # a bad rate fails before the draw
+    query_scores = scorer.score_batch(sample(dist, samples, rng_seed))
     key_scores = scorer.score_batch(keys)
     points = []
     for tau in taus:
@@ -223,10 +227,6 @@ def _table_rate(tables: list, dist: QueryDistribution, n: int, rng_seed: int) ->
     return float(np.concatenate([table[pos] for table, pos in zip(tables, positions)]).mean())
 
 
-def _sampled_rate(filt, dist: QueryDistribution, n: int, rng_seed: int) -> float:
-    return empirical_fpr(filt, sample(dist, n, rng_seed))
-
-
 def concentration_experiment(
     lbf,
     dist: QueryDistribution,
@@ -255,11 +255,10 @@ def concentration_experiment(
         raise ParameterError("trials must be >= 1")
     if t_size < 1 or q_size < 1:
         raise ParameterError("t_size and q_size must be >= 1")
-    eligible = sum(part.cut for part in dist.parts)
-    if eligible <= min(SUPPORT_LIMIT, trials * (t_size + q_size)):
+    if sum(part.cut for part in dist.parts) <= min(SUPPORT_LIMIT, trials * (t_size + q_size)):
         rate = partial(_table_rate, [_answer_table(lbf, part) for part in dist.parts], dist)
     else:
-        rate = partial(_sampled_rate, lbf, dist)
+        rate = lambda n, seed: empirical_fpr(lbf, sample(dist, n, seed))
     exceed = 0
     for trial in range(trials):
         x = rate(t_size, derive_seed(rng_seed, f"T{trial}"))
@@ -270,7 +269,6 @@ def concentration_experiment(
         epsilon=float(epsilon),
         trials=trials,
         exceed_fraction=exceed / trials,
-        theorem_bound=theorem_bound(epsilon, t_size, q_size),
         t_size=t_size,
         q_size=q_size,
         seed=rng_seed,

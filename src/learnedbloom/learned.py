@@ -9,6 +9,7 @@ a false negative.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -25,6 +26,10 @@ def _sized_backup(backup: FilterParams | float, below: int) -> FilterParams:
     """``backup`` if it is sized already, else a filter for ``below`` keys at the rate ``backup``."""
     if isinstance(backup, FilterParams):
         return backup
+    if not 0.0 < backup < 1.0:
+        raise ParameterError(f"backup_target_fpp {backup} must lie in (0, 1)")
+    if math.isinf(1.0 / backup):
+        raise ParameterError(f"backup_target_fpp {backup} is too small: 1/backup_target_fpp overflows")
     return params_for_target(max(below, 1), backup)
 
 

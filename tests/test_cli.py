@@ -1,5 +1,6 @@
 """CLI commands, exit codes, config-file precedence, output determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -342,6 +343,52 @@ def test_an_unread_option_at_its_default_is_accepted_and_has_no_effect(
     assert given == plain
     if argv[0] != "query":
         assert unread[0][2:].replace("-", "_") not in json.loads(given)["config"]
+
+
+_BAD_RATE_COMMANDS = {
+    "build_example": ["build", "--kind", "example", "--out", "OUT"],
+    "build_learned": ["build", "--kind", "learned", "--keys", "KEYS", "--scorer",
+                      "interval:1000:2000:0.5:0.0", "--tau", "0.4", "--out", "OUT"],
+    "concentration": ["concentration", "--trials", "1", "--t-size", "100", "--q-size", "100"],
+    "sweep": ["sweep", "--keys", "KEYS", "--scorer", "interval:0:10:0.5:0.0", "--taus", "0.5",
+              "--dist", "uniform:0:1000000"],
+}
+_BAD_RATES = {
+    "0": "must lie in (0, 1)",
+    "1.5": "must lie in (0, 1)",
+    "nan": "must lie in (0, 1)",
+    "1e-310": "is too small: 1/backup_target_fpp overflows",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *[(argv, "sample count must be >= 1") for argv in [
+            ["eval", "--filter", "STANDARD", "--dist", "uniform:0:1000000", "--samples", "0"],
+            ["eval", "--filter", "LEARNED", "--dist", "uniform:0:1000000", "--samples", "0"],
+            [*_BAD_RATE_COMMANDS["sweep"], "--samples", "0"],
+            ["repro-example", "--samples", "0"],
+        ]],
+        *[([*argv, "--backup-target-fpp", rate], f"backup_target_fpp {float(rate)} {rule}")
+          for argv in _BAD_RATE_COMMANDS.values() for rate, rule in _BAD_RATES.items()],
+    ],
+    ids=["eval_standard_samples", "eval_learned_samples", "sweep_samples", "repro_samples",
+         *[f"{name}_rate_{rate}" for name in _BAD_RATE_COMMANDS for rate in _BAD_RATES]],
+)
+def test_a_bad_sample_count_or_backup_rate_gives_one_message_in_every_command(
+    tmp_path, key_file, capsys, argv, message
+):
+    path, _ = key_file
+    names = {"KEYS": path, "STANDARD": tmp_path / "std.bloom", "LEARNED": tmp_path / "ex.lbf",
+             "OUT": tmp_path / "f.out"}
+    run(capsys, "build", "--kind", "standard", "--keys", path,
+        "--target-fpp", "0.01", "--out", names["STANDARD"])
+    run(capsys, "build", "--kind", "example", "--out", names["LEARNED"])
+    code = main([str(names.get(a, a)) for a in argv])
+    assert code == EXIT_PARAMETER
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not names["OUT"].exists()
 
 
 class TestQuery:
@@ -857,3 +904,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(10**13) in err
         assert not out.exists()
+
+
+def test_every_raise_names_an_error_main_maps_to_an_exit_code():
+    # cli.main turns these into exit codes 2, 4 and 5; any other exception is a traceback
+    mapped = {"ParameterError", "FilterFormatError", "WorkloadError", "OracleUnavailableError",
+              "TrainingError"}
+    strays = []
+    for source in sorted((ROOT / "src" / "learnedbloom").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare re-raise keeps its type
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(raised, ast.Name) and raised.id in mapped):
+                strays.append(f"{source.name}:{node.lineno}: {ast.unparse(node)}")
+    assert strays == []

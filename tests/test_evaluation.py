@@ -15,6 +15,8 @@ from learnedbloom.errors import (
     WorkloadError,
 )
 from learnedbloom.evaluation import (
+    ConcentrationReport,
+    EvalReport,
     backup_fpr_estimate,
     concentration_experiment,
     empirical_fpr,
@@ -199,6 +201,62 @@ class TestEvaluate:
             if abs(report.empirical_fpr - predicted) > tolerance:
                 misses += 1
         assert misses <= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.0, 1.0),
+    backup=st.floats(0.0, 1.0),
+    rate=st.floats(0.0, 1.0),
+    n=st.integers(1, 2**40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_eval_report_dict_derives_model_fpr_and_std_err(alpha, backup, rate, n, seed):
+    report = EvalReport(
+        empirical_fpr=rate, sample_count=n, alpha_estimate=alpha, backup_fpr_estimate=backup,
+        seed=seed,
+    ).to_dict()
+    assert set(report) == {"empirical_fpr", "sample_count", "alpha_estimate",
+                           "backup_fpr_estimate", "model_fpr", "binomial_std_err", "seed"}
+    p = model_fpr(alpha, backup)
+    assert report["model_fpr"] == p
+    assert report["binomial_std_err"] == math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("empirical_fpr", 1.5, "empirical_fpr must lie in [0, 1]"),
+        ("alpha_estimate", -0.1, "alpha_estimate must lie in [0, 1]"),
+        ("backup_fpr_estimate", float("nan"), "backup_fpr_estimate must lie in [0, 1]"),
+        ("sample_count", 0, "sample_count must be >= 1"),
+    ],
+)
+def test_a_hand_built_eval_report_is_checked_at_construction(field, value, message):
+    fields = dict(empirical_fpr=0.1, sample_count=10, alpha_estimate=0.5,
+                  backup_fpr_estimate=0.01, seed=0)
+    with pytest.raises(ParameterError) as info:
+        EvalReport(**{**fields, field: value})
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    trials=st.integers(1, 10**6),
+    exceed=st.floats(0.0, 1.0),
+    t_size=st.integers(1, 2**40),
+    q_size=st.integers(1, 2**40),
+)
+def test_concentration_report_dict_derives_theorem_bound(epsilon, trials, exceed, t_size, q_size):
+    report = ConcentrationReport(
+        epsilon=epsilon, trials=trials, exceed_fraction=exceed, t_size=t_size, q_size=q_size,
+        seed=0,
+    ).to_dict()
+    assert set(report) == {"epsilon", "trials", "exceed_fraction", "theorem_bound", "t_size",
+                           "q_size", "seed"}
+    assert report["theorem_bound"] == theorem_bound(epsilon, t_size, q_size)
 
 
 class TestConcentration:
