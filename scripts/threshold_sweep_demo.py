@@ -12,6 +12,8 @@ import csv
 import sys
 from dataclasses import astuple, fields
 
+from learnedbloom.cli import EXIT_PARAMETER, _parse
+from learnedbloom.errors import ParameterError
 from learnedbloom.evaluation import SweepPoint, threshold_sweep
 from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import TrainingSet, train_logistic
@@ -41,7 +43,7 @@ def main() -> None:
         learning_rate=args.learning_rate,
     )
 
-    taus = [float(t) for t in args.taus.split(",") if t.strip()]
+    taus = [_parse(float, t, "threshold") for t in args.taus.split(",") if t.strip()]
     points = threshold_sweep(
         example.keys, scorer, taus, dist,
         samples=args.samples,
@@ -59,4 +61,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ParameterError as exc:  # one line and exit 2, as in ``lbf sweep``
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PARAMETER)

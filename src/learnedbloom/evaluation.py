@@ -10,9 +10,9 @@ table, at most ``trials * (t_size + q_size)`` too); the tables answer each
 eligible key once, and the reports keep the bytes sampling gives.  A report
 stores what was measured, range-checked when built; ``model_fpr``,
 ``binomial_std_err`` and ``theorem_bound`` are properties computed by this
-module's functions, which ``to_dict`` adds.  Sample counts and backup design
-rates are checked where they are used (``workloads`` sampling,
-``learned._sized_backup``), once for every caller.
+module's functions, which ``to_dict`` adds.  Sample counts and set sizes are
+checked by ``workloads._check_sample_count``, backup design rates by
+``learned._sized_backup``, once for every caller.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _sized_backup
 from .scorers import Scorer
-from .workloads import Part, QueryDistribution, _draw_positions, _eligible_blocks, sample
+from .workloads import (Part, QueryDistribution, _check_sample_count, _draw_positions,
+                        _eligible_blocks, sample)
 
 SUPPORT_LIMIT = 10**7  # largest eligible support exact_alpha or an answer table will walk
 
@@ -253,8 +254,8 @@ def concentration_experiment(
         raise ParameterError("epsilon must lie in (0, 1)")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if t_size < 1 or q_size < 1:
-        raise ParameterError("t_size and q_size must be >= 1")
+    _check_sample_count(t_size)  # both before any answer table is built
+    _check_sample_count(q_size)
     if sum(part.cut for part in dist.parts) <= min(SUPPORT_LIMIT, trials * (t_size + q_size)):
         rate = partial(_table_rate, [_answer_table(lbf, part) for part in dist.parts], dist)
     else:

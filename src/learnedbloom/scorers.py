@@ -1,9 +1,10 @@
 """Key scorers: pre-filter functions mapping keys to [0, 1].
 
 Two concrete families. Interval scorers return a fixed high score on a union of disjoint
-closed integer intervals and a fixed low score elsewhere. Logistic scorers apply a sigmoid
-to a linear function of a named, deterministic feature encoding of the key, and are
-trained by full-batch gradient descent on the clamped cross-entropy loss.
+closed intervals of keys and a fixed low score elsewhere; a record loads straight into two
+uint64 arrays, checked whole-array, so it costs O(I) past its JSON.  Logistic scorers apply
+a sigmoid to a linear function of a named, deterministic feature encoding of the key, and
+are trained by full-batch gradient descent on the clamped cross-entropy loss.
 
 Keys are integers in [0, 2^64).  Every scorer scores one key (``score``) or a
 uint64 batch (``score_batch``) bit for bit alike, at a cost bounded by the batch,
@@ -23,8 +24,7 @@ import json
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,37 +56,45 @@ class Scorer(ABC):
         """JSON-compatible tagged record; reals are hex-float strings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalScorer(Scorer):
-    """``inside_score`` on a union of disjoint closed integer intervals, ``outside_score`` elsewhere."""
+    """``inside_score`` on a union of disjoint closed intervals of keys, ``outside_score``
+    elsewhere; the intervals are held once, as read-only uint64 arrays of starts and ends."""
 
-    intervals: tuple[tuple[int, int], ...]
+    _lo: np.ndarray
+    _hi: np.ndarray
     inside_score: float
     outside_score: float
 
-    def __post_init__(self):
-        ivs = tuple((int(lo), int(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        for lo, hi in ivs:
-            if lo > hi:
-                raise ParameterError(f"empty interval [{lo}, {hi}]")
-        for (_, b), (c, _) in zip(ivs, ivs[1:]):
-            if c <= b:
-                raise ParameterError("intervals must be sorted and pairwise disjoint")
+    def __init__(self, intervals, inside_score: float, outside_score: float):
+        try:  # one key check for every bound, then row 0 the starts and row 1 the ends
+            bounds = as_keys(b for lo, hi in intervals for b in (lo, hi)).reshape(-1, 2).T.copy()
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"intervals are (lo, hi) pairs of keys: {exc}") from None
+        bounds.flags.writeable = False
+        lo, hi = bounds
+        empty = np.flatnonzero(lo > hi)
+        if empty.size:
+            raise ParameterError(f"empty interval [{lo[empty[0]]}, {hi[empty[0]]}]")
+        if (lo[1:] <= hi[:-1]).any():
+            raise ParameterError("intervals must be sorted and pairwise disjoint")
+        self.__dict__.update(_lo=lo, _hi=hi, inside_score=inside_score, outside_score=outside_score)
         for name in ("inside_score", "outside_score"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1]")
         if not self.inside_score > self.outside_score:
             raise ParameterError("inside_score must exceed outside_score")
-        kept = [(max(lo, 0), min(hi, (1 << 64) - 1)) for lo, hi in ivs if hi >= 0 and lo < 1 << 64]
-        object.__setattr__(self, "_lo", _held_keys([lo for lo, _ in kept]))  # clipped to [0, 2^64)
-        object.__setattr__(self, "_hi", _held_keys([hi for _, hi in kept]))
+
+    def __eq__(self, other) -> bool:  # every field, the arrays element by element
+        return isinstance(other, IntervalScorer) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     def score(self, key) -> float:
         x = _key(key)
-        i = bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1  # the last start <= x
-        return self.inside_score if i >= 0 and x <= self.intervals[i][1] else self.outside_score
+        i = bisect.bisect_right(self._lo.data, x) - 1  # the last start <= x, read as Python ints
+        return self.inside_score if i >= 0 and x <= self._hi.data[i] else self.outside_score
 
     def score_batch(self, keys) -> np.ndarray:
         x = as_keys(keys)
@@ -101,12 +109,12 @@ class IntervalScorer(Scorer):
 
     def size_bits(self) -> int:
         # 128 bits per interval (two 64-bit bounds) + 128 for the two scores.
-        return 128 * len(self.intervals) + 128
+        return 128 * self._lo.size + 128
 
     def to_record(self) -> dict:
         return {
             "kind": "interval",
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
+            "intervals": np.column_stack((self._lo, self._hi)).tolist(),
             "inside_score": float(self.inside_score).hex(),
             "outside_score": float(self.outside_score).hex(),
         }
@@ -232,6 +240,8 @@ class _ByteNgram(FeatureMap):
 
 def feature_map(name: str) -> FeatureMap:
     """Resolve a feature-map name like ``int-norm:1000000`` or ``byte-ngram:16``."""
+    if not isinstance(name, str):
+        raise ParameterError(f"feature map name must be a string, not {type(name).__name__}")
     family, _, arg = name.partition(":")
     if not arg:
         raise ParameterError(f"feature map {name!r} is missing its parameter")
@@ -407,7 +417,7 @@ def scorer_from_record(record: dict) -> Scorer:
         kind = record["kind"]
         if kind == "interval":
             return IntervalScorer(
-                intervals=tuple((int(lo), int(hi)) for lo, hi in record["intervals"]),
+                record["intervals"],
                 inside_score=float.fromhex(record["inside_score"]),
                 outside_score=float.fromhex(record["outside_score"]),
             )

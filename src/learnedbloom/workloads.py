@@ -146,6 +146,16 @@ def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
+def _check_sample_count(n: int) -> None:
+    """A ParameterError unless ``n`` is at least 1 and numpy would allocate ``n`` draws."""
+    if n < 1:
+        raise ParameterError("sample count must be >= 1")
+    try:
+        np.empty(n, dtype=np.uint64)
+    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
+        raise ParameterError(f"sample count {n} is too large to allocate") from exc
+
+
 def _draw_positions(
     dist: QueryDistribution, n: int, rng_seed: int
 ) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
@@ -156,12 +166,7 @@ def _draw_positions(
     array.  Raises ParameterError when ``n`` cannot be allocated and WorkloadError
     when no key is eligible, before drawing anything.
     """
-    if n < 1:
-        raise ParameterError("sample count must be >= 1")
-    try:
-        np.empty(n, dtype=np.uint64)
-    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
-        raise ParameterError(f"sample count {n} is too large to allocate") from exc
+    _check_sample_count(n)
     mass = [p.weight * p.cut / p.component.size for p in dist.parts]
     if not any(mass):
         raise WorkloadError("exclusion removes the whole support")

@@ -369,11 +369,14 @@ _BAD_RATES = {
             ["eval", "--filter", "LEARNED", "--dist", "uniform:0:1000000", "--samples", "0"],
             [*_BAD_RATE_COMMANDS["sweep"], "--samples", "0"],
             ["repro-example", "--samples", "0"],
+            [*_BAD_RATE_COMMANDS["concentration"], "--t-size", "0"],
+            [*_BAD_RATE_COMMANDS["concentration"], "--q-size", "0"],
         ]],
         *[([*argv, "--backup-target-fpp", rate], f"backup_target_fpp {float(rate)} {rule}")
           for argv in _BAD_RATE_COMMANDS.values() for rate, rule in _BAD_RATES.items()],
     ],
     ids=["eval_standard_samples", "eval_learned_samples", "sweep_samples", "repro_samples",
+         "concentration_t_size", "concentration_q_size",
          *[f"{name}_rate_{rate}" for name in _BAD_RATE_COMMANDS for rate in _BAD_RATES]],
 )
 def test_a_bad_sample_count_or_backup_rate_gives_one_message_in_every_command(
@@ -821,7 +824,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "case",
-        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds", "tiny_target",
+        ["key_file_line", "summary_dist_bounds", "tau_grid", "interval_bounds",
+         "interval_bound_below_the_key_range", "interval_bound_above_the_key_range", "tiny_target",
          "scorer_part_not_utf8", "scorer_part_nested_json", "meta_part_nested_json",
          "scorer_file_not_utf8", "config_file_not_utf8", "meta_count_overflows",
          "tau_part_overflows", "scorer_part_bound_overflows", "scorer_part_score_overflows",
@@ -860,6 +864,12 @@ class TestExitCodes:
                          "--taus", "0.1,x", "--dist", "uniform:0:1000000"],
             "interval_bounds": ["build", "--kind", "learned", "--keys", path, "--scorer",
                                 "interval:1.5:2000:0.5:0.0", "--tau", "0.4", "--out", out],
+            "interval_bound_below_the_key_range": [
+                "build", "--kind", "learned", "--keys", path, "--scorer",
+                "interval:-5:10:0.5:0.0", "--tau", "0.4", "--out", out],
+            "interval_bound_above_the_key_range": [
+                "build", "--kind", "learned", "--keys", path, "--scorer",
+                f"interval:0:{2**64}:0.5:0.0", "--tau", "0.4", "--out", out],
             "tiny_target": ["build", "--kind", "standard", "--keys", path,
                             "--target-fpp", "1e-310", "--out", out],
             "scorer_part_not_utf8": ["query", "--filter", bad, "5"],
@@ -882,6 +892,8 @@ class TestExitCodes:
         assert not out.exists()
         if case == "key_file_line":
             assert "line 2" in err
+        if case.startswith("interval_bound_"):
+            assert "intervals are (lo, hi) pairs of keys: integer key" in err
 
     @pytest.mark.parametrize(
         "argv",

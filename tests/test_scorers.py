@@ -1,5 +1,7 @@
 """Scorers, feature maps, the loss, and the trainer."""
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -29,6 +31,18 @@ from learnedbloom.scorers import (
 
 ROOT = Path(__file__).resolve().parent.parent
 HOT = IntervalScorer(((1000, 2000),), inside_score=0.5, outside_score=0.0)
+
+
+def _spans(data, cuts):
+    """Sorted disjoint closed intervals, one per pair of neighbouring cuts: ``[lo, lo]`` or
+    ``[lo, next - 1]``; a cut of 2^64 can only close the last one, at key 2^64 - 1."""
+    cuts = sorted(cuts)
+    return [(lo, data.draw(st.sampled_from([lo, hi - 1]))) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _interval_record(intervals: str) -> str:
+    return ('{"inside_score": "0x1p-1", "intervals": %s, "kind": "interval", '
+            '"outside_score": "0x0.0p+0"}' % intervals)
 
 
 class TestIntervalScorer:
@@ -74,33 +88,53 @@ class TestIntervalScorer:
         with pytest.raises(ParameterError):
             IntervalScorer(((0, 1),), inside_score=1.2, outside_score=0.0)
 
-    @pytest.mark.parametrize("middle", [0, 20])  # past 16 intervals the batch searches
-    def test_bounds_outside_the_key_range_are_clipped(self, middle):
-        spans = [(10**6 + 3 * i, 10**6 + 3 * i + 1) for i in range(middle)]
-        ivs = [(-10, -2), (-1, 3), *spans, (2**64 - 2, 2**64 + 5), (2**64 + 10, 2**65)]
-        s = IntervalScorer(tuple(ivs), 0.5, 0.0)
-        keys = [0, 3, 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]
-        expected = [0.5, 0.5, 0.0, 0.0, 0.5, 0.5]
-        assert [s.score(k) for k in keys] == s.score_batch(keys).tolist() == expected
+    @pytest.mark.parametrize("bounds", [(-1, 3), (0, 2**64), (2**64, 2**64 + 5), (-10, -2)])
+    def test_bounds_outside_the_key_range_are_rejected(self, bounds):
+        with pytest.raises(ParameterError, match=r"pairs of keys: integer key -?\d+ outside"):
+            IntervalScorer((bounds,), 0.5, 0.0)
+        with pytest.raises(FilterFormatError, match="outside the 64-bit range"):
+            scorer_from_text(_interval_record(json.dumps([list(bounds)])))
+
+    @pytest.mark.parametrize(
+        "intervals",
+        ['[["1", "5"]]', "[[true, 3]]", "[[1, false]]", "[[7.9, 10]]", "[[1, 5.0]]", "[[1e3, 2e3]]",
+         "[[1]]", "[[1, 2, 3]]", "[[0, 1], []]", "[1, 2]", '"ab"'],
+    )  # fmt: skip
+    def test_a_record_bound_that_is_not_an_integer_key_is_rejected(self, intervals):
+        with pytest.raises(FilterFormatError, match="malformed scorer record"):
+            scorer_from_text(_interval_record(intervals))
+
+    @pytest.mark.parametrize("intervals", [((1, 2, 3),), ((1,),), ((0, 1), ())])
+    def test_a_pair_whose_length_is_not_two_is_rejected(self, intervals):
+        with pytest.raises(ParameterError, match=r"intervals are \(lo, hi\) pairs of keys"):
+            IntervalScorer(intervals, 0.5, 0.0)
 
     @pytest.mark.parametrize("sizes", [(0, 12), (18, 40)])  # past 16 intervals the batch searches
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_score_batch_equals_score_bit_for_bit(self, sizes, data):
-        # bounds may lie outside [0, 2^64), and are dense near its ends; all may lie above key 0
-        low = data.draw(st.sampled_from([-(2**65), 1]))
+        # bounds are keys, dense near both ends of [0, 2^64); all may lie above key 0
+        low = data.draw(st.sampled_from([0, 1]))
         ends = st.one_of(
-            st.integers(low, 2**65), st.integers(max(low, -3), 3), st.integers(2**64 - 3, 2**64 + 3)
+            st.integers(low, 2**64), st.integers(low, 3), st.integers(2**64 - 3, 2**64)
         )
         cuts = data.draw(st.lists(ends, min_size=sizes[0], max_size=sizes[1], unique=True))
-        cuts.sort()  # an interval may end one below the next one's start
-        spans = [(lo, data.draw(st.sampled_from([lo, hi - 1]))) for lo, hi in zip(cuts, cuts[1:])]
-        s = IntervalScorer(tuple(spans), inside_score=0.75, outside_score=0.25)
-        bounds = [b + d for iv in s.intervals for b in iv for d in (-1, 0, 1)]
+        spans = _spans(data, cuts)
+        s = IntervalScorer(spans, inside_score=0.75, outside_score=0.25)
+        bounds = [b + d for span in spans for b in span for d in (-1, 0, 1)]
         keys = [k for k in bounds if 0 <= k < 2**64] + [0, 2**64 - 1]
         keys += data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
         assert s.score_batch(keys).tolist() == [s.score(k) for k in keys]
         assert s.score_batch(np.array(keys, dtype=np.uint64)).tolist() == [s.score(k) for k in keys]
+
+    def test_holds_its_bounds_once_as_read_only_uint64_arrays(self):
+        s = IntervalScorer([(0, 5), (10, 2**64 - 1)], 0.9, 0.1)
+        assert set(vars(s)) == {"_lo", "_hi", "inside_score", "outside_score"}
+        assert [s._lo.tolist(), s._hi.tolist()] == [[0, 10], [5, 2**64 - 1]]
+        for held in (s._lo, s._hi):
+            assert held.dtype == np.uint64 and not held.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.inside_score = 1.0
 
     def test_size_bits(self):
         assert HOT.size_bits() == 256
@@ -429,6 +463,39 @@ class TestSerialization:
         back = scorer_from_text(blob)
         assert back == HOT
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interval_record_round_trips(self, data):
+        # 0 to 40 intervals, bounds anywhere in [0, 2^64)
+        spans = _spans(data, data.draw(st.lists(st.integers(0, 2**64), max_size=41, unique=True)))
+        inside = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        s = IntervalScorer(spans, inside, data.draw(st.floats(0.0, inside, exclude_max=True)))
+        text = scorer_to_text(s)
+        back = scorer_from_text(text)
+        assert back == s
+        assert scorer_to_text(back) == text
+        assert json.loads(text)["intervals"] == [list(span) for span in spans]
+
+    def test_a_large_record_loads_in_bounded_memory(self):
+        # one interval is two 8-byte bounds; its JSON pair of Python ints is several times that
+        n = 10**5
+        starts = range(2**40, 2**40 + 4 * n, 4)
+        text = scorer_to_text(IntervalScorer([(a, a + 2) for a in starts], 0.5, 0.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            json.loads(text)
+            json_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            s = scorer_from_text(text)
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert s.size_bits() == 128 * n + 128
+        assert peak <= json_peak + 64 * n
+        assert held <= 16 * n + 64 * 1024
+
     def test_logistic_round_trip_is_exact(self):
         s = LogisticScorer(
             weights=(0.1, -2.5e-17, 3.0), bias=math.pi, feature_map="byte-ngram:3"
@@ -445,6 +512,13 @@ class TestSerialization:
         back = scorer_from_text(scorer_to_text(s))
         assert back.weights[0] == w
         assert back.bias == -w
+
+    @pytest.mark.parametrize("name", ["5", "true", "null", '["int-norm:10"]', "{}"])
+    def test_a_feature_map_name_that_is_not_a_string_is_rejected(self, name):
+        record = ('{"bias": "0x0.0p+0", "feature_map": %s, "kind": "logistic", '
+                  '"weights": ["0x1p+0"]}')
+        with pytest.raises(FilterFormatError, match="feature map name must be a string"):
+            scorer_from_text(record % name)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FilterFormatError):

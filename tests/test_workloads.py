@@ -493,11 +493,12 @@ class TestAnswerTables:
                 with pytest.raises(OracleUnavailableError, match="eligible support of 101"):
                     exact_alpha(scorer, 0.5, dist)
 
-    def test_an_unallocatable_set_size_is_refused_on_the_table_path(self):
+    @pytest.mark.parametrize("sizes", [(10**13, 10), (10, 10**13)], ids=["t_size", "q_size"])
+    def test_an_unallocatable_set_size_is_refused_on_the_table_path(self, sizes):
         filt = _Counting(_FILTER)
-        with pytest.raises(ParameterError, match="too large to allocate"):
-            concentration_experiment(filt, uniform_queries(0, 50, [3]), 10**13, 10, 0.5, 1, 2)
-        assert filt.queried().size == 49  # the table was built first
+        with pytest.raises(ParameterError, match=f"sample count {10**13} is too large to allocate"):
+            concentration_experiment(filt, uniform_queries(0, 50, [3]), *sizes, 0.5, 1, 2)
+        assert filt.batches == []  # refused before the table is built
 
     def test_an_exclusion_covering_the_support_raises_on_the_table_path(self):
         mix = Mixture((UniformRange(0, 8), FixedSet([3, 3])), (0.5, 0.5))
