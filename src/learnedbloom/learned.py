@@ -164,13 +164,11 @@ class LearnedBloomFilter:
         try:
             tau = float.fromhex(parts[1].decode("ascii"))
             meta = json.loads(parts[3].decode("utf-8"))
-            return cls(
-                scorer,
-                tau,
-                BloomFilter.from_bytes(parts[2]),
-                key_count=int(meta["key_count"]),
-                below_threshold_count=int(meta["below_threshold_count"]),
-                inserted_after_build=int(meta["inserted_after_build"]),
-            )
+            names = ("key_count", "below_threshold_count", "inserted_after_build")
+            counts = {name: meta[name] for name in names}
+            for name, count in counts.items():
+                if type(count) is not int or count < 0:  # type(): JSON's true loads as a bool
+                    raise FilterFormatError(f"{name} {count!r} is not a non-negative integer")
+            return cls(scorer, tau, BloomFilter.from_bytes(parts[2]), **counts)
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise FilterFormatError(f"malformed learned filter record: {exc}") from exc

@@ -417,19 +417,27 @@ def scorer_from_record(record: dict) -> Scorer:
         kind = record["kind"]
         if kind == "interval":
             return IntervalScorer(
-                record["intervals"],
+                _json_list(record, "intervals"),
                 inside_score=float.fromhex(record["inside_score"]),
                 outside_score=float.fromhex(record["outside_score"]),
             )
         if kind == "logistic":
             return LogisticScorer(
-                weights=tuple(float.fromhex(w) for w in record["weights"]),
+                weights=tuple(float.fromhex(w) for w in _json_list(record, "weights")),
                 bias=float.fromhex(record["bias"]),
                 feature_map=record["feature_map"],
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FilterFormatError(f"malformed scorer record: {exc}") from exc
     raise FilterFormatError(f"unknown scorer kind {record.get('kind')!r}")
+
+
+def _json_list(record: dict, name: str) -> list:
+    """Field ``name`` of a scorer record, a JSON list: a string or an object would iterate too."""
+    value = record[name]
+    if not isinstance(value, list):
+        raise FilterFormatError(f"{name} must be a list, not {type(value).__name__}")
+    return value
 
 
 def scorer_from_text(text: str | bytes) -> Scorer:

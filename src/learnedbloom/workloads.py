@@ -279,34 +279,71 @@ def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float
 
 
 def save_keys_text(path, keys) -> None:
-    """Newline-delimited decimal integers."""
+    """The key batch as newline-delimited decimal integers, as :func:`load_keys_text` reads them.
+
+    Every key passes :func:`as_keys` before the file is opened.
+    """
+    text = "".join(f"{key}\n" for key in as_keys(keys).tolist())
     with open(path, "w", encoding="ascii") as fh:
-        for key in keys:
-            fh.write(f"{int(key)}\n")
+        fh.write(text)
+
+
+# Byte classes of a key file; 0 is any byte no line may hold.
+_DIGIT, _SPACE, _NEWLINE, _RUN_START = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
+_BYTE_CLASS[np.frombuffer(b" \t\r\v\f", np.uint8)] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_KEY_MAX_DIGITS = np.frombuffer(b"18446744073709551615", np.uint8)  # 2^64 - 1
 
 
 def load_keys_text(path) -> np.ndarray:
-    """Newline-delimited decimal integers, blank lines skipped, as a uint64 array in file order.
+    """The keys of a key file as a uint64 array in file order.
 
-    A line that is no integer, or a key outside [0, 2^64), raises ParameterError.
+    The grammar: each line, ended by a newline byte or by the end of the file,
+    is blank or holds one key, 1-20 ASCII digits of value below 2^64, with
+    optional ASCII space-like bytes (space, tab, CR, VT, FF) around it.  Any
+    other line raises ParameterError naming the file and the first such line.
     """
     with open(path, "rb") as fh:
-        lines = fh.readlines()
-    try:
-        keys = [int(line) for line in lines if line.strip()]
-    except ValueError:
-        number = next(n for n, line in enumerate(lines, 1) if not _is_key_line(line))
-        raise ParameterError(f"{path}: line {number}: not a decimal integer key") from None
-    return as_keys(keys)  # outside the try: ParameterError is a ValueError
-
-
-def _is_key_line(line: bytes) -> bool:
-    """True for a line :func:`load_keys_text` accepts: an integer, or blank."""
-    try:
-        int(line)
-    except ValueError:
-        return not line.strip()
-    return True
+        data = fh.read()
+    raw = np.frombuffer(data, np.uint8)
+    cls = _BYTE_CLASS[raw]
+    bad = [] if cls.all() else [int(np.argmin(cls))]  # offsets of each check's first failure
+    digit = np.zeros(raw.size + 2, bool)  # padded, so every digit run has two edges
+    np.equal(cls, _DIGIT, out=digit[1:-1])
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit  # each per-byte array is freed once read, to hold the peak near the file size
+    starts, ends = edges[0::2], edges[1::2]
+    length = ends - starts
+    too_long = np.flatnonzero(length > 20)
+    if too_long.size:
+        bad.append(int(starts[too_long[0]]))
+    # a run start that follows another run start with no newline between shares its line
+    cls[starts] = _RUN_START
+    marks = cls >= _NEWLINE
+    events = cls[marks]
+    shared = np.flatnonzero((events[1:] == _RUN_START) & (events[:-1] == _RUN_START))
+    if shared.size:
+        bad.append(int(np.flatnonzero(marks)[shared[0] + 1]))
+    del cls, marks, events
+    twenty = starts[length == 20]  # compared digit column by digit column against 2^64 - 1
+    above, equal = np.zeros(twenty.size, bool), np.ones(twenty.size, bool)
+    for column, limit in enumerate(_KEY_MAX_DIGITS):
+        digits = raw[twenty + column]
+        above |= equal & (digits > limit)
+        equal &= digits == limit
+    if above.any():
+        bad.append(int(twenty[np.argmax(above)]))
+    if bad:
+        line = data.count(b"\n", 0, min(bad)) + 1
+        raise ParameterError(f"{path}: line {line}: not a decimal integer key")
+    # only after every check: fromstring saturates a key above 2^64 - 1, stops silently at
+    # a bad token, and reads a file of blank lines as one 0
+    keys = np.fromstring(data, np.uint64, sep=" ") if starts.size else np.zeros(0, np.uint64)
+    if keys.size != starts.size:
+        raise ParameterError(f"{path}: {starts.size} keys read as {keys.size}")
+    return keys
 
 
 def read_manifest(path) -> dict:

@@ -422,7 +422,9 @@ class TestQuery:
         assert results[str(keys[0])] is True
 
     @pytest.mark.parametrize("bad_key", [-1, 2**64])
-    def test_out_of_range_key_file_names_the_key(self, tmp_path, key_file, capsys, bad_key):
+    def test_out_of_range_key_file_names_the_file_and_line(
+        self, tmp_path, key_file, capsys, bad_key
+    ):
         path, _ = key_file
         out = tmp_path / "std.bloom"
         run(capsys, "build", "--kind", "standard", "--keys", path,
@@ -432,7 +434,7 @@ class TestQuery:
         code = main(["query", "--filter", str(out), "--queries", str(qpath)])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
-        assert err == f"error: integer key {bad_key} outside the 64-bit range\n"
+        assert err == f"error: {qpath}: line 2: not a decimal integer key\n"
 
     def test_query_learned_filter_file(self, tmp_path, capsys):
         out = tmp_path / "ex.lbf"
@@ -555,7 +557,7 @@ class TestEval:
         code = main([str(a) for a in ["eval", "--filter", out, "--keys", bad_keys, *where]])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {bad_keys}: line 2: not a decimal integer key\n"
 
     def test_queries_without_a_key_set_keep_64_bit_keys_apart(self, tmp_path, key_file, capsys):
         # two keys that float64 rounds to the same value must not count as overlapping
@@ -829,7 +831,9 @@ class TestExitCodes:
          "scorer_part_not_utf8", "scorer_part_nested_json", "meta_part_nested_json",
          "scorer_file_not_utf8", "config_file_not_utf8", "meta_count_overflows",
          "tau_part_overflows", "scorer_part_bound_overflows", "scorer_part_score_overflows",
-         "scorer_file_score_overflows"],
+         "scorer_file_score_overflows", "meta_count_is_a_string", "meta_count_is_a_bool",
+         "meta_count_is_a_float", "meta_count_is_negative", "scorer_part_intervals_an_object",
+         "scorer_part_intervals_a_string", "scorer_part_weights_a_string"],
     )
     def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
         path, _ = key_file
@@ -854,6 +858,23 @@ class TestExitCodes:
                    b'"kind": "interval", "outside_score": "0x0.0p+0"}'),
             "scorer_part_score_overflows": _learned_filter_with_part(0, huge_score),
             "scorer_file_score_overflows": huge_score,
+            "meta_count_is_a_string": _learned_filter_with_part(
+                3, b'{"below_threshold_count": "1", "inserted_after_build": 0, "key_count": 2}'),
+            "meta_count_is_a_bool": _learned_filter_with_part(
+                3, b'{"below_threshold_count": 1, "inserted_after_build": true, "key_count": 2}'),
+            "meta_count_is_a_float": _learned_filter_with_part(
+                3, b'{"below_threshold_count": 1, "inserted_after_build": 0, "key_count": 7.9}'),
+            "meta_count_is_negative": _learned_filter_with_part(
+                3, b'{"below_threshold_count": 1, "inserted_after_build": 0, "key_count": -2}'),
+            "scorer_part_intervals_an_object": _learned_filter_with_part(
+                0, b'{"inside_score": "0x1p-1", "intervals": {}, '
+                   b'"kind": "interval", "outside_score": "0x0.0p+0"}'),
+            "scorer_part_intervals_a_string": _learned_filter_with_part(
+                0, b'{"inside_score": "0x1p-1", "intervals": "", '
+                   b'"kind": "interval", "outside_score": "0x0.0p+0"}'),
+            "scorer_part_weights_a_string": _learned_filter_with_part(
+                0, b'{"bias": "0x0.0p+0", "feature_map": "int-norm:10", "kind": "logistic", '
+                   b'"weights": "1"}'),
         }.get(case, b""))
         argv = {
             "key_file_line": ["build", "--kind", "standard", "--keys", bad_keys,
@@ -884,6 +905,10 @@ class TestExitCodes:
             "scorer_part_score_overflows": ["query", "--filter", bad, "5"],
             "scorer_file_score_overflows": ["build", "--kind", "learned", "--keys", path,
                                             "--scorer", bad, "--tau", "0.4", "--out", out],
+            **{case: ["query", "--filter", bad, "5"] for case in (
+                "meta_count_is_a_string", "meta_count_is_a_bool", "meta_count_is_a_float",
+                "meta_count_is_negative", "scorer_part_intervals_an_object",
+                "scorer_part_intervals_a_string", "scorer_part_weights_a_string")},
         }[case]
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err

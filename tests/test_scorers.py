@@ -98,7 +98,7 @@ class TestIntervalScorer:
     @pytest.mark.parametrize(
         "intervals",
         ['[["1", "5"]]', "[[true, 3]]", "[[1, false]]", "[[7.9, 10]]", "[[1, 5.0]]", "[[1e3, 2e3]]",
-         "[[1]]", "[[1, 2, 3]]", "[[0, 1], []]", "[1, 2]", '"ab"'],
+         "[[1]]", "[[1, 2, 3]]", "[[0, 1], []]", "[1, 2]", '"ab"', "{}", '""'],
     )  # fmt: skip
     def test_a_record_bound_that_is_not_an_integer_key_is_rejected(self, intervals):
         with pytest.raises(FilterFormatError, match="malformed scorer record"):

@@ -1,5 +1,7 @@
 """Query distributions, sampling, the worked-example dataset, and file I/O."""
 
+import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -558,12 +560,130 @@ class TestHotRangeExample:
         assert abs(in_hot - p) <= 3 * stderr
 
 
+def _reference_keys(data: bytes):
+    """The key-file grammar line by line: the keys of ``data``, or the number of its first bad line.
+
+    The reference the numpy parse is checked against.
+    """
+    keys = []
+    for number, line in enumerate(data.split(b"\n"), 1):
+        match = re.fullmatch(rb"[ \t\r\v\f]*(?:([0-9]{1,20})[ \t\r\v\f]*)?", line)
+        if match is None or (match[1] is not None and int(match[1]) >= 1 << 64):
+            return number
+        if match[1] is not None:
+            keys.append(int(match[1]))
+    return keys
+
+
+_spacing = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\v", b"\f"]), max_size=2).map(b"".join)
+_numerals = st.builds(
+    lambda zeros, value: b"0" * zeros + str(value).encode(),
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 999), st.integers(0, 2**64 - 1), st.integers(2**64 - 3, 2**64 + 3)),
+)
+_noise = st.lists(
+    st.sampled_from(
+        [*(bytes([b]) for b in b"0123456789 \t\r\v\f\n+-_aZ\x00\x1c\x85\xa0\xff"), "é".encode()]
+    ),
+    max_size=6,
+).map(b"".join)
+_key_files = st.builds(
+    lambda lines, final_newline: b"\n".join(lines) + b"\n" * final_newline,
+    st.lists(
+        st.one_of(st.tuples(_spacing, _numerals, _spacing).map(b"".join), _spacing, _noise),
+        max_size=8,
+    ),
+    st.booleans(),
+)
+
+
 class TestFiles:
     def test_text_round_trip(self, tmp_path):
         path = tmp_path / "keys.txt"
         keys = [5, 0, 999999, 17]
         save_keys_text(path, keys)
         assert load_keys_text(path).tolist() == keys
+
+    def test_saved_bytes_are_one_decimal_key_per_line(self, tmp_path):
+        path = tmp_path / "keys.txt"
+        save_keys_text(path, np.array([0, 2**64 - 1, 7], dtype=np.uint64))
+        assert path.read_bytes() == b"0\n18446744073709551615\n7\n"
+        save_keys_text(path, [])
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("keys", [[3, -1], [3, 2**64], [3, True], [3, 4.0], [3, "5"]])
+    def test_save_rejects_a_batch_that_is_not_keys_before_opening_the_file(self, tmp_path, keys):
+        path = tmp_path / "keys.txt"
+        with pytest.raises(ParameterError):
+            save_keys_text(path, keys)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "data, keys",
+        [
+            (b"18446744073709551615\n", [2**64 - 1]),
+            (b"00000000000000000042\n", [42]),
+            (b"5\n6", [5, 6]),
+            (b"", []),
+            (b"\n \n\t\n", []),
+            (b"5\r\n6\r\n", [5, 6]),
+            (b" \t7\v\f\n\n8 \n", [7, 8]),
+        ],
+        ids=["max_key", "20_digits_leading_zeros", "no_final_newline", "empty", "blank_lines",
+             "crlf", "space_like_padding"],
+    )
+    def test_grammar_accepts(self, tmp_path, data, keys):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(data)
+        got = load_keys_text(path)
+        assert got.dtype == np.uint64 and got.tolist() == keys
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"18446744073709551616", b"+5", b"1_000", b"-0", b"1 2", b"0" * 19 + b"42", b"\x1c",
+         b"0x10", b"1.0", b"5\x00", "٥".encode()],
+    )
+    def test_grammar_rejects_with_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(b"1\n\n" + line + b"\n2\n")
+        message = f"{path}: line 3: not a decimal integer key"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            load_keys_text(path)
+
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=_key_files)
+    def test_load_follows_the_line_grammar(self, tmp_path, data):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(data)
+        expected = _reference_keys(data)
+        if isinstance(expected, list):
+            assert load_keys_text(path).tolist() == expected
+        else:
+            with pytest.raises(ParameterError) as info:
+                load_keys_text(path)
+            assert str(info.value) == f"{path}: line {expected}: not a decimal integer key"
+
+    @pytest.mark.parametrize("digits", [6, 20])
+    def test_load_peak_memory_is_bounded_by_the_file_and_the_keys(self, tmp_path, digits):
+        # the bytes read, a class byte and a digit mask per byte, run edges, the uint64 keys
+        c = 4
+        n = 200_000
+        keys = np.random.default_rng(digits).integers(
+            10 ** (digits - 1), min(10**digits, 2**64) - 1, size=n, dtype=np.uint64, endpoint=True
+        )
+        path = tmp_path / "keys.txt"
+        save_keys_text(path, keys)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_keys_text(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, keys)
+        assert peak <= c * (path.stat().st_size + 8 * n)
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.txt"
