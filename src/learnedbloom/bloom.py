@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import _key, hash_pair, hash_pair_batch
+from .hashing import _key, as_keys, hash_pair, hash_pair_batch
 
 _MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
@@ -26,6 +26,9 @@ MAGIC = b"LBF1"
 MAX_K = 2048
 _HEADER = struct.Struct("<4sQIQQ")  # magic, m, k, seed, inserted_count
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+# Keys hashed and probed at a time by the batch paths, so each uint64 temporary
+# is 128 KB; 2^13 to 2^16 measured alike, 2^12 and 2^17 or more slower.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -83,22 +86,26 @@ class BloomFilter:
     def insert_many(self, keys) -> None:
         """Bulk insert of any key batch; the same bits as inserting each key in turn.
 
-        One hash round at a time: round i sets bit ``(h1 + i*h2) % m`` of every
-        key in a transient byte-per-bit copy of the array, packed back at the end.
-        An m-byte copy numpy cannot allocate is a ParameterError; the filter is unchanged.
+        The batch is checked whole, then hashed :data:`_BLOCK` keys at a time, so no
+        probe temporary grows with the batch or with k: round i sets bit
+        ``(h1 + i*h2) % m`` of a block's keys in one byte-per-bit copy of the array,
+        packed back at the end.  An invalid key, or an m-byte copy numpy cannot
+        allocate, is a ParameterError; the filter is unchanged.
         """
-        acc, step = hash_pair_batch(keys, self.seed)
-        m = np.uint64(self.m)
+        keys = as_keys(keys)
         try:
             unpacked = np.unpackbits(self._bits, count=self.m, bitorder="little")
         except MemoryError as exc:
             raise ParameterError(f"bit count m={self.m} is too large to insert into") from exc
-        for i in range(self.k):
-            if i:
-                acc += step
-            unpacked[(acc % m).view(np.int64)] = 1  # m < 2^63: the packed array was allocated
+        m = np.uint64(self.m)
+        for start in range(0, keys.size, _BLOCK):
+            acc, step = hash_pair_batch(keys[start : start + _BLOCK], self.seed)
+            for i in range(self.k):
+                if i:
+                    acc += step
+                unpacked[(acc % m).view(np.int64)] = 1  # m < 2^63: the packed array was allocated
         self._bits = np.packbits(unpacked, bitorder="little")
-        self.inserted_count += int(acc.size)
+        self.inserted_count += int(keys.size)
 
     def contains(self, key) -> bool:
         """True iff all k probed bits are set; never False for an inserted key."""
@@ -108,23 +115,26 @@ class BloomFilter:
     def contains_many(self, keys) -> np.ndarray:
         """Membership test over any key batch; a boolean array of :meth:`contains` answers.
 
-        One hash round at a time: round i probes bit ``(h1 + i*h2) % m`` only of
-        the keys whose earlier probes all hit, so a non-member stops at its
-        first zero bit and no temporary grows with k.
+        The batch is checked whole, then probed :data:`_BLOCK` keys and one hash round
+        at a time: round i probes bit ``(h1 + i*h2) % m`` only of the keys whose earlier
+        probes all hit, so a non-member stops at its first zero bit, and no probe
+        temporary grows with the batch or with k.
         """
-        acc, step = hash_pair_batch(keys, self.seed)
-        answers = np.zeros(acc.size, dtype=bool)
-        alive = np.arange(acc.size)
+        keys = as_keys(keys)
+        answers = np.zeros(keys.size, dtype=bool)
         m = np.uint64(self.m)
-        for i in range(self.k):
-            if i:
-                acc += step
-            p = (acc % m).view(np.int64)  # m < 2^63: the packed array was allocated
-            hit = np.flatnonzero(self._bits[p >> 3] >> (p & 7).astype(np.uint8) & np.uint8(1))
-            alive, acc, step = alive[hit], acc[hit], step[hit]
-            if not alive.size:
-                return answers
-        answers[alive] = True
+        for start in range(0, keys.size, _BLOCK):
+            acc, step = hash_pair_batch(keys[start : start + _BLOCK], self.seed)
+            alive = np.arange(start, start + acc.size)
+            for i in range(self.k):
+                if i:
+                    acc += step
+                p = (acc % m).view(np.int64)  # m < 2^63: the packed array was allocated
+                hit = np.flatnonzero(self._bits[p >> 3] >> (p & 7).astype(np.uint8) & np.uint8(1))
+                alive, acc, step = alive[hit], acc[hit], step[hit]
+                if not alive.size:
+                    break
+            answers[alive] = True
         return answers
 
     @property

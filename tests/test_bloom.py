@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from learnedbloom import bloom
 from learnedbloom.bloom import (
+    _BLOCK,
     MAX_K,
     BloomFilter,
     FilterParams,
@@ -20,6 +22,8 @@ from learnedbloom.bloom import (
     params_for_target,
 )
 from learnedbloom.errors import FilterFormatError, ParameterError
+from learnedbloom.learned import LearnedBloomFilter
+from learnedbloom.scorers import IntervalScorer
 
 
 def distinct_u64(rng, n):
@@ -199,24 +203,107 @@ def test_popcount_counts_the_stored_bits(keys, m, k, seed):
     assert f.popcount == int(np.unpackbits(stored, count=m, bitorder="little").sum())
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def _contains_many_peak_bytes(k: int) -> int:
     rng = np.random.default_rng(k)
     members = rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64)
     f = BloomFilter(2_000_000, k, seed=k)
     f.insert_many(members)
     queries = np.concatenate([members, rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64)])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        f.contains_many(queries)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return _peak_bytes(lambda: f.contains_many(queries))
 
 
 def test_contains_many_temporaries_do_not_grow_with_k():
     # 200k keys, half members: an n*k position matrix would make k=32 ~16x k=2.
     assert _contains_many_peak_bytes(32) <= 2 * _contains_many_peak_bytes(2)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_batches_across_block_boundaries_match_the_scalar_paths(n):
+    keys = np.random.default_rng(n).integers(0, 1 << 63, size=n, dtype=np.int64)
+    every, half = BloomFilter(8 * n, 5, seed=n), BloomFilter(8 * n, 5, seed=n)
+    for i, key in enumerate(keys.tolist()):
+        every.insert(key)
+        if i < n // 2:
+            half.insert(key)
+    expected = [half.contains(key) for key in keys.tolist()]
+    assert any(expected[n // 2 :]) and not all(expected)  # false positives and misses
+    forms = {"uint64": keys.astype(np.uint64), "int64": keys, "list": keys.tolist()}
+    for form, batch in forms.items():
+        f = BloomFilter(8 * n, 5, seed=n)
+        f.insert_many(batch)
+        assert f.to_bytes() == every.to_bytes(), form
+        assert half.contains_many(batch).tolist() == expected, form
+
+
+def _bad_key_after_the_first_block(bad, form=list):
+    keys = list(range(_BLOCK + 10))
+    keys[_BLOCK + 5] = bad
+    return form(keys)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        _bad_key_after_the_first_block(-1),
+        _bad_key_after_the_first_block(2**64),
+        _bad_key_after_the_first_block(-1, lambda keys: np.array(keys, dtype=np.int64)),
+    ],
+    ids=["list-negative", "list-2^64", "int64-negative"],
+)
+def test_a_bad_key_past_the_first_block_changes_nothing(batch, monkeypatch):
+    f = BloomFilter(10_000, 4, seed=8)
+    f.insert_many(range(100))
+    before = (f.to_bytes(), f.inserted_count)
+    hashed = []
+    monkeypatch.setattr(bloom, "hash_pair_batch", lambda *args: hashed.append(args))
+    for method in (f.insert_many, f.contains_many):
+        with pytest.raises(ParameterError):
+            method(batch)
+    assert hashed == []  # nothing hashed, so nothing probed or set
+    assert (f.to_bytes(), f.inserted_count) == before
+
+
+def test_batch_temporaries_do_not_grow_with_the_batch():
+    # Per-block uint64 temporaries are _BLOCK * 8 bytes each; a whole-batch
+    # temporary of 10^6 keys would be 8 MB, over the bounds by far.
+    n, m = 1_000_000, 2_000_000
+    keys = np.random.default_rng(5).integers(0, 1 << 64, size=n, dtype=np.uint64)
+    f = BloomFilter(m, 3, seed=5)
+    assert _peak_bytes(lambda: f.insert_many(keys)) <= m + m // 8 + 16 * _BLOCK * 8
+    assert _peak_bytes(lambda: f.contains_many(keys)) <= n + 16 * _BLOCK * 8
+
+
+def test_one_public_call_per_batch(monkeypatch):
+    # The benchmark's tracer wraps the public methods: a call per block would split a batch.
+    calls = []
+    for name in ("insert_many", "contains_many"):
+        method = getattr(BloomFilter, name)
+
+        def counted(self, keys, method=method, name=name):
+            calls.append(name)
+            return method(self, keys)
+
+        monkeypatch.setattr(BloomFilter, name, counted)
+    keys = np.arange(3 * _BLOCK, dtype=np.uint64)
+    f = BloomFilter(10 * keys.size, 3, seed=2)
+    f.insert_many(keys)
+    assert f.contains_many(keys).all()
+    assert calls == ["insert_many", "contains_many"]
+    calls.clear()
+    cold = IntervalScorer([(2**63, 2**64 - 1)], inside_score=1.0, outside_score=0.0)
+    lbf = LearnedBloomFilter.build(keys, cold, 0.5, 0.01, seed=2)  # every key goes to the backup
+    assert lbf.classify_many(keys)[1].all()
+    assert calls == ["insert_many", "contains_many"]
 
 
 def test_determinism_same_inputs_bit_identical():
