@@ -3,24 +3,23 @@
 
 Shows the size/accuracy trade-off a threshold choice makes: as tau rises,
 fewer queries clear the pre-filter (alpha falls) but more keys miss it and
-the backup filter grows.
+the backup filter grows.  The sweep is ``lbf sweep --format csv`` over the
+example keys and the trained scorer's record.
 """
 
 import argparse
-import contextlib
-import csv
 import sys
-from dataclasses import astuple, fields
+import tempfile
+from pathlib import Path
 
-from learnedbloom.cli import EXIT_PARAMETER, _parse
+from learnedbloom import cli
 from learnedbloom.errors import ParameterError
-from learnedbloom.evaluation import SweepPoint, threshold_sweep
 from learnedbloom.hashing import derive_seed
-from learnedbloom.scorers import TrainingSet, train_logistic
-from learnedbloom.workloads import hot_range_example, sample
+from learnedbloom.scorers import TrainingSet, scorer_to_text, train_logistic
+from learnedbloom.workloads import hot_range_example, sample, save_keys_text
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=300)
@@ -43,26 +42,21 @@ def main() -> None:
         learning_rate=args.learning_rate,
     )
 
-    taus = [_parse(float, t, "threshold") for t in args.taus.split(",") if t.strip()]
-    points = threshold_sweep(
-        example.keys, scorer, taus, dist,
-        samples=args.samples,
-        backup_target_fpp=args.backup_target_fpp,
-        rng_seed=derive_seed(args.seed, "sweep"),
-    )
-
-    sink = contextlib.nullcontext(sys.stdout)
-    if args.out:
-        sink = open(args.out, "w", newline="", encoding="utf-8")
-    with sink as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([f.name for f in fields(SweepPoint)])
-        writer.writerows(map(astuple, points))
+    with tempfile.TemporaryDirectory() as tmp:
+        keys, record = Path(tmp, "keys.txt"), Path(tmp, "scorer.json")
+        save_keys_text(keys, example.keys)
+        record.write_text(scorer_to_text(scorer), encoding="utf-8")
+        return cli.main(
+            ["sweep", "--keys", str(keys), "--scorer", str(record), "--taus", args.taus,
+             "--dist", f"uniform:0:{example.universe_size}", "--samples", str(args.samples),
+             "--backup-target-fpp", str(args.backup_target_fpp), "--seed", str(args.seed),
+             "--format", "csv", *(["--out", args.out] if args.out else [])]
+        )  # fmt: skip
 
 
 if __name__ == "__main__":
     try:
-        main()
-    except ParameterError as exc:  # one line and exit 2, as in ``lbf sweep``
+        sys.exit(main())
+    except ParameterError as exc:  # a bad training option: one line and exit 2, as in ``lbf``
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARAMETER)
+        sys.exit(cli.EXIT_PARAMETER)

@@ -18,9 +18,7 @@ from .evaluation import (
     ConcentrationReport,
     EvalReport,
     SweepPoint,
-    backup_fpr_estimate,
     concentration_experiment,
-    empirical_fpr,
     evaluate,
     exact_alpha,
     model_fpr,
@@ -75,10 +73,8 @@ __all__ = [
     "UniformRange",
     "WorkloadError",
     "as_keys",
-    "backup_fpr_estimate",
     "concentration_experiment",
     "derive_seed",
-    "empirical_fpr",
     "evaluate",
     "exact_alpha",
     "expected_fill_ratio",

@@ -35,7 +35,6 @@ from .errors import (
 from .evaluation import (
     SweepPoint,
     concentration_experiment,
-    empirical_fpr,
     evaluate,
     exact_alpha,
     threshold_sweep,
@@ -283,17 +282,9 @@ def _cmd_eval(args) -> int:
             raise WorkloadError(f"{overlap.size} query keys overlap the key set (e.g. {overlap[0]})")
     else:
         dist = _parse_dist(_required(args, "dist"), key_set)
-        rng_seed = derive_seed(args.seed, "eval")
-        if isinstance(filt, LearnedBloomFilter):
-            queries = None
-            payload = evaluate(filt, dist, args.samples, rng_seed).to_dict()
-        else:
-            queries = sample(dist, args.samples, rng_seed)
-    if queries is not None:
-        payload = {"empirical_fpr": empirical_fpr(filt, queries), "sample_count": len(queries)}
-        if args.seed is not None:  # a query file draws nothing, so only a sample has a seed
-            payload["seed"] = args.seed
-    _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **payload})
+        queries = sample(dist, args.samples, derive_seed(args.seed, "eval"))
+    report = evaluate(filt, queries).to_dict()
+    _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **report})
     return EXIT_OK
 
 

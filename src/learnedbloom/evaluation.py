@@ -1,18 +1,18 @@
 """False positive rates and concentration experiments.
 
-Measures empirical false positive rates on sampled workloads, predicts
-them from the above-threshold query mass (alpha) composed with the
-backup filter's rate, sweeps candidate thresholds, and runs the concentration
-experiment: test-set vs query-set rate agreement.  ``exact_alpha`` and the
-experiment's answer tables walk the eligible support through one iterator,
-``workloads._eligible_blocks``, when it holds at most ``SUPPORT_LIMIT`` keys (a
-table, at most ``trials * (t_size + q_size)`` too); the tables answer each
-eligible key once, and the reports keep the bytes sampling gives.  A report
-stores what was measured, range-checked when built; ``model_fpr``,
-``binomial_std_err`` and ``theorem_bound`` are properties computed by this
-module's functions, which ``to_dict`` adds.  Sample counts and set sizes are
-checked by ``workloads._check_sample_count``, backup design rates by
-``learned._sized_backup``, once for every caller.
+Measures any filter's false positive rate on a query batch and predicts it
+from the above-threshold query mass (alpha) composed with the backup filter's
+rate (a standard filter is its own backup, with alpha 0), sweeps candidate
+thresholds, and runs the concentration experiment: test-set vs query-set rate
+agreement.  ``exact_alpha`` and the experiment's answer tables walk the
+eligible support through one iterator, ``workloads._eligible_blocks``, when it
+holds at most ``SUPPORT_LIMIT`` keys (a table, at most ``trials * (t_size +
+q_size)`` too); the tables answer each eligible key once, and the reports keep
+the bytes sampling gives.  A report stores what was measured, range-checked
+when built; ``model_fpr``, ``binomial_std_err`` and ``theorem_bound`` are
+properties computed by this module's functions, which ``to_dict`` adds.
+Sample counts and set sizes are checked by ``workloads._check_sample_count``,
+backup design rates by ``learned._sized_backup``, once for every caller.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ SUPPORT_LIMIT = 10**7  # largest eligible support exact_alpha or an answer table
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Measured vs predicted false positive rate for one filter and workload."""
+    """Measured vs predicted false positive rate of one filter on one query batch."""
 
     empirical_fpr: float
     sample_count: int
     alpha_estimate: float
     backup_fpr_estimate: float
-    seed: int
 
     def __post_init__(self):
         for name in ("empirical_fpr", "alpha_estimate", "backup_fpr_estimate"):
@@ -131,22 +130,23 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     return above_mass / eligible_mass
 
 
-def backup_fpr_estimate(lbf: LearnedBloomFilter) -> float:
-    """Backup filter rate from its realized fill: fill ratio^k (``expected_fpp`` is the closed form)."""
-    return lbf.backup.fill_ratio ** lbf.backup.k
-
-
-def evaluate(
-    lbf: LearnedBloomFilter, dist: QueryDistribution, samples: int, rng_seed: int
-) -> EvalReport:
-    """Measure the empirical rate on a sampled workload and the model prediction."""
-    above, answers = lbf.classify_many(sample(dist, samples, rng_seed))
+def evaluate(filt, queries) -> EvalReport:
+    """``filt``'s rate on ``queries`` (non-members) and its prediction: alpha, the share
+    scoring at or above ``tau``, composed with the backup's fill ratio^k.  A standard
+    filter is a learned filter with nothing above ``tau``: alpha 0, itself the backup."""
+    queries = as_keys(queries)
+    if queries.size == 0:
+        raise ParameterError("query list must be nonempty")
+    if isinstance(filt, LearnedBloomFilter):
+        above, answers = filt.classify_many(queries)
+        alpha, backup = float(above.mean()), filt.backup
+    else:
+        answers, alpha, backup = filt.contains_many(queries), 0.0, filt
     return EvalReport(
         empirical_fpr=float(answers.mean()),
-        sample_count=samples,
-        alpha_estimate=float(above.mean()),
-        backup_fpr_estimate=backup_fpr_estimate(lbf),
-        seed=rng_seed,
+        sample_count=int(queries.size),
+        alpha_estimate=alpha,
+        backup_fpr_estimate=backup.fill_ratio ** backup.k,
     )
 
 
@@ -223,7 +223,7 @@ def _answer_table(filt, part: Part) -> np.ndarray:
 
 
 def _table_rate(tables: list, dist: QueryDistribution, n: int, rng_seed: int) -> float:
-    """``empirical_fpr`` of ``sample(dist, n, rng_seed)``, read from each part's answer table."""
+    """The rate of ``sample(dist, n, rng_seed)``, read from each part's answer table."""
     _, positions = _draw_positions(dist, n, rng_seed)
     return float(np.concatenate([table[pos] for table, pos in zip(tables, positions)]).mean())
 
@@ -259,7 +259,7 @@ def concentration_experiment(
     if sum(part.cut for part in dist.parts) <= min(SUPPORT_LIMIT, trials * (t_size + q_size)):
         rate = partial(_table_rate, [_answer_table(lbf, part) for part in dist.parts], dist)
     else:
-        rate = lambda n, seed: empirical_fpr(lbf, sample(dist, n, seed))
+        rate = lambda n, seed: float(lbf.contains_many(sample(dist, n, seed)).mean())
     exceed = 0
     for trial in range(trials):
         x = rate(t_size, derive_seed(rng_seed, f"T{trial}"))

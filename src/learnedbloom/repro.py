@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bloom import BloomFilter, params_for_target
 from .errors import ParameterError
-from .evaluation import EvalReport, empirical_fpr, evaluate, exact_alpha, model_fpr
+from .evaluation import EvalReport, evaluate, exact_alpha, model_fpr
 from .hashing import derive_seed
 from .learned import LearnedBloomFilter
 from .workloads import hot_range_example, sample
@@ -84,9 +84,9 @@ def build_report(
     alpha_full = exact_alpha(scorer, tau, full)
     alpha_restricted = exact_alpha(scorer, tau, restricted)
 
-    eval_full = evaluate(lbf, full, full_samples, derive_seed(seed, "eval-full"))
+    eval_full = evaluate(lbf, sample(full, full_samples, derive_seed(seed, "eval-full")))
     eval_restricted = evaluate(
-        lbf, restricted, restricted_samples, derive_seed(seed, "eval-restricted")
+        lbf, sample(restricted, restricted_samples, derive_seed(seed, "eval-restricted"))
     )
 
     full_section = _range_section(alpha_full, eval_full)
@@ -109,12 +109,9 @@ def build_report(
         derive_seed(seed, "reference-filter"),
     )
     reference.insert_many(keys)
-    ref_full = empirical_fpr(
-        reference, sample(full, full_samples, derive_seed(seed, "reference-full"))
-    )
-    ref_restricted = empirical_fpr(
-        reference,
-        sample(restricted, restricted_samples, derive_seed(seed, "reference-restricted")),
+    ref_full = evaluate(reference, sample(full, full_samples, derive_seed(seed, "reference-full")))
+    ref_restricted = evaluate(
+        reference, sample(restricted, restricted_samples, derive_seed(seed, "reference-restricted"))
     )
 
     shift_ratio = (
@@ -185,8 +182,8 @@ def build_report(
         "restricted_range": restricted_section,
         "distribution_shift": {
             "learned_fpr_ratio": shift_ratio,
-            "standard_fpr_full_range": ref_full,
-            "standard_fpr_restricted_range": ref_restricted,
+            "standard_fpr_full_range": ref_full.empirical_fpr,
+            "standard_fpr_restricted_range": ref_restricted.empirical_fpr,
             "standard_m": reference.m,
             "standard_k": reference.k,
         },

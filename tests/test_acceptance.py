@@ -21,7 +21,7 @@ from learnedbloom.bloom import (
 from learnedbloom.cli import main
 from learnedbloom.evaluation import (
     concentration_experiment,
-    empirical_fpr,
+    evaluate,
     exact_alpha,
     theorem_bound,
 )
@@ -172,8 +172,8 @@ def test_c4_distribution_shift_jump_for_learned_but_not_standard():
     restricted = example.restricted_range_queries()
     n = 400_000
 
-    lbf_full = empirical_fpr(lbf, sample(full, n, derive_seed(seed, "lf")))
-    lbf_restricted = empirical_fpr(lbf, sample(restricted, n, derive_seed(seed, "lr")))
+    lbf_full = evaluate(lbf, sample(full, n, derive_seed(seed, "lf"))).empirical_fpr
+    lbf_restricted = evaluate(lbf, sample(restricted, n, derive_seed(seed, "lr"))).empirical_fpr
     assert lbf_full > 0
     learned_ratio = lbf_restricted / lbf_full
     assert learned_ratio >= 5.0, f"learned filter ratio {learned_ratio:.2f} < 5"
@@ -183,8 +183,8 @@ def test_c4_distribution_shift_jump_for_learned_but_not_standard():
         derive_seed(seed, "standard"),
     )
     standard.insert_many(np.array(example.keys, dtype=np.uint64))
-    std_full = empirical_fpr(standard, sample(full, n, derive_seed(seed, "sf")))
-    std_restricted = empirical_fpr(standard, sample(restricted, n, derive_seed(seed, "sr")))
+    std_full = evaluate(standard, sample(full, n, derive_seed(seed, "sf"))).empirical_fpr
+    std_restricted = evaluate(standard, sample(restricted, n, derive_seed(seed, "sr"))).empirical_fpr
     # Combined standard error under the "rate does not depend on the query
     # range" null: binomial sampling noise for each measurement, plus the
     # finite-population noise of each eligible support (for one instantiated

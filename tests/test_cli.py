@@ -582,7 +582,60 @@ class TestEval:
         assert code == 0
         report = json.loads(stdout)
         assert report["sample_count"] == 100
-        assert "seed" not in report  # a query file draws nothing
+        assert "seed" not in report["config"]  # a query file draws nothing
+
+    @staticmethod
+    def _build(capsys, kind, keys_path, out):
+        """Build a standard or a learned filter of the keys in ``keys_path`` at ``out``."""
+        sizing = {"standard": ["--target-fpp", "0.01"],
+                  "learned": ["--scorer", "interval:0:300000:0.9:0.1", "--tau", "0.5"]}[kind]
+        code, _ = run(capsys, "build", "--kind", kind, "--keys", keys_path, *sizing,
+                      "--seed", "3", "--out", out)
+        assert code == 0
+
+    @pytest.mark.parametrize("source", ["dist", "queries"])
+    @pytest.mark.parametrize("kind", ["standard", "learned"])
+    def test_every_filter_and_query_source_gives_one_report_shape(
+        self, tmp_path, key_file, capsys, kind, source
+    ):
+        path, keys = key_file
+        out = tmp_path / "filter"
+        self._build(capsys, kind, path, out)
+        qpath = tmp_path / "queries.txt"
+        save_keys_text(qpath, [k + 10**6 for k in keys[:100]] + [5 * 10**6 + 1, 10**7])
+        where = {"dist": ["--dist", "uniform:0:1000000", "--samples", "2000", "--seed", "4"],
+                 "queries": ["--queries", qpath]}[source]
+        code, stdout = run(capsys, "eval", "--filter", out, "--keys", path, *where)
+        assert code == 0
+        report = json.loads(stdout)
+        assert set(report) == {"schema", "config", "empirical_fpr", "sample_count",
+                               "alpha_estimate", "backup_fpr_estimate", "model_fpr",
+                               "binomial_std_err"}
+        assert ("seed" in report["config"]) is (source == "dist")  # only a sample draws
+        assert report["sample_count"] == (2000 if source == "dist" else 102)
+        if kind == "standard":
+            filt = BloomFilter.from_bytes(out.read_bytes())
+            assert report["alpha_estimate"] == 0.0
+            assert report["model_fpr"] == report["backup_fpr_estimate"] == filt.fill_ratio**filt.k
+        else:
+            backup = LearnedBloomFilter.from_bytes(out.read_bytes()).backup
+            assert report["backup_fpr_estimate"] == backup.fill_ratio**backup.k
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank_lines"])
+    @pytest.mark.parametrize("kind", ["standard", "learned"])
+    def test_a_query_file_without_keys_is_one_error_line(
+        self, tmp_path, key_file, capsys, kind, text
+    ):
+        path, _ = key_file
+        out = tmp_path / "filter"
+        self._build(capsys, kind, path, out)
+        qpath = tmp_path / "queries.txt"
+        qpath.write_text(text)
+        code = main(["eval", "--filter", str(out), "--queries", str(qpath)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            EXIT_PARAMETER, "", "error: query list must be nonempty\n"
+        )
 
 
 class TestSweep:
@@ -956,3 +1009,22 @@ def test_every_raise_names_an_error_main_maps_to_an_exit_code():
             if not (isinstance(raised, ast.Name) and raised.id in mapped):
                 strays.append(f"{source.name}:{node.lineno}: {ast.unparse(node)}")
     assert strays == []
+
+
+def test_every_imported_name_is_used_by_its_module():
+    # the project runs no linter; __init__.py imports to re-export, and the __future__ import is a mode
+    unused = []
+    for source in sorted((ROOT / "src" / "learnedbloom").glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{source.name}:{node.lineno}: {name}")
+    assert unused == []

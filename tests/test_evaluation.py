@@ -17,9 +17,7 @@ from learnedbloom.errors import (
 from learnedbloom.evaluation import (
     ConcentrationReport,
     EvalReport,
-    backup_fpr_estimate,
     concentration_experiment,
-    empirical_fpr,
     evaluate,
     exact_alpha,
     model_fpr,
@@ -34,21 +32,20 @@ from learnedbloom.workloads import (
     QueryDistribution,
     UniformRange,
     hot_range_example,
+    sample,
     uniform_queries,
 )
 
 HOT = IntervalScorer(((1000, 2000),), inside_score=0.5, outside_score=0.0)
 
 
-class _ConstantFilter:
-    def __init__(self, answer):
-        self.answer = answer
-
-    def contains(self, key):
-        return self.answer
-
-    def contains_many(self, keys):
-        return np.full(np.asarray(keys).shape, self.answer, dtype=bool)
+def _constant_filter(answer: bool) -> BloomFilter:
+    """A standard filter that answers ``answer`` to every key: no bit set, or every bit."""
+    filt = BloomFilter(8, 1, seed=0)
+    if answer:
+        filt.insert_many(np.arange(1000))
+    assert filt.fill_ratio == answer
+    return filt
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +63,22 @@ def example_lbf(example):
 
 class TestEmpiricalFpr:
     def test_always_false_filter(self):
-        assert empirical_fpr(_ConstantFilter(False), np.arange(100)) == 0.0
+        report = evaluate(_constant_filter(False), np.arange(100))
+        assert (report.empirical_fpr, report.alpha_estimate, report.model_fpr) == (0.0, 0.0, 0.0)
 
     def test_always_true_filter(self):
-        assert empirical_fpr(_ConstantFilter(True), np.arange(100)) == 1.0
+        report = evaluate(_constant_filter(True), np.arange(100))
+        assert (report.empirical_fpr, report.alpha_estimate, report.model_fpr) == (1.0, 0.0, 1.0)
 
-    def test_empty_queries_rejected(self):
-        with pytest.raises(ParameterError):
-            empirical_fpr(_ConstantFilter(False), np.array([], dtype=np.uint64))
+    def test_empty_queries_rejected(self, example_lbf):
+        for filt in (_constant_filter(False), example_lbf):
+            with pytest.raises(ParameterError, match="^query list must be nonempty$"):
+                evaluate(filt, np.array([], dtype=np.uint64))
 
     def test_counts_positives_exactly(self, example_lbf):
         queries = np.array([1500, 1501, 999_999_937 % 1_000_000], dtype=np.uint64)
         answers = [example_lbf.contains(int(q)) for q in queries]
-        assert empirical_fpr(example_lbf, queries) == sum(answers) / 3
+        assert evaluate(example_lbf, queries).empirical_fpr == sum(answers) / 3
 
 
 class TestModelFpr:
@@ -172,18 +172,20 @@ class TestExactAlpha:
 class TestEvaluate:
     def test_report_arithmetic_recomputes(self, example, example_lbf):
         ex, _, _ = example
-        report = evaluate(example_lbf, ex.full_range_queries(), 50_000, rng_seed=5)
+        report = evaluate(example_lbf, sample(ex.full_range_queries(), 50_000, rng_seed=5))
         recomputed = model_fpr(report.alpha_estimate, report.backup_fpr_estimate)
         assert abs(report.model_fpr - recomputed) <= 1e-12
         assert report.sample_count == 50_000
-        assert report.seed == 5
 
     def test_backup_fpr_modes(self, example_lbf):
-        fill = backup_fpr_estimate(example_lbf)
+        fill = evaluate(example_lbf, np.arange(10)).backup_fpr_estimate
         backup = example_lbf.backup
         stored = example_lbf.below_threshold_count + example_lbf.inserted_after_build
         expected = expected_fpp(stored, backup.m, backup.k)
         assert fill == backup.fill_ratio ** backup.k
+        # the backup read as a standard filter: its own backup, nothing above tau
+        alone = evaluate(backup, np.arange(10))
+        assert (alone.alpha_estimate, alone.backup_fpr_estimate, alone.model_fpr) == (0.0, fill, fill)
         assert expected == pytest.approx(fill, rel=0.5)  # same ballpark, different estimator
 
     def test_empirical_matches_model_within_four_stderr(self, example, example_lbf):
@@ -192,12 +194,14 @@ class TestEvaluate:
         ex, scorer, tau = example
         dist = ex.full_range_queries()
         alpha = float(exact_alpha(scorer, tau, dist))
-        predicted = model_fpr(alpha, backup_fpr_estimate(example_lbf))
+        backup = example_lbf.backup
+        predicted = model_fpr(alpha, backup.fill_ratio ** backup.k)
         samples = 20_000
         tolerance = 4 * math.sqrt(predicted * (1 - predicted) / samples)
         misses = 0
         for run in range(100):
-            report = evaluate(example_lbf, dist, samples, rng_seed=derive_seed(90, f"run{run}"))
+            queries = sample(dist, samples, rng_seed=derive_seed(90, f"run{run}"))
+            report = evaluate(example_lbf, queries)
             if abs(report.empirical_fpr - predicted) > tolerance:
                 misses += 1
         assert misses <= 1
@@ -209,15 +213,13 @@ class TestEvaluate:
     backup=st.floats(0.0, 1.0),
     rate=st.floats(0.0, 1.0),
     n=st.integers(1, 2**40),
-    seed=st.integers(0, 2**64 - 1),
 )
-def test_eval_report_dict_derives_model_fpr_and_std_err(alpha, backup, rate, n, seed):
+def test_eval_report_dict_derives_model_fpr_and_std_err(alpha, backup, rate, n):
     report = EvalReport(
-        empirical_fpr=rate, sample_count=n, alpha_estimate=alpha, backup_fpr_estimate=backup,
-        seed=seed,
+        empirical_fpr=rate, sample_count=n, alpha_estimate=alpha, backup_fpr_estimate=backup
     ).to_dict()
     assert set(report) == {"empirical_fpr", "sample_count", "alpha_estimate",
-                           "backup_fpr_estimate", "model_fpr", "binomial_std_err", "seed"}
+                           "backup_fpr_estimate", "model_fpr", "binomial_std_err"}
     p = model_fpr(alpha, backup)
     assert report["model_fpr"] == p
     assert report["binomial_std_err"] == math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -235,7 +237,7 @@ def test_eval_report_dict_derives_model_fpr_and_std_err(alpha, backup, rate, n, 
 )
 def test_a_hand_built_eval_report_is_checked_at_construction(field, value, message):
     fields = dict(empirical_fpr=0.1, sample_count=10, alpha_estimate=0.5,
-                  backup_fpr_estimate=0.01, seed=0)
+                  backup_fpr_estimate=0.01)
     with pytest.raises(ParameterError) as info:
         EvalReport(**{**fields, field: value})
     assert str(info.value) == message

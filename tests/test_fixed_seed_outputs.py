@@ -57,8 +57,8 @@ EXPECTED = {
     "build_learned": "df7fabd54ebadcb3bcd623989a6248995322731f2bd29daa9cf199258e4a0f9c",
     "query_standard": "41485d414affb63d5e04f039f09abd4d9a2b3590809d97bfcfa33b5ec21b5808",
     "query_example": "c6de042868171c2b4ab2e58d8ec8e64e49ba536bc3ac2af87b97309189df77c5",
-    "eval_standard": "29073f2e57c8a0ac4811771385137aa7173b4ba4de11ac5668a1365198c393d0",
-    "eval_example": "38c6d9625521f0b060c6584698c8890c45136784bf45811c29269264045c8e4e",
+    "eval_standard": "c466c480fa792b2163b5ae21bd69db22f4ee2df05644f9f30151b8ff69b25aa2",
+    "eval_example": "e3c8a364de98e90a737548eead723b0bc166d1ee8f9f1c4a24a20ed78731cce4",
     "sweep_json": "05b9a076fa0ec920fa4d601af6d30b6262c8cec32d6f792bb6b540ff2422efd7",
     "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.errors import ParameterError
-from learnedbloom.evaluation import empirical_fpr
+from learnedbloom.evaluation import evaluate
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import (
     IntervalScorer,
@@ -174,7 +174,7 @@ def test_learned_contains_many_matches_contains(name, batch):
 def test_empirical_fpr_matches_contains(batch, learned):
     filt = learned_filter(SCORERS["int-norm"]) if learned else filled_filter()
     assert_same(
-        outcome(lambda: empirical_fpr(filt, batch)),
+        outcome(lambda: evaluate(filt, batch).empirical_fpr),
         outcome(lambda: sum(filt.contains(key) for key in batch) / len(batch)),
     )
 
@@ -198,7 +198,7 @@ class TestPinnedDisagreements:
         filt = BloomFilter(1 << 12, 4, seed=2)
         filt.insert(2**63)
         assert not filt.contains(1) and not filt.contains(2**63 + 1)
-        assert empirical_fpr(filt, [1, 2**63 + 1]) == 0.0
+        assert evaluate(filt, [1, 2**63 + 1]).empirical_fpr == 0.0
         scorer = SCORERS["int-norm"]
         assert scorer.score_batch([1, 2**63]).tolist() == [scorer.score(1), scorer.score(2**63)]
 
@@ -214,8 +214,8 @@ class TestPinnedDisagreements:
                 keys, SCORERS["interval"], 0.5, FilterParams(64, 2), seed=2
             ),
             lbf.contains_many,
-            lambda keys: empirical_fpr(bloom, keys),
-            lambda keys: empirical_fpr(lbf, keys),
+            lambda keys: evaluate(bloom, keys).empirical_fpr,
+            lambda keys: evaluate(lbf, keys).empirical_fpr,
             lambda keys: TrainingSet(keys, [3]),
             lambda keys: TrainingSet([3], keys),
             *(scorer.score_batch for scorer in SCORERS.values()),
@@ -277,12 +277,12 @@ def test_no_batch_path_goes_key_by_key(monkeypatch):
         bloom = BloomFilter(4096, 3, seed=1)
         bloom.insert_many(keys)
         assert bloom.contains_many(keys).all()
-        empirical_fpr(bloom, others)
+        evaluate(bloom, others)
         data = TrainingSet(keys, others)
         for name, scorer in SCORERS.items():
             scorer.score_batch(others)
             lbf = LearnedBloomFilter.build(keys, scorer, 0.5, 0.01, seed=2)
             assert lbf.classify_many(keys)[1].all()
-            empirical_fpr(lbf, others)
+            evaluate(lbf, others)
             if name != "interval":
                 train_logistic(data, scorer.feature_map, epochs=2, learning_rate=0.1)

@@ -13,18 +13,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "taus, error",
-    [("0,0.5,1", None), ("0,,0.5,1", None),
-     ("0,x", "error: bad threshold 'x': could not convert string to float: 'x'\n"),
-     (",", "error: tau grid must be nonempty\n")],
-    ids=["grid", "grid_with_empty_item", "item_not_a_number", "no_items"],
+    "options, error",
+    [(["--taus", "0,0.5,1"], None), (["--taus", "0,,0.5,1"], None),
+     (["--taus", "0,x"], "error: bad threshold 'x': could not convert string to float: 'x'\n"),
+     (["--taus", ","], "error: tau grid must be nonempty\n"),
+     (["--taus", "0,0.5,1", "--negatives", "0"], "error: sample count must be >= 1\n")],
+    ids=["grid", "grid_with_empty_item", "item_not_a_number", "no_items", "no_negatives"],
 )  # fmt: skip
-def test_threshold_sweep_demo_writes_one_row_per_tau(taus, error):
+def test_threshold_sweep_demo_writes_one_row_per_tau(options, error):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "threshold_sweep_demo.py"),
-         "--epochs", "5", "--samples", "2000", "--negatives", "200", "--taus", taus],
+         "--epochs", "5", "--samples", "2000", "--negatives", "200", *options],
         capture_output=True, text=True, env=env, timeout=120,
     )  # fmt: skip
     if error is not None:  # one line and exit 2, as in ``lbf sweep``

@@ -16,7 +16,7 @@ from learnedbloom.errors import OracleUnavailableError, ParameterError, Workload
 from learnedbloom.evaluation import (
     _answer_table,
     concentration_experiment,
-    empirical_fpr,
+    evaluate,
     exact_alpha,
     theorem_bound,
 )
@@ -393,15 +393,15 @@ def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n
         answers[which == ci] = table[pos]
     drawn = sample(dist, n, seed)
     assert answers.tolist() == _FILTER.contains_many(drawn).tolist()
-    assert float(answers.mean()) == empirical_fpr(_FILTER, drawn)
+    assert float(answers.mean()) == evaluate(_FILTER, drawn).empirical_fpr
 
 
 def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed):
     """The concentration report from a plain loop: every set sampled, then answered."""
     exceed = 0
     for trial in range(trials):
-        x = empirical_fpr(filt, sample(dist, t_size, derive_seed(rng_seed, f"T{trial}")))
-        y = empirical_fpr(filt, sample(dist, q_size, derive_seed(rng_seed, f"Q{trial}")))
+        x = evaluate(filt, sample(dist, t_size, derive_seed(rng_seed, f"T{trial}"))).empirical_fpr
+        y = evaluate(filt, sample(dist, q_size, derive_seed(rng_seed, f"Q{trial}"))).empirical_fpr
         exceed += abs(x - y) >= epsilon
     return exceed / trials
 
