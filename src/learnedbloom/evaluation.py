@@ -90,14 +90,6 @@ class ConcentrationReport:
         return {**asdict(self), "theorem_bound": self.theorem_bound}
 
 
-def empirical_fpr(filt, queries) -> float:
-    """Fraction of positive answers over queries known to be non-members."""
-    queries = as_keys(queries)
-    if queries.size == 0:
-        raise ParameterError("query list must be nonempty")
-    return float(np.asarray(filt.contains_many(queries), dtype=bool).mean())
-
-
 def model_fpr(alpha: float, backup_fpr: float) -> float:
     """Composite rate: alpha + (1 - alpha) * backup_fpr."""
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= backup_fpr <= 1.0:
