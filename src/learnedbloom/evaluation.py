@@ -4,11 +4,12 @@ Measures any filter's false positive rate on a query batch and predicts it
 from the above-threshold query mass (alpha) composed with the backup filter's
 rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
-agreement.  ``exact_alpha`` and the experiment's answer tables walk the
-eligible support through one iterator, ``workloads._eligible_blocks``, when it
-holds at most ``SUPPORT_LIMIT`` keys (a table, at most ``trials * (t_size +
-q_size)`` too); the tables answer each eligible key once, and the reports keep
-the bytes sampling gives.  A report stores what was measured, range-checked
+agreement.  ``exact_alpha`` counts an interval scorer's uniform ranges in closed
+form; its other parts and the experiment's answer tables walk the eligible
+support through one iterator, ``workloads._eligible_blocks``, when it holds at
+most ``SUPPORT_LIMIT`` keys (a table, at most ``trials * (t_size + q_size)``
+too); the tables answer each eligible key once, and the reports keep the bytes
+sampling gives.  A report stores what was measured, range-checked
 when built; ``model_fpr``, ``binomial_std_err`` and ``theorem_bound`` are
 properties computed by this module's functions, which ``to_dict`` adds.
 Sample counts and set sizes are checked by ``workloads._check_sample_count``,
@@ -28,9 +29,9 @@ from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _sized_backup
-from .scorers import Scorer
-from .workloads import (Part, QueryDistribution, _check_sample_count, _draw_positions,
-                        _eligible_blocks, sample)
+from .scorers import IntervalScorer, Scorer
+from .workloads import (Part, QueryDistribution, UniformRange, _check_sample_count,
+                        _draw_positions, _eligible_blocks, sample)
 
 SUPPORT_LIMIT = 10**7  # largest eligible support exact_alpha or an answer table will walk
 
@@ -98,23 +99,34 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
 
 
 def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
-    """Exact Pr(score >= tau) under the distribution, by eligible-support enumeration.
+    """Exact Pr(score >= tau) under the distribution.
 
     Returns the exact rational: above-threshold eligible count over eligible
     count for uniform and fixed-set supports, the weighted analogue for
-    mixtures: each eligible key scored once, as ``_eligible_blocks`` walks them.
-    Raises OracleUnavailableError when the eligible count, summed over the
-    components, exceeds ``SUPPORT_LIMIT``; callers should then fall back to sampling.
+    mixtures.  For an interval scorer, a uniform range's count is closed-form:
+    :meth:`IntervalScorer.count_at_least` less the excluded keys in the range
+    that score at or above ``tau``, so any range in [0, 2^64) is exact.  Every
+    other part is walked, each eligible key scored once as ``_eligible_blocks``
+    yields them.  Raises OracleUnavailableError when the eligible count of the
+    walked parts exceeds ``SUPPORT_LIMIT``; callers should then fall back to sampling.
     """
-    eligible = sum(part.cut for part in dist.parts)
-    if eligible > SUPPORT_LIMIT:
+    def closed(part: Part) -> bool:
+        return isinstance(scorer, IntervalScorer) and isinstance(part.component, UniformRange)
+
+    walked = sum(part.cut for part in dist.parts if not closed(part))
+    if walked > SUPPORT_LIMIT:
         raise OracleUnavailableError(
-            f"eligible support of {eligible} exceeds the enumeration limit {SUPPORT_LIMIT}"
+            f"eligible support of {walked} exceeds the enumeration limit {SUPPORT_LIMIT}"
         )
     above_mass = eligible_mass = Fraction(0)
     for part in dist.parts:
-        above = sum(int((scorer.score_batch(keys) >= tau).sum()) for keys in _eligible_blocks(part))
-        share = Fraction(part.weight) / part.component.size
+        source = part.component
+        if closed(part):
+            dropped = scorer.score_batch(source.excluded_keys(dist.exclusion)) >= tau
+            above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
+        else:
+            above = sum(int((scorer.score_batch(keys) >= tau).sum()) for keys in _eligible_blocks(part))
+        share = Fraction(part.weight) / source.size
         above_mass += share * above
         eligible_mass += share * part.cut
     if eligible_mass == 0:

@@ -125,7 +125,7 @@ def build_report(
             "reported": REPORTED_ALPHA_FULL,
             "derived": _fraction_dict(alpha_full),
             "reproduced": _reproduces(float(alpha_full), REPORTED_ALPHA_FULL),
-            "note": "derived exactly by enumerating the eligible support",
+            "note": "derived exactly from the scorer's intervals, less the excluded keys",
         },
         "composite_rate_full_range": {
             "reported": REPORTED_FPR_FULL,

@@ -107,6 +107,22 @@ class IntervalScorer(Scorer):
                 inside |= (x >= lo) & (x <= hi)
         return np.where(inside, self.inside_score, self.outside_score)
 
+    def count_at_least(self, tau: float, lo: int, hi: int) -> int:
+        """How many keys in [lo, hi) score at or above ``tau``: the whole range, nothing, or
+        the held intervals clipped to it, in O(log intervals + the intervals overlapping it)."""
+        if not 0 <= lo < hi <= 1 << 64:
+            raise ParameterError(f"invalid range [{lo}, {hi})")
+        if self.outside_score >= tau:
+            return hi - lo
+        if not self.inside_score >= tau:  # not <, so a NaN tau counts nothing, as in score_batch
+            return 0
+        first = np.searchsorted(self._hi, np.uint64(lo))  # the first interval to end at or past lo
+        stop = np.searchsorted(self._lo, np.uint64(hi - 1), side="right")  # past the last to start
+        ends = np.minimum(self._hi[first:stop], np.uint64(hi - 1))  # closed ends, clipped
+        starts = np.maximum(self._lo[first:stop], np.uint64(lo))
+        # the clipped intervals are disjoint in [0, 2^64), so this uint64 sum cannot wrap
+        return int((ends - starts).sum(dtype=np.uint64)) + int(stop - first)
+
     def size_bits(self) -> int:
         # 128 bits per interval (two 64-bit bounds) + 128 for the two scores.
         return 128 * self._lo.size + 128

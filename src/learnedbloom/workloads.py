@@ -37,11 +37,15 @@ class UniformRange:
     def size(self) -> int:
         return self.hi - self.lo
 
-    def excluded_positions(self, exclusion: np.ndarray) -> np.ndarray:
-        """Sorted uint64 positions of the keys the sorted, distinct ``exclusion`` holds."""
+    def excluded_keys(self, exclusion: np.ndarray) -> np.ndarray:
+        """The keys of the sorted, distinct ``exclusion`` in the range: a slice of it."""
         start = np.searchsorted(exclusion, np.uint64(self.lo))
         stop = np.searchsorted(exclusion, np.uint64(self.hi - 1), side="right")
-        return exclusion[start:stop] - np.uint64(self.lo)
+        return exclusion[start:stop]
+
+    def excluded_positions(self, exclusion: np.ndarray) -> np.ndarray:
+        """Sorted uint64 positions of the keys the sorted, distinct ``exclusion`` holds."""
+        return self.excluded_keys(exclusion) - np.uint64(self.lo)
 
     def keys_at(self, positions: np.ndarray) -> np.ndarray:
         return positions + np.uint64(self.lo)

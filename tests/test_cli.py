@@ -21,8 +21,9 @@ from learnedbloom.cli import (
     main,
 )
 from learnedbloom.evaluation import SUPPORT_LIMIT
+from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
-from learnedbloom.scorers import IntervalScorer, LogisticScorer
+from learnedbloom.scorers import IntervalScorer, LogisticScorer, scorer_to_text
 from learnedbloom.workloads import sample, save_keys_text, uniform_queries
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +119,28 @@ class TestBuild:
         )
         assert code == 0
         assert json.loads(stdout)["alpha"] == 501 / SUPPORT_LIMIT  # sampling reads k / 100,000
+
+    def test_summary_dist_over_the_whole_universe_is_exact(self, tmp_path, capsys):
+        code, stdout = run(
+            capsys, "build", "--kind", "example", "--seed", "7", "--out", tmp_path / "ex.lbf",
+            "--summary-dist", f"uniform:0:{2**64}",
+        )
+        assert code == 0
+        assert json.loads(stdout)["alpha"] == 501 / (2**64 - 1000)
+
+    def test_summary_dist_past_the_limit_samples_a_logistic_scorer(self, tmp_path, key_file, capsys):
+        path, keys = key_file
+        scorer = LogisticScorer((-8.0,), 4.0, f"int-norm:{2 * SUPPORT_LIMIT}")  # 0.5 at 10^7
+        (tmp_path / "scorer.json").write_text(scorer_to_text(scorer))
+        code, stdout = run(
+            capsys, "build", "--kind", "learned", "--keys", path, "--out", tmp_path / "f.lbf",
+            "--scorer", tmp_path / "scorer.json", "--tau", "0.5", "--seed", "3",
+            "--summary-dist", f"uniform:0:{2 * SUPPORT_LIMIT}",
+        )
+        assert code == 0
+        dist = uniform_queries(0, 2 * SUPPORT_LIMIT, keys)
+        drawn = sample(dist, 100_000, derive_seed(3, "summary-alpha"))
+        assert json.loads(stdout)["alpha"] == float((scorer.score_batch(drawn) >= 0.5).mean())
 
     def test_learned_build_with_inline_scorer(self, tmp_path, key_file, capsys):
         path, keys = key_file

@@ -25,7 +25,7 @@ from learnedbloom.evaluation import (
 )
 from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
-from learnedbloom.scorers import IntervalScorer
+from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     FixedSet,
     Mixture,
@@ -161,8 +161,37 @@ class TestExactAlpha:
         assert exact_alpha(HOT, 0.4, dist) == Fraction(2, 3)
 
     def test_support_too_large(self):
+        # the limit bounds a walk: a logistic scorer walks, an interval scorer needs none
+        dist = uniform_queries(0, 10**7 + 1)
         with pytest.raises(OracleUnavailableError):
-            exact_alpha(HOT, 0.4, uniform_queries(0, 10**7 + 1))
+            exact_alpha(LogisticScorer((4.0,), -2.0, "int-norm:1000"), 0.4, dist)
+        assert exact_alpha(HOT, 0.4, dist) == Fraction(1001, 10**7 + 1)
+
+    def test_whole_universe_agrees_with_sampling(self):
+        # 2^64 keys: no walk reaches this support, so sampling is the only other witness
+        rng = np.random.default_rng(3)
+        hot = IntervalScorer(((1 << 62, (1 << 63) - 1),), inside_score=0.9, outside_score=0.1)
+        excluded = np.concatenate([rng.integers(1 << 62, 1 << 63, 500, dtype=np.uint64),
+                                   rng.integers(1 << 63, 1 << 64, 500, dtype=np.uint64)])
+        dist = uniform_queries(0, 1 << 64, excluded)
+        alpha = exact_alpha(hot, 0.5, dist)
+        assert alpha == Fraction((1 << 62) - 500, (1 << 64) - 1000)
+        n = 100_000
+        share = float((hot.score_batch(sample(dist, n, rng_seed=4)) >= 0.5).mean())
+        assert abs(share - float(alpha)) <= 4 * math.sqrt(float(alpha * (1 - alpha)) / n)
+
+    def test_an_interval_scorer_scores_only_the_excluded_keys(self, example, monkeypatch):
+        ex, scorer, tau = example
+        scored = []
+        score_batch = IntervalScorer.score_batch
+
+        def counted(self, keys):
+            scored.append(len(keys))
+            return score_batch(self, keys)
+
+        monkeypatch.setattr(IntervalScorer, "score_batch", counted)
+        assert exact_alpha(scorer, tau, uniform_queries(0, 10**7, ex.keys)) == Fraction(167, 3333000)
+        assert sum(scored) <= ex.keys.size  # the 1,000 excluded keys at most, not 10^7
 
     def test_empty_support(self):
         with pytest.raises(WorkloadError):

@@ -63,8 +63,8 @@ EXPECTED = {
     "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
     "concentration_table": "f94c99e1e941812e33f00ca8e178324b69caaf55f9ef04b14c12075e657fddd9",
-    "repro_json": "54768398546d283615ede4b560f455c96583c5764fdb2ccc330cb9e7875c5420",
-    "repro_csv": "5d45fa39f8175175fbd92b931d1c87a2ff3ca8ed2f62862539852d3c5b14504d",
+    "repro_json": "68ab4ca8adfc23c3cb16b6e417057691d4dd5402f3f06640e20ca3af2ea88475",
+    "repro_csv": "790d8f43a3d1cb701a3c98022aa5676d60c7574bb02003a2a3fe2bc5646ae4f9",
     "standard.bloom": "c01be39856e9570dc416886c59803137bbefc36e201e10b0a8f6a079b29e915a",
     "example.lbf": "f2f4f3a967abf412818bfa80bad0643caa884868b865a5c18579ab72a383f960",
     "example-keys.txt": "bc3b8f710571815c8bb74cdd092a941b4c8224f1b1096dc8931cd978380c6d62",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from learnedbloom import evaluation, workloads
@@ -21,7 +21,7 @@ from learnedbloom.evaluation import (
     theorem_bound,
 )
 from learnedbloom.hashing import derive_seed
-from learnedbloom.scorers import IntervalScorer
+from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     BLOCK,
     FixedSet,
@@ -216,14 +216,78 @@ def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
     tau=st.sampled_from([0.1, 0.5, 0.95]),
 )
 def test_exact_alpha_is_the_exact_law_above_the_threshold(small_blocks, dist, interval, tau):
-    scorer = IntervalScorer((tuple(interval),), inside_score=0.9, outside_score=0.1)
     law = _exact_law(dist)
-    if not law:
-        with pytest.raises(WorkloadError, match="whole support"):
-            exact_alpha(scorer, tau, dist)
-        return
-    above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
-    assert exact_alpha(scorer, tau, dist) == above
+    # the interval scorer counts its ranges in closed form; the logistic one, 0.5 up to
+    # the interval's end, walks every part across block edges
+    for scorer in (
+        IntervalScorer((tuple(interval),), inside_score=0.9, outside_score=0.1),
+        LogisticScorer((-64.0,), interval[1] + 0.5, "int-norm:64"),
+    ):
+        if not law:
+            with pytest.raises(WorkloadError, match="whole support"):
+                exact_alpha(scorer, tau, dist)
+            continue
+        above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
+        assert exact_alpha(scorer, tau, dist) == above
+
+
+_TOP = 1 << 64
+# tau at the inside score, at the outside score, between them, above both, below both
+_INTERVAL_TAUS = (0.75, 0.25, 0.5, 0.9, 0.1)
+
+
+@st.composite
+def _interval_cases(draw):
+    """An interval scorer (inside 0.75, outside 0.25) and a distribution inside one 64-key
+    window at 0, mid-universe or the top, so intervals [0, 0] and [2^64 - 1, 2^64 - 1]
+    and ranges ending at 2^64 occur; the exclusion favours interval and range ends."""
+    base = draw(st.sampled_from([0, 1 << 40, _TOP - 64]))
+    splits = draw(st.sets(st.integers(0, 63)))  # a held key here starts a new interval
+    intervals = []
+    for x in sorted(draw(st.sets(st.integers(0, 63), max_size=24))):
+        if intervals and intervals[-1][1] == x - 1 and x not in splits:
+            intervals[-1][1] = x
+        else:
+            intervals.append([x, x])
+    scorer = IntervalScorer([(base + lo, base + hi) for lo, hi in intervals], 0.75, 0.25)
+    bounds = st.tuples(st.integers(0, 64), st.integers(0, 64)).filter(lambda b: b[0] != b[1])
+    ranges = [sorted(b) for b in draw(st.lists(bounds, min_size=1, max_size=2))]
+    components = [UniformRange(base + lo, base + hi) for lo, hi in ranges]
+    if draw(st.booleans()):
+        fixed = draw(st.lists(st.integers(0, 63), min_size=1, max_size=8))
+        components.append(FixedSet([base + key for key in fixed]))
+    ends = {e for lo, hi in intervals for e in (lo, hi)}  # closed intervals, half-open ranges
+    ends |= {e for lo, hi in ranges for e in (lo, hi - 1)}
+    excluded = draw(st.sets(st.sampled_from(sorted(ends)) | st.integers(0, 63), max_size=16))
+    shares = [draw(st.integers(1, 4)) for _ in components]
+    source = Mixture(components, [s / sum(shares) for s in shares])
+    return scorer, QueryDistribution(source, [base + key for key in excluded])
+
+
+_EDGES = IntervalScorer(((0, 0), (5, 9), (_TOP - 1, _TOP - 1)), 0.75, 0.25)
+_EDGE_PARTS = (UniformRange(0, 64), UniformRange(_TOP - 64, _TOP), FixedSet([0, 5, 9, _TOP - 1]))
+_EDGE_EXCLUDED = [0, 9, 63, _TOP - 64, _TOP - 1]  # interval ends and range ends
+_EDGE_DIST = QueryDistribution(Mixture(_EDGE_PARTS, (0.5, 0.25, 0.25)), _EDGE_EXCLUDED)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_interval_cases())
+@example(case=(_EDGES, _EDGE_DIST))
+def test_closed_form_counts_are_the_brute_force_counts(case):
+    scorer, dist = case
+    law = _exact_law(dist)
+    for tau in _INTERVAL_TAUS:
+        for part in dist.parts:
+            source = part.component
+            if isinstance(source, UniformRange):
+                brute = sum(scorer.score(key) >= tau for key in range(source.lo, source.hi))
+                assert scorer.count_at_least(tau, source.lo, source.hi) == brute
+        if not law:
+            with pytest.raises(WorkloadError, match="whole support"):
+                exact_alpha(scorer, tau, dist)
+            continue
+        above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
+        assert exact_alpha(scorer, tau, dist) == above
 
 
 @settings(max_examples=30, deadline=None)
@@ -483,7 +547,9 @@ class TestAnswerTables:
 
     def test_exact_alpha_and_the_table_rule_switch_at_the_same_eligible_count(self, monkeypatch):
         monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", 100)
-        scorer = IntervalScorer(((0, 9),), inside_score=0.9, outside_score=0.1)
+        # a logistic scorer walks the support; this one scores 0.5 or more on keys 0..9
+        scorer = LogisticScorer((-1000.0,), 9.5, "int-norm:1000")
+        interval = IntervalScorer(((0, 9),), inside_score=0.9, outside_score=0.1)
         for excluded, walked in [(range(10, 60, 2), True), (range(10, 58, 2), False)]:
             dist = uniform_queries(0, 125, excluded)  # 100 or 101 keys eligible
             filt = _Counting(_FILTER)
@@ -494,6 +560,8 @@ class TestAnswerTables:
             else:
                 with pytest.raises(OracleUnavailableError, match="eligible support of 101"):
                     exact_alpha(scorer, 0.5, dist)
+            # an interval scorer counts a range in closed form, on either side of the limit
+            assert exact_alpha(interval, 0.5, dist) == Fraction(10, dist.parts[0].cut)
 
     @pytest.mark.parametrize("sizes", [(10**13, 10), (10, 10**13)], ids=["t_size", "q_size"])
     def test_an_unallocatable_set_size_is_refused_on_the_table_path(self, sizes):
