@@ -33,19 +33,16 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Bloom filter sizing; ``target_fpp`` records the design point when sized from one."""
+    """Bloom filter sizing: ``m`` bits probed by ``k`` hash functions."""
 
     m: int
     k: int
-    target_fpp: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("bit count m must be >= 1")
         if not 1 <= self.k <= MAX_K:
             raise ParameterError(f"hash count k must lie in [1, {MAX_K}]")
-        if self.target_fpp is not None and not 0.0 < self.target_fpp < 1.0:
-            raise ParameterError("target_fpp must lie in (0, 1)")
 
 
 class BloomFilter:
@@ -223,5 +220,5 @@ def params_for_target(n: int, target_fpp: float) -> FilterParams:
     while True:
         k = max(1, round((m / n) * _LN2))
         if expected_fpp(n, m, k) <= 1.1 * target_fpp:
-            return FilterParams(m=m, k=k, target_fpp=target_fpp)
+            return FilterParams(m=m, k=k)
         m += 1

@@ -320,18 +320,18 @@ class LogisticScorer(Scorer):
 class TrainingSet:
     """Labeled keys: members of the set (positives) and known non-members (negatives).
 
-    Each is held as a read-only uint64 array, in the given order.
+    Each is held as a read-only uint64 array, in the given order; no key may be both.
     """
 
     positives: np.ndarray
     negatives: np.ndarray
 
-    def __init__(self, positives, negatives, check_disjoint: bool = True):
+    def __init__(self, positives, negatives):
         object.__setattr__(self, "positives", _held_keys(positives))
         object.__setattr__(self, "negatives", _held_keys(negatives))
         if not self.positives.size:
             raise ParameterError("training set needs at least one positive key")
-        if check_disjoint and np.isin(self.negatives, self.positives).any():
+        if np.isin(self.negatives, self.positives).any():
             raise ParameterError("positives and negatives must be disjoint")
 
     def __len__(self) -> int:
@@ -354,11 +354,13 @@ def log_loss(scorer: Scorer, data: TrainingSet) -> float:
     return _clamped_xent(scorer.score_batch(data.positives), scorer.score_batch(data.negatives))
 
 
-def _gradient(fm: FeatureMap, codes: np.ndarray, n_pos: int, w: np.ndarray, b: float):
-    """(d/dw, d/db) of the clamped cross-entropy; the first ``n_pos`` encoded keys are positives."""
+def _loss_and_residual(fm: FeatureMap, codes: np.ndarray, n_pos: int, w: np.ndarray, b: float):
+    """The clamped cross-entropy at (w, b) and the residual sigmoid - label of every encoded
+    key, from one logit pass; the first ``n_pos`` encoded keys are positives."""
     residual = _sigmoid(fm.logit(codes, fm.held(w), b))
+    loss = _clamped_xent(residual[:n_pos], residual[n_pos:])
     residual[:n_pos] -= 1.0
-    return fm.gradient(codes, residual), float(residual.sum())
+    return loss, residual
 
 
 def train_logistic(
@@ -372,39 +374,36 @@ def train_logistic(
 
     Each epoch takes one gradient step; if the step would increase the loss it
     is halved until the loss is non-increasing (or the step underflows, which
-    freezes the weights).  The trainer is fully deterministic: zero
-    initialization and whole-batch updates leave nothing to chance.  When
-    ``loss_trace`` is a list, the loss before training and after each epoch
-    is appended to it.
+    freezes the weights).  One logit pass gives each visited point's loss and,
+    once the step is taken, the next epoch's gradient.  The learning rate must
+    be positive and finite.  Zero initialization and whole-batch updates make
+    the trainer fully deterministic.  When ``loss_trace`` is a list, the loss
+    before training and after each epoch is appended to it.
     """
     if epochs < 0:
         raise ParameterError("epochs must be >= 0")
-    if not learning_rate > 0:
-        raise ParameterError("learning_rate must be positive")
+    if not 0 < learning_rate < math.inf:
+        raise ParameterError("learning_rate must be positive and finite")
     fm = feature_map(feature_map_name)
     codes = fm.encode(np.concatenate([data.positives, data.negatives]))
     n_pos = data.positives.size
 
-    def loss_at(w: np.ndarray, b: float) -> float:
-        p = _sigmoid(fm.logit(codes, fm.held(w), b))
-        return _clamped_xent(p[:n_pos], p[n_pos:])
-
     w = np.zeros(fm.dim, dtype=np.float64)
     b = 0.0
-    loss = loss_at(w, b)
+    loss, residual = _loss_and_residual(fm, codes, n_pos, w, b)
     if loss_trace is not None:
         loss_trace.append(loss)
     for epoch in range(epochs):
-        grad_w, grad_b = _gradient(fm, codes, n_pos, w, b)
+        grad_w, grad_b = fm.gradient(codes, residual), float(residual.sum())
         if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
             raise TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch)
         step = learning_rate
         while step > _BACKTRACK_FLOOR:
             cand_w = w - step * grad_w
             cand_b = b - step * grad_b
-            cand_loss = loss_at(cand_w, cand_b)
+            cand_loss, cand_residual = _loss_and_residual(fm, codes, n_pos, cand_w, cand_b)
             if math.isfinite(cand_loss) and cand_loss <= loss:
-                w, b, loss = cand_w, cand_b, cand_loss
+                w, b, loss, residual = cand_w, cand_b, cand_loss, cand_residual
                 break
             step *= 0.5
         if loss_trace is not None:
@@ -417,7 +416,9 @@ def log_loss_gradient(
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of the clamped cross-entropy at (weights, bias)."""
     codes = fm.encode(np.concatenate([data.positives, data.negatives]))
-    return _gradient(fm, codes, data.positives.size, np.asarray(weights, dtype=np.float64), bias)
+    w = np.asarray(weights, dtype=np.float64)
+    _, residual = _loss_and_residual(fm, codes, data.positives.size, w, bias)
+    return fm.gradient(codes, residual), float(residual.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,6 @@ class TestConstruction:
             f.insert_many([4, 5])
         assert f.to_bytes() == before
 
-    def test_filter_params_target_range(self):
-        with pytest.raises(ParameterError):
-            FilterParams(m=8, k=1, target_fpp=1.5)
-        assert FilterParams(m=8, k=1, target_fpp=0.5).target_fpp == 0.5
-
 
 class TestInsertContains:
     def test_insert_then_contains(self):
@@ -354,7 +349,6 @@ class TestSizing:
     def test_known_point(self):
         params = params_for_target(1000, 0.01)
         assert (params.m, params.k) == (9586, 7)
-        assert params.target_fpp == 0.01
 
     def test_bits_per_element_at_two_ten_thousandths(self):
         params = params_for_target(500, 0.0002)

@@ -1051,3 +1051,31 @@ def test_every_imported_name_is_used_by_its_module():
                     if name not in used:
                         unused.append(f"{source.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_private_module_level_definition_is_named_elsewhere_in_the_package():
+    # a single-underscore function, class or assignment at module level that nothing names is dead
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted((ROOT / "src" / "learnedbloom").glob("*.py"))}  # fmt: skip
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}:{node.lineno}: {name}" for name in defined
+                     if name.startswith("_") and not name.startswith("__") and name not in named]
+    assert dead == []

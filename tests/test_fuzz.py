@@ -1,6 +1,7 @@
-"""Byte-mutated filter and key files through ``lbf query`` and ``lbf eval``: no mutant escapes.
+"""Byte-mutated filter, key and scorer files through the ``lbf`` commands that read them: no
+mutant escapes.
 
-A filter or key file is untrusted input.  Whatever its bytes, ``lbf`` must exit
+A filter, key or scorer file is untrusted input.  Whatever its bytes, ``lbf`` must exit
 0, 2, 3, 4 or 5, never with a traceback, and must neither hang nor exhaust
 memory.  This guards what the scan of ``raise`` statements cannot see: numpy
 errors, ``ZeroDivisionError`` and ``MemoryError``.  Every mutant runs in one
@@ -92,33 +93,47 @@ def _run(argv: list[str]) -> tuple[int | None, str | None]:
             return None, traceback.format_exc()
 
 
+def _runs(seeds: Path, name: str, mutant: str) -> list[list[str]]:
+    """The ``lbf`` commands a mutant of seed file ``name`` goes through."""
+    keys = str(seeds / "keys.txt")
+    if name.endswith(".txt"):
+        return [["query", "--filter", str(seeds / "std.bloom"), "--queries", mutant],
+                ["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
+                 "--dist", f"fixed:{mutant}", "--samples", "200"]]
+    if name.endswith(".json"):
+        return [["build", "--kind", "learned", "--keys", keys, "--scorer", mutant, "--tau", "0.4",
+                 "--out", str(seeds / "built.lbf")],
+                ["sweep", "--keys", keys, "--scorer", mutant, "--taus", "0.2,0.6",
+                 "--dist", "uniform:0:300000", "--samples", "200"]]
+    return [["query", "--filter", mutant, "0", "15000", str(2**64 - 1)],
+            ["eval", "--filter", mutant, "--keys", keys,
+             "--dist", "uniform:0:300000", "--samples", "200"],
+            ["concentration", "--filter", mutant, "--keys", keys, "--dist", "uniform:0:300000",
+             "--trials", "2", "--t-size", "50", "--q-size", "50"]]
+
+
 def fuzz(directory: str) -> dict:
-    """Mutate every seed file in ``directory``; run each mutant through query and eval."""
+    """Mutate every seed file in ``directory``; run each mutant through the commands that read it."""
     warnings.filterwarnings("error", category=RuntimeWarning, module="learnedbloom")
     rng = random.Random(SEED)
     seeds = Path(directory)
-    keys = str(seeds / "keys.txt")
     mutant = str(seeds / "mutant")
     codes, escaped = Counter(), []
-    for name in sorted(p.name for p in seeds.iterdir() if p.suffix in (".lbf", ".bloom", ".txt")):
+    suffixes = (".lbf", ".bloom", ".txt", ".json")
+    for name in sorted(p.name for p in seeds.iterdir() if p.suffix in suffixes):
         data = (seeds / name).read_bytes()
         for i in range(MUTANTS_PER_FILE):
-            if name.endswith(".lbf") and i % 3 == 1:
-                blob = _mutate_scorer_record(rng, data, lambda r, b: _mutate(r, b, _JSON_BYTES))
-            elif name.endswith(".lbf") and i % 3 == 2:
-                blob = _mutate_scorer_record(rng, data, _replace_a_value)
+            # a third of the scorer records, framed or bare, keep a byte alphabet near JSON
+            # and a third keep valid JSON with one value replaced
+            change = [None, lambda r, b: _mutate(r, b, _JSON_BYTES), _replace_a_value][i % 3]
+            if name.endswith(".lbf") and change:
+                blob = _mutate_scorer_record(rng, data, change)
+            elif name.endswith(".json") and change:
+                blob = change(rng, data)
             else:
                 blob = _mutate(rng, data, b"0123456789\n -x" if name.endswith(".txt") else None)
             Path(mutant).write_bytes(blob)
-            if name.endswith(".txt"):
-                runs = [["query", "--filter", str(seeds / "std.bloom"), "--queries", mutant],
-                        ["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
-                         "--dist", f"fixed:{mutant}", "--samples", "200"]]
-            else:
-                runs = [["query", "--filter", mutant, "0", "15000", str(2**64 - 1)],
-                        ["eval", "--filter", mutant, "--keys", keys,
-                         "--dist", "uniform:0:300000", "--samples", "200"]]
-            for argv in runs:
+            for argv in _runs(seeds, name, mutant):
                 code, trace = _run(argv)
                 codes[str(code)] += 1
                 if trace is not None or code not in EXIT_CODES:
@@ -153,7 +168,8 @@ def test_mutated_filter_and_key_files_exit_with_a_code_and_no_traceback(tmp_path
     summary = json.loads(done.stdout)
     assert summary["escaped"] == []
     assert set(summary["codes"]) <= {str(code) for code in EXIT_CODES}
-    assert sum(summary["codes"].values()) == 2 * 5 * MUTANTS_PER_FILE
+    # keys.txt: query and eval; 4 filters: query, eval and concentration; 3 scorers: build, sweep
+    assert sum(summary["codes"].values()) == (2 + 4 * 3 + 3 * 2) * MUTANTS_PER_FILE
     assert {"0", "2"} <= set(summary["codes"])  # mutants both load and fail to
 
 

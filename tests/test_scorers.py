@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from learnedbloom.errors import FilterFormatError, ParameterError
+from learnedbloom import scorers
+from learnedbloom.errors import FilterFormatError, ParameterError, TrainingError
 from learnedbloom.scorers import (
     IntervalScorer,
     LogisticScorer,
     TrainingSet,
+    _clamped_xent,
     _sigmoid,
     feature_map,
     log_loss,
@@ -382,6 +384,41 @@ class TestLogLoss:
         assert log_loss(scorer, data) == pytest.approx(1.3862943611198906, rel=1e-12)
 
 
+def _two_pass_train(data, name, epochs, learning_rate, loss_trace):
+    """The trainer's loop as a readable reference: a logit pass for each candidate's loss and
+    another for the gradient at the accepted point.  The record, or the ``TrainingError``'s repr."""
+    fm = feature_map(name)
+    codes = fm.encode(np.concatenate([data.positives, data.negatives]))
+    n_pos = data.positives.size
+
+    def probabilities(w, b):
+        return _sigmoid(fm.logit(codes, fm.held(w), b))
+
+    def loss_at(w, b):
+        p = probabilities(w, b)
+        return _clamped_xent(p[:n_pos], p[n_pos:])
+
+    w, b = np.zeros(fm.dim, dtype=np.float64), 0.0
+    loss = loss_at(w, b)
+    loss_trace.append(loss)
+    for epoch in range(epochs):
+        residual = probabilities(w, b)
+        residual[:n_pos] -= 1.0
+        grad_w, grad_b = fm.gradient(codes, residual), float(residual.sum())
+        if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
+            return repr(TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch))
+        step = learning_rate
+        while step > 1e-30:
+            cand_w, cand_b = w - step * grad_w, b - step * grad_b
+            cand_loss = loss_at(cand_w, cand_b)
+            if math.isfinite(cand_loss) and cand_loss <= loss:
+                w, b, loss = cand_w, cand_b, cand_loss
+                break
+            step *= 0.5
+        loss_trace.append(loss)
+    return LogisticScorer(tuple(float(v) for v in w), b, fm.name).to_record()
+
+
 class TestTrainer:
     def test_zero_epochs_gives_constant_half(self):
         data = TrainingSet(positives=(10, 20), negatives=(90, 80))
@@ -398,10 +435,11 @@ class TestTrainer:
         assert all(scorer.score(k) <= 0.1 for k in data.negatives)
 
     def test_symmetric_data_stays_near_half(self):
-        keys = tuple(range(0, 100, 7))
-        data = TrainingSet(positives=keys, negatives=keys, check_disjoint=False)
+        # each negative sits one key above a positive, so no line separates them
+        positives = tuple(range(0, 100, 7))
+        data = TrainingSet(positives=positives, negatives=tuple(k + 1 for k in positives))
         scorer = train_logistic(data, "int-centered:100", epochs=200, learning_rate=0.3)
-        for key in keys:
+        for key in (*data.positives, *data.negatives):
             assert abs(scorer.score(key) - 0.5) <= 0.05
 
     def test_loss_non_increasing_with_backtracking(self):
@@ -428,8 +466,46 @@ class TestTrainer:
         data = TrainingSet(positives=(1,), negatives=(2,))
         with pytest.raises(ParameterError):
             train_logistic(data, "int-norm:10", epochs=-1, learning_rate=0.1)
-        with pytest.raises(ParameterError):
-            train_logistic(data, "int-norm:10", epochs=1, learning_rate=0.0)
+        for rate in (0.0, -1.0, math.nan, math.inf):  # an infinite step never halves below 1e-30
+            with pytest.raises(ParameterError, match="learning_rate must be positive and finite"):
+                train_logistic(data, "int-norm:10", epochs=1, learning_rate=rate)
+
+    @pytest.mark.parametrize("name", ["int-centered:100", "byte-ngram:8"])
+    def test_each_visited_point_costs_one_logit_pass(self, monkeypatch, name):
+        # at this rate no step is halved: the start point and one point per epoch
+        passes = []
+        for cls in (scorers._Affine, scorers._ByteNgram):
+            def counted(self, *args, _logit=cls.logit):
+                passes.append(self.name)
+                return _logit(self, *args)
+
+            monkeypatch.setattr(cls, "logit", counted)
+        data = TrainingSet(positives=(60, 70, 80, 90), negatives=(10, 20, 30, 40))
+        train_logistic(data, name, epochs=10, learning_rate=0.01)
+        assert passes == [name] * 11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.one_of(
+            st.builds("int-norm:{}".format, st.integers(1, 2**64)),
+            st.builds("int-centered:{}".format, st.integers(1, 2**64)),
+            st.builds("byte-ngram:{}".format, st.integers(1, 12)),
+        ),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=24, unique=True),
+        n_pos=st.integers(1, 23),
+        epochs=st.integers(0, 40),
+        rate=st.floats(-3, 6).map(lambda e: 10.0**e),  # log-uniform over [1e-3, 1e6]
+    )
+    def test_matches_the_two_pass_reference_loop(self, name, keys, n_pos, epochs, rate):
+        n_pos = min(n_pos, len(keys) - 1)
+        data = TrainingSet(positives=keys[:n_pos], negatives=keys[n_pos:])
+        trace, expected_trace = [], []
+        expected = _two_pass_train(data, name, epochs, rate, expected_trace)
+        try:
+            got = train_logistic(data, name, epochs, rate, loss_trace=trace).to_record()
+        except TrainingError as exc:
+            got = repr(exc)
+        assert (got, trace) == (expected, expected_trace)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(404)

@@ -17,8 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
     [(["--taus", "0,0.5,1"], None), (["--taus", "0,,0.5,1"], None),
      (["--taus", "0,x"], "error: bad threshold 'x': could not convert string to float: 'x'\n"),
      (["--taus", ","], "error: tau grid must be nonempty\n"),
-     (["--taus", "0,0.5,1", "--negatives", "0"], "error: sample count must be >= 1\n")],
-    ids=["grid", "grid_with_empty_item", "item_not_a_number", "no_items", "no_negatives"],
+     (["--taus", "0,0.5,1", "--negatives", "0"], "error: sample count must be >= 1\n"),
+     (["--learning-rate", "inf"], "error: learning_rate must be positive and finite\n")],
+    ids=["grid", "grid_with_empty_item", "item_not_a_number", "no_items", "no_negatives",
+         "infinite_learning_rate"],
 )  # fmt: skip
 def test_threshold_sweep_demo_writes_one_row_per_tau(options, error):
     env = dict(os.environ)
