@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -39,7 +40,7 @@ from .evaluation import (
     exact_alpha,
     threshold_sweep,
 )
-from .hashing import as_keys, derive_seed
+from .hashing import _held_keys, as_keys, derive_seed
 from .learned import LearnedBloomFilter
 from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
@@ -49,6 +50,7 @@ from .workloads import (
     UniformRange,
     hot_range_example,
     load_keys_text,
+    parse_keys_text,
     read_manifest,
     sample,
     save_keys_text,
@@ -127,8 +129,12 @@ def _render(payload: dict, fmt: str, csv_rows=None) -> str:
 
 
 def _emit(args, payload: dict, csv_rows=None) -> None:
-    """Print the rendered report, and with --out also write it to that file."""
-    text = _render(payload, args.format, csv_rows)
+    """Write the rendered report, as :func:`_write` does."""
+    _write(args, _render(payload, args.format, csv_rows))
+
+
+def _write(args, text: str) -> None:
+    """Print a report's text, and with --out also write it to that file."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -261,14 +267,39 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _key_arguments(texts: list[str]) -> np.ndarray:
+    """The key arguments as a uint64 array: each must be one line of key text that holds a key."""
+    data = "\n".join(texts).encode("utf-8", "surrogateescape")
+    keys, _ = parse_keys_text(data)
+    # n lines of key text hold at most n keys, one a line
+    if keys.size != len(texts) or data.count(b"\n") != len(texts) - 1:
+        bad = next(
+            text for text in texts
+            if "\n" in text or parse_keys_text(text.encode("utf-8", "surrogateescape"))[0].size != 1
+        )  # fmt: skip
+        raise ParameterError(f"query key {bad!r}: not a decimal integer key")
+    return keys
+
+
 def _cmd_query(args) -> int:
     filt = _load_filter(_required(args, "filter"))
     if args.key:
-        keys = as_keys([_parse(int, k, "query key") for k in args.key])
+        keys = _key_arguments(args.key)
     else:
         keys = load_keys_text(_required(args, "queries"))
-    results = dict(zip(map(str, keys.tolist()), filt.contains_many(keys).tolist()))
-    _emit(args, {"filter": args.filter, "results": results})
+    keys = _held_keys(keys, distinct=True)  # an answer depends only on its key
+    pairs = zip(keys.tolist(), filt.contains_many(keys).tolist())
+    # The bytes json.dumps(indent=2, sort_keys=True) and _flatten would write for
+    # {"filter": ..., "results": {str(key): answer}}.  Each line's key is followed by
+    # '"' or ',', both below '0', so the lines sort as their distinct keys do as strings.
+    if args.format == "json":
+        lines = sorted([f'    "{key}": {"true" if hit else "false"}' for key, hit in pairs])
+        results = "{\n" + ",\n".join(lines) + "\n  }" if lines else "{}"
+        text = f'{{\n  "filter": {json.dumps(args.filter)},\n  "results": {results}\n}}\n'
+    else:
+        lines = sorted([f"results.{key},{hit}\n" for key, hit in pairs])
+        text = _render({}, "csv", [("key", "value"), ("filter", args.filter)]) + "".join(lines)
+    _write(args, text)
     return EXIT_OK
 
 
@@ -350,11 +381,12 @@ def _cmd_repro_example(args) -> int:
     return EXIT_OK
 
 
-def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
-    """Make the ``key=value`` lines of ``path`` defaults of ``command``; flags still win.
+def _config_flags(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The ``key=value`` lines of ``path`` as ``--key=value`` flags of ``command``.
 
-    A key is an option name without ``--``; argparse casts the values as it
-    casts flags when the command line is parsed again.
+    A key is an option name without ``--``.  Parsed ahead of the command
+    line's own flags, the values are cast like them, and a flag given on the
+    command line wins.
     """
     options = {
         name[2:]: action
@@ -362,15 +394,15 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
         for name in action.option_strings
         if name.startswith("--") and action.dest not in ("help", "config")
     }
-    defaults = {}
+    flags = []
     for key, value in read_manifest(path).items():
         action = options.get(key)
         if action is None:
             raise ParameterError(f"config key {key!r} in {path} names no option of this command")
         if action.choices is not None and value not in action.choices:
             raise ParameterError(f"config key {key!r} in {path} must be one of {action.choices}")
-        defaults[action.dest] = value
-    command.set_defaults(**defaults)
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -386,8 +418,9 @@ def _add_backup_target(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The ``lbf`` parser and its command subparsers by name."""
+    """The ``lbf`` parser and its command subparsers by name, built once: nothing changes them."""
     parser = argparse.ArgumentParser(
         prog="lbf",
         description="Build and evaluate Bloom filters and learned Bloom filters.",
@@ -462,14 +495,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         command = commands[args.command]
-        declared = {action.dest: action.default for action in command._actions}  # before --config
         if args.config:
-            _apply_config(command, args.config)
-            args = parser.parse_args(argv)
-        _drop_unread(args, declared)
+            # lbf itself takes no option with a value, so the command is argv's first match
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(command, args.config), *argv[at:]])
+        _drop_unread(args, {action.dest: action.default for action in command._actions})
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)

@@ -301,23 +301,23 @@ _BYTE_CLASS[ord("\n")] = _NEWLINE
 _KEY_MAX_DIGITS = np.frombuffer(b"18446744073709551615", np.uint8)  # 2^64 - 1
 
 
-def load_keys_text(path) -> np.ndarray:
-    """The keys of a key file as a uint64 array in file order.
+def parse_keys_text(data: bytes) -> tuple[np.ndarray, int | None]:
+    """Key text under the key-file grammar: ``(keys, bad)``.
 
-    The grammar: each line, ended by a newline byte or by the end of the file,
+    The grammar: each line, ended by a newline byte or by the end of the text,
     is blank or holds one key, 1-20 ASCII digits of value below 2^64, with
-    optional ASCII space-like bytes (space, tab, CR, VT, FF) around it.  Any
-    other line raises ParameterError naming the file and the first such line.
+    optional ASCII space-like bytes (space, tab, CR, VT, FF) around it.  If
+    every line obeys, ``bad`` is None and ``keys`` holds the keys as a uint64
+    array in text order; otherwise ``bad`` is the offset of a byte on the first
+    line that does not, and ``keys`` is empty.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     raw = np.frombuffer(data, np.uint8)
     cls = _BYTE_CLASS[raw]
     bad = [] if cls.all() else [int(np.argmin(cls))]  # offsets of each check's first failure
     digit = np.zeros(raw.size + 2, bool)  # padded, so every digit run has two edges
     np.equal(cls, _DIGIT, out=digit[1:-1])
     edges = np.flatnonzero(digit[1:] != digit[:-1])
-    del digit  # each per-byte array is freed once read, to hold the peak near the file size
+    del digit  # each per-byte array is freed once read, to hold the peak near the text size
     starts, ends = edges[0::2], edges[1::2]
     length = ends - starts
     too_long = np.flatnonzero(length > 20)
@@ -340,13 +340,27 @@ def load_keys_text(path) -> np.ndarray:
     if above.any():
         bad.append(int(twenty[np.argmax(above)]))
     if bad:
-        line = data.count(b"\n", 0, min(bad)) + 1
-        raise ParameterError(f"{path}: line {line}: not a decimal integer key")
+        return np.zeros(0, np.uint64), min(bad)
     # only after every check: fromstring saturates a key above 2^64 - 1, stops silently at
-    # a bad token, and reads a file of blank lines as one 0
+    # a bad token, and reads a text of blank lines as one 0
     keys = np.fromstring(data, np.uint64, sep=" ") if starts.size else np.zeros(0, np.uint64)
     if keys.size != starts.size:
-        raise ParameterError(f"{path}: {starts.size} keys read as {keys.size}")
+        raise ParameterError(f"{starts.size} keys read as {keys.size}")
+    return keys, None
+
+
+def load_keys_text(path) -> np.ndarray:
+    """The keys of a key file as a uint64 array in file order.
+
+    A file that breaks the grammar of :func:`parse_keys_text` raises
+    ParameterError naming the file and its first bad line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    keys, bad = parse_keys_text(data)
+    if bad is not None:
+        line = data.count(b"\n", 0, bad) + 1
+        raise ParameterError(f"{path}: line {line}: not a decimal integer key")
     return keys
 
 

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, config-file precedence, output determinism."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -12,12 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from learnedbloom import cli
 from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.cli import (
     EXIT_IO,
     EXIT_PARAMETER,
     EXIT_WORKLOAD,
+    _render,
     main,
 )
 from learnedbloom.evaluation import SUPPORT_LIMIT
@@ -466,6 +471,86 @@ class TestQuery:
         assert code == 0
         assert json.loads(stdout)["results"]["1500"] is True  # hot-range score 0.5 >= 0.4
 
+    @pytest.mark.parametrize(
+        "text", ["1_000", "+5", "-0", "\uff10", "-1", str(2**64), "", " ", "5\n6", "5\n", "1 2"],
+        ids=["underscore", "plus", "minus_zero", "fullwidth_zero", "negative", "2**64", "empty",
+             "blank", "two_lines", "newline", "two_keys"],
+    )
+    def test_key_argument_outside_the_key_file_grammar_is_one_error_line(
+        self, tmp_path, capsys, text
+    ):
+        filt = tmp_path / "std.bloom"
+        filt.write_bytes(BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes())
+        code = main(["query", "--filter", str(filt), "--", "3", text, "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert captured.err == f"error: query key {text!r}: not a decimal integer key\n"
+
+    def test_key_arguments_read_as_key_file_lines(self, tmp_path, capsys):
+        filt = tmp_path / "std.bloom"
+        filt.write_bytes(BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes())
+        code, stdout = run(capsys, "query", "--filter", filt, " 7", "7\r", "\t00000000000000000042 ")
+        assert code == 0
+        assert list(json.loads(stdout)["results"]) == ["42", "7"]
+
+
+_EDGE_KEYS = [0, 9, 10, 100, 2**64 - 1]
+
+
+@pytest.fixture(scope="module")
+def small_filter():
+    filt = BloomFilter.from_params(FilterParams(2048, 3), 1)
+    filt.insert_many([*_EDGE_KEYS[::2], *range(0, 300, 3)])
+    return filt
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(st.sampled_from(_EDGE_KEYS), st.integers(0, 300), st.integers(0, 2**64 - 1)),
+        max_size=40,
+    ),
+    name=st.text(st.sampled_from(list(',"\\\né \u00ff\u4e2dab.')), min_size=1, max_size=10),
+    fmt=st.sampled_from(["json", "csv"]),
+    from_file=st.booleans(),
+)
+def test_query_report_is_the_dict_report(tmp_path_factory, small_filter, keys, name, fmt, from_file):
+    # the reference is the report as a dict of str(key) -> answer, rendered by json.dumps or _flatten
+    directory = tmp_path_factory.mktemp("query")
+    filt, report = directory / f"f{name}", directory / "report"
+    filt.write_bytes(small_filter.to_bytes())
+    argv = ["query", "--filter", str(filt), "--format", fmt, "--out", str(report)]
+    if from_file or not keys:
+        save_keys_text(directory / "queries.txt", keys)
+        argv += ["--queries", str(directory / "queries.txt")]
+    else:
+        argv += ["--", *map(str, keys)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    answers = small_filter.contains_many(np.array(keys, np.uint64)).tolist()
+    expected = _render({"filter": str(filt), "results": dict(zip(map(str, keys), answers))}, fmt)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == expected
+    assert report.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_query_report_passes_no_dict_to_json_dumps(tmp_path, capsys, monkeypatch, small_filter):
+    filt, queries = tmp_path / "std.bloom", tmp_path / "queries.txt"
+    filt.write_bytes(small_filter.to_bytes())
+    save_keys_text(queries, range(50))
+    real_dumps, dumped = json.dumps, []
+
+    def dumps(obj, **kwargs):
+        dumped.append(type(obj))
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    for fmt in ("json", "csv"):
+        assert run(capsys, "query", "--filter", filt, "--format", fmt, "--queries", queries)[0] == 0
+        assert run(capsys, "query", "--filter", filt, "--format", fmt, "5", "7")[0] == 0
+    assert dict not in dumped
+
 
 class TestEval:
     def test_eval_standard_filter(self, tmp_path, key_file, capsys):
@@ -835,6 +920,32 @@ class TestConfigFile:
         assert code == EXIT_PARAMETER
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config", ["format=csv\nseed=5\n", "seed=5\nsamples=x\n", "seed=5\nsampels=3\n"],
+        ids=["csv_and_seed", "mistyped_value", "unknown_key"],
+    )
+    def test_a_config_call_leaves_nothing_behind_for_the_next_call(self, tmp_path, capsys, config):
+        filt = tmp_path / "ex.lbf"
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", filt)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        plain = ["eval", "--filter", str(filt), "--dist", "uniform:0:1000000"]
+
+        def call(argv):
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        alone = call(plain)
+        with_config = call([*plain, "--config", str(cfg)])
+        # both orders: a plain call after a config call, and a config call after a plain one
+        assert call(plain) == alone
+        assert call([*plain, "--config", str(cfg)]) == with_config
+        assert alone[0] == 0 and json.loads(alone[1])["config"]["seed"] == 0
+        if config.startswith("format"):
+            assert with_config[0] == 0 and "config.seed,5\n" in with_config[1]
+        else:
+            assert with_config[0] == EXIT_PARAMETER and with_config[1] == ""
+
     def test_config_format_and_out_are_honoured(self, tmp_path, capsys):
         out = tmp_path / "ex.lbf"
         run(capsys, "build", "--kind", "example", "--seed", "7", "--out", out)
@@ -861,6 +972,10 @@ class TestConfigFile:
         assert "Traceback" not in err
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and "--samples" in error_lines[0]
+        # checked like a flag even where a flag overrides it
+        code = main(["eval", "--filter", str(out), "--dist", "uniform:0:1000000",
+                     "--config", str(cfg), "--samples", "2000"])
+        assert code == EXIT_PARAMETER and "--samples" in capsys.readouterr().err
 
     def test_csv_format_flattens_report(self, capsys):
         code, stdout = run(
@@ -1032,6 +1147,34 @@ def test_every_raise_names_an_error_main_maps_to_an_exit_code():
             if not (isinstance(raised, ast.Name) and raised.id in mapped):
                 strays.append(f"{source.name}:{node.lineno}: {ast.unparse(node)}")
     assert strays == []
+
+
+# numpy API that numpy 1.24, the declared floor, lacks
+_NUMPY_2_ONLY = {
+    "strings", "unique_values", "unique_counts", "unique_inverse", "unique_all", "bitwise_count",
+    "concat", "astype", "isdtype", "cumulative_sum", "cumulative_prod", "permute_dims",
+    "matrix_transpose", "vecdot", "matvec", "vecmat", "unstack", "trapezoid", "long", "ulong",
+    "acos", "acosh", "asin", "asinh", "atan", "atanh", "atan2", "pow", "bitwise_invert",
+    "bitwise_left_shift", "bitwise_right_shift",
+}
+
+
+def test_the_package_names_no_numpy_2_only_api():
+    found = []
+    for source in sorted((ROOT / "src" / "learnedbloom").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}  # fmt: skip
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):  # fmt: skip
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}: {n}" for n in names if n in _NUMPY_2_ONLY]
+    assert found == []
 
 
 def test_every_imported_name_is_used_by_its_module():

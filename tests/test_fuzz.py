@@ -1,11 +1,11 @@
-"""Byte-mutated filter, key and scorer files through the ``lbf`` commands that read them: no
-mutant escapes.
+"""Byte-mutated filter, key and scorer files, and key arguments, through the ``lbf`` commands
+that read them: no mutant escapes.
 
-A filter, key or scorer file is untrusted input.  Whatever its bytes, ``lbf`` must exit
-0, 2, 3, 4 or 5, never with a traceback, and must neither hang nor exhaust
-memory.  This guards what the scan of ``raise`` statements cannot see: numpy
-errors, ``ZeroDivisionError`` and ``MemoryError``.  Every mutant runs in one
-child process that caps its own address space, under a timeout.
+A filter, key or scorer file, or a key argument, is untrusted input.  Whatever its
+bytes, ``lbf`` must exit 0, 2, 3, 4 or 5, never with a traceback, and must neither
+hang nor exhaust memory.  This guards what the scan of ``raise`` statements cannot
+see: numpy errors, ``ZeroDivisionError`` and ``MemoryError``.  Every mutant runs in
+one child process that caps its own address space, under a timeout.
 
 Run as a script, ``python tests/test_fuzz.py DIR`` mutates the seed files in
 DIR and prints a JSON summary of the runs.
@@ -36,6 +36,7 @@ SEED = 20180416
 MUTANTS_PER_FILE = 60
 ADDRESS_SPACE = 3 << 30  # the child's cap: a mutant asking for more fails, not the host
 EXIT_CODES = {0, 2, 3, 4, 5}
+KEY_ARGUMENTS = b"0 15000 18446744073709551615"  # split at spaces into lbf query's key arguments
 SCORERS = {
     "intervals": IntervalScorer([(10_000 * i, 10_000 * i + 999) for i in range(24)], 0.5, 0.0),
     "int-norm": LogisticScorer((3.0,), -1.5, "int-norm:1000000"),
@@ -93,11 +94,13 @@ def _run(argv: list[str]) -> tuple[int | None, str | None]:
             return None, traceback.format_exc()
 
 
-def _runs(seeds: Path, name: str, mutant: str) -> list[list[str]]:
-    """The ``lbf`` commands a mutant of seed file ``name`` goes through."""
+def _runs(seeds: Path, name: str, mutant: str, key_arguments: list[str]) -> list[list[str]]:
+    """The ``lbf`` commands a mutant of seed file ``name`` goes through; a key file's mutant
+    goes with mutated ``key_arguments``."""
     keys = str(seeds / "keys.txt")
     if name.endswith(".txt"):
         return [["query", "--filter", str(seeds / "std.bloom"), "--queries", mutant],
+                ["query", "--filter", str(seeds / "std.bloom"), "--", *key_arguments],
                 ["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
                  "--dist", f"fixed:{mutant}", "--samples", "200"]]
     if name.endswith(".json"):
@@ -116,6 +119,7 @@ def fuzz(directory: str) -> dict:
     """Mutate every seed file in ``directory``; run each mutant through the commands that read it."""
     warnings.filterwarnings("error", category=RuntimeWarning, module="learnedbloom")
     rng = random.Random(SEED)
+    argument_rng = random.Random(SEED + 1)  # its own stream, so the file mutants stay as they were
     seeds = Path(directory)
     mutant = str(seeds / "mutant")
     codes, escaped = Counter(), []
@@ -133,7 +137,11 @@ def fuzz(directory: str) -> dict:
             else:
                 blob = _mutate(rng, data, b"0123456789\n -x" if name.endswith(".txt") else None)
             Path(mutant).write_bytes(blob)
-            for argv in _runs(seeds, name, mutant):
+            key_arguments = []
+            if name.endswith(".txt"):
+                mutated = _mutate(argument_rng, KEY_ARGUMENTS, b"0123456789\n -x+_\xef\xbc\x90")
+                key_arguments = mutated.decode("utf-8", "surrogateescape").split(" ")
+            for argv in _runs(seeds, name, mutant, key_arguments):
                 code, trace = _run(argv)
                 codes[str(code)] += 1
                 if trace is not None or code not in EXIT_CODES:
@@ -168,8 +176,9 @@ def test_mutated_filter_and_key_files_exit_with_a_code_and_no_traceback(tmp_path
     summary = json.loads(done.stdout)
     assert summary["escaped"] == []
     assert set(summary["codes"]) <= {str(code) for code in EXIT_CODES}
-    # keys.txt: query and eval; 4 filters: query, eval and concentration; 3 scorers: build, sweep
-    assert sum(summary["codes"].values()) == (2 + 4 * 3 + 3 * 2) * MUTANTS_PER_FILE
+    # keys.txt: query with key file and key arguments, and eval; 4 filters: query, eval and
+    # concentration; 3 scorers: build, sweep
+    assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2) * MUTANTS_PER_FILE
     assert {"0", "2"} <= set(summary["codes"])  # mutants both load and fail to
 
 
