@@ -31,10 +31,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_batch(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_batch(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`_mix64` of every entry of the uint64 array ``z``, in place, through ``scratch``."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def _seed_base(seed: int) -> int:
@@ -93,11 +99,20 @@ def _held_keys(keys, distinct: bool = False) -> np.ndarray:
 
 
 def hash_pair_batch(keys, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hash_pair` of every key of a batch (:func:`as_keys`), vectorized."""
-    z = as_keys(keys) + np.uint64(_seed_base(seed))
-    h1 = _mix64_batch(z + np.uint64(_GOLDEN))
-    h2 = _mix64_batch(z + np.uint64(_GOLDEN2))
-    return h1, h2 | np.uint64(1)
+    """:func:`hash_pair` of every key of a batch (:func:`as_keys`), vectorized.
+
+    Each hash is mixed in place in a new array: :func:`as_keys` may return the
+    caller's own array, which is never written.
+    """
+    keys = as_keys(keys)
+    base = _seed_base(seed)
+    h1 = keys + np.uint64((base + _GOLDEN) & _MASK)
+    h2 = keys + np.uint64((base + _GOLDEN2) & _MASK)
+    scratch = np.empty_like(h1)
+    _mix64_batch(h1, scratch)
+    _mix64_batch(h2, scratch)
+    h2 |= np.uint64(1)
+    return h1, h2
 
 
 def derive_seed(seed: int, label: str) -> int:

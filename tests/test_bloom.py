@@ -22,6 +22,7 @@ from learnedbloom.bloom import (
     params_for_target,
 )
 from learnedbloom.errors import FilterFormatError, ParameterError
+from learnedbloom.hashing import hash_pair, hash_pair_batch
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer
 
@@ -164,7 +165,40 @@ def test_popcount_never_decreases(keys, seed):
 KEYS = st.lists(
     st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**63 - 1).map(np.int64)), max_size=40
 )
-SHAPES = {"m": st.integers(1, 5000), "k": st.integers(1, 64), "seed": st.integers(0, 2**64 - 1)}
+# The second m branch reaches 2^24 bits, a 2 MB packed array: large remainders
+# through the batch kernels themselves.
+SHAPES = {
+    "m": st.one_of(st.integers(1, 5000), st.integers(5001, 1 << 24)),
+    "k": st.integers(1, 64),
+    "seed": st.integers(0, 2**64 - 1),
+}
+U64 = st.integers(0, 2**64 - 1)
+# Divisors in [1, 2^63), with 1, 2, each power of two and its neighbours, and 2^63 - 1.
+DIVISORS = st.one_of(
+    st.integers(1, 2**63 - 1),
+    st.integers(1, 62).flatmap(lambda e: st.sampled_from([2**e - 1, 2**e, 2**e + 1])),
+    st.just(2**63 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(acc=st.lists(U64, max_size=100), m=DIVISORS)
+def test_remainder_is_acc_mod_m_for_every_uint64(acc, m):
+    acc = np.array([0, 2**64 - 1, *acc], dtype=np.uint64)
+    m = np.uint64(m)
+    assert bloom._remainder(acc, m).tolist() == (acc % m).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=U64, **SHAPES)
+def test_insert_sets_the_double_hashing_positions(key, m, k, seed):
+    # Kirsch-Mitzenmacher: probe i lands on bit (h1 + i*h2) mod 2^64 mod m.
+    h1, h2 = hash_pair(key, seed)
+    f = BloomFilter(m, k, seed)
+    f.insert(key)
+    stored = np.frombuffer(f.to_bytes()[32:], dtype=np.uint8)
+    set_bits = np.flatnonzero(np.unpackbits(stored, count=m, bitorder="little"))
+    assert set_bits.tolist() == sorted({(h1 + i * h2) % 2**64 % m for i in range(k)})
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,6 +310,22 @@ def test_batch_temporaries_do_not_grow_with_the_batch():
     f = BloomFilter(m, 3, seed=5)
     assert _peak_bytes(lambda: f.insert_many(keys)) <= m + m // 8 + 16 * _BLOCK * 8
     assert _peak_bytes(lambda: f.contains_many(keys)) <= n + 16 * _BLOCK * 8
+
+
+@pytest.mark.parametrize("writeable", [False, True])
+def test_batch_paths_never_write_the_callers_keys(writeable):
+    keys = np.random.default_rng(4).integers(0, 1 << 64, size=_BLOCK + 7, dtype=np.uint64)
+    before = keys.copy()
+    keys.flags.writeable = writeable
+    h1, h2 = hash_pair_batch(keys, 4)
+    assert not np.shares_memory(keys, h1) and not np.shares_memory(keys, h2)
+    f = BloomFilter(8 * keys.size, 3, seed=4)
+    f.insert_many(keys)
+    assert f.contains_many(keys).all()
+    half = IntervalScorer([(0, 2**63 - 1)], inside_score=1.0, outside_score=0.0)
+    lbf = LearnedBloomFilter.build(keys, half, 0.5, 0.01, seed=4)
+    assert lbf.classify_many(keys)[1].all()
+    assert np.array_equal(keys, before)
 
 
 def test_one_public_call_per_batch(monkeypatch):
@@ -445,7 +495,7 @@ class TestSerialization:
 
     def test_header_k_above_the_bound_rejected(self):
         # 33 bytes: an 8-bit filter whose header claims 2^31 hashes.  It must
-        # fail to load; a probe on it would build a 2^31-entry position list.
+        # fail to load; a probe on it could take 2^31 rounds.
         blob = struct.pack("<4sQIQQ", b"LBF1", 8, 1 << 31, 0, 0) + b"\x00"
         assert len(blob) == 33
         with pytest.raises(FilterFormatError, match="above the limit"):
