@@ -3,9 +3,8 @@
 Commands: build, query, eval, sweep, concentration, repro-example.
 Each option's type and default live in its argparse declaration.  A
 ``--config FILE`` of ``key=value`` lines (keys are option names without
-``--``) supplies defaults that argparse casts like flags; flags win.  An
-option the command's chosen mode never reads is an error (``_UNREAD``)
-unless it keeps its declared default.
+``--``) supplies defaults that argparse casts like flags; flags win.  The table
+``_OPTIONS`` says what each mode needs and never reads, checked before any file opens.
 Every command is deterministic given its options including --seed; reports
 carry no timestamps.
 
@@ -141,80 +140,82 @@ def _write(args, text: str) -> None:
     sys.stdout.write(text)
 
 
-def _required(args, name: str):
-    """The value of ``--name``, which the command needs in the mode its other options chose."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise ParameterError(f"missing required option --{name}")
-    return value
-
-
-def _sizing(args, m: str, k: str) -> FilterParams | None:
-    """``FilterParams`` of the options ``--m`` and ``--k`` (or a like pair); None if neither is set."""
-    values = [getattr(args, name.replace("-", "_")) for name in (m, k)]
-    if None in values and values != [None, None]:
-        given, missing = (m, k) if values[1] is None else (k, m)
-        raise ParameterError(f"--{given} needs --{missing}: give both or neither")
-    return None if None in values else FilterParams(*values)
-
-
 def _config_echo(args) -> dict:
     """Every resolved option of the run, typed: the ``config`` object of a report."""
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None}
 
 
-# Per command: how its options choose a mode, and the options each mode never
-# reads.  Giving one (a value other than its declared default) is an error,
-# never an option ignored but echoed in ``config``.
-_UNREAD = {
+# the options each kind of build never reads, however it is sized
+_STANDARD = ("backup-m", "backup-k", "backup-target-fpp", "tau", "scorer", "summary-dist")
+_LEARNED = ("m", "k", "target-fpp")
+_EXAMPLE = ("m", "k", "keys", "scorer", "target-fpp")
+
+# Per command: the options it always needs, how its options choose a mode, and per
+# mode the options it needs and the options it never reads.  An option is given when
+# its value differs from its declared default.  A never-read option given is an error,
+# reported ahead of a missing one (it may be what chose the mode), never ignored.
+_OPTIONS = {
     "build": (
-        lambda args: f"--kind {_required(args, 'kind')}",
+        ("kind", "out"),
+        lambda args, given: f"--kind {args.kind} " + (
+            ("--m/--k" if given("m") or given("k") else "without --m/--k") if args.kind == "standard"
+            else "--backup-m/--backup-k" if given("backup-m") or given("backup-k")
+            else "without --backup-m/--backup-k"),
         {
-            "--kind standard": ("backup-m", "backup-k", "backup-target-fpp",
-                                "tau", "scorer", "summary-dist"),
-            "--kind learned": ("m", "k", "target-fpp"),
-            "--kind example": ("m", "k", "keys", "scorer", "target-fpp"),
+            "--kind standard --m/--k": (("keys", "m", "k"), (*_STANDARD, "target-fpp")),
+            "--kind standard without --m/--k": (("keys", "target-fpp"), _STANDARD),
+            "--kind learned --backup-m/--backup-k": (
+                ("keys", "scorer", "tau", "backup-m", "backup-k"), (*_LEARNED, "backup-target-fpp")),
+            "--kind learned without --backup-m/--backup-k": (("keys", "scorer", "tau"), _LEARNED),
+            "--kind example --backup-m/--backup-k": (
+                ("backup-m", "backup-k"), (*_EXAMPLE, "backup-target-fpp")),
+            "--kind example without --backup-m/--backup-k": ((), _EXAMPLE),
         },
     ),
-    "eval": (lambda args: "--queries" if args.queries else "--dist",
-             {"--queries": ("dist", "samples", "seed")}),
-    "concentration": (
-        lambda args: "--filter" if args.filter else "without --filter",
-        {"--filter": ("backup-target-fpp",), "without --filter": ("keys", "dist")},
-    ),
-    "query": (
-        lambda args: "with key arguments" if args.key else "--queries",
-        {"with key arguments": ("queries", "seed"), "--queries": ("seed",)},
-    ),
-}
+    "query": (("filter",), lambda args, given: ("with" if given("key") else "without") + " key arguments",
+              {"with key arguments": ((), ("queries", "seed")),
+               "without key arguments": (("queries",), ("seed",))}),
+    "eval": (("filter",), lambda args, given: "--queries" if given("queries") else "without --queries",
+             {"--queries": ((), ("dist", "samples", "seed")), "without --queries": (("dist",), ())}),
+    "sweep": (("keys", "scorer", "taus", "dist"), lambda args, given: "", {"": ((), ())}),
+    "concentration": ((), lambda args, given: "--filter" if given("filter") else "without --filter",
+                      {"--filter": (("dist",), ("backup-target-fpp",)),
+                       "without --filter": ((), ("keys", "dist"))}),
+    "repro-example": ((), lambda args, given: "", {"": ((), ())}),
+}  # fmt: skip
 
 
-def _drop_unread(args, declared: dict) -> None:
-    """Clear each option the chosen mode never reads; one off its ``declared`` default is an error."""
-    if args.command not in _UNREAD:
-        return
-    choose_mode, unread = _UNREAD[args.command]
-    mode = choose_mode(args)
-    for name in unread.get(mode, ()):
+def _check_options(args, declared: dict) -> None:
+    """Raise on an option ``_OPTIONS`` rules out, else clear the unread ones (``declared``: defaults)."""
+
+    def given(name: str) -> bool:
         dest = name.replace("-", "_")
-        if getattr(args, dest) != declared[dest]:
-            raise ParameterError(f"--{name} does not apply to {args.command} {mode}")
-        setattr(args, dest, None)  # so ``config`` does not echo it
+        return getattr(args, dest) != declared[dest]
+
+    def need(names, where: str) -> None:
+        for name in names:
+            if not given(name):
+                raise ParameterError(f"{where} needs --{name}")
+
+    always, choose_mode, modes = _OPTIONS[args.command]
+    need(always, args.command)
+    mode = choose_mode(args, given)
+    needs, unread = modes[mode]
+    where = f"{args.command} {mode}".rstrip()
+    for name in unread:
+        if given(name):
+            raise ParameterError(f"--{name} does not apply to {where}")
+        setattr(args, name.replace("-", "_"), None)  # so ``config`` does not echo it
+    need(needs, where)
 
 
 def _cmd_build(args) -> int:
-    kind = _required(args, "kind")
-    out = _required(args, "out")
-    params = _sizing(args, "m", "k")
-    if params is not None and args.target_fpp is not None:
-        raise ParameterError("--m/--k and --target-fpp both size the filter: give one")
-    backup = _sizing(args, "backup-m", "backup-k") or args.backup_target_fpp
-    if kind == "standard":
-        keys = load_keys_text(_required(args, "keys"))
+    if args.kind == "standard":
+        keys = load_keys_text(args.keys)
         if not keys.size:
             raise ParameterError("key set must be nonempty")
-        if params is None:
-            params = params_for_target(keys.size, _required(args, "target-fpp"))
+        params = (params_for_target(keys.size, args.target_fpp) if args.m is None
+                  else FilterParams(args.m, args.k))
         filt = BloomFilter.from_params(params, derive_seed(args.seed, "standard-filter"))
         filt.insert_many(keys)
         payload = filt.to_bytes()
@@ -224,21 +225,23 @@ def _cmd_build(args) -> int:
             "k": filt.k,
             "key_count": len(keys),
             "fill_ratio": filt.fill_ratio,
-            "out": out,
+            "out": args.out,
         }
     else:  # learned or example
-        if kind == "example":
+        if args.kind == "example":
             example, scorer, tau = hot_range_example(derive_seed(args.seed, "dataset"))
             keys = example.keys
             tau = tau if args.tau is None else args.tau
         else:
-            keys = load_keys_text(_required(args, "keys"))
-            scorer = _parse_scorer(_required(args, "scorer"))
-            tau = _required(args, "tau")
+            keys = load_keys_text(args.keys)
+            scorer = _parse_scorer(args.scorer)
+            tau = args.tau
+        backup = (args.backup_target_fpp if args.backup_m is None
+                  else FilterParams(args.backup_m, args.backup_k))
         lbf = LearnedBloomFilter.build(keys, scorer, tau, backup, derive_seed(args.seed, "backup-filter"))
         payload = lbf.to_bytes()
         summary = {
-            "kind": kind,
+            "kind": args.kind,
             "tau": tau,
             "key_count": lbf.key_count,
             "backup_keys": lbf.below_threshold_count,
@@ -246,7 +249,7 @@ def _cmd_build(args) -> int:
             "backup_k": lbf.backup.k,
             "scorer_bits": lbf.scorer.size_bits(),
             "total_bits": lbf.size_bits(),
-            "out": out,
+            "out": args.out,
         }
         if args.summary_dist:
             dist = _parse_dist(args.summary_dist, keys)
@@ -261,7 +264,7 @@ def _cmd_build(args) -> int:
         save_keys_text(args.keys_out, keys)
         summary["keys_out"] = args.keys_out
     summary["config"] = _config_echo(args)
-    with open(out, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(payload)
     sys.stdout.write(_render(summary, args.format))
     return EXIT_OK
@@ -282,11 +285,8 @@ def _key_arguments(texts: list[str]) -> np.ndarray:
 
 
 def _cmd_query(args) -> int:
-    filt = _load_filter(_required(args, "filter"))
-    if args.key:
-        keys = _key_arguments(args.key)
-    else:
-        keys = load_keys_text(_required(args, "queries"))
+    filt = _load_filter(args.filter)
+    keys = _key_arguments(args.key) if args.key else load_keys_text(args.queries)
     keys = _held_keys(keys, distinct=True)  # an answer depends only on its key
     pairs = zip(keys.tolist(), filt.contains_many(keys).tolist())
     # The bytes json.dumps(indent=2, sort_keys=True) and _flatten would write for
@@ -304,7 +304,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    filt = _load_filter(_required(args, "filter"))
+    filt = _load_filter(args.filter)
     key_set = load_keys_text(args.keys) if args.keys else as_keys(())  # uint64, as queries are
     if args.queries:
         queries = load_keys_text(args.queries)
@@ -312,7 +312,7 @@ def _cmd_eval(args) -> int:
         if overlap.size:
             raise WorkloadError(f"{overlap.size} query keys overlap the key set (e.g. {overlap[0]})")
     else:
-        dist = _parse_dist(_required(args, "dist"), key_set)
+        dist = _parse_dist(args.dist, key_set)
         queries = sample(dist, args.samples, derive_seed(args.seed, "eval"))
     report = evaluate(filt, queries).to_dict()
     _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **report})
@@ -320,10 +320,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    keys = load_keys_text(_required(args, "keys"))
-    scorer = _parse_scorer(_required(args, "scorer"))
-    taus = [_parse(float, t, "threshold") for t in _required(args, "taus").split(",") if t.strip()]
-    dist = _parse_dist(_required(args, "dist"), keys)
+    keys = load_keys_text(args.keys)
+    scorer = _parse_scorer(args.scorer)
+    taus = [_parse(float, t, "threshold") for t in args.taus.split(",") if t.strip()]
+    dist = _parse_dist(args.dist, keys)
     points = threshold_sweep(
         keys,
         scorer,
@@ -349,7 +349,7 @@ def _cmd_concentration(args) -> int:
     if args.filter:
         filt = _load_filter(args.filter)
         key_set = load_keys_text(args.keys) if args.keys else ()
-        dist = _parse_dist(_required(args, "dist"), key_set)
+        dist = _parse_dist(args.dist, key_set)
     else:
         example, filt = worked_example_filter(args.seed, args.backup_target_fpp)
         dist = example.full_range_queries()
@@ -447,7 +447,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("query", help="query a serialized filter")
     p.add_argument("--filter")
     p.add_argument("--queries", help="key file to query")
-    p.add_argument("key", nargs="*", help="integer keys to query")
+    p.add_argument("key", nargs="*", default=[], help="integer keys to query")
     _add_common(p)
     p.set_defaults(func=_cmd_query)
 
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
             # lbf itself takes no option with a value, so the command is argv's first match
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_flags(command, args.config), *argv[at:]])
-        _drop_unread(args, {action.dest: action.default for action in command._actions})
+        _check_options(args, {action.dest: action.default for action in command._actions})
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)

@@ -66,12 +66,14 @@ def hash_pair(key: int, seed: int) -> tuple[int, int]:
 def as_keys(keys) -> np.ndarray:
     """The key batch as a 1-D uint64 array, in order: the one key contract of every batch path.
 
-    A batch is an array or any iterable of keys, never a single key.  Every key
+    A batch is an array or any iterable of keys, never a single key (nor a 0-d array).  Every key
     must pass :func:`_key`; the first that does not raises its
     :class:`ParameterError`: an integer outside [0, 2^64), a float (integral
     too), a byte string, a string, ``None`` or a bool, Python or numpy.
     """
     if isinstance(keys, np.ndarray):
+        if keys.ndim == 0:
+            raise ParameterError("expected a batch of keys, got one ndarray")
         keys = keys.ravel()
         if keys.dtype.kind == "u":
             return keys.astype(np.uint64, copy=False)

@@ -206,11 +206,14 @@ class TestBuild:
         assert not (tmp_path / "f.out").exists()
 
     @pytest.mark.parametrize(
-        "lone, partner",
-        [("--m", "--k"), ("--k", "--m"),
-         ("--backup-m", "--backup-k"), ("--backup-k", "--backup-m")],
-    )
-    def test_half_a_sizing_pair_is_one_error_line(self, tmp_path, key_file, capsys, lone, partner):
+        "lone, message",
+        [  # a never-read option is named ahead of a missing one: here the rate a pair would not read
+         ("--m", "--target-fpp does not apply to build --kind standard --m/--k"),
+         ("--k", "--target-fpp does not apply to build --kind standard --m/--k"),
+         ("--backup-m", "build --kind learned --backup-m/--backup-k needs --backup-k"),
+         ("--backup-k", "build --kind learned --backup-m/--backup-k needs --backup-m")],
+    )  # fmt: skip
+    def test_half_a_sizing_pair_is_one_error_line(self, tmp_path, key_file, capsys, lone, message):
         path, _ = key_file
         kind = ["--kind", "standard", "--target-fpp", "0.01"] if lone in ("--m", "--k") else [
             "--kind", "learned", "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"]
@@ -218,9 +221,37 @@ class TestBuild:
                                       lone, "100", "--out", tmp_path / "f.out"]])
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert partner in err
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "f.out").exists()
+
+    @pytest.mark.parametrize("kind", ["standard", "learned", "example"])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_half_a_sizing_pair_alone_names_its_partner(self, tmp_path, key_file, capsys, kind, half):
+        path, _ = key_file
+        pre = "" if kind == "standard" else "backup-"
+        pair = [f"--{pre}m", f"--{pre}k"]
+        reads = {
+            "standard": ["--keys", path],
+            "learned": ["--keys", path, "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"],
+            "example": [],
+        }[kind]
+        code = main([str(a) for a in ["build", "--kind", kind, *reads, pair[half], "100",
+                                      "--out", tmp_path / "f.out"]])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARAMETER
+        assert err == f"error: build --kind {kind} {'/'.join(pair)} needs {pair[1 - half]}\n"
+        assert not (tmp_path / "f.out").exists()
+
+    @pytest.mark.parametrize("kind", ["learned", "example"])
+    def test_a_backup_sized_by_its_pair_echoes_no_backup_rate(self, tmp_path, key_file, capsys, kind):
+        path, _ = key_file
+        reads = ["--keys", path, "--scorer", "interval:1000:2000:0.5:0.0", "--tau", "0.4"]
+        code, stdout = run(capsys, "build", "--kind", kind, *(reads if kind == "learned" else []),
+                           "--backup-m", "100", "--backup-k", "3", "--out", tmp_path / "f.lbf")
+        assert code == 0
+        summary = json.loads(stdout)
+        assert (summary["backup_m"], summary["backup_k"]) == (100, 3)
+        assert "backup_target_fpp" not in summary["config"]
 
     @pytest.mark.parametrize(
         "kind, sizing",
@@ -236,6 +267,8 @@ class TestBuild:
             ("example", ["--scorer", "interval:1000:2000:0.5:0.0"]),
             ("example", ["--target-fpp", "0.01"]),
             ("learned", ["--target-fpp", "0.01"]),
+            ("learned", ["--backup-target-fpp", "0.01", "--backup-m", "100", "--backup-k", "3"]),
+            ("example", ["--backup-target-fpp", "0.01", "--backup-m", "100", "--backup-k", "3"]),
         ],
     )
     def test_sizing_the_build_would_ignore_is_one_error_line(
@@ -338,6 +371,50 @@ def test_option_the_mode_never_reads_is_one_error_line(tmp_path, key_file, capsy
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert option in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--keys", "KEYS", "--target-fpp", "0.01", "--out", "OUT"], "build needs --kind"),
+        (["build", "--kind", "standard", "--keys", "KEYS", "--target-fpp", "0.01"],
+         "build needs --out"),
+        (["build", "--kind", "standard", "--target-fpp", "0.01", "--out", "OUT"],
+         "build --kind standard without --m/--k needs --keys"),
+        (["build", "--kind", "learned", "--keys", "KEYS", "--tau", "0.4", "--out", "OUT"],
+         "build --kind learned without --backup-m/--backup-k needs --scorer"),
+        (["build", "--kind", "learned", "--keys", "KEYS", "--scorer", "SCORER", "--out", "OUT"],
+         "build --kind learned without --backup-m/--backup-k needs --tau"),
+        (["build", "--kind", "standard", "--keys", "KEYS", "--out", "OUT"],
+         "build --kind standard without --m/--k needs --target-fpp"),
+        (["query", "--queries", "KEYS"], "query needs --filter"),
+        (["query", "--filter", "FILTER"], "query without key arguments needs --queries"),
+        (["eval", "--keys", "KEYS", "--dist", "fixed:KEYS"], "eval needs --filter"),
+        (["eval", "--filter", "FILTER", "--keys", "KEYS"], "eval without --queries needs --dist"),
+        (["sweep", "--scorer", "SCORER", "--taus", "0.5", "--dist", "fixed:KEYS"],
+         "sweep needs --keys"),
+        (["sweep", "--keys", "KEYS", "--taus", "0.5", "--dist", "fixed:KEYS"], "sweep needs --scorer"),
+        (["sweep", "--keys", "KEYS", "--scorer", "SCORER", "--dist", "fixed:KEYS"],
+         "sweep needs --taus"),
+        (["sweep", "--keys", "KEYS", "--scorer", "SCORER", "--taus", "0.5"], "sweep needs --dist"),
+        (["concentration", "--filter", "FILTER", "--keys", "KEYS"],
+         "concentration --filter needs --dist"),
+    ],
+    ids=["build_kind", "build_out", "build_keys", "build_scorer", "build_tau", "build_target_fpp",
+         "query_filter", "query_queries", "eval_filter", "eval_dist", "sweep_keys", "sweep_scorer",
+         "sweep_taus", "sweep_dist", "concentration_filter_dist"],
+)
+def test_a_missing_option_is_named_before_any_file_is_opened(tmp_path, capsys, argv, message):
+    # every file named is missing: reading one first would exit 3 (I/O), not 2
+    names = {"KEYS": tmp_path / "no-keys.txt", "FILTER": tmp_path / "no.lbf",
+             "SCORER": tmp_path / "no-scorer.json", "OUT": tmp_path / "f.out"}
+    argv = [str(names[a]) if a in names else a.replace("KEYS", str(names["KEYS"])) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_PARAMETER
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,31 @@ class TestPinnedDisagreements:
                     call(arg)
         assert bloom.to_bytes() == before
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])  # fmt: skip
+    def test_a_0d_integer_array_is_one_key_not_a_batch(self, dtype):
+        bloom = filled_filter()
+        lbf = learned_filter(SCORERS["interval"])
+        before = (bloom.to_bytes(), lbf.to_bytes())
+        key = np.array(5, dtype=dtype)
+        scalar = [bloom.insert, bloom.contains, lbf.insert, lbf.contains]
+        batch = [
+            BloomFilter(64, 2, seed=1).insert_many,
+            bloom.contains_many,
+            lbf.contains_many,
+            lbf.classify_many,
+            lambda keys: evaluate(bloom, keys),
+            lambda keys: TrainingSet(keys, [3]),
+            *(scorer.score_batch for scorer in SCORERS.values()),
+        ]
+        for call in scalar:
+            with pytest.raises(ParameterError):
+                call(key)
+        for call in batch:
+            with pytest.raises(ParameterError, match="expected a batch of keys, got one ndarray"):
+                call(key)
+        assert (bloom.to_bytes(), lbf.to_bytes()) == before
+
     def test_int_norm_key_at_the_threshold(self):
         scorer = LogisticScorer(weights=(3.0,), bias=-1.5, feature_map=f"int-norm:{U64 - 1}")
         key = 1601451729539952256
