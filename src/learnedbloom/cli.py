@@ -47,7 +47,6 @@ from .workloads import (
     FixedSet,
     QueryDistribution,
     UniformRange,
-    hot_range_example,
     load_keys_text,
     parse_keys_text,
     read_manifest,
@@ -70,12 +69,30 @@ def _load_filter(path: str):
     return LearnedBloomFilter.from_bytes(data)
 
 
-def _parse(cast, text, what: str):
-    """``cast(text)``, with a failure reported as a ParameterError naming ``what``."""
+def _parse_float(text, what: str) -> float:
+    """``float(text)``, with a failure reported as a ParameterError naming ``what``."""
     try:
-        return cast(text)
-    except (TypeError, ValueError) as exc:
+        return float(text)
+    except ValueError as exc:
         raise ParameterError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _key_arguments(texts: list[str], label: str) -> np.ndarray:
+    """``texts`` as a uint64 array: each must be one line of key text that holds a key.
+
+    Every key ``lbf`` reads from its arguments goes through here, so it follows the
+    key-file grammar of :func:`parse_keys_text`; a bad one is named after ``label``.
+    """
+    data = "\n".join(texts).encode("utf-8", "surrogateescape")
+    keys, _ = parse_keys_text(data)
+    # n lines of key text hold at most n keys, one a line
+    if keys.size != len(texts) or data.count(b"\n") != len(texts) - 1:
+        bad = next(
+            text for text in texts
+            if "\n" in text or parse_keys_text(text.encode("utf-8", "surrogateescape"))[0].size != 1
+        )  # fmt: skip
+        raise ParameterError(f"{label} {bad!r}: not a decimal integer key")
+    return keys
 
 
 def _parse_scorer(spec: str) -> Scorer:
@@ -87,9 +104,9 @@ def _parse_scorer(spec: str) -> Scorer:
             )
         _, lo, hi, inside, outside = parts
         return IntervalScorer(
-            ((_parse(int, lo, "interval bound"), _parse(int, hi, "interval bound")),),
-            inside_score=_parse(float, inside, "interval score"),
-            outside_score=_parse(float, outside, "interval score"),
+            (tuple(_key_arguments([lo, hi], "interval bound").tolist()),),
+            inside_score=_parse_float(inside, "interval score"),
+            outside_score=_parse_float(outside, "interval score"),
         )
     with open(spec, "rb") as fh:
         return scorer_from_text(fh.read())
@@ -98,8 +115,11 @@ def _parse_scorer(spec: str) -> Scorer:
 def _parse_dist(spec: str, exclusion=()) -> QueryDistribution:
     parts = spec.split(":")
     if parts[0] == "uniform" and len(parts) == 3:
-        lo, hi = (_parse(int, bound, "uniform bound") for bound in parts[1:])
-        return QueryDistribution(UniformRange(lo, hi), exclusion)
+        lo, hi = parts[1:]
+        # HI may also be 2^64, the one bound past the last key
+        past = hi.strip(" \t\r\v\f") == str(1 << 64)
+        lo, hi = _key_arguments([lo, "0" if past else hi], "uniform bound").tolist()
+        return QueryDistribution(UniformRange(lo, 1 << 64 if past else hi), exclusion)
     if parts[0] == "fixed" and len(parts) == 2:
         return QueryDistribution(FixedSet(load_keys_text(parts[1])), exclusion)
     raise ParameterError(f"unknown distribution spec {spec!r} (use uniform:LO:HI or fixed:PATH)")
@@ -228,21 +248,19 @@ def _cmd_build(args) -> int:
             "out": args.out,
         }
     else:  # learned or example
-        if args.kind == "example":
-            example, scorer, tau = hot_range_example(derive_seed(args.seed, "dataset"))
-            keys = example.keys
-            tau = tau if args.tau is None else args.tau
-        else:
-            keys = load_keys_text(args.keys)
-            scorer = _parse_scorer(args.scorer)
-            tau = args.tau
         backup = (args.backup_target_fpp if args.backup_m is None
                   else FilterParams(args.backup_m, args.backup_k))
-        lbf = LearnedBloomFilter.build(keys, scorer, tau, backup, derive_seed(args.seed, "backup-filter"))
+        if args.kind == "example":
+            example, lbf = worked_example_filter(args.seed, backup, args.tau)
+            keys = example.keys
+        else:
+            keys = load_keys_text(args.keys)
+            scorer, seed = _parse_scorer(args.scorer), derive_seed(args.seed, "backup-filter")
+            lbf = LearnedBloomFilter.build(keys, scorer, args.tau, backup, seed)
         payload = lbf.to_bytes()
         summary = {
             "kind": args.kind,
-            "tau": tau,
+            "tau": lbf.tau,
             "key_count": lbf.key_count,
             "backup_keys": lbf.below_threshold_count,
             "backup_m": lbf.backup.m,
@@ -254,10 +272,10 @@ def _cmd_build(args) -> int:
         if args.summary_dist:
             dist = _parse_dist(args.summary_dist, keys)
             try:
-                alpha = float(exact_alpha(scorer, tau, dist))
+                alpha = float(exact_alpha(lbf.scorer, lbf.tau, dist))
             except OracleUnavailableError:
                 drawn = sample(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
-                alpha = float((scorer.score_batch(drawn) >= tau).mean())
+                alpha = float((lbf.scorer.score_batch(drawn) >= lbf.tau).mean())
             summary["alpha"] = alpha
             summary["alpha_dist"] = args.summary_dist
     if args.keys_out:
@@ -270,23 +288,9 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _key_arguments(texts: list[str]) -> np.ndarray:
-    """The key arguments as a uint64 array: each must be one line of key text that holds a key."""
-    data = "\n".join(texts).encode("utf-8", "surrogateescape")
-    keys, _ = parse_keys_text(data)
-    # n lines of key text hold at most n keys, one a line
-    if keys.size != len(texts) or data.count(b"\n") != len(texts) - 1:
-        bad = next(
-            text for text in texts
-            if "\n" in text or parse_keys_text(text.encode("utf-8", "surrogateescape"))[0].size != 1
-        )  # fmt: skip
-        raise ParameterError(f"query key {bad!r}: not a decimal integer key")
-    return keys
-
-
 def _cmd_query(args) -> int:
     filt = _load_filter(args.filter)
-    keys = _key_arguments(args.key) if args.key else load_keys_text(args.queries)
+    keys = _key_arguments(args.key, "query key") if args.key else load_keys_text(args.queries)
     keys = _held_keys(keys, distinct=True)  # an answer depends only on its key
     pairs = zip(keys.tolist(), filt.contains_many(keys).tolist())
     # The bytes json.dumps(indent=2, sort_keys=True) and _flatten would write for
@@ -322,7 +326,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     keys = load_keys_text(args.keys)
     scorer = _parse_scorer(args.scorer)
-    taus = [_parse(float, t, "threshold") for t in args.taus.split(",") if t.strip()]
+    taus = [_parse_float(t, "threshold") for t in args.taus.split(",") if t.strip()]
     dist = _parse_dist(args.dist, keys)
     points = threshold_sweep(
         keys,
@@ -375,7 +379,6 @@ def _cmd_repro_example(args) -> int:
         full_samples=args.samples,
         restricted_samples=args.restricted_samples,
         backup_target_fpp=args.backup_target_fpp,
-        restricted_hi=args.restricted_hi,
     )
     _emit(args, report)
     return EXIT_OK
@@ -485,7 +488,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("repro-example", help="run the worked-example reproduction report")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--restricted-samples", type=int, default=200_000)
-    p.add_argument("--restricted-hi", type=int, default=100_000)
     _add_backup_target(p)
     _add_common(p)
     p.set_defaults(func=_cmd_repro_example)

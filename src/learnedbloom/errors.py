@@ -12,10 +12,6 @@ class WorkloadError(RuntimeError):
 class TrainingError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-
 
 class OracleUnavailableError(RuntimeError):
     """Exact enumeration is infeasible for this distribution; fall back to sampling."""

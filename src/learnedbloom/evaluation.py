@@ -6,14 +6,14 @@ rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform ranges in closed
 form; its other parts and the experiment's answer tables walk the eligible
-support through one iterator, ``workloads._eligible_blocks``, when it holds at
-most ``SUPPORT_LIMIT`` keys (a table, at most ``trials * (t_size + q_size)``
-too); the tables answer each eligible key once, and the reports keep the bytes
-sampling gives.  A report stores what was measured, range-checked
-when built; ``model_fpr``, ``binomial_std_err`` and ``theorem_bound`` are
-properties computed by this module's functions, which ``to_dict`` adds.
-Sample counts and set sizes are checked by ``workloads._check_sample_count``,
-backup design rates by ``learned._sized_backup``, once for every caller.
+support through one iterator, ``workloads._eligible_blocks``, exactly when it
+holds at most ``SUPPORT_LIMIT`` keys; the tables answer each eligible key once,
+and the reports keep the bytes sampling gives.  A report stores what was
+measured, range-checked when built; ``model_fpr``, ``binomial_std_err`` and
+``theorem_bound`` are properties computed by this module's functions, which
+``to_dict`` adds.  Sample counts and set sizes are checked by
+``workloads._check_sample_count``, backup design rates by
+``learned._sized_backup``, once for every caller.
 """
 
 from __future__ import annotations
@@ -248,11 +248,10 @@ def concentration_experiment(
     the explicit two-sided bound.
 
     A filter's answer depends only on the key, so when the eligible support is at
-    most ``min(SUPPORT_LIMIT, trials * (t_size + q_size))``, the filter answers each
-    eligible key once, into one table per part, and each set's rate is the mean
-    of the table at the positions :func:`sample` would draw, from the same random
-    stream.  The rates, and so the report, are the same as sampling every set;
-    a larger support samples every set.
+    most ``SUPPORT_LIMIT``, the filter answers each eligible key once, into one
+    table per part, and each set's rate is the mean of the table at the positions
+    :func:`sample` would draw, from the same random stream.  The rates, and so the
+    report, are the same as sampling every set; a larger support samples every set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -260,7 +259,7 @@ def concentration_experiment(
         raise ParameterError("trials must be >= 1")
     _check_sample_count(t_size)  # both before any answer table is built
     _check_sample_count(q_size)
-    if sum(part.cut for part in dist.parts) <= min(SUPPORT_LIMIT, trials * (t_size + q_size)):
+    if sum(part.cut for part in dist.parts) <= SUPPORT_LIMIT:
         rate = partial(_table_rate, [_answer_table(lbf, part) for part in dist.parts], dist)
     else:
         rate = lambda n, seed: float(lbf.contains_many(sample(dist, n, seed)).mean())

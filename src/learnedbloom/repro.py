@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bloom import BloomFilter, params_for_target
+from .bloom import BloomFilter, FilterParams, params_for_target
 from .errors import ParameterError
 from .evaluation import EvalReport, evaluate, exact_alpha, model_fpr
 from .hashing import derive_seed
 from .learned import LearnedBloomFilter
-from .workloads import hot_range_example, sample
+from .workloads import RESTRICTED_HI, hot_range_example, sample
 
 REPORT_SCHEMA = "learnedbloom-report/1"
 
@@ -54,12 +54,15 @@ def _range_section(alpha: Fraction, sampled: EvalReport) -> dict:
     }
 
 
-def worked_example_filter(seed: int, backup_target_fpp: float):
-    """``(example, filter)``: the hot-range example and its learned filter, all seeded from ``seed``."""
-    example, scorer, tau = hot_range_example(derive_seed(seed, "dataset"))
-    lbf = LearnedBloomFilter.build(
-        example.keys, scorer, tau, backup_target_fpp, derive_seed(seed, "backup-filter")
-    )
+def worked_example_filter(seed: int, backup: FilterParams | float, tau: float | None = None):
+    """``(example, filter)``: the hot-range example and its learned filter, all seeded from ``seed``.
+
+    ``backup`` is what :meth:`LearnedBloomFilter.build` takes, a design rate or a
+    ``FilterParams``; ``tau`` defaults to the example's own threshold.
+    """
+    example, scorer, example_tau = hot_range_example(derive_seed(seed, "dataset"))
+    tau = example_tau if tau is None else tau
+    lbf = LearnedBloomFilter.build(example.keys, scorer, tau, backup, derive_seed(seed, "backup-filter"))
     return example, lbf
 
 
@@ -68,7 +71,6 @@ def build_report(
     full_samples: int = 1_000_000,
     restricted_samples: int = 200_000,
     backup_target_fpp: float = 0.0002,
-    restricted_hi: int = 100_000,
 ) -> dict:
     """Run the full pipeline and return a JSON-compatible report dict."""
     if not 0.0 < backup_target_fpp < 0.5:
@@ -80,7 +82,7 @@ def build_report(
     keys, scorer, tau = example.keys, lbf.scorer, lbf.tau
 
     full = example.full_range_queries()
-    restricted = example.restricted_range_queries(restricted_hi)
+    restricted = example.restricted_range_queries()
     alpha_full = exact_alpha(scorer, tau, full)
     alpha_restricted = exact_alpha(scorer, tau, restricted)
 
@@ -164,7 +166,7 @@ def build_report(
             "full_samples": full_samples,
             "restricted_samples": restricted_samples,
             "backup_target_fpp": backup_target_fpp,
-            "restricted_hi": restricted_hi,
+            "restricted_hi": RESTRICTED_HI,
             "tau": tau,
             "universe_size": example.universe_size,
             "hot_range": [example.hot_lo, example.hot_hi],

@@ -396,7 +396,7 @@ def train_logistic(
     for epoch in range(epochs):
         grad_w, grad_b = fm.gradient(codes, residual), float(residual.sum())
         if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
-            raise TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch)
+            raise TrainingError(f"non-finite loss or gradient at epoch {epoch}")
         step = learning_rate
         while step > _BACKTRACK_FLOOR:
             cand_w = w - step * grad_w
@@ -429,7 +429,22 @@ def scorer_to_text(scorer: Scorer) -> str:
     return json.dumps(scorer.to_record(), sort_keys=True)
 
 
-def scorer_from_record(record: dict) -> Scorer:
+def _json_list(record: dict, name: str) -> list:
+    """Field ``name`` of a scorer record, a JSON list: a string or an object would iterate too."""
+    value = record[name]
+    if not isinstance(value, list):
+        raise FilterFormatError(f"{name} must be a list, not {type(value).__name__}")
+    return value
+
+
+def scorer_from_text(text: str | bytes) -> Scorer:
+    """The scorer a record describes; a ``bytes`` record is decoded as UTF-8."""
+    try:
+        record = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise FilterFormatError(f"scorer record is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise FilterFormatError("scorer record must be a JSON object")
     try:
         kind = record["kind"]
         if kind == "interval":
@@ -447,22 +462,3 @@ def scorer_from_record(record: dict) -> Scorer:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FilterFormatError(f"malformed scorer record: {exc}") from exc
     raise FilterFormatError(f"unknown scorer kind {record.get('kind')!r}")
-
-
-def _json_list(record: dict, name: str) -> list:
-    """Field ``name`` of a scorer record, a JSON list: a string or an object would iterate too."""
-    value = record[name]
-    if not isinstance(value, list):
-        raise FilterFormatError(f"{name} must be a list, not {type(value).__name__}")
-    return value
-
-
-def scorer_from_text(text: str | bytes) -> Scorer:
-    """The scorer a record describes; a ``bytes`` record is decoded as UTF-8."""
-    try:
-        record = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise FilterFormatError(f"scorer record is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise FilterFormatError("scorer record must be a JSON object")
-    return scorer_from_record(record)

@@ -229,6 +229,7 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
 UNIVERSE_SIZE = 1_000_000
 HOT_LO = 1000
 HOT_HI = 2000  # closed interval [1000, 2000]
+RESTRICTED_HI = 100_000  # restricted-range queries: [0, 100000), the reported figure's range
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +256,8 @@ class HotRangeExample:
     def full_range_queries(self) -> QueryDistribution:
         return uniform_queries(0, self.universe_size, self.keys)
 
-    def restricted_range_queries(self, hi: int = 100_000) -> QueryDistribution:
-        return uniform_queries(0, hi, self.keys)
+    def restricted_range_queries(self) -> QueryDistribution:
+        return uniform_queries(0, RESTRICTED_HI, self.keys)
 
 
 def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float]:

@@ -28,6 +28,7 @@ from learnedbloom.cli import (
 from learnedbloom.evaluation import SUPPORT_LIMIT
 from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
+from learnedbloom.repro import worked_example_filter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer, scorer_to_text
 from learnedbloom.workloads import sample, save_keys_text, uniform_queries
 
@@ -87,6 +88,21 @@ class TestBuild:
         assert summary["key_count"] == 1000
         lbf = LearnedBloomFilter.from_bytes(out.read_bytes())
         assert lbf.below_threshold_count == 500
+
+    @pytest.mark.parametrize(
+        "options, tau, backup",
+        [([], None, 0.0002), (["--tau", "0.3"], 0.3, 0.0002),
+         (["--backup-m", "4096", "--backup-k", "3"], None, FilterParams(4096, 3)),
+         (["--tau", "0.6", "--backup-target-fpp", "0.01"], 0.6, 0.01)],
+        ids=["defaults", "tau", "backup_pair", "tau_and_backup_rate"],
+    )
+    def test_example_build_writes_the_worked_example_filter(
+        self, tmp_path, capsys, options, tau, backup
+    ):
+        out = tmp_path / "ex.lbf"
+        code, _ = run(capsys, "build", "--kind", "example", "--seed", "7", *options, "--out", out)
+        assert code == 0
+        assert out.read_bytes() == worked_example_filter(7, backup, tau)[1].to_bytes()
 
     def test_keys_out_exports_the_dataset(self, tmp_path, capsys):
         out = tmp_path / "ex.lbf"
@@ -571,6 +587,80 @@ class TestQuery:
         assert list(json.loads(stdout)["results"]) == ["42", "7"]
 
 
+_BAD_BOUNDS = ["1_000", "+5", "-0", "\u0665", "0x10", "", str(2**64 + 1)]
+
+
+class TestKeyGrammar:
+    """Every key ``lbf`` reads from an argument, a distribution or interval bound included,
+    follows the key-file grammar; a uniform range's HI may also be 2^64."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, key_file):
+        filt = tmp_path / "std.bloom"
+        filt.write_bytes(BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes())
+        return {"keys": key_file[0], "filter": filt, "out": tmp_path / "out"}
+
+    @staticmethod
+    def _argv(command: str, spec: str, files: dict) -> list:
+        return {
+            "eval": ["eval", "--filter", files["filter"], "--dist", spec, "--samples", "10"],
+            "sweep": ["sweep", "--keys", files["keys"], "--scorer", "interval:0:10:0.5:0.0",
+                      "--taus", "0.5", "--dist", spec, "--samples", "10"],
+            "build_summary": ["build", "--kind", "example", "--summary-dist", spec],
+            "build_scorer": ["build", "--kind", "learned", "--keys", files["keys"],
+                             "--scorer", spec, "--tau", "0.4"],
+        }[command] + ["--out", files["out"]]
+
+    @pytest.mark.parametrize("bound", _BAD_BOUNDS,
+                             ids=["underscore", "plus", "minus_zero", "arabic_indic_five", "hex",
+                                  "empty", "2**64+1"])  # fmt: skip
+    @pytest.mark.parametrize(
+        "command, spec, label",
+        [("eval", "uniform:{}:2000", "uniform"), ("eval", "uniform:0:{}", "uniform"),
+         ("sweep", "uniform:{}:2000", "uniform"), ("sweep", "uniform:0:{}", "uniform"),
+         ("build_summary", "uniform:{}:2000", "uniform"), ("build_summary", "uniform:0:{}", "uniform"),
+         ("build_scorer", "interval:{}:2000:0.5:0.0", "interval"),
+         ("build_scorer", "interval:0:{}:0.5:0.0", "interval")],
+        ids=["eval_lo", "eval_hi", "sweep_lo", "sweep_hi", "summary_dist_lo", "summary_dist_hi",
+             "interval_lo", "interval_hi"],
+    )  # fmt: skip
+    def test_a_bound_outside_the_grammar_is_one_error_line_naming_it(
+        self, files, capsys, bound, command, spec, label
+    ):
+        code = main([str(a) for a in self._argv(command, spec.format(bound), files)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert captured.err == f"error: {label} bound {bound!r}: not a decimal integer key\n"
+        assert not files["out"].exists()
+
+    def test_a_uniform_range_may_end_at_2_to_the_64_and_start_nowhere_past_it(self, files, capsys):
+        code, _ = run(capsys, *self._argv("eval", f"uniform:0:{2**64}", files))
+        assert code == 0
+        files["out"].unlink()
+        code = main([str(a) for a in self._argv("eval", f"uniform:{2**64}:{2**64}", files)])
+        assert code == EXIT_PARAMETER
+        assert capsys.readouterr().err == f"error: uniform bound '{2**64}': not a decimal integer key\n"
+        assert not files["out"].exists()
+
+    @pytest.mark.parametrize(
+        "command, padded, plain",
+        [("eval", "uniform: 7:2000", "uniform:7:2000"), ("eval", "uniform:7:2000\t", "uniform:7:2000"),
+         ("sweep", "uniform: 7:2000", "uniform:7:2000"),
+         ("build_scorer", "interval: 7:20 :0.5:0.0", "interval:7:20:0.5:0.0")],
+        ids=["eval_lo", "eval_hi", "sweep_lo", "interval"],
+    )  # fmt: skip
+    def test_a_bound_with_spaces_around_it_is_the_bare_key(self, files, capsys, command, padded, plain):
+        reports = []
+        for spec in (padded, plain):
+            code, stdout = run(capsys, *self._argv(command, spec, files))
+            assert code == 0
+            report = json.loads(stdout)
+            report["config"].pop("dist" if command != "build_scorer" else "scorer")
+            # a report file echoes the spec too; a filter file does not
+            reports.append((report, files["out"].read_bytes() if command == "build_scorer" else None))
+        assert reports[0] == reports[1]
+
+
 _EDGE_KEYS = [0, 9, 10, 100, 2**64 - 1]
 
 
@@ -922,6 +1012,12 @@ class TestReproExample:
         assert f"backup_target_fpp {rate} must lie in (0, 0.5)" in err
         assert "twice that rate" in err
 
+    def test_the_restricted_range_is_fixed(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["repro-example", "--restricted-hi", "5", "--out", str(out)]) == EXIT_PARAMETER
+        assert "unrecognized arguments: --restricted-hi 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_given_seed(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -1185,8 +1281,9 @@ class TestExitCodes:
         assert not out.exists()
         if case == "key_file_line":
             assert "line 2" in err
-        if case.startswith("interval_bound_"):
-            assert "intervals are (lo, hi) pairs of keys: integer key" in err
+        if case.startswith("interval_bound_"):  # a bound follows the key grammar
+            bound = "-5" if case.endswith("below_the_key_range") else str(2**64)
+            assert err == f"error: interval bound '{bound}': not a decimal integer key\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -1299,3 +1396,26 @@ def test_every_private_module_level_definition_is_named_elsewhere_in_the_package
             dead += [f"{module}:{node.lineno}: {name}" for name in defined
                      if name.startswith("_") and not name.startswith("__") and name not in named]
     assert dead == []
+
+
+def test_every_public_module_level_function_is_named_outside_its_own_module():
+    # by another module of the package, a test or a script; else it is a helper under a
+    # public name, or dead
+    named = {}
+    for source in sorted([*(ROOT / "src" / "learnedbloom").glob("*.py"),
+                          *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        named[source] = (tree, {
+            *(node.id for node in ast.walk(tree) if isinstance(node, ast.Name)),
+            *(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)),
+            *(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names),
+        })  # fmt: skip
+    unnamed = [
+        f"{module.name}:{node.lineno}: {node.name}"
+        for module, (tree, _) in named.items() if module.parent.name == "learnedbloom"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not any(node.name in names for other, (_, names) in named.items() if other != module)
+    ]  # fmt: skip
+    assert unnamed == []

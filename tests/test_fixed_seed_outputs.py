@@ -38,12 +38,17 @@ COMMANDS = {
     "sweep_csv": ["sweep", "--keys", "example-keys.txt", "--scorer", "interval:1000:2000:0.5:0.0",
                   "--taus", "0,0.25,0.5,1", "--dist", "uniform:0:1000000",
                   "--samples", "20000", "--seed", "1", "--format", "csv"],
-    # 3 x 2,000 draws against 999,000 eligible keys: every set sampled and answered
+    # 999,000 eligible keys, at most SUPPORT_LIMIT: each answered once, into a table
+    # that 3 x 2,000 draws read
     "concentration": ["concentration", "--t-size", "1000", "--q-size", "1000",
                       "--trials", "3", "--seed", "2"],
-    # 50 x 20,000 draws cover the 999,000 eligible keys: answered once, from a table
+    # the same table, read by 50 x 20,000 draws
     "concentration_table": ["concentration", "--t-size", "10000", "--q-size", "10000",
                             "--trials", "50", "--epsilon", "0.0003", "--seed", "5"],
+    # 2^64 eligible keys (no --keys excludes any), past SUPPORT_LIMIT: every set sampled
+    "concentration_sampled": ["concentration", "--filter", "standard.bloom",
+                              "--dist", f"uniform:0:{2**64}", "--t-size", "1000",
+                              "--q-size", "1000", "--trials", "3", "--seed", "2"],
     "repro_json": ["repro-example", "--seed", "7", "--samples", "20000",
                    "--restricted-samples", "10000"],
     "repro_csv": ["repro-example", "--seed", "7", "--samples", "20000",
@@ -63,6 +68,7 @@ EXPECTED = {
     "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
     "concentration_table": "f94c99e1e941812e33f00ca8e178324b69caaf55f9ef04b14c12075e657fddd9",
+    "concentration_sampled": "1502eda645f72e5f998fa108ae4fb1804a2db8b585ca052432f270d4ef075df4",
     "repro_json": "68ab4ca8adfc23c3cb16b6e417057691d4dd5402f3f06640e20ca3af2ea88475",
     "repro_csv": "790d8f43a3d1cb701a3c98022aa5676d60c7574bb02003a2a3fe2bc5646ae4f9",
     "standard.bloom": "c01be39856e9570dc416886c59803137bbefc36e201e10b0a8f6a079b29e915a",

@@ -406,7 +406,7 @@ def _two_pass_train(data, name, epochs, learning_rate, loss_trace):
         residual[:n_pos] -= 1.0
         grad_w, grad_b = fm.gradient(codes, residual), float(residual.sum())
         if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b) and math.isfinite(loss)):
-            return repr(TrainingError(f"non-finite loss or gradient at epoch {epoch}", epoch=epoch))
+            return repr(TrainingError(f"non-finite loss or gradient at epoch {epoch}"))
         step = learning_rate
         while step > 1e-30:
             cand_w, cand_b = w - step * grad_w, b - step * grad_b

@@ -14,6 +14,7 @@ from learnedbloom import evaluation, workloads
 from learnedbloom.bloom import BloomFilter
 from learnedbloom.errors import OracleUnavailableError, ParameterError, WorkloadError
 from learnedbloom.evaluation import (
+    SUPPORT_LIMIT,
     _answer_table,
     concentration_experiment,
     evaluate,
@@ -476,20 +477,28 @@ def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed
     sizes=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
     epsilon=st.sampled_from([0.05, 0.2, 0.5]),
     seed=st.integers(0, 2**32),
+    limit=st.integers(0, 63),
 )
 def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
-    small_blocks, dist, sizes, epsilon, seed
+    small_blocks, monkeypatch, dist, sizes, epsilon, seed, limit
 ):
-    trials, t_size, q_size = sizes  # 2 to 72 draws, against 0 to 63 eligible keys
+    trials, t_size, q_size = sizes
+    monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", limit)  # against 0 to 63 eligible keys
+    filt = _Counting(_FILTER)
     if not any(part.cut for part in dist.parts):
         with pytest.raises(WorkloadError, match="whole support"):
-            concentration_experiment(_FILTER, dist, t_size, q_size, epsilon, trials, seed)
+            concentration_experiment(filt, dist, t_size, q_size, epsilon, trials, seed)
         return
-    report = concentration_experiment(_FILTER, dist, t_size, q_size, epsilon, trials, seed)
+    report = concentration_experiment(filt, dist, t_size, q_size, epsilon, trials, seed)
     assert report.exceed_fraction == _sampled_concentration(
         _FILTER, dist, t_size, q_size, epsilon, trials, seed
     )
     assert report.theorem_bound == theorem_bound(epsilon, t_size, q_size)
+    support = sum(part.cut for part in dist.parts)
+    if support <= limit:  # a table: each eligible key answered once
+        assert filt.queried().size == support
+    else:  # every set sampled, then answered
+        assert [batch.size for batch in filt.batches] == [t_size, q_size] * trials
 
 
 class _Counting:
@@ -526,9 +535,12 @@ class TestAnswerTables:
         assert np.sort(filt.queried()).tolist() == self.ELIGIBLE.tolist()
         assert max(batch.size for batch in filt.batches) <= BLOCK
 
-    def test_the_rule_picks_each_side_with_the_same_report(self):
+    def test_the_rule_picks_each_side_with_the_same_report(self, monkeypatch):
         eligible = self.ELIGIBLE.size
-        for trials, table in [(8, True), (7, False)]:  # eligible lies between 7 and 8 x 20,000
+        # fewer draws than eligible keys read a table too: only the limit decides
+        for trials, limit, table in [(8, SUPPORT_LIMIT, True), (7, SUPPORT_LIMIT, True),
+                                     (7, eligible - 1, False)]:  # fmt: skip
+            monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", limit)
             filt = _Counting(_FILTER)
             report = concentration_experiment(filt, self.DIST, 10_000, 10_000, 0.002, trials, 9)
             assert (filt.queried().size == eligible) is table
