@@ -1,12 +1,12 @@
 """Command-line front end for building filters and running experiments.
 
-Commands: build, query, eval, sweep, concentration, repro-example.
-Each option's type and default live in its argparse declaration.  A
-``--config FILE`` of ``key=value`` lines (keys are option names without
-``--``) supplies defaults that argparse casts like flags; flags win.  The table
-``_OPTIONS`` says what each mode needs and never reads, checked before any file opens.
-Every command is deterministic given its options including --seed; reports
-carry no timestamps.
+Commands: build, query, eval, sweep, concentration, repro-example.  Each option
+is declared once, in ``_COMMANDS``; an integer follows the key-file grammar and a
+real number one decimal grammar.  A ``--config FILE`` of ``key=value`` lines
+(keys are option names without ``--``) gives flags read before the command
+line's, which win.  ``_OPTIONS`` says what each mode needs and never reads,
+checked before any file opens.  Every command is deterministic given its options
+including --seed; reports carry no timestamps.
 
 Exit codes: 0 success, 2 parameter error, 3 I/O error, 4 workload error,
 5 training error.
@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import astuple, fields
 
@@ -69,12 +70,21 @@ def _load_filter(path: str):
     return LearnedBloomFilter.from_bytes(data)
 
 
-def _parse_float(text, what: str) -> float:
-    """``float(text)``, with a failure reported as a ParameterError naming ``what``."""
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParameterError(f"bad {what} {text!r}: {exc}") from exc
+_SPACES = " \t\r\v\f"  # the key grammar's space-like bytes
+# the decimal grammar: ASCII digits, an optional fraction and an optional exponent
+_DECIMAL = re.compile(rf"[{_SPACES}]*[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[{_SPACES}]*")
+
+
+def _decimal(text: str, label: str) -> float:
+    """``text`` as a float if it is a decimal number the float range holds, else a ParameterError."""
+    if _DECIMAL.fullmatch(text) is None or not np.isfinite(value := float(text)):
+        raise ParameterError(f"bad {label} {text!r}: not a decimal number")
+    return value
+
+
+def _integer(text: str, label: str) -> int:
+    """``text`` as an int if it is one line of key text that holds a key (``_key_arguments``)."""
+    return int(_key_arguments([text], label)[0])
 
 
 def _key_arguments(texts: list[str], label: str) -> np.ndarray:
@@ -105,8 +115,8 @@ def _parse_scorer(spec: str) -> Scorer:
         _, lo, hi, inside, outside = parts
         return IntervalScorer(
             (tuple(_key_arguments([lo, hi], "interval bound").tolist()),),
-            inside_score=_parse_float(inside, "interval score"),
-            outside_score=_parse_float(outside, "interval score"),
+            inside_score=_decimal(inside, "interval score"),
+            outside_score=_decimal(outside, "interval score"),
         )
     with open(spec, "rb") as fh:
         return scorer_from_text(fh.read())
@@ -117,7 +127,7 @@ def _parse_dist(spec: str, exclusion=()) -> QueryDistribution:
     if parts[0] == "uniform" and len(parts) == 3:
         lo, hi = parts[1:]
         # HI may also be 2^64, the one bound past the last key
-        past = hi.strip(" \t\r\v\f") == str(1 << 64)
+        past = hi.strip(_SPACES) == str(1 << 64)
         lo, hi = _key_arguments([lo, "0" if past else hi], "uniform bound").tolist()
         return QueryDistribution(UniformRange(lo, 1 << 64 if past else hi), exclusion)
     if parts[0] == "fixed" and len(parts) == 2:
@@ -192,7 +202,7 @@ _OPTIONS = {
             "--kind example without --backup-m/--backup-k": ((), _EXAMPLE),
         },
     ),
-    "query": (("filter",), lambda args, given: ("with" if given("key") else "without") + " key arguments",
+    "query": (("filter",), lambda args, given: ("with" if args.key else "without") + " key arguments",
               {"with key arguments": ((), ("queries", "seed")),
                "without key arguments": (("queries",), ("seed",))}),
     "eval": (("filter",), lambda args, given: "--queries" if given("queries") else "without --queries",
@@ -206,11 +216,10 @@ _OPTIONS = {
 
 
 def _check_options(args, declared: dict) -> None:
-    """Raise on an option ``_OPTIONS`` rules out, else clear the unread ones (``declared``: defaults)."""
+    """Raise on an option ``_OPTIONS`` rules out, else clear the unread ones (``declared``: its table)."""
 
     def given(name: str) -> bool:
-        dest = name.replace("-", "_")
-        return getattr(args, dest) != declared[dest]
+        return getattr(args, name.replace("-", "_")) != declared[name][1]
 
     def need(names, where: str) -> None:
         for name in names:
@@ -326,12 +335,11 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     keys = load_keys_text(args.keys)
     scorer = _parse_scorer(args.scorer)
-    taus = [_parse_float(t, "threshold") for t in args.taus.split(",") if t.strip()]
     dist = _parse_dist(args.dist, keys)
     points = threshold_sweep(
         keys,
         scorer,
-        taus,
+        _taus(args.taus),
         dist,
         samples=args.samples,
         backup_target_fpp=args.backup_target_fpp,
@@ -384,128 +392,116 @@ def _cmd_repro_example(args) -> int:
     return EXIT_OK
 
 
-def _config_flags(command: argparse.ArgumentParser, path: str) -> list[str]:
-    """The ``key=value`` lines of ``path`` as ``--key=value`` flags of ``command``.
-
-    A key is an option name without ``--``.  Parsed ahead of the command
-    line's own flags, the values are cast like them, and a flag given on the
-    command line wins.
-    """
-    options = {
-        name[2:]: action
-        for action in command._actions
-        for name in action.option_strings
-        if name.startswith("--") and action.dest not in ("help", "config")
-    }
-    flags = []
-    for key, value in read_manifest(path).items():
-        action = options.get(key)
-        if action is None:
-            raise ParameterError(f"config key {key!r} in {path} names no option of this command")
-        if action.choices is not None and value not in action.choices:
-            raise ParameterError(f"config key {key!r} in {path} must be one of {action.choices}")
-        flags.append(f"--{key}={value}")
-    return flags
+def _taus(text: str) -> list[float]:
+    """The thresholds of a ``--taus`` grid: its comma-separated items, blank ones skipped."""
+    return [_decimal(item, "threshold") for item in text.split(",") if item.strip(_SPACES)]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="top-level seed (default 0)")
-    parser.add_argument("--out", help="write output to this file as well")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--config", help="key=value config file; flags win")
+def _grid(text: str, label: str) -> str:
+    """A ``--taus`` grid, checked as it is parsed and kept as text for the report to echo."""
+    _taus(text)
+    return text
 
 
-def _add_backup_target(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backup-target-fpp", type=float, default=0.0002, help="the backup filter's design rate"
-    )
+_COMMON = {"seed": (_integer, 0, "top-level seed (default 0)"),
+           "out": (str, None, "write output to this file as well"),
+           "format": (("json", "csv"), "json", None),
+           "config": (str, None, "key=value config file; flags win")}
+_BACKUP_TARGET = {"backup-target-fpp": (_decimal, 0.0002, "the backup filter's design rate")}
+_SIZE = (_integer, None, None)
+
+# Every option of every command, declared once: per command its function, its help, and
+# per option (its name without --) the parser of its value, its default and its help.  A
+# parser is _integer (the key grammar), _decimal, _grid, str, or a tuple of choices.
+_COMMANDS = {
+    "build": (_cmd_build, "build a filter and write it to --out", {
+        "kind": (("standard", "learned", "example"), None, None),
+        "keys": (str, None, "newline-delimited decimal key file"),
+        "target-fpp": (_decimal, None, None), "m": _SIZE, "k": _SIZE,
+        "scorer": (str, None, "scorer record file or interval:LO:HI:IN:OUT"),
+        "tau": (_decimal, None, None), **_BACKUP_TARGET, "backup-m": _SIZE, "backup-k": _SIZE,
+        "keys-out": (str, None, "also write the key set to this file"),
+        "summary-dist": (str, None, "also report the query mass above tau on this distribution"),
+        **_COMMON}),
+    "query": (_cmd_query, "query a serialized filter", {
+        "filter": (str, None, None), "queries": (str, None, "key file to query"), **_COMMON}),
+    "eval": (_cmd_eval, "measure a filter's false positive rate", {
+        "filter": (str, None, None), "keys": (str, None, "key set file (for disjointness/exclusion)"),
+        "dist": (str, None, "uniform:LO:HI or fixed:PATH"),
+        "queries": (str, None, "explicit query key file"),
+        "samples": (_integer, 100_000, None), **_COMMON}),
+    "sweep": (_cmd_sweep, "threshold sweep over a tau grid", {
+        "keys": (str, None, None), "scorer": (str, None, None),
+        "taus": (_grid, None, "comma-separated thresholds"), "dist": (str, None, None),
+        "samples": (_integer, 100_000, None), **_BACKUP_TARGET, **_COMMON}),
+    "concentration": (_cmd_concentration, "test-vs-query rate concentration experiment", {
+        "filter": (str, None, None), "keys": (str, None, None), "dist": (str, None, None),
+        "t-size": (_integer, 10_000, None), "q-size": (_integer, 10_000, None),
+        "epsilon": (_decimal, 0.05, None), "trials": (_integer, 100, None),
+        **_BACKUP_TARGET, **_COMMON}),
+    "repro-example": (_cmd_repro_example, "run the worked-example reproduction report", {
+        "samples": (_integer, 1_000_000, None), "restricted-samples": (_integer, 200_000, None),
+        **_BACKUP_TARGET, **_COMMON}),
+}  # fmt: skip
+
+
+class _Parsed(argparse.Action):
+    """Store an option's value as its table parser (``const``) reads it.  A ParameterError
+    from here reaches ``main`` as one ``error:`` line (argparse rewords one from a ``type=``),
+    and each occurrence is parsed, so a config value that a flag overrides is still checked."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, self.const(text, option_string))
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The ``lbf`` parser and its command subparsers by name, built once: nothing changes them."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``lbf`` parser, built once from ``_COMMANDS``: nothing changes it."""
     parser = argparse.ArgumentParser(
         prog="lbf",
         description="Build and evaluate Bloom filters and learned Bloom filters.",
         epilog="exit codes: 0 ok, 2 parameter, 3 I/O, 4 workload, 5 training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, help_, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, (parse, default, option_help) in options.items():
+            how = ({"choices": parse} if isinstance(parse, tuple) else {} if parse is str
+                   else {"action": _Parsed, "const": parse})  # fmt: skip
+            p.add_argument(f"--{name}", default=default, help=option_help, **how)
+        if command == "query":
+            p.add_argument("key", nargs="*", default=[], help="integer keys to query")
+        p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("build", help="build a filter and write it to --out")
-    p.add_argument("--kind", choices=("standard", "learned", "example"))
-    p.add_argument("--keys", help="newline-delimited decimal key file")
-    p.add_argument("--target-fpp", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--scorer", help="scorer record file or interval:LO:HI:IN:OUT")
-    p.add_argument("--tau", type=float)
-    _add_backup_target(p)
-    p.add_argument("--backup-m", type=int)
-    p.add_argument("--backup-k", type=int)
-    p.add_argument("--keys-out", help="also write the key set to this file")
-    p.add_argument("--summary-dist", help="also report the query mass above tau on this distribution")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("query", help="query a serialized filter")
-    p.add_argument("--filter")
-    p.add_argument("--queries", help="key file to query")
-    p.add_argument("key", nargs="*", default=[], help="integer keys to query")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("eval", help="measure a filter's false positive rate")
-    p.add_argument("--filter")
-    p.add_argument("--keys", help="key set file (for disjointness/exclusion)")
-    p.add_argument("--dist", help="uniform:LO:HI or fixed:PATH")
-    p.add_argument("--queries", help="explicit query key file")
-    p.add_argument("--samples", type=int, default=100_000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="threshold sweep over a tau grid")
-    p.add_argument("--keys")
-    p.add_argument("--scorer")
-    p.add_argument("--taus", help="comma-separated thresholds")
-    p.add_argument("--dist")
-    p.add_argument("--samples", type=int, default=100_000)
-    _add_backup_target(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("concentration", help="test-vs-query rate concentration experiment")
-    p.add_argument("--filter")
-    p.add_argument("--keys")
-    p.add_argument("--dist")
-    p.add_argument("--t-size", type=int, default=10_000)
-    p.add_argument("--q-size", type=int, default=10_000)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=100)
-    _add_backup_target(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_concentration)
-
-    p = sub.add_parser("repro-example", help="run the worked-example reproduction report")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--restricted-samples", type=int, default=200_000)
-    _add_backup_target(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_repro_example)
-
-    return parser, sub.choices
+def _config_flags(options: dict, path: str) -> list[str]:
+    """The ``key=value`` lines of ``path`` as ``--key=value`` flags of a command with table
+    ``options``: a key is an option name without ``--``.  Parsed ahead of the command
+    line's own flags, the values are read like them, and a flag on the command line wins.
+    """
+    flags = []
+    for key, value in read_manifest(path).items():
+        if key not in options or key == "config":
+            raise ParameterError(f"config key {key!r} in {path} names no option of this command")
+        choices = options[key][0]
+        if isinstance(choices, tuple) and value not in choices:
+            raise ParameterError(f"config key {key!r} in {path} must be one of {choices}")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        command = commands[args.command]
+        options = _COMMANDS[args.command][2]
         if args.config:
             # lbf itself takes no option with a value, so the command is argv's first match
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_flags(command, args.config), *argv[at:]])
-        _check_options(args, {action.dest: action.default for action in command._actions})
+            args = parser.parse_args([*argv[:at], *_config_flags(options, args.config), *argv[at:]])
+        _check_options(args, options)
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
@@ -518,6 +514,9 @@ def main(argv=None) -> int:
     except (WorkloadError, OracleUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKLOAD
+    except MemoryError as exc:  # an allocation the limits refused past numpy's up-front check
+        print(f"error: ran out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_PARAMETER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,5 +1,6 @@
 """CLI commands, exit codes, config-file precedence, output determinism."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -475,10 +476,10 @@ _BAD_RATE_COMMANDS = {
               "--dist", "uniform:0:1000000"],
 }
 _BAD_RATES = {
-    "0": "must lie in (0, 1)",
-    "1.5": "must lie in (0, 1)",
-    "nan": "must lie in (0, 1)",
-    "1e-310": "is too small: 1/backup_target_fpp overflows",
+    "0": "backup_target_fpp 0.0 must lie in (0, 1)",
+    "1.5": "backup_target_fpp 1.5 must lie in (0, 1)",
+    "nan": "bad --backup-target-fpp 'nan': not a decimal number",  # refused by the grammar
+    "1e-310": "backup_target_fpp 1e-310 is too small: 1/backup_target_fpp overflows",
 }
 
 
@@ -493,8 +494,8 @@ _BAD_RATES = {
             [*_BAD_RATE_COMMANDS["concentration"], "--t-size", "0"],
             [*_BAD_RATE_COMMANDS["concentration"], "--q-size", "0"],
         ]],
-        *[([*argv, "--backup-target-fpp", rate], f"backup_target_fpp {float(rate)} {rule}")
-          for argv in _BAD_RATE_COMMANDS.values() for rate, rule in _BAD_RATES.items()],
+        *[([*argv, "--backup-target-fpp", rate], message)
+          for argv in _BAD_RATE_COMMANDS.values() for rate, message in _BAD_RATES.items()],
     ],
     ids=["eval_standard_samples", "eval_learned_samples", "sweep_samples", "repro_samples",
          "concentration_t_size", "concentration_q_size",
@@ -659,6 +660,133 @@ class TestKeyGrammar:
             # a report file echoes the spec too; a filter file does not
             reports.append((report, files["out"].read_bytes() if command == "build_scorer" else None))
         assert reports[0] == reports[1]
+
+
+_INTEGER_OPTIONS = [(command, name) for command, (_, _, options) in cli._COMMANDS.items()
+                    for name, (parse, _, _) in options.items() if parse is cli._integer]
+_DECIMAL_OPTIONS = [(command, name) for command, (_, _, options) in cli._COMMANDS.items()
+                    for name, (parse, _, _) in options.items() if parse is cli._decimal]
+_BAD_INTEGERS = {"arabic_indic_five": "٥", "underscore": "1_0", "plus": "+3", "minus": "-3",
+                 "hex": "0x10", "empty": ""}
+_BAD_DECIMALS = {"inf": "inf", "nan": "nan", "underscore": "0_1", "plus": "+0.5", "minus": "-0.5",
+                 "arabic_indic_zero": "٠.5", "bare_exponent": "1e", "past_the_float_range": "1e999"}
+
+
+class TestNumberGrammar:
+    """Every integer option follows the key grammar and every real one the decimal grammar,
+    as a flag and as a config line, in every command that declares it."""
+
+    @staticmethod
+    def _argv(tmp_path, command: str, name: str, value: str, how: str) -> list[str]:
+        if how == "flag":
+            return [command, f"--{name}", value, "--out", str(tmp_path / "out")]
+        (tmp_path / "run.cfg").write_text(f"{name}={value}\n", encoding="utf-8")
+        return [command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]
+
+    def _refused(self, tmp_path, capsys, *argv) -> str:
+        code = main(self._argv(tmp_path, *argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert not (tmp_path / "out").exists()
+        return captured.err
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("value", _BAD_INTEGERS.values(), ids=_BAD_INTEGERS)
+    @pytest.mark.parametrize("command, name", _INTEGER_OPTIONS,
+                             ids=[f"{command}_{name}" for command, name in _INTEGER_OPTIONS])
+    def test_an_integer_outside_the_key_grammar_is_one_error_line(
+        self, tmp_path, capsys, command, name, value, how
+    ):
+        err = self._refused(tmp_path, capsys, command, name, value, how)
+        assert err == f"error: --{name} {value!r}: not a decimal integer key\n"
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("value", _BAD_DECIMALS.values(), ids=_BAD_DECIMALS)
+    @pytest.mark.parametrize("command, name", _DECIMAL_OPTIONS,
+                             ids=[f"{command}_{name}" for command, name in _DECIMAL_OPTIONS])
+    def test_a_real_outside_the_decimal_grammar_is_one_error_line(
+        self, tmp_path, capsys, command, name, value, how
+    ):
+        err = self._refused(tmp_path, capsys, command, name, value, how)
+        assert err == f"error: bad --{name} {value!r}: not a decimal number\n"
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("value", _BAD_DECIMALS.values(), ids=_BAD_DECIMALS)
+    def test_a_tau_grid_item_outside_the_grammar_exits_2_before_any_file_opens(
+        self, tmp_path, capsys, value, how
+    ):
+        # no key, scorer or filter file exists: the grid is refused as it is parsed
+        argv = ["sweep", "--keys", tmp_path / "none.txt", "--scorer", tmp_path / "none.json",
+                "--dist", "uniform:0:1000", *self._argv(tmp_path, "sweep", "taus", f"0.5,{value}", how)[1:]]
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert captured.err == f"error: bad threshold {value!r}: not a decimal number\n"
+
+    @pytest.mark.parametrize("value", _BAD_DECIMALS.values(), ids=_BAD_DECIMALS)
+    def test_an_inline_interval_score_outside_the_grammar_is_one_error_line(
+        self, tmp_path, key_file, capsys, value
+    ):
+        out = tmp_path / "f.lbf"
+        code = main(["build", "--kind", "learned", "--keys", str(key_file[0]), "--scorer",
+                     f"interval:0:10:{value}:0.0", "--tau", "0.4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert captured.err == f"error: bad interval score {value!r}: not a decimal number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_every_key_and_padded_numbers_are_accepted(self, tmp_path, capsys, how):
+        argv = ["concentration", "--t-size", "100", "--q-size", "100"]
+        values = {"seed": str(2**64 - 1), "trials": " 2", "epsilon": "\t25e-2 "}
+        if how == "flag":
+            argv += [part for name, value in values.items() for part in (f"--{name}", value)]
+        else:
+            (tmp_path / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, stdout = run(capsys, *argv)
+        assert code == 0
+        config = json.loads(stdout)["config"]
+        assert (config["seed"], config["trials"], config["epsilon"]) == (2**64 - 1, 2, 0.25)
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_a_subnormal_rate_reaches_its_range_check(self, tmp_path, capsys, how):
+        err = self._refused(tmp_path, capsys, "repro-example", "backup-target-fpp", "1e-310", how)
+        assert err == "error: backup_target_fpp 1e-310 is too small: 1/backup_target_fpp overflows\n"
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_the_mode_rules_name_only_declared_options(command):
+    declared = cli._COMMANDS[command][2]
+    always, choose_mode, modes = cli._OPTIONS[command]
+    named = {*always, *(name for rule in modes.values() for names in rule for name in names)}
+    if command == "build":
+        named |= {*cli._STANDARD, *cli._LEARNED, *cli._EXAMPLE}
+    assert sorted(named - set(declared)) == []
+
+    def given(name: str) -> bool:  # the options a mode choice reads, each given or none
+        assert name in declared
+        return everything
+
+    for kind in declared["kind"][0] if "kind" in declared else [None]:
+        for key, everything in [([], False), ([5], True)]:
+            assert choose_mode(argparse.Namespace(kind=kind, key=key), given) in modes
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # an allocation the address-space limit refuses only after numpy's up-front check passed
+    filt = tmp_path / "ex.lbf"
+    run(capsys, "build", "--kind", "example", "--out", filt)
+    argv = ["eval", "--filter", str(filt), "--dist", "uniform:0:1000", "--out", str(tmp_path / "r")]
+    for error, line in [(MemoryError("Unable to allocate 1.12 GiB"), "Unable to allocate 1.12 GiB"),
+                        (MemoryError(), "an allocation failed")]:
+        def evaluate(*_, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert main(argv) == EXIT_PARAMETER
+        assert capsys.readouterr() == ("", f"error: ran out of memory: {line}\n")
+        assert not (tmp_path / "r").exists()
 
 
 _EDGE_KEYS = [0, 9, 10, 100, 2**64 - 1]

@@ -1,11 +1,12 @@
-"""Byte-mutated filter, key and scorer files, and key arguments, through the ``lbf`` commands
-that read them: no mutant escapes.
+"""Byte-mutated filter, key, scorer and config files, and key arguments, through the ``lbf``
+commands that read them: no mutant escapes.
 
-A filter, key or scorer file, or a key argument, is untrusted input.  Whatever its
-bytes, ``lbf`` must exit 0, 2, 3, 4 or 5, never with a traceback, and must neither
+A filter, key, scorer or config file, or a key argument, is untrusted input.  Whatever
+its bytes, ``lbf`` must exit 0, 2, 3, 4 or 5, never with a traceback, and must neither
 hang nor exhaust memory.  This guards what the scan of ``raise`` statements cannot
 see: numpy errors, ``ZeroDivisionError`` and ``MemoryError``.  Every mutant runs in
-one child process that caps its own address space, under a timeout.
+one child process that caps its own address space, under a timeout, with its working
+directory beside the seed files; so do a few fixed runs that must run out of memory.
 
 Run as a script, ``python tests/test_fuzz.py DIR`` mutates the seed files in
 DIR and prints a JSON summary of the runs.
@@ -37,6 +38,10 @@ MUTANTS_PER_FILE = 60
 ADDRESS_SPACE = 3 << 30  # the child's cap: a mutant asking for more fails, not the host
 EXIT_CODES = {0, 2, 3, 4, 5}
 KEY_ARGUMENTS = b"0 15000 18446744073709551615"  # split at spaces into lbf query's key arguments
+EVAL_CONFIG = "dist=uniform:0:300000\nsamples=200\nseed=3\nformat=csv\n"
+# bytes that keep a config value near a number: digits, signs, exponents, the letters of
+# nan and inf, and the UTF-8 bytes of an Arabic-Indic five
+_CONFIG_BYTES = b"0123456789_+-.eEnaif\xd9\xa5"
 SCORERS = {
     "intervals": IntervalScorer([(10_000 * i, 10_000 * i + 999) for i in range(24)], 0.5, 0.0),
     "int-norm": LogisticScorer((3.0,), -1.5, "int-norm:1000000"),
@@ -103,6 +108,8 @@ def _runs(seeds: Path, name: str, mutant: str, key_arguments: list[str]) -> list
                 ["query", "--filter", str(seeds / "std.bloom"), "--", *key_arguments],
                 ["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
                  "--dist", f"fixed:{mutant}", "--samples", "200"]]
+    if name.endswith(".cfg"):
+        return [["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys, "--config", mutant]]
     if name.endswith(".json"):
         return [["build", "--kind", "learned", "--keys", keys, "--scorer", mutant, "--tau", "0.4",
                  "--out", str(seeds / "built.lbf")],
@@ -120,17 +127,20 @@ def fuzz(directory: str) -> dict:
     warnings.filterwarnings("error", category=RuntimeWarning, module="learnedbloom")
     rng = random.Random(SEED)
     argument_rng = random.Random(SEED + 1)  # its own stream, so the file mutants stay as they were
+    config_rng = random.Random(SEED + 2)  # likewise
     seeds = Path(directory)
     mutant = str(seeds / "mutant")
     codes, escaped = Counter(), []
-    suffixes = (".lbf", ".bloom", ".txt", ".json")
+    suffixes = (".lbf", ".bloom", ".txt", ".json", ".cfg")
     for name in sorted(p.name for p in seeds.iterdir() if p.suffix in suffixes):
         data = (seeds / name).read_bytes()
         for i in range(MUTANTS_PER_FILE):
             # a third of the scorer records, framed or bare, keep a byte alphabet near JSON
             # and a third keep valid JSON with one value replaced
             change = [None, lambda r, b: _mutate(r, b, _JSON_BYTES), _replace_a_value][i % 3]
-            if name.endswith(".lbf") and change:
+            if name.endswith(".cfg"):
+                blob = _mutate(config_rng, data, _CONFIG_BYTES)
+            elif name.endswith(".lbf") and change:
                 blob = _mutate_scorer_record(rng, data, change)
             elif name.endswith(".json") and change:
                 blob = change(rng, data)
@@ -147,13 +157,33 @@ def fuzz(directory: str) -> dict:
                 if trace is not None or code not in EXIT_CODES:
                     escaped.append({"file": name, "mutant": i, "argv": argv[0],
                                     "code": code, "trace": trace, "bytes": blob.hex()})
-    return {"codes": dict(codes), "escaped": escaped}
+    fixed = {}
+    for label, argv in _fixed_runs(seeds).items():
+        fixed[label], trace = _run(argv)
+        if trace is not None:
+            escaped.append({"fixed": label, "trace": trace})
+    return {"codes": dict(codes), "escaped": escaped, "fixed": fixed}
+
+
+def _fixed_runs(seeds: Path) -> dict[str, list[str]]:
+    """Unmutated runs whose arrays numpy allocates at once but the capped address space
+    cannot hold: 150M draws against the worked example's keys fail inside ``np.isin``."""
+    example = seeds / "example"
+    return {"eval_150M_samples": ["eval", "--filter", str(example / "ex.lbf"),
+                                  "--keys", str(example / "keys.txt"),
+                                  "--dist", "uniform:0:1000000", "--samples", "150000000"]}
 
 
 def _write_seed_files(directory: Path) -> None:
-    """keys.txt, a standard filter of those keys, and one learned filter per scorer in SCORERS."""
+    """keys.txt, a standard filter of those keys, one learned filter per scorer in SCORERS,
+    an eval config file, and the worked example's filter and keys for the fixed runs."""
     keys = np.random.default_rng(SEED).choice(300_000, size=300, replace=False)
     save_keys_text(directory / "keys.txt", keys.tolist())
+    (directory / "eval.cfg").write_text(EVAL_CONFIG, encoding="utf-8")
+    example = directory / "example"  # no seed file: a directory has no suffix
+    example.mkdir()
+    assert main(["build", "--kind", "example", "--out", str(example / "ex.lbf"),
+                 "--keys-out", str(example / "keys.txt")]) == 0
     built = [["--kind", "standard", "--target-fpp", "0.01", "--out", directory / "std.bloom"]]
     for name, scorer in SCORERS.items():
         (directory / f"{name}.json").write_text(scorer_to_text(scorer), encoding="utf-8")
@@ -168,18 +198,20 @@ def test_mutated_filter_and_key_files_exit_with_a_code_and_no_traceback(tmp_path
     capsys.readouterr()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # run in tmp_path, so no mutated path can write into the checkout
     done = subprocess.run(
-        [sys.executable, __file__, str(tmp_path)], capture_output=True, text=True, env=env,
-        timeout=300,
+        [sys.executable, str(Path(__file__).resolve()), str(tmp_path)], capture_output=True,
+        text=True, env=env, cwd=tmp_path, timeout=300,
     )  # fmt: skip
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout)
     assert summary["escaped"] == []
     assert set(summary["codes"]) <= {str(code) for code in EXIT_CODES}
     # keys.txt: query with key file and key arguments, and eval; 4 filters: query, eval and
-    # concentration; 3 scorers: build, sweep
-    assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2) * MUTANTS_PER_FILE
+    # concentration; 3 scorers: build, sweep; eval.cfg: eval
+    assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2 + 1) * MUTANTS_PER_FILE
     assert {"0", "2"} <= set(summary["codes"])  # mutants both load and fail to
+    assert summary["fixed"] == {"eval_150M_samples": 2}  # ran out of memory: one error line
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "options, error",
     [(["--taus", "0,0.5,1"], None), (["--taus", "0,,0.5,1"], None),
-     (["--taus", "0,x"], "error: bad threshold 'x': could not convert string to float: 'x'\n"),
+     (["--taus", "0,x"], "error: bad threshold 'x': not a decimal number\n"),
      (["--taus", ","], "error: tau grid must be nonempty\n"),
      (["--taus", "0,0.5,1", "--negatives", "0"], "error: sample count must be >= 1\n"),
      (["--learning-rate", "inf"], "error: learning_rate must be positive and finite\n")],
