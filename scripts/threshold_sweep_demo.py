@@ -21,12 +21,15 @@ from learnedbloom.workloads import hot_range_example, sample, save_keys_text
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--epochs", type=int, default=300)
-    parser.add_argument("--learning-rate", type=float, default=0.5)
-    parser.add_argument("--negatives", type=int, default=2000)
-    parser.add_argument("--samples", type=int, default=200_000)
-    parser.add_argument("--backup-target-fpp", type=float, default=0.001)
+    # numbers are read in lbf's grammars as they are parsed, so a bad one fails before training
+    integer = {"action": cli._Parsed, "const": cli._integer}
+    decimal = {"action": cli._Parsed, "const": cli._decimal}
+    parser.add_argument("--seed", default=7, **integer)
+    parser.add_argument("--epochs", default=300, **integer)
+    parser.add_argument("--learning-rate", default=0.5, **decimal)
+    parser.add_argument("--negatives", default=2000, **integer)
+    parser.add_argument("--samples", default=200_000, **integer)
+    parser.add_argument("--backup-target-fpp", default=0.001, **decimal)
     parser.add_argument("--taus", default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
@@ -57,6 +60,6 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ParameterError as exc:  # a bad training option: one line and exit 2, as in ``lbf``
+    except ParameterError as exc:  # a bad option: one line and exit 2, as in ``lbf``
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(cli.EXIT_PARAMETER)

@@ -48,6 +48,7 @@ from .workloads import (
     FixedSet,
     QueryDistribution,
     UniformRange,
+    _SPACES,
     load_keys_text,
     parse_keys_text,
     read_manifest,
@@ -70,7 +71,6 @@ def _load_filter(path: str):
     return LearnedBloomFilter.from_bytes(data)
 
 
-_SPACES = " \t\r\v\f"  # the key grammar's space-like bytes
 # the decimal grammar: ASCII digits, an optional fraction and an optional exponent
 _DECIMAL = re.compile(rf"[{_SPACES}]*[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[{_SPACES}]*")
 

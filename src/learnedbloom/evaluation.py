@@ -5,14 +5,14 @@ from the above-threshold query mass (alpha) composed with the backup filter's
 rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform ranges in closed
-form; its other parts and the experiment's answer tables walk the eligible
-support through one iterator, ``workloads._eligible_blocks``, exactly when it
-holds at most ``SUPPORT_LIMIT`` keys; the tables answer each eligible key once,
-and the reports keep the bytes sampling gives.  A report stores what was
-measured, range-checked when built; ``model_fpr``, ``binomial_std_err`` and
-``theorem_bound`` are properties computed by this module's functions, which
-``to_dict`` adds.  Sample counts and set sizes are checked by
-``workloads._check_sample_count``, backup design rates by
+form; its other parts, and the experiment's answer tables, come from
+``workloads.support_tables``, the one walk of the eligible support and the one
+reader of ``SUPPORT_LIMIT``.  The experiment reads its tables at the draws with
+``workloads.sample_tables``, so its reports keep the bytes sampling gives.  A
+report stores what was measured, range-checked when built; ``model_fpr``,
+``binomial_std_err`` and ``theorem_bound`` are properties computed by this
+module's functions, which ``to_dict`` adds.  Sample counts and set sizes are
+checked by ``workloads._check_sample_count``, backup design rates by
 ``learned._sized_backup``, once for every caller.
 """
 
@@ -21,19 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
-
-import numpy as np
 
 from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _sized_backup
 from .scorers import IntervalScorer, Scorer
-from .workloads import (Part, QueryDistribution, UniformRange, _check_sample_count,
-                        _draw_positions, _eligible_blocks, sample)
-
-SUPPORT_LIMIT = 10**7  # largest eligible support exact_alpha or an answer table will walk
+from .workloads import (QueryDistribution, UniformRange, _check_sample_count, sample,
+                        sample_tables, support_tables)
 
 
 @dataclass(frozen=True)
@@ -106,26 +101,21 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     mixtures.  For an interval scorer, a uniform range's count is closed-form:
     :meth:`IntervalScorer.count_at_least` less the excluded keys in the range
     that score at or above ``tau``, so any range in [0, 2^64) is exact.  Every
-    other part is walked, each eligible key scored once as ``_eligible_blocks``
-    yields them.  Raises OracleUnavailableError when the eligible count of the
-    walked parts exceeds ``SUPPORT_LIMIT``; callers should then fall back to sampling.
+    other part is walked by :func:`workloads.support_tables`, each eligible key
+    scored once.  It raises OracleUnavailableError when the walked parts hold more
+    than ``SUPPORT_LIMIT`` eligible keys; callers should then fall back to sampling.
     """
-    def closed(part: Part) -> bool:
-        return isinstance(scorer, IntervalScorer) and isinstance(part.component, UniformRange)
-
-    walked = sum(part.cut for part in dist.parts if not closed(part))
-    if walked > SUPPORT_LIMIT:
-        raise OracleUnavailableError(
-            f"eligible support of {walked} exceeds the enumeration limit {SUPPORT_LIMIT}"
-        )
+    closed = isinstance(scorer, IntervalScorer)  # counts a uniform range in closed form
+    walked = [p for p in dist.parts if not (closed and isinstance(p.component, UniformRange))]
+    tables = iter(support_tables(walked, lambda keys: scorer.score_batch(keys) >= tau))
     above_mass = eligible_mass = Fraction(0)
     for part in dist.parts:
         source = part.component
-        if closed(part):
+        if closed and isinstance(source, UniformRange):
             dropped = scorer.score_batch(source.excluded_keys(dist.exclusion)) >= tau
             above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
         else:
-            above = sum(int((scorer.score_batch(keys) >= tau).sum()) for keys in _eligible_blocks(part))
+            above = int(next(tables).sum())
         share = Fraction(part.weight) / source.size
         above_mass += share * above
         eligible_mass += share * part.cut
@@ -219,19 +209,6 @@ def theorem_bound(epsilon: float, t_size: int, q_size: int) -> float:
     )
 
 
-def _answer_table(filt, part: Part) -> np.ndarray:
-    """The filter's answer at each of a part's eligible positions, indexed by raw position:
-    its answer to the key :func:`sample` draws for that position, one block per call."""
-    answers = [np.asarray(filt.contains_many(keys), dtype=bool) for keys in _eligible_blocks(part)]
-    return np.concatenate(answers) if answers else np.empty(0, dtype=bool)
-
-
-def _table_rate(tables: list, dist: QueryDistribution, n: int, rng_seed: int) -> float:
-    """The rate of ``sample(dist, n, rng_seed)``, read from each part's answer table."""
-    _, positions = _draw_positions(dist, n, rng_seed)
-    return float(np.concatenate([table[pos] for table, pos in zip(tables, positions)]).mean())
-
-
 def concentration_experiment(
     lbf,
     dist: QueryDistribution,
@@ -247,11 +224,11 @@ def concentration_experiment(
     report pairs the observed exceedance fraction of |X - Y| >= epsilon with
     the explicit two-sided bound.
 
-    A filter's answer depends only on the key, so when the eligible support is at
-    most ``SUPPORT_LIMIT``, the filter answers each eligible key once, into one
-    table per part, and each set's rate is the mean of the table at the positions
-    :func:`sample` would draw, from the same random stream.  The rates, and so the
-    report, are the same as sampling every set; a larger support samples every set.
+    A filter's answer depends only on the key, so the filter answers each eligible
+    key once, into :func:`workloads.support_tables`, and each set's rate is the mean
+    of the tables at the positions :func:`sample` would draw, from the same random
+    stream.  The rates, and so the report, are the same as sampling every set; a
+    support the tables refuse (``OracleUnavailableError``) samples every set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -259,9 +236,10 @@ def concentration_experiment(
         raise ParameterError("trials must be >= 1")
     _check_sample_count(t_size)  # both before any answer table is built
     _check_sample_count(q_size)
-    if sum(part.cut for part in dist.parts) <= SUPPORT_LIMIT:
-        rate = partial(_table_rate, [_answer_table(lbf, part) for part in dist.parts], dist)
-    else:
+    try:
+        tables = support_tables(dist.parts, lbf.contains_many)
+        rate = lambda n, seed: float(sample_tables(tables, dist, n, seed).mean())
+    except OracleUnavailableError:
         rate = lambda n, seed: float(lbf.contains_many(sample(dist, n, seed)).mean())
     exceed = 0
     for trial in range(trials):

@@ -3,23 +3,26 @@
 Distributions are immutable descriptions; a distribution resolves each
 component's excluded positions once, into a draw map: sampling draws each key
 straight from the eligible support, the source's keys outside the exclusion, so
-no draw is rejected, and the exact oracles walk that support ``BLOCK`` keys at a
-time.  Also provides the hot-range worked example (1000 keys, half clustered in
-one interval) used by the reproduction experiments, and dataset file I/O.
+no draw is rejected.  :func:`support_tables` is the one walk of that support and
+the one reader of its limit, ``SUPPORT_LIMIT``; :func:`sample_tables` reads its
+tables at the draws of :func:`sample`.  Also provides the hot-range worked example
+(1000 keys, half clustered in one interval) used by the reproduction experiments,
+and dataset file I/O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, WorkloadError
+from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
 
 BLOCK = 1 << 16  # positions per block of an eligible-support walk
+SUPPORT_LIMIT = 10**7  # largest eligible support :func:`support_tables` will walk
 
 
 @dataclass(frozen=True)
@@ -160,30 +163,24 @@ def _check_sample_count(n: int) -> None:
         raise ParameterError(f"sample count {n} is too large to allocate") from exc
 
 
-def _draw_positions(
-    dist: QueryDistribution, n: int, rng_seed: int
-) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
-    """The random part of :func:`sample`: each draw's part index, and each part's raw positions.
-
-    The index array is None for a lone component.  The positions of a part lie
-    below its ``cut``, in draw order; a part no draw picked gets an empty
-    array.  Raises ParameterError when ``n`` cannot be allocated and WorkloadError
-    when no key is eligible, before drawing anything.
-    """
+def _draw(dist: QueryDistribution, n: int, rng_seed: int, read, dtype) -> np.ndarray:
+    """The draws of :func:`sample` in draw order, each read by ``read(i, positions)``, part
+    ``i``'s values at raw positions below its ``cut``.  Part masses are floats: sampled bytes
+    depend on their rounding.  Raises ParameterError when ``n`` cannot be allocated and
+    WorkloadError when no key is eligible, before drawing anything."""
     _check_sample_count(n)
     mass = [p.weight * p.cut / p.component.size for p in dist.parts]
     if not any(mass):
         raise WorkloadError("exclusion removes the whole support")
     rng = np.random.default_rng(rng_seed)
     if len(mass) == 1:
-        return None, (rng.integers(0, dist.parts[0].cut, size=n, dtype=np.uint64),)
+        return read(0, rng.integers(0, dist.parts[0].cut, size=n, dtype=np.uint64))
     which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
-    counts = np.bincount(which, minlength=len(mass))
-    return which, tuple(
-        rng.integers(0, part.cut, size=int(count), dtype=np.uint64) if count
-        else np.empty(0, dtype=np.uint64)
-        for part, count in zip(dist.parts, counts)
-    )
+    out = np.empty(n, dtype)
+    for i, (part, count) in enumerate(zip(dist.parts, np.bincount(which, minlength=len(mass)))):
+        if count:
+            out[which == i] = read(i, rng.integers(0, part.cut, size=int(count), dtype=np.uint64))
+    return out
 
 
 def _keys_at(part: Part, pos: np.ndarray) -> np.ndarray:
@@ -195,17 +192,6 @@ def _keys_at(part: Part, pos: np.ndarray) -> np.ndarray:
     return part.component.keys_at(pos)
 
 
-def _eligible_blocks(part: Part) -> Iterator[np.ndarray]:
-    """A part's eligible keys in raw-position order, ``BLOCK`` positions at a time: position
-    ``i`` yields the key at ``i``, or at ``top[j]`` when ``i`` is ``low[j]``, as in :func:`sample`."""
-    for start in range(0, part.cut, BLOCK):
-        stop = min(start + BLOCK, part.cut)
-        pos = np.arange(start, stop, dtype=np.uint64)
-        first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
-        pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
-        yield part.component.keys_at(pos)
-
-
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     """Draw n i.i.d. keys from the source conditioned on missing the exclusion; none is rejected.
 
@@ -213,14 +199,41 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     its eligible keys uniformly.  Deterministic for fixed (dist, n, rng_seed).
     Raises WorkloadError when no key is eligible.
     """
-    which, positions = _draw_positions(dist, n, rng_seed)
-    if which is None:
-        return _keys_at(dist.parts[0], positions[0])
-    out = np.empty(n, dtype=np.uint64)
-    for ci, (part, pos) in enumerate(zip(dist.parts, positions)):
-        if pos.size:
-            out[which == ci] = _keys_at(part, pos)
-    return out
+    return _draw(dist, n, rng_seed, lambda i, pos: _keys_at(dist.parts[i], pos), np.uint64)
+
+
+def support_tables(parts, answer) -> list[np.ndarray]:
+    """``answer(keys)`` at each eligible position of each part: one array per part, of
+    ``answer``'s dtype, indexed by raw position below the part's ``cut``.
+
+    Position ``i`` holds the answer for the key at ``i``, or at ``top[j]`` when ``i`` is
+    ``low[j]``: the key :func:`sample` draws for it.  ``answer`` gets ``BLOCK`` keys at a
+    time, each eligible key once, after one call on no keys that gives the dtype.  Raises
+    OracleUnavailableError, before answering any key, when the parts hold more than
+    ``SUPPORT_LIMIT`` eligible keys.
+    """
+    support = sum(part.cut for part in parts)
+    if support > SUPPORT_LIMIT:
+        raise OracleUnavailableError(f"eligible support of {support} exceeds the enumeration"
+                                     f" limit {SUPPORT_LIMIT}")
+    dtype = answer(np.empty(0, np.uint64)).dtype
+    tables = []
+    for part in parts:
+        table = np.empty(part.cut, dtype)
+        for start in range(0, part.cut, BLOCK):
+            stop = min(start + BLOCK, part.cut)
+            pos = np.arange(start, stop, dtype=np.uint64)
+            first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
+            pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
+            table[start:stop] = answer(part.component.keys_at(pos))
+        tables.append(table)
+    return tables
+
+
+def sample_tables(tables: list, dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
+    """The values of ``dist``'s :func:`support_tables` at the keys ``sample(dist, n, rng_seed)``
+    draws, in draw order: ``answer(sample(dist, n, rng_seed))`` without answering a draw."""
+    return _draw(dist, n, rng_seed, lambda i, pos: tables[i][pos], tables[0].dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +306,12 @@ def save_keys_text(path, keys) -> None:
         fh.write(text)
 
 
+_SPACES = " \t\r\v\f"  # the key grammar's space-like bytes
 # Byte classes of a key file; 0 is any byte no line may hold.
 _DIGIT, _SPACE, _NEWLINE, _RUN_START = 1, 2, 3, 4
 _BYTE_CLASS = np.zeros(256, np.uint8)
 _BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_BYTE_CLASS[np.frombuffer(b" \t\r\v\f", np.uint8)] = _SPACE
+_BYTE_CLASS[np.frombuffer(_SPACES.encode(), np.uint8)] = _SPACE
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 _KEY_MAX_DIGITS = np.frombuffer(b"18446744073709551615", np.uint8)  # 2^64 - 1
 
@@ -366,12 +380,13 @@ def load_keys_text(path) -> np.ndarray:
 
 
 def read_manifest(path) -> dict:
-    """``key=value`` lines of a UTF-8 text file (blank lines skipped) as a dict."""
+    """``key=value`` lines of a UTF-8 text file (blank lines skipped) as a dict; a line
+    loses only its newline and the key grammar's spaces, so a value reads as a flag's."""
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
+                line = line.strip(_SPACES + "\n")
                 if not line:
                     continue
                 key, _, value = line.partition("=")

@@ -26,12 +26,11 @@ from learnedbloom.cli import (
     _render,
     main,
 )
-from learnedbloom.evaluation import SUPPORT_LIMIT
 from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.repro import worked_example_filter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer, scorer_to_text
-from learnedbloom.workloads import sample, save_keys_text, uniform_queries
+from learnedbloom.workloads import SUPPORT_LIMIT, sample, save_keys_text, uniform_queries
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -666,10 +665,12 @@ _INTEGER_OPTIONS = [(command, name) for command, (_, _, options) in cli._COMMAND
                     for name, (parse, _, _) in options.items() if parse is cli._integer]
 _DECIMAL_OPTIONS = [(command, name) for command, (_, _, options) in cli._COMMANDS.items()
                     for name, (parse, _, _) in options.items() if parse is cli._decimal]
+# U+00A0 is Unicode whitespace, but no space-like byte of the key grammar
 _BAD_INTEGERS = {"arabic_indic_five": "٥", "underscore": "1_0", "plus": "+3", "minus": "-3",
-                 "hex": "0x10", "empty": ""}
+                 "hex": "0x10", "empty": "", "no_break_space": "7\u00a0"}
 _BAD_DECIMALS = {"inf": "inf", "nan": "nan", "underscore": "0_1", "plus": "+0.5", "minus": "-0.5",
-                 "arabic_indic_zero": "٠.5", "bare_exponent": "1e", "past_the_float_range": "1e999"}
+                 "arabic_indic_zero": "٠.5", "bare_exponent": "1e", "past_the_float_range": "1e999",
+                 "no_break_space": "0.5\u00a0"}
 
 
 class TestNumberGrammar:
@@ -1220,6 +1221,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == EXIT_PARAMETER
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_config_line_loses_only_the_key_grammars_spaces(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        argv = ["concentration", "--trials", "1", "--t-size", "10", "--q-size", "10", "--config", cfg]
+        cfg.write_text(" \tseed=7\f\v\n", encoding="utf-8")
+        code, stdout = run(capsys, *argv)
+        assert code == 0 and json.loads(stdout)["config"]["seed"] == 7
+        # U+00A0 is Unicode whitespace, but no space-like byte of the key grammar
+        cfg.write_text("\u00a0seed=7\n", encoding="utf-8")
+        assert main([str(a) for a in argv]) == EXIT_PARAMETER
+        assert capsys.readouterr() == (
+            "", f"error: config key '\\xa0seed' in {cfg} names no option of this command\n"
+        )
 
     @pytest.mark.parametrize(
         "config", ["format=csv\nseed=5\n", "seed=5\nsamples=x\n", "seed=5\nsampels=3\n"],

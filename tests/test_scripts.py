@@ -18,9 +18,14 @@ ROOT = Path(__file__).resolve().parent.parent
      (["--taus", "0,x"], "error: bad threshold 'x': not a decimal number\n"),
      (["--taus", ","], "error: tau grid must be nonempty\n"),
      (["--taus", "0,0.5,1", "--negatives", "0"], "error: sample count must be >= 1\n"),
-     (["--learning-rate", "inf"], "error: learning_rate must be positive and finite\n")],
+     (["--learning-rate", "inf"], "error: bad --learning-rate 'inf': not a decimal number\n"),
+     (["--seed", "٥"], "error: --seed '٥': not a decimal integer key\n"),
+     (["--negatives", "1_0"], "error: --negatives '1_0': not a decimal integer key\n"),
+     (["--seed", "-1"], "error: --seed '-1': not a decimal integer key\n"),
+     (["--backup-target-fpp", "+0.5"], "error: bad --backup-target-fpp '+0.5': not a decimal number\n")],
     ids=["grid", "grid_with_empty_item", "item_not_a_number", "no_items", "no_negatives",
-         "infinite_learning_rate"],
+         "infinite_learning_rate", "arabic_indic_seed", "underscore_negatives", "negative_seed",
+         "signed_rate"],
 )  # fmt: skip
 def test_threshold_sweep_demo_writes_one_row_per_tau(options, error):
     env = dict(os.environ)

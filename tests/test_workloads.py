@@ -10,12 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from learnedbloom import evaluation, workloads
+from learnedbloom import workloads
 from learnedbloom.bloom import BloomFilter
 from learnedbloom.errors import OracleUnavailableError, ParameterError, WorkloadError
 from learnedbloom.evaluation import (
-    SUPPORT_LIMIT,
-    _answer_table,
     concentration_experiment,
     evaluate,
     exact_alpha,
@@ -25,17 +23,19 @@ from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     BLOCK,
+    SUPPORT_LIMIT,
     FixedSet,
     HotRangeExample,
     Mixture,
     QueryDistribution,
     UniformRange,
-    _draw_positions,
     hot_range_example,
     load_keys_text,
     read_manifest,
     sample,
+    sample_tables,
     save_keys_text,
+    support_tables,
     uniform_queries,
 )
 
@@ -445,18 +445,17 @@ _FILTER.insert_many(np.array([2, 11, 29, 40, 57, 60], dtype=np.uint64))
 @settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
 @given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
 def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n, seed):
+    keys = support_tables(dist.parts, lambda keys: keys)  # the key at each position
+    tables = support_tables(dist.parts, _FILTER.contains_many)
+    assert [table.dtype for table in keys + tables] == [np.uint64] * len(keys) + [bool] * len(tables)
     if not any(part.cut for part in dist.parts):
-        with pytest.raises(WorkloadError, match="whole support"):
-            _draw_positions(dist, n, seed)
+        for table in (keys, tables):
+            with pytest.raises(WorkloadError, match="whole support"):
+                sample_tables(table, dist, n, seed)
         return
-    tables = [_answer_table(_FILTER, part) for part in dist.parts]
-    which, positions = _draw_positions(dist, n, seed)
-    if which is None:
-        which = np.zeros(n, dtype=np.intp)
-    answers = np.empty(n, dtype=bool)
-    for ci, (table, pos) in enumerate(zip(tables, positions)):
-        answers[which == ci] = table[pos]
     drawn = sample(dist, n, seed)
+    assert sample_tables(keys, dist, n, seed).tolist() == drawn.tolist()
+    answers = sample_tables(tables, dist, n, seed)
     assert answers.tolist() == _FILTER.contains_many(drawn).tolist()
     assert float(answers.mean()) == evaluate(_FILTER, drawn).empirical_fpr
 
@@ -483,7 +482,7 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
     small_blocks, monkeypatch, dist, sizes, epsilon, seed, limit
 ):
     trials, t_size, q_size = sizes
-    monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", limit)  # against 0 to 63 eligible keys
+    monkeypatch.setattr(workloads, "SUPPORT_LIMIT", limit)  # against 0 to 63 eligible keys
     filt = _Counting(_FILTER)
     if not any(part.cut for part in dist.parts):
         with pytest.raises(WorkloadError, match="whole support"):
@@ -540,7 +539,7 @@ class TestAnswerTables:
         # fewer draws than eligible keys read a table too: only the limit decides
         for trials, limit, table in [(8, SUPPORT_LIMIT, True), (7, SUPPORT_LIMIT, True),
                                      (7, eligible - 1, False)]:  # fmt: skip
-            monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", limit)
+            monkeypatch.setattr(workloads, "SUPPORT_LIMIT", limit)
             filt = _Counting(_FILTER)
             report = concentration_experiment(filt, self.DIST, 10_000, 10_000, 0.002, trials, 9)
             assert (filt.queried().size == eligible) is table
@@ -549,7 +548,7 @@ class TestAnswerTables:
             )
 
     def test_a_support_above_the_limit_is_sampled(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", 100)
+        monkeypatch.setattr(workloads, "SUPPORT_LIMIT", 100)
         filt = _Counting(_FILTER)
         concentration_experiment(filt, uniform_queries(0, 101), 1000, 1000, 0.5, 3, 3)
         assert filt.queried().size == 6000
@@ -558,7 +557,7 @@ class TestAnswerTables:
         assert filt.queried().size == 100
 
     def test_exact_alpha_and_the_table_rule_switch_at_the_same_eligible_count(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "SUPPORT_LIMIT", 100)
+        monkeypatch.setattr(workloads, "SUPPORT_LIMIT", 100)
         # a logistic scorer walks the support; this one scores 0.5 or more on keys 0..9
         scorer = LogisticScorer((-1000.0,), 9.5, "int-norm:1000")
         interval = IntervalScorer(((0, 9),), inside_score=0.9, outside_score=0.1)
@@ -574,6 +573,21 @@ class TestAnswerTables:
                     exact_alpha(scorer, 0.5, dist)
             # an interval scorer counts a range in closed form, on either side of the limit
             assert exact_alpha(interval, 0.5, dist) == Fraction(10, dist.parts[0].cut)
+
+    def test_a_table_is_filled_in_place_block_by_block(self, monkeypatch):
+        monkeypatch.setattr(workloads, "BLOCK", 1000)
+        dist = uniform_queries(0, 200_000, np.arange(0, 200_000, 70))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (table,) = support_tables(dist.parts, lambda keys: keys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        eligible = np.setdiff1d(np.arange(200_000), np.arange(0, 200_000, 70))
+        assert np.sort(table).tolist() == eligible.tolist()
+        # the table, and a few uint64 temporaries of one block: positions, keys, answers
+        assert peak <= table.nbytes + 8 * 1000 * 8
 
     @pytest.mark.parametrize("sizes", [(10**13, 10), (10, 10**13)], ids=["t_size", "q_size"])
     def test_an_unallocatable_set_size_is_refused_on_the_table_path(self, sizes):
