@@ -15,8 +15,9 @@ from pathlib import Path
 from learnedbloom import cli
 from learnedbloom.errors import ParameterError
 from learnedbloom.hashing import derive_seed
+from learnedbloom.repro import worked_example_filter
 from learnedbloom.scorers import TrainingSet, scorer_to_text, train_logistic
-from learnedbloom.workloads import hot_range_example, sample, save_keys_text
+from learnedbloom.workloads import sample, save_keys_text
 
 
 def main() -> int:
@@ -34,7 +35,7 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    example, _, _ = hot_range_example(derive_seed(args.seed, "dataset"))
+    example, _ = worked_example_filter(args.seed, args.backup_target_fpp)
     dist = example.full_range_queries()
     negatives = sample(dist, args.negatives, derive_seed(args.seed, "train-negatives"))
     data = TrainingSet(positives=example.keys, negatives=negatives)

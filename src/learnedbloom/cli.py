@@ -267,17 +267,7 @@ def _cmd_build(args) -> int:
             scorer, seed = _parse_scorer(args.scorer), derive_seed(args.seed, "backup-filter")
             lbf = LearnedBloomFilter.build(keys, scorer, args.tau, backup, seed)
         payload = lbf.to_bytes()
-        summary = {
-            "kind": args.kind,
-            "tau": lbf.tau,
-            "key_count": lbf.key_count,
-            "backup_keys": lbf.below_threshold_count,
-            "backup_m": lbf.backup.m,
-            "backup_k": lbf.backup.k,
-            "scorer_bits": lbf.scorer.size_bits(),
-            "total_bits": lbf.size_bits(),
-            "out": args.out,
-        }
+        summary = {"kind": args.kind, "tau": lbf.tau, **lbf.build_fields(), "out": args.out}
         if args.summary_dist:
             dist = _parse_dist(args.summary_dist, keys)
             try:
@@ -422,7 +412,7 @@ _COMMANDS = {
         "tau": (_decimal, None, None), **_BACKUP_TARGET, "backup-m": _SIZE, "backup-k": _SIZE,
         "keys-out": (str, None, "also write the key set to this file"),
         "summary-dist": (str, None, "also report the query mass above tau on this distribution"),
-        **_COMMON}),
+        **_COMMON, "out": (str, None, "the filter file to write; the summary goes to stdout only")}),
     "query": (_cmd_query, "query a serialized filter", {
         "filter": (str, None, None), "queries": (str, None, "key file to query"), **_COMMON}),
     "eval": (_cmd_eval, "measure a filter's false positive rate", {

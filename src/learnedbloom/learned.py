@@ -127,6 +127,12 @@ class LearnedBloomFilter:
         """Scorer representation bits plus backup bit-array size (metadata excluded)."""
         return self.scorer.size_bits() + self.backup.m
 
+    def build_fields(self) -> dict:
+        """The build's counts and sizes: ``lbf build``'s summary and the repro report show these."""
+        return {"key_count": self.key_count, "backup_keys": self.below_threshold_count,
+                "backup_m": self.backup.m, "backup_k": self.backup.k,
+                "scorer_bits": self.scorer.size_bits(), "total_bits": self.size_bits()}
+
     def to_bytes(self) -> bytes:
         """Length-prefixed concatenation: scorer record, hex-float tau, backup filter, counts."""
         meta = json.dumps(

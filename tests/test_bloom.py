@@ -394,6 +394,11 @@ class TestClosedForms:
         with pytest.raises(ParameterError):
             expected_fpp(10, 0, 3)
 
+    @pytest.mark.parametrize("n, k, message", [(-1, 3, "n must be >= 0"), (10, 0, "k must be >= 1")])
+    def test_rejects_negative_keys_and_no_hashes(self, n, k, message):
+        with pytest.raises(ParameterError, match=message):
+            expected_fill_ratio(n, 100, k)
+
 
 class TestSizing:
     def test_known_point(self):
@@ -492,6 +497,12 @@ class TestSerialization:
             BloomFilter.from_bytes(blob[:10])
         with pytest.raises(FilterFormatError):
             BloomFilter.from_bytes(blob[:-2])
+
+    @pytest.mark.parametrize("m, k", [(0, 2), (8, 0)])
+    def test_header_declaring_an_empty_filter_rejected(self, m, k):
+        blob = struct.pack("<4sQIQQ", b"LBF1", m, k, 0, 0) + b"\x00" * ((m + 7) // 8)
+        with pytest.raises(FilterFormatError, match="header declares an empty filter"):
+            BloomFilter.from_bytes(blob)
 
     def test_header_k_above_the_bound_rejected(self):
         # 33 bytes: an 8-bit filter whose header claims 2^31 hashes.  It must

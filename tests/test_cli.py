@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -642,6 +643,29 @@ class TestKeyGrammar:
         assert capsys.readouterr().err == f"error: uniform bound '{2**64}': not a decimal integer key\n"
         assert not files["out"].exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sweep", "concentration"])
+    def test_a_fixed_spec_draws_only_the_keys_of_its_file(self, tmp_path, files, capsys, command):
+        fixed = tmp_path / "fixed.txt"
+        save_keys_text(fixed, [3, 5, 7])  # inside interval:0:10, and held by the filter
+        held = BloomFilter.from_params(FilterParams(1024, 3), 0)
+        held.insert_many([3, 5, 7])
+        files["filter"].write_bytes(held.to_bytes())
+        spec = f"fixed:{fixed}"
+        argv = {
+            "eval": ["eval", "--filter", files["filter"], "--dist", spec, "--samples", "50"],
+            "sweep": self._argv("sweep", spec, files)[:-2],
+            "concentration": ["concentration", "--filter", files["filter"], "--dist", spec,
+                              "--t-size", "20", "--q-size", "20", "--trials", "2"],
+        }[command]
+        code, stdout = run(capsys, *argv)
+        report = json.loads(stdout)
+        assert code == 0 and report["config"]["dist"] == spec
+        # every draw is one of the file's keys, which the filter holds and the scorer passes
+        got = {"eval": lambda: report["empirical_fpr"],
+               "sweep": lambda: report["points"][0]["alpha_estimate"],
+               "concentration": lambda: 1.0 - report["exceed_fraction"]}[command]()
+        assert got == 1.0
+
     @pytest.mark.parametrize(
         "command, padded, plain",
         [("eval", "uniform: 7:2000", "uniform:7:2000"), ("eval", "uniform:7:2000\t", "uniform:7:2000"),
@@ -1045,14 +1069,9 @@ class TestEval:
 class TestSweep:
     def test_grid_alpha_column(self, tmp_path, capsys):
         ex_out = tmp_path / "ex.lbf"
-        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", ex_out)
-        # sweep over the worked-example keys themselves
-        from learnedbloom.workloads import hot_range_example
-        from learnedbloom.hashing import derive_seed
-
-        example, _, _ = hot_range_example(derive_seed(7, "dataset"))
         kpath = tmp_path / "exkeys.txt"
-        save_keys_text(kpath, example.keys)
+        # sweep over the worked-example keys themselves
+        run(capsys, "build", "--kind", "example", "--seed", "7", "--out", ex_out, "--keys-out", kpath)
         code, stdout = run(
             capsys, "sweep", "--keys", kpath, "--scorer", "interval:1000:2000:0.5:0.0",
             "--taus", "0,0.5,1.0", "--dist", "uniform:0:1000000",
@@ -1120,6 +1139,12 @@ class TestConcentration:
         assert code == 0
 
 
+def test_build_help_names_out_as_the_filter_file(capsys):
+    assert main(["build", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT the filter file to write; the summary goes to stdout only" in text
+
+
 class TestReproExample:
     def test_flags_unreproduced_figures(self, capsys):
         code, stdout = run(
@@ -1133,6 +1158,25 @@ class TestReproExample:
         assert figures["above_threshold_rate_full_range"]["derived"]["fraction"] == "167/333000"
         assert figures["backup_stored_keys"]["reproduced"] is True
         assert figures["extra_bits_per_stored_element"]["reproduced"] is True
+
+    def test_each_range_sections_error_is_taken_at_its_own_model_rate(self, capsys):
+        code, stdout = run(capsys, "repro-example", "--seed", "7", "--samples", "20000")
+        assert code == 0
+        report = json.loads(stdout)
+        for name in ("full_range", "restricted_range"):
+            section = report[name]
+            p, n = section["model_fpr"], section["sample_count"]
+            assert section["binomial_std_err"] == math.sqrt(p * (1.0 - p) / n), name
+
+    def test_the_build_section_is_the_build_summary_and_the_hot_range_count(self, tmp_path, capsys):
+        _, stdout = run(capsys, "build", "--kind", "example", "--seed", "7", "--out", tmp_path / "ex")
+        summary = json.loads(stdout)
+        _, stdout = run(capsys, "repro-example", "--seed", "7", "--samples", "1000",
+                        "--restricted-samples", "1000")
+        build = json.loads(stdout)["build"]
+        assert build.pop("keys_in_hot_range") == 500
+        assert build == {name: summary[name] for name in build}
+        assert set(summary) - set(build) == {"kind", "tau", "out", "config"}
 
     @pytest.mark.parametrize("rate", ["0.5", "0.9"])
     def test_a_backup_rate_the_comparison_cannot_double_is_refused(self, rate, capsys):
@@ -1225,7 +1269,7 @@ class TestConfigFile:
     def test_a_config_line_loses_only_the_key_grammars_spaces(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         argv = ["concentration", "--trials", "1", "--t-size", "10", "--q-size", "10", "--config", cfg]
-        cfg.write_text(" \tseed=7\f\v\n", encoding="utf-8")
+        cfg.write_text("\n \t\n \tseed=7\f\v\n\n", encoding="utf-8")  # blank lines are skipped
         code, stdout = run(capsys, *argv)
         assert code == 0 and json.loads(stdout)["config"]["seed"] == 7
         # U+00A0 is Unicode whitespace, but no space-like byte of the key grammar
@@ -1339,7 +1383,8 @@ class TestExitCodes:
          "tau_part_overflows", "scorer_part_bound_overflows", "scorer_part_score_overflows",
          "scorer_file_score_overflows", "meta_count_is_a_string", "meta_count_is_a_bool",
          "meta_count_is_a_float", "meta_count_is_negative", "scorer_part_intervals_an_object",
-         "scorer_part_intervals_a_string", "scorer_part_weights_a_string"],
+         "scorer_part_intervals_a_string", "scorer_part_weights_a_string", "interval_field_count",
+         "unknown_dist_spec", "learned_filter_trailing_bytes", "tau_part_above_one"],
     )
     def test_parse_failure_is_one_error_line(self, tmp_path, key_file, capsys, case):
         path, _ = key_file
@@ -1381,6 +1426,10 @@ class TestExitCodes:
             "scorer_part_weights_a_string": _learned_filter_with_part(
                 0, b'{"bias": "0x0.0p+0", "feature_map": "int-norm:10", "kind": "logistic", '
                    b'"weights": "1"}'),
+            "learned_filter_trailing_bytes": _learned_filter_with_part(1, b"0x1.999999999999ap-2")
+            + b"\x00",
+            "tau_part_above_one": _learned_filter_with_part(1, b"0x1.8p+0"),
+            "unknown_dist_spec": BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes(),
         }.get(case, b""))
         argv = {
             "key_file_line": ["build", "--kind", "standard", "--keys", bad_keys,
@@ -1399,6 +1448,9 @@ class TestExitCodes:
                 f"interval:0:{2**64}:0.5:0.0", "--tau", "0.4", "--out", out],
             "tiny_target": ["build", "--kind", "standard", "--keys", path,
                             "--target-fpp", "1e-310", "--out", out],
+            "interval_field_count": ["build", "--kind", "learned", "--keys", path, "--scorer",
+                                     "interval:0:10:0.5", "--tau", "0.4", "--out", out],
+            "unknown_dist_spec": ["eval", "--filter", bad, "--dist", "normal:0:1", "--out", out],
             "scorer_part_not_utf8": ["query", "--filter", bad, "5"],
             "scorer_part_nested_json": ["query", "--filter", bad, "5"],
             "meta_part_nested_json": ["query", "--filter", bad, "5"],
@@ -1414,7 +1466,8 @@ class TestExitCodes:
             **{case: ["query", "--filter", bad, "5"] for case in (
                 "meta_count_is_a_string", "meta_count_is_a_bool", "meta_count_is_a_float",
                 "meta_count_is_negative", "scorer_part_intervals_an_object",
-                "scorer_part_intervals_a_string", "scorer_part_weights_a_string")},
+                "scorer_part_intervals_a_string", "scorer_part_weights_a_string",
+                "learned_filter_trailing_bytes", "tau_part_above_one")},
         }[case]
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err
@@ -1426,6 +1479,14 @@ class TestExitCodes:
         if case.startswith("interval_bound_"):  # a bound follows the key grammar
             bound = "-5" if case.endswith("below_the_key_range") else str(2**64)
             assert err == f"error: interval bound '{bound}': not a decimal integer key\n"
+        messages = {
+            "interval_field_count": "inline interval scorer must be interval:LO:HI:INSIDE:OUTSIDE",
+            "unknown_dist_spec": "unknown distribution spec 'normal:0:1' (use uniform:LO:HI or fixed:PATH)",
+            "learned_filter_trailing_bytes": "trailing bytes after learned filter record",
+            "tau_part_above_one": "malformed learned filter record: threshold tau must lie in [0, 1]",
+        }
+        if case in messages:
+            assert err == f"error: {messages[case]}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -272,6 +272,13 @@ def test_a_hand_built_eval_report_is_checked_at_construction(field, value, messa
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("exceed", [1.5, -0.1, float("nan")])
+def test_a_hand_built_concentration_report_is_checked_at_construction(exceed):
+    with pytest.raises(ParameterError, match=r"exceed_fraction must lie in \[0, 1\]"):
+        ConcentrationReport(epsilon=0.05, trials=10, exceed_fraction=exceed, t_size=10, q_size=10,
+                            seed=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

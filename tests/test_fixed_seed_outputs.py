@@ -5,11 +5,13 @@ with relative paths, so the paths the reports echo do not depend on where
 the test runs.  Only standard and interval-scorer filters take part, so no
 pinned byte depends on the platform's floating-point ``exp``.  A change
 that alters one of these outputs on purpose updates its pin and says why.
+Every JSON output is strict JSON: it holds no NaN or Infinity.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -69,8 +71,8 @@ EXPECTED = {
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
     "concentration_table": "f94c99e1e941812e33f00ca8e178324b69caaf55f9ef04b14c12075e657fddd9",
     "concentration_sampled": "1502eda645f72e5f998fa108ae4fb1804a2db8b585ca052432f270d4ef075df4",
-    "repro_json": "68ab4ca8adfc23c3cb16b6e417057691d4dd5402f3f06640e20ca3af2ea88475",
-    "repro_csv": "790d8f43a3d1cb701a3c98022aa5676d60c7574bb02003a2a3fe2bc5646ae4f9",
+    "repro_json": "e1c880650b7520fb940e878063d577bebde2e26a0a0b65ec31c144dc6eed0904",
+    "repro_csv": "d11a82dd99dad2d4b76be1bfa981b54f7c77810d89490144a8924b5280f7c3a0",
     "standard.bloom": "c01be39856e9570dc416886c59803137bbefc36e201e10b0a8f6a079b29e915a",
     "example.lbf": "f2f4f3a967abf412818bfa80bad0643caa884868b865a5c18579ab72a383f960",
     "example-keys.txt": "bc3b8f710571815c8bb74cdd092a941b4c8224f1b1096dc8931cd978380c6d62",
@@ -103,3 +105,26 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", [*COMMANDS, *FILES])
 def test_output_bytes_are_pinned(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == EXPECTED[name]
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, with NaN, Infinity and -Infinity refused."""
+    return json.loads(text, parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("name", [name for name, argv in COMMANDS.items() if "csv" not in argv])
+def test_json_outputs_are_strict(outputs, name):
+    strict_json(outputs[name])
+
+
+def test_a_repro_run_with_no_full_range_false_positive_has_no_ratio(capsys):
+    code = main(["repro-example", "--samples", "100", "--restricted-samples", "100", "--seed", "1"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 0 and report["full_range"]["empirical_fpr"] == 0.0
+    assert report["distribution_shift"]["learned_fpr_ratio"] is None
+    jump = report["reference_figures"]["composite_rate_restricted_range"]
+    assert jump["qualitative_jump_confirmed"] is False

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.errors import ParameterError
 from learnedbloom.evaluation import evaluate
+from learnedbloom.hashing import as_keys
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import (
     IntervalScorer,
@@ -264,6 +265,12 @@ class TestPinnedDisagreements:
             with pytest.raises(ParameterError, match="expected a batch of keys, got one ndarray"):
                 call(key)
         assert (bloom.to_bytes(), lbf.to_bytes()) == before
+
+    @pytest.mark.parametrize("key", [5, "5"])
+    def test_a_lone_int_or_string_is_one_key_not_a_batch(self, key):
+        for call in (as_keys, filled_filter().contains_many, SCORERS["interval"].score_batch):
+            with pytest.raises(ParameterError, match=f"got one {type(key).__name__}$"):
+                call(key)
 
     def test_int_norm_key_at_the_threshold(self):
         scorer = LogisticScorer(weights=(3.0,), bias=-1.5, feature_map=f"int-norm:{U64 - 1}")

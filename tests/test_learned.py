@@ -260,6 +260,11 @@ class TestThresholdSweep:
         with pytest.raises(ParameterError):
             threshold_sweep(keys, scorer, [0.5], dist, 0, 0.01, rng_seed=1)
 
+    def test_rejects_an_empty_key_set(self, example):
+        _, scorer, dist = self.make_args(example)
+        with pytest.raises(ParameterError, match="key set must be nonempty"):
+            threshold_sweep([], scorer, [0.5], dist, 100, 0.01, rng_seed=1)
+
     def test_workload_errors_propagate(self):
         dist = QueryDistribution(UniformRange(0, 4), frozenset({0, 1, 2, 3}))
         with pytest.raises(WorkloadError):

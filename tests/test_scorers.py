@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +76,12 @@ class TestIntervalScorer:
         assert s.score(3) == 0.9
         assert s.score(7) == 0.1
         assert s.score(12) == 0.9
+
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (10, 3), (-1, 4), (0, 2**64 + 1)])
+    def test_count_at_least_rejects_an_invalid_range(self, lo, hi):
+        scorer = IntervalScorer(((0, 10),), inside_score=0.5, outside_score=0.0)
+        with pytest.raises(ParameterError, match=re.escape(f"invalid range [{lo}, {hi})")):
+            scorer.count_at_least(0.5, lo, hi)
 
     @pytest.mark.parametrize(
         "intervals",

@@ -326,6 +326,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Mixture(components=(inner, UniformRange(20, 30)), weights=(0.5, 0.5))
 
+    @pytest.mark.parametrize("source", [range(5), (0, 10), None])
+    def test_unknown_source_rejected(self, source):
+        with pytest.raises(ParameterError, match="unknown distribution source"):
+            QueryDistribution(source)
+
     def test_byte_string_keys_rejected(self):
         with pytest.raises(ParameterError):
             FixedSet((b"12",))
