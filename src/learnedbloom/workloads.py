@@ -3,15 +3,17 @@
 Distributions are immutable descriptions; a distribution resolves each
 component's excluded positions once, into a draw map: sampling draws each key
 straight from the eligible support, the source's keys outside the exclusion, so
-no draw is rejected.  :func:`support_tables` is the one walk of that support and
-the one reader of its limit, ``SUPPORT_LIMIT``; :func:`sample_tables` reads its
-tables at the draws of :func:`sample`.  Also provides the hot-range worked example
-(1000 keys, half clustered in one interval) used by the reproduction experiments,
-and dataset file I/O.
+no draw is rejected.  ``SUPPORT_LIMIT`` bounds the support that is enumerable:
+:func:`support_tables`, the one walk of it, and the held :class:`Marks` a draw is
+mapped through exist only at or below it; past it, ``np.isin`` maps each draw.
+:func:`sample_tables` reads the tables at the draws of :func:`sample`.  Also
+provides the hot-range worked example (1000 keys, half clustered in one interval)
+used by the reproduction experiments, and dataset file I/O.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +24,7 @@ from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
 
 BLOCK = 1 << 16  # positions per block of an eligible-support walk
-SUPPORT_LIMIT = 10**7  # largest eligible support :func:`support_tables` will walk
+SUPPORT_LIMIT = 10**7  # largest eligible support that is walked or marked
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,36 @@ class Part(NamedTuple):
     top: np.ndarray
 
 
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
+
+
+class Marks(NamedTuple):
+    """A part's ``low`` over ``[0, cut)``, for a draw to learn with one gather whether it
+    moves: position ``p`` is bit ``p % 8`` of ``bits[p // 8]``, and ``rank[b]`` counts the
+    positions of ``low`` below byte ``b``, so a moved draw's index in ``low`` is its byte's
+    rank plus the bits set below it.  Half a byte and one bit per position."""
+
+    bits: np.ndarray
+    rank: np.ndarray
+
+
+def _marks(part: Part) -> Marks:
+    on_low = np.zeros(part.cut, bool)
+    on_low[part.low] = True
+    bits = np.packbits(on_low, bitorder="little")
+    del on_low
+    rank = np.zeros(bits.size, np.uint32)  # low holds at most SUPPORT_LIMIT positions, < 2^32
+    np.cumsum(_POPCOUNT[bits[:-1]], dtype=np.uint32, out=rank[1:])
+    for held in (bits, rank):
+        held.flags.writeable = False
+    return Marks(bits, rank)
+
+
+def _enumerable(parts) -> bool:
+    """Whether the parts' eligible support is at most ``SUPPORT_LIMIT``: the one reading of it."""
+    return sum(part.cut for part in parts) <= SUPPORT_LIMIT
+
+
 def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
     excluded = component.excluded_positions(exclusion)
     cut = component.size - excluded.size
@@ -148,6 +180,14 @@ class QueryDistribution:
         parts = tuple(_part(c, w, exclusion) for c, w in zip(mix.components, mix.weights))
         object.__setattr__(self, "parts", parts)
 
+    @functools.cached_property
+    def marks(self) -> tuple:
+        """Per part, the :class:`Marks` of its ``low``, or None where nothing moves or the
+        eligible support is not enumerable; built at the first :func:`sample`, then held,
+        so a distribution only counted in closed form never pays for them."""
+        enumerable = _enumerable(self.parts)
+        return tuple(_marks(p) if enumerable and p.low.size else None for p in self.parts)
+
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
@@ -183,10 +223,17 @@ def _draw(dist: QueryDistribution, n: int, rng_seed: int, read, dtype) -> np.nda
     return out
 
 
-def _keys_at(part: Part, pos: np.ndarray) -> np.ndarray:
+def _keys_at(part: Part, marks: Marks | None, pos: np.ndarray) -> np.ndarray:
     """The keys at raw positions below a part's cut; a position on ``low[i]`` becomes
-    ``top[i]``, in ``pos`` itself."""
-    if part.low.size:
+    ``top[i]``, in ``pos`` itself.  Without ``marks``, ``np.isin`` finds the moved draws."""
+    if marks is not None:
+        byte = pos.view(np.int64) >> 3  # positions below a cut fit numpy's index type
+        bit = np.left_shift(np.uint8(1), pos.astype(np.uint8) & np.uint8(7))
+        held = marks.bits[byte]
+        moved = np.flatnonzero((held & bit) != 0)  # a bool mask: nonzero counts it fastest
+        rank = marks.rank[byte[moved]] + _POPCOUNT[held[moved] & (bit[moved] - np.uint8(1))]
+        pos[moved] = part.top[rank]
+    elif part.low.size:
         moved = np.isin(pos, part.low)
         pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
     return part.component.keys_at(pos)
@@ -199,7 +246,9 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     its eligible keys uniformly.  Deterministic for fixed (dist, n, rng_seed).
     Raises WorkloadError when no key is eligible.
     """
-    return _draw(dist, n, rng_seed, lambda i, pos: _keys_at(dist.parts[i], pos), np.uint64)
+    return _draw(
+        dist, n, rng_seed, lambda i, pos: _keys_at(dist.parts[i], dist.marks[i], pos), np.uint64
+    )
 
 
 def support_tables(parts, answer) -> list[np.ndarray]:
@@ -212,8 +261,8 @@ def support_tables(parts, answer) -> list[np.ndarray]:
     OracleUnavailableError, before answering any key, when the parts hold more than
     ``SUPPORT_LIMIT`` eligible keys.
     """
-    support = sum(part.cut for part in parts)
-    if support > SUPPORT_LIMIT:
+    if not _enumerable(parts):
+        support = sum(part.cut for part in parts)
         raise OracleUnavailableError(f"eligible support of {support} exceeds the enumeration"
                                      f" limit {SUPPORT_LIMIT}")
     dtype = answer(np.empty(0, np.uint64)).dtype
@@ -307,13 +356,25 @@ def save_keys_text(path, keys) -> None:
 
 
 _SPACES = " \t\r\v\f"  # the key grammar's space-like bytes
+_SPACE_BYTES = _SPACES.encode()
 # Byte classes of a key file; 0 is any byte no line may hold.
 _DIGIT, _SPACE, _NEWLINE, _RUN_START = 1, 2, 3, 4
 _BYTE_CLASS = np.zeros(256, np.uint8)
 _BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_BYTE_CLASS[np.frombuffer(_SPACES.encode(), np.uint8)] = _SPACE
+_BYTE_CLASS[np.frombuffer(_SPACE_BYTES, np.uint8)] = _SPACE
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 _KEY_MAX_DIGITS = np.frombuffer(b"18446744073709551615", np.uint8)  # 2^64 - 1
+
+
+def _above_key_max(text: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The starts, of ``starts``, of the 20-digit runs of ``text`` above 2^64 - 1, compared
+    digit column by digit column; a column reads only the runs equal to 2^64 - 1 so far."""
+    above, tied = [], starts
+    for column, limit in enumerate(_KEY_MAX_DIGITS):
+        digits = text[tied + column]
+        above.append(tied[digits > limit])
+        tied = tied[digits == limit]
+    return np.concatenate(above)
 
 
 def parse_keys_text(data: bytes) -> tuple[np.ndarray, int | None]:
@@ -325,7 +386,42 @@ def parse_keys_text(data: bytes) -> tuple[np.ndarray, int | None]:
     every line obeys, ``bad`` is None and ``keys`` holds the keys as a uint64
     array in text order; otherwise ``bad`` is the offset of a byte on the first
     line that does not, and ``keys`` is empty.
+
+    A text is accepted when its lines pass :func:`_stripped_lines` and
+    ``np.fromstring`` reads one key per nonblank line: more means two digit runs shared
+    a line.  Only a refused text goes to :func:`_first_bad_byte`, to name its line.
     """
+    lines = _stripped_lines(data)
+    if lines is not None:
+        # only after the checks: fromstring saturates a key above 2^64 - 1, stops silently
+        # at a bad token, and reads a text of blank lines as one 0
+        keys = np.fromstring(data, np.uint64, sep=" ") if lines else np.zeros(0, np.uint64)
+        if keys.size == lines:
+            return keys, None
+    bad = _first_bad_byte(data)
+    if bad is None:  # a line that obeys passes _stripped_lines, so only the count refused
+        raise ParameterError(f"{lines} keys read as {keys.size}")
+    return np.zeros(0, np.uint64), bad
+
+
+def _stripped_lines(data: bytes) -> int | None:
+    """The count of nonblank lines of ``data`` with its spaces removed, if each such line
+    is 0-20 digits of value below 2^64; else None.  Every text the grammar accepts passes."""
+    others = data.translate(None, b"0123456789\n")
+    if others.translate(None, _SPACE_BYTES):
+        return None
+    text = np.frombuffer(data.translate(None, _SPACE_BYTES) if others else data, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate([[0], ends + 1])
+    length = np.append(ends, text.size) - starts
+    if (length > 20).any() or _above_key_max(text, starts[length == 20]).size:
+        return None
+    return int(np.count_nonzero(length))
+
+
+def _first_bad_byte(data: bytes) -> int | None:
+    """The offset of a byte on the first line of ``data`` that breaks the key grammar, or
+    None: each byte classed, then its digit runs and the newlines between them."""
     raw = np.frombuffer(data, np.uint8)
     cls = _BYTE_CLASS[raw]
     bad = [] if cls.all() else [int(np.argmin(cls))]  # offsets of each check's first failure
@@ -346,22 +442,10 @@ def parse_keys_text(data: bytes) -> tuple[np.ndarray, int | None]:
     if shared.size:
         bad.append(int(np.flatnonzero(marks)[shared[0] + 1]))
     del cls, marks, events
-    twenty = starts[length == 20]  # compared digit column by digit column against 2^64 - 1
-    above, equal = np.zeros(twenty.size, bool), np.ones(twenty.size, bool)
-    for column, limit in enumerate(_KEY_MAX_DIGITS):
-        digits = raw[twenty + column]
-        above |= equal & (digits > limit)
-        equal &= digits == limit
-    if above.any():
-        bad.append(int(twenty[np.argmax(above)]))
-    if bad:
-        return np.zeros(0, np.uint64), min(bad)
-    # only after every check: fromstring saturates a key above 2^64 - 1, stops silently at
-    # a bad token, and reads a text of blank lines as one 0
-    keys = np.fromstring(data, np.uint64, sep=" ") if starts.size else np.zeros(0, np.uint64)
-    if keys.size != starts.size:
-        raise ParameterError(f"{starts.size} keys read as {keys.size}")
-    return keys, None
+    above = _above_key_max(raw, starts[length == 20])
+    if above.size:
+        bad.append(int(above.min()))
+    return min(bad, default=None)
 
 
 def load_keys_text(path) -> np.ndarray:

@@ -167,11 +167,12 @@ def fuzz(directory: str) -> dict:
 
 def _fixed_runs(seeds: Path) -> dict[str, list[str]]:
     """Unmutated runs whose arrays numpy allocates at once but the capped address space
-    cannot hold: 150M draws against the worked example's keys fail inside ``np.isin``."""
+    cannot hold: 200M draws against the worked example's keys pass the sample count's
+    check, but the draws and the keys they map to, 1.6 GB each, never fit together."""
     example = seeds / "example"
-    return {"eval_150M_samples": ["eval", "--filter", str(example / "ex.lbf"),
+    return {"eval_200M_samples": ["eval", "--filter", str(example / "ex.lbf"),
                                   "--keys", str(example / "keys.txt"),
-                                  "--dist", "uniform:0:1000000", "--samples", "150000000"]}
+                                  "--dist", "uniform:0:1000000", "--samples", "200000000"]}
 
 
 def _write_seed_files(directory: Path) -> None:
@@ -211,7 +212,7 @@ def test_mutated_filter_and_key_files_exit_with_a_code_and_no_traceback(tmp_path
     # concentration; 3 scorers: build, sweep; eval.cfg: eval
     assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2 + 1) * MUTANTS_PER_FILE
     assert {"0", "2"} <= set(summary["codes"])  # mutants both load and fail to
-    assert summary["fixed"] == {"eval_150M_samples": 2}  # ran out of memory: one error line
+    assert summary["fixed"] == {"eval_200M_samples": 2}  # ran out of memory: one error line
 
 
 if __name__ == "__main__":

@@ -302,6 +302,83 @@ def test_samples_never_hit_the_exclusion_set(excluded, seed):
     assert not excluded.intersection(out.tolist())
 
 
+def _reference_keys_at(part, pos):
+    """The draw map's spec: a draw on ``low[i]``, found by ``np.isin``, becomes ``top[i]``."""
+    moved = np.isin(pos, part.low)
+    pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
+    return part.component.keys_at(pos)
+
+
+def _reference_sample(dist, n, seed):
+    return workloads._draw(
+        dist, n, seed, lambda i, pos: _reference_keys_at(dist.parts[i], pos), np.uint64
+    )
+
+
+@st.composite
+def _wide_distributions(draw):
+    """A range of up to 3000 keys anywhere in [0, 2^64), alone or mixed with a fixed set, less
+    an exclusion of any density: ``low`` spans many bytes of the marks."""
+    size = draw(st.integers(1, 3000))
+    lo = draw(st.sampled_from([0, 1 << 40, _TOP - size]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    base = np.uint64(lo)
+    excluded = base + np.flatnonzero(rng.random(size) < draw(st.floats(0, 1))).astype(np.uint64)
+    source = UniformRange(lo, lo + size)
+    if draw(st.booleans()):
+        fixed = FixedSet(base + rng.integers(0, size, draw(st.integers(1, 50)), dtype=np.uint64))
+        source = Mixture((source, fixed), (0.7, 0.3))
+    return QueryDistribution(source, excluded)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    dist=st.one_of(_distributions(), _wide_distributions()),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32),
+    enumerable=st.booleans(),
+)
+def test_sample_maps_draws_as_the_reference_map_does(dist, n, seed, enumerable):
+    with pytest.MonkeyPatch.context() as patch:
+        if not enumerable:  # past the limit, np.isin maps each draw
+            patch.setattr(workloads, "SUPPORT_LIMIT", sum(p.cut for p in dist.parts) - 1)
+        if not any(part.cut for part in dist.parts):
+            with pytest.raises(WorkloadError, match="whole support"):
+                sample(dist, n, seed)
+            return
+        drawn = sample(dist, n, seed)
+        for part, marks in zip(dist.parts, dist.marks):
+            assert (marks is not None) == (enumerable and part.low.size > 0)
+    assert drawn.tolist() == _reference_sample(dist, n, seed).tolist()
+
+
+class TestDrawMarks:
+    def test_an_enumerable_support_is_sampled_without_isin(self, monkeypatch):
+        mix = Mixture((UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))), (0.5, 0.5))
+        dist = QueryDistribution(mix, np.arange(0, 1_000_000, 5))
+        expected = _reference_sample(dist, 100_000, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.isin called")
+
+        monkeypatch.setattr(np, "isin", refuse)
+        assert sample(dist, 100_000, 4).tolist() == expected.tolist()
+
+    def test_a_distribution_holds_at_most_a_byte_per_eligible_position(self):
+        excluded = np.random.default_rng(5).choice(10**7, 1000, replace=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dist = uniform_queries(0, 10**7, excluded)
+            drawn = sample(dist, 10, rng_seed=1)  # the first draw builds the marks
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert dist.marks[0] is not None and drawn.size == 10
+        # a bit and a uint32 rank per 8 positions, the exclusion, low and top
+        assert held <= dist.parts[0].cut == 10**7 - 1000
+
+
 class TestValidation:
     def test_bad_range(self):
         with pytest.raises(ParameterError):
@@ -694,6 +771,33 @@ _key_files = st.builds(
     ),
     st.booleans(),
 )
+# Lines of digits and spaces only, with 0-3 digit runs apart: with their spaces stripped,
+# two short runs read as one key, so only the count of keys read refuses such a line.
+_gap = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\v", b"\f"]), min_size=1, max_size=2)
+_runs = st.one_of(_numerals, st.text("0123456789", min_size=1, max_size=10).map(str.encode))
+_spaced_key_files = st.builds(
+    lambda lines, final_newline: b"\n".join(lines) + b"\n" * final_newline,
+    st.lists(
+        st.builds(
+            lambda pairs, end: b"".join(b"".join(gap) + run for gap, run in pairs) + end,
+            st.lists(st.tuples(_gap, _runs), max_size=3),
+            _spacing,
+        ),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+
+
+def _assert_loads_as_the_reference(path, data: bytes) -> None:
+    path.write_bytes(data)
+    expected = _reference_keys(data)
+    if isinstance(expected, list):
+        assert load_keys_text(path).tolist() == expected
+    else:
+        with pytest.raises(ParameterError) as info:
+            load_keys_text(path)
+        assert str(info.value) == f"{path}: line {expected}: not a decimal integer key"
 
 
 class TestFiles:
@@ -754,19 +858,26 @@ class TestFiles:
     )
     @given(data=_key_files)
     def test_load_follows_the_line_grammar(self, tmp_path, data):
-        path = tmp_path / "keys.txt"
-        path.write_bytes(data)
-        expected = _reference_keys(data)
-        if isinstance(expected, list):
-            assert load_keys_text(path).tolist() == expected
-        else:
-            with pytest.raises(ParameterError) as info:
-                load_keys_text(path)
-            assert str(info.value) == f"{path}: line {expected}: not a decimal integer key"
+        _assert_loads_as_the_reference(tmp_path / "keys.txt", data)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=_spaced_key_files)
+    @example(data=b"1 2")
+    @example(data=b"1234567890 1234567890")  # 20 digits below 2^64 once stripped
+    @example(data=b"7\n1844674407 3709551616\n")  # 20 digits at 2^64 once stripped
+    @example(data=b"7\n \t9999999999\v9999999999\r\n")
+    def test_runs_that_share_a_line_are_refused_where_stripping_would_join_them(
+        self, tmp_path, data
+    ):
+        _assert_loads_as_the_reference(tmp_path / "keys.txt", data)
 
     @pytest.mark.parametrize("digits", [6, 20])
     def test_load_peak_memory_is_bounded_by_the_file_and_the_keys(self, tmp_path, digits):
-        # the bytes read, a class byte and a digit mask per byte, run edges, the uint64 keys
+        # the bytes read, a copy without spaces if they hold any, a newline mask, the line
+        # ends, starts and lengths, and the uint64 keys; a refused text is classed byte by
+        # byte instead (a class byte and a digit mask per byte, then its run edges)
         c = 4
         n = 200_000
         keys = np.random.default_rng(digits).integers(
