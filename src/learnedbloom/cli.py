@@ -94,14 +94,14 @@ def _key_arguments(texts: list[str], label: str) -> np.ndarray:
     key-file grammar of :func:`parse_keys_text`; a bad one is named after ``label``.
     """
     data = "\n".join(texts).encode("utf-8", "surrogateescape")
-    keys, _ = parse_keys_text(data)
+    keys, bad = parse_keys_text(data)
     # n lines of key text hold at most n keys, one a line
     if keys.size != len(texts) or data.count(b"\n") != len(texts) - 1:
-        bad = next(
-            text for text in texts
-            if "\n" in text or parse_keys_text(text.encode("utf-8", "surrogateescape"))[0].size != 1
+        # up to the first argument that holds a newline, argument i is line i
+        text = next(
+            text for i, text in enumerate(texts) if "\n" in text or not text.strip(_SPACES) or i == bad
         )  # fmt: skip
-        raise ParameterError(f"{label} {bad!r}: not a decimal integer key")
+        raise ParameterError(f"{label} {text!r}: not a decimal integer key")
     return keys
 
 

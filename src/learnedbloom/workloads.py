@@ -14,6 +14,7 @@ used by the reproduction experiments, and dataset file I/O.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -357,12 +358,8 @@ def save_keys_text(path, keys) -> None:
 
 _SPACES = " \t\r\v\f"  # the key grammar's space-like bytes
 _SPACE_BYTES = _SPACES.encode()
-# Byte classes of a key file; 0 is any byte no line may hold.
-_DIGIT, _SPACE, _NEWLINE, _RUN_START = 1, 2, 3, 4
-_BYTE_CLASS = np.zeros(256, np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_BYTE_CLASS[np.frombuffer(_SPACE_BYTES, np.uint8)] = _SPACE
-_BYTE_CLASS[ord("\n")] = _NEWLINE
+_OUTSIDE_GRAMMAR = re.compile(rb"[^0-9\n \t\r\v\f]")
+_SHARED_RUN = re.compile(rb"[0-9][ \t\r\v\f]+[0-9]")  # two digit runs on one line
 _KEY_MAX_DIGITS = np.frombuffer(b"18446744073709551615", np.uint8)  # 2^64 - 1
 
 
@@ -384,68 +381,49 @@ def parse_keys_text(data: bytes) -> tuple[np.ndarray, int | None]:
     is blank or holds one key, 1-20 ASCII digits of value below 2^64, with
     optional ASCII space-like bytes (space, tab, CR, VT, FF) around it.  If
     every line obeys, ``bad`` is None and ``keys`` holds the keys as a uint64
-    array in text order; otherwise ``bad`` is the offset of a byte on the first
+    array in text order; otherwise ``bad`` is the 0-based index of the first
     line that does not, and ``keys`` is empty.
 
-    A text is accepted when its lines pass :func:`_stripped_lines` and
-    ``np.fromstring`` reads one key per nonblank line: more means two digit runs shared
-    a line.  Only a refused text goes to :func:`_first_bad_byte`, to name its line.
+    Each check refuses only bad lines and names the first line it refuses, and
+    together they cover the grammar, so the first bad line is the smallest named:
+    a byte outside the grammar, a line of more than 20 digits or of 20 above
+    2^64 - 1 (:func:`_stripped_lines`), and two digit runs on one line, which
+    ``np.fromstring`` reads as two keys and which are searched for only in a
+    refused text that holds a space.
     """
-    lines = _stripped_lines(data)
-    if lines is not None:
+    others = data.translate(None, b"0123456789\n")
+    stray = len(others.translate(None, _SPACE_BYTES))  # bytes outside the grammar
+    spaced = stray < len(others)
+    del others  # freed before the line arrays, to hold the peak near the text size
+    lines, bad = _stripped_lines(data, spaced)
+    if stray:
+        bad.append(data.count(b"\n", 0, _OUTSIDE_GRAMMAR.search(data).start()))
+    if not bad:
         # only after the checks: fromstring saturates a key above 2^64 - 1, stops silently
         # at a bad token, and reads a text of blank lines as one 0
         keys = np.fromstring(data, np.uint64, sep=" ") if lines else np.zeros(0, np.uint64)
         if keys.size == lines:
             return keys, None
-    bad = _first_bad_byte(data)
-    if bad is None:  # a line that obeys passes _stripped_lines, so only the count refused
+    if spaced and (shared := _SHARED_RUN.search(data)):
+        bad.append(data.count(b"\n", 0, shared.start()))
+    if not bad:  # a text no check refuses reads one key a nonblank line
         raise ParameterError(f"{lines} keys read as {keys.size}")
-    return np.zeros(0, np.uint64), bad
+    return np.zeros(0, np.uint64), min(bad)
 
 
-def _stripped_lines(data: bytes) -> int | None:
-    """The count of nonblank lines of ``data`` with its spaces removed, if each such line
-    is 0-20 digits of value below 2^64; else None.  Every text the grammar accepts passes."""
-    others = data.translate(None, b"0123456789\n")
-    if others.translate(None, _SPACE_BYTES):
-        return None
-    text = np.frombuffer(data.translate(None, _SPACE_BYTES) if others else data, np.uint8)
+def _stripped_lines(data: bytes, spaced: bool) -> tuple[int, list[int]]:
+    """The count of nonblank lines of ``data`` with its spaces removed (it has some if
+    ``spaced``), and the index of the first line longer than 20 bytes and of the first
+    20-byte line above 2^64 - 1, where there is one."""
+    text = np.frombuffer(data.translate(None, _SPACE_BYTES) if spaced else data, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate([[0], ends + 1])
     length = np.append(ends, text.size) - starts
-    if (length > 20).any() or _above_key_max(text, starts[length == 20]).size:
-        return None
-    return int(np.count_nonzero(length))
-
-
-def _first_bad_byte(data: bytes) -> int | None:
-    """The offset of a byte on the first line of ``data`` that breaks the key grammar, or
-    None: each byte classed, then its digit runs and the newlines between them."""
-    raw = np.frombuffer(data, np.uint8)
-    cls = _BYTE_CLASS[raw]
-    bad = [] if cls.all() else [int(np.argmin(cls))]  # offsets of each check's first failure
-    digit = np.zeros(raw.size + 2, bool)  # padded, so every digit run has two edges
-    np.equal(cls, _DIGIT, out=digit[1:-1])
-    edges = np.flatnonzero(digit[1:] != digit[:-1])
-    del digit  # each per-byte array is freed once read, to hold the peak near the text size
-    starts, ends = edges[0::2], edges[1::2]
-    length = ends - starts
-    too_long = np.flatnonzero(length > 20)
-    if too_long.size:
-        bad.append(int(starts[too_long[0]]))
-    # a run start that follows another run start with no newline between shares its line
-    cls[starts] = _RUN_START
-    marks = cls >= _NEWLINE
-    events = cls[marks]
-    shared = np.flatnonzero((events[1:] == _RUN_START) & (events[:-1] == _RUN_START))
-    if shared.size:
-        bad.append(int(np.flatnonzero(marks)[shared[0] + 1]))
-    del cls, marks, events
-    above = _above_key_max(raw, starts[length == 20])
+    bad = np.flatnonzero(length > 20)[:1].tolist()
+    above = _above_key_max(text, starts[length == 20])
     if above.size:
-        bad.append(int(above.min()))
-    return min(bad, default=None)
+        bad.append(int(np.searchsorted(starts, above.min())))
+    return int(np.count_nonzero(length)), bad
 
 
 def load_keys_text(path) -> np.ndarray:
@@ -458,8 +436,7 @@ def load_keys_text(path) -> np.ndarray:
         data = fh.read()
     keys, bad = parse_keys_text(data)
     if bad is not None:
-        line = data.count(b"\n", 0, bad) + 1
-        raise ParameterError(f"{path}: line {line}: not a decimal integer key")
+        raise ParameterError(f"{path}: line {bad + 1}: not a decimal integer key")
     return keys
 
 

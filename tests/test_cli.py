@@ -580,6 +580,20 @@ class TestQuery:
         assert (code, captured.out) == (EXIT_PARAMETER, "")
         assert captured.err == f"error: query key {text!r}: not a decimal integer key\n"
 
+    @pytest.mark.parametrize(
+        "texts, bad",
+        [(["x", "5\n6"], "x"), (["5\n6", "x"], "5\n6"), (["5", "", "1 2"], ""),
+         (["5", "1 2", "\n"], "1 2")],
+        ids=["bad_then_newline", "newline_then_bad", "blank_then_bad", "bad_then_newline_only"],
+    )
+    def test_the_first_bad_key_argument_is_named(self, tmp_path, capsys, texts, bad):
+        filt = tmp_path / "std.bloom"
+        filt.write_bytes(BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes())
+        code = main(["query", "--filter", str(filt), "--", *texts])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARAMETER, "")
+        assert captured.err == f"error: query key {bad!r}: not a decimal integer key\n"
+
     def test_key_arguments_read_as_key_file_lines(self, tmp_path, capsys):
         filt = tmp_path / "std.bloom"
         filt.write_bytes(BloomFilter.from_params(FilterParams(64, 2), 0).to_bytes())

@@ -857,6 +857,12 @@ class TestFiles:
         max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(data=_key_files)
+    # two checks refuse two lines, and the smaller line is named whichever comes first
+    @example(data=b"1 2\nx\n")
+    @example(data=b"x\n1 2\n")
+    @example(data=b"5\n99999999999999999999\n1 2\n")
+    @example(data=b"1 2\n" + b"1" * 21)
+    @example(data=b"5\r\nx\r\n1 2\r\n")
     def test_load_follows_the_line_grammar(self, tmp_path, data):
         _assert_loads_as_the_reference(tmp_path / "keys.txt", data)
 
@@ -873,27 +879,41 @@ class TestFiles:
     ):
         _assert_loads_as_the_reference(tmp_path / "keys.txt", data)
 
-    @pytest.mark.parametrize("digits", [6, 20])
-    def test_load_peak_memory_is_bounded_by_the_file_and_the_keys(self, tmp_path, digits):
+    @pytest.mark.parametrize(
+        "digits, n, tail",
+        [(6, 200_000, b""), (20, 200_000, b""), (6, 200_000, b"x\n"), (6, 200_000, b"1 2\n"),
+         (6, 0, b"1 " * 1_000_000)],
+        ids=["6", "20", "6_then_bad_byte", "6_then_two_keys", "one_2MB_line_of_keys"],
+    )
+    def test_load_peak_memory_is_bounded_by_the_file_and_the_keys(self, tmp_path, digits, n, tail):
         # the bytes read, a copy without spaces if they hold any, a newline mask, the line
-        # ends, starts and lengths, and the uint64 keys; a refused text is classed byte by
-        # byte instead (a class byte and a digit mask per byte, then its run edges)
+        # ends, starts and lengths, and the uint64 keys; a refused text (the lines after
+        # ``n`` keys) reads no keys, and names its line from the same arrays, or from one
+        # ``re`` search for a bad byte and, in a text with spaces, one for two digit runs
         c = 4
-        n = 200_000
         keys = np.random.default_rng(digits).integers(
             10 ** (digits - 1), min(10**digits, 2**64) - 1, size=n, dtype=np.uint64, endpoint=True
         )
+        lines = n + bool(tail)
         path = tmp_path / "keys.txt"
         save_keys_text(path, keys)
+        with open(path, "ab") as fh:
+            fh.write(tail)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loaded = load_keys_text(path)
+            try:
+                loaded = load_keys_text(path)
+            except ParameterError as exc:
+                loaded = exc
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert np.array_equal(loaded, keys)
-        assert peak <= c * (path.stat().st_size + 8 * n)
+        if tail:
+            assert str(loaded) == f"{path}: line {n + 1}: not a decimal integer key"
+        else:
+            assert np.array_equal(loaded, keys)
+        assert peak <= c * (path.stat().st_size + 8 * lines)
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.txt"
