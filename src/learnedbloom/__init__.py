@@ -41,7 +41,6 @@ from .scorers import (
 from .workloads import (
     FixedSet,
     HotRangeExample,
-    Mixture,
     QueryDistribution,
     UniformRange,
     hot_range_example,
@@ -62,7 +61,6 @@ __all__ = [
     "IntervalScorer",
     "LearnedBloomFilter",
     "LogisticScorer",
-    "Mixture",
     "OracleUnavailableError",
     "ParameterError",
     "QueryDistribution",

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import _key, as_keys, hash_pair, hash_pair_batch
+from .hashing import _MASK, _key, as_keys, hash_pair, hash_pair_batch
 
-_MASK = (1 << 64) - 1
 _LN2 = math.log(2.0)
 
 MAGIC = b"LBF1"

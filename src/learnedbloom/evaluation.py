@@ -4,11 +4,11 @@ Measures any filter's false positive rate on a query batch and predicts it
 from the above-threshold query mass (alpha) composed with the backup filter's
 rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
-agreement.  ``exact_alpha`` counts an interval scorer's uniform ranges in closed
-form; its other parts, and the experiment's answer tables, come from
-``workloads.support_tables``, the one walk of the eligible support and the one
-reader of ``SUPPORT_LIMIT``.  The experiment reads its tables at the draws with
-``workloads.sample_tables``, so its reports keep the bytes sampling gives.  A
+agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
+form; its other supports, and the experiment's answer table, come from
+``workloads.support_table``, the one walk of the eligible support and the one
+reader of ``SUPPORT_LIMIT``.  The experiment reads its table at the draws with
+``workloads.sample_table``, so its reports keep the bytes sampling gives.  A
 report stores what was measured, range-checked when built; ``model_fpr``,
 ``binomial_std_err`` and ``theorem_bound`` are properties computed by this
 module's functions, which ``to_dict`` adds.  Sample counts and set sizes are
@@ -28,7 +28,7 @@ from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _sized_backup
 from .scorers import IntervalScorer, Scorer
 from .workloads import (QueryDistribution, UniformRange, _check_sample_count, sample,
-                        sample_tables, support_tables)
+                        sample_table, support_table)
 
 
 @dataclass(frozen=True)
@@ -97,31 +97,22 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     """Exact Pr(score >= tau) under the distribution.
 
     Returns the exact rational: above-threshold eligible count over eligible
-    count for uniform and fixed-set supports, the weighted analogue for
-    mixtures.  For an interval scorer, a uniform range's count is closed-form:
+    count.  For an interval scorer, a uniform range's count is closed-form:
     :meth:`IntervalScorer.count_at_least` less the excluded keys in the range
-    that score at or above ``tau``, so any range in [0, 2^64) is exact.  Every
-    other part is walked by :func:`workloads.support_tables`, each eligible key
-    scored once.  It raises OracleUnavailableError when the walked parts hold more
+    that score at or above ``tau``, so any range in [0, 2^64) is exact.  Any
+    other support is walked by :func:`workloads.support_table`, each eligible key
+    scored once.  It raises OracleUnavailableError when a walked support holds more
     than ``SUPPORT_LIMIT`` eligible keys; callers should then fall back to sampling.
     """
-    closed = isinstance(scorer, IntervalScorer)  # counts a uniform range in closed form
-    walked = [p for p in dist.parts if not (closed and isinstance(p.component, UniformRange))]
-    tables = iter(support_tables(walked, lambda keys: scorer.score_batch(keys) >= tau))
-    above_mass = eligible_mass = Fraction(0)
-    for part in dist.parts:
-        source = part.component
-        if closed and isinstance(source, UniformRange):
-            dropped = scorer.score_batch(source.excluded_keys(dist.exclusion)) >= tau
-            above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
-        else:
-            above = int(next(tables).sum())
-        share = Fraction(part.weight) / source.size
-        above_mass += share * above
-        eligible_mass += share * part.cut
-    if eligible_mass == 0:
+    source, cut = dist.source, dist.part.cut
+    if not cut:
         raise WorkloadError("exclusion removes the whole support")
-    return above_mass / eligible_mass
+    if isinstance(scorer, IntervalScorer) and isinstance(source, UniformRange):
+        dropped = scorer.score_batch(source.excluded_keys(dist.exclusion)) >= tau
+        above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
+    else:
+        above = int(support_table(dist, lambda keys: scorer.score_batch(keys) >= tau).sum())
+    return Fraction(above, cut)
 
 
 def evaluate(filt, queries) -> EvalReport:
@@ -225,10 +216,10 @@ def concentration_experiment(
     the explicit two-sided bound.
 
     A filter's answer depends only on the key, so the filter answers each eligible
-    key once, into :func:`workloads.support_tables`, and each set's rate is the mean
-    of the tables at the positions :func:`sample` would draw, from the same random
+    key once, into :func:`workloads.support_table`, and each set's rate is the mean
+    of the table at the positions :func:`sample` would draw, from the same random
     stream.  The rates, and so the report, are the same as sampling every set; a
-    support the tables refuse (``OracleUnavailableError``) samples every set.
+    support the table refuses (``OracleUnavailableError``) samples every set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -237,8 +228,8 @@ def concentration_experiment(
     _check_sample_count(t_size)  # both before any answer table is built
     _check_sample_count(q_size)
     try:
-        tables = support_tables(dist.parts, lbf.contains_many)
-        rate = lambda n, seed: float(sample_tables(tables, dist, n, seed).mean())
+        table = support_table(dist, lbf.contains_many)
+        rate = lambda n, seed: float(sample_table(table, dist, n, seed).mean())
     except OracleUnavailableError:
         rate = lambda n, seed: float(lbf.contains_many(sample(dist, n, seed)).mean())
     exceed = 0

@@ -372,9 +372,9 @@ def train_logistic(
 ) -> LogisticScorer:
     """Full-batch gradient descent from zero weights with step backtracking.
 
-    Each epoch takes one gradient step; if the step would increase the loss it
-    is halved until the loss is non-increasing (or the step underflows, which
-    freezes the weights).  One logit pass gives each visited point's loss and,
+    Each epoch takes one gradient step; if the step would leave the float range
+    or increase the loss it is halved until neither holds (or the step underflows,
+    which freezes the weights).  One logit pass gives each visited point's loss and,
     once the step is taken, the next epoch's gradient.  The learning rate must
     be positive and finite.  Zero initialization and whole-batch updates make
     the trainer fully deterministic.  When ``loss_trace`` is a list, the loss
@@ -399,12 +399,14 @@ def train_logistic(
             raise TrainingError(f"non-finite loss or gradient at epoch {epoch}")
         step = learning_rate
         while step > _BACKTRACK_FLOOR:
-            cand_w = w - step * grad_w
+            with np.errstate(over="ignore"):  # a candidate past the float range is halved
+                cand_w = w - step * grad_w
             cand_b = b - step * grad_b
-            cand_loss, cand_residual = _loss_and_residual(fm, codes, n_pos, cand_w, cand_b)
-            if math.isfinite(cand_loss) and cand_loss <= loss:
-                w, b, loss, residual = cand_w, cand_b, cand_loss, cand_residual
-                break
+            if np.isfinite(cand_w).all() and math.isfinite(cand_b):
+                cand_loss, cand_residual = _loss_and_residual(fm, codes, n_pos, cand_w, cand_b)
+                if math.isfinite(cand_loss) and cand_loss <= loss:
+                    w, b, loss, residual = cand_w, cand_b, cand_loss, cand_residual
+                    break
             step *= 0.5
         if loss_trace is not None:
             loss_trace.append(loss)

@@ -1,14 +1,15 @@
 """Query workloads: sampleable distributions over the universe minus the key set.
 
-Distributions are immutable descriptions; a distribution resolves each
-component's excluded positions once, into a draw map: sampling draws each key
-straight from the eligible support, the source's keys outside the exclusion, so
-no draw is rejected.  ``SUPPORT_LIMIT`` bounds the support that is enumerable:
-:func:`support_tables`, the one walk of it, and the held :class:`Marks` a draw is
-mapped through exist only at or below it; past it, ``np.isin`` maps each draw.
-:func:`sample_tables` reads the tables at the draws of :func:`sample`.  Also
-provides the hot-range worked example (1000 keys, half clustered in one interval)
-used by the reproduction experiments, and dataset file I/O.
+A distribution is an immutable description of one source, a uniform range or a
+fixed key list, less an exclusion.  It resolves the excluded positions once,
+into a draw map: sampling draws each key straight from the eligible support, the
+source's keys outside the exclusion, so no draw is rejected.  ``SUPPORT_LIMIT``
+bounds the support that is enumerable: :func:`support_table`, the one walk of it,
+and the held :class:`Marks` a draw is mapped through exist only at or below it;
+past it, ``np.isin`` maps each draw.  :func:`sample_table` reads the table at the
+draws of :func:`sample`.  Also provides the hot-range worked example (1000 keys,
+half clustered in one interval) used by the reproduction experiments, and
+dataset file I/O.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bloom import _POPCOUNT
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
@@ -80,42 +82,23 @@ class FixedSet:
         return self.keys[positions]
 
 
-@dataclass(frozen=True)
 class Mixture:
-    """Weighted mixture of uniform-range / fixed-set components."""
-
-    components: tuple
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ParameterError("mixture needs matching, nonempty components and weights")
-        if not all(isinstance(c, (UniformRange, FixedSet)) for c in self.components):
-            raise ParameterError("mixture components must be uniform ranges or fixed sets")
-        if any(w <= 0 for w in self.weights):
-            raise ParameterError("mixture weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ParameterError("mixture weights must sum to 1 within 1e-12")
+    """Empty, and not exported: a distribution has one component.  The benchmark's
+    tracer (``perfbench/bench_trace.py``, ``_count_support``) still names this class;
+    delete it in the change that rewrites that function."""
 
 
 class Part(NamedTuple):
-    """One component of a distribution, its weight and its draw map, all held.
+    """A distribution's draw map, held.
 
     A draw takes a position below ``cut``, the eligible count; ``low`` holds the
     excluded positions below ``cut`` and ``top`` the equally many eligible ones at or
     above it, in order, so a draw landing on ``low[i]`` becomes ``top[i]``.
     """
 
-    component: UniformRange | FixedSet
-    weight: float
     cut: int
     low: np.ndarray
     top: np.ndarray
-
-
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
 
 
 class Marks(NamedTuple):
@@ -140,14 +123,14 @@ def _marks(part: Part) -> Marks:
     return Marks(bits, rank)
 
 
-def _enumerable(parts) -> bool:
-    """Whether the parts' eligible support is at most ``SUPPORT_LIMIT``: the one reading of it."""
-    return sum(part.cut for part in parts) <= SUPPORT_LIMIT
+def _enumerable(part: Part) -> bool:
+    """Whether the eligible support is at most ``SUPPORT_LIMIT``: the one reading of it."""
+    return part.cut <= SUPPORT_LIMIT
 
 
-def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarray) -> Part:
-    excluded = component.excluded_positions(exclusion)
-    cut = component.size - excluded.size
+def _part(source: UniformRange | FixedSet, exclusion: np.ndarray) -> Part:
+    excluded = source.excluded_positions(exclusion)
+    cut = source.size - excluded.size
     low = top = excluded
     if excluded.size:  # else cut may be 2**64, past uint64
         low = excluded[: np.searchsorted(excluded, np.uint64(cut))]
@@ -156,7 +139,7 @@ def _part(component: UniformRange | FixedSet, weight: float, exclusion: np.ndarr
         top = np.uint64(cut) + np.flatnonzero(free).astype(np.uint64)
     for held in (low, top):
         held.flags.writeable = False
-    return Part(component, weight, cut, low, top)
+    return Part(cut, low, top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,30 +147,28 @@ class QueryDistribution:
     """A sampleable query description whose samples never land in ``exclusion``.
 
     ``exclusion`` may be any integer key batch (a set, a list, an array, ...);
-    it is held as a read-only, sorted, deduplicated uint64 array.  ``parts`` holds a
-    :class:`Part` per component, resolved once; a lone component weighs 1.0.
+    it is held as a read-only, sorted, deduplicated uint64 array.  ``part`` holds the
+    source's :class:`Part`, resolved once.
     """
 
-    source: UniformRange | FixedSet | Mixture
+    source: UniformRange | FixedSet
     exclusion: np.ndarray = ()
-    parts: tuple = field(init=False, repr=False)
+    part: Part = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.source, (UniformRange, FixedSet, Mixture)):
+        if not isinstance(self.source, (UniformRange, FixedSet)):
             raise ParameterError(f"unknown distribution source {type(self.source).__name__}")
         exclusion = _held_keys(self.exclusion, distinct=True)
         object.__setattr__(self, "exclusion", exclusion)
-        mix = self.source if isinstance(self.source, Mixture) else Mixture((self.source,), (1.0,))
-        parts = tuple(_part(c, w, exclusion) for c, w in zip(mix.components, mix.weights))
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "part", _part(self.source, exclusion))
 
     @functools.cached_property
-    def marks(self) -> tuple:
-        """Per part, the :class:`Marks` of its ``low``, or None where nothing moves or the
+    def marks(self) -> Marks | None:
+        """The :class:`Marks` of the part's ``low``, or None where nothing moves or the
         eligible support is not enumerable; built at the first :func:`sample`, then held,
         so a distribution only counted in closed form never pays for them."""
-        enumerable = _enumerable(self.parts)
-        return tuple(_marks(p) if enumerable and p.low.size else None for p in self.parts)
+        part = self.part
+        return _marks(part) if _enumerable(part) and part.low.size else None
 
 
 def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
@@ -204,29 +185,20 @@ def _check_sample_count(n: int) -> None:
         raise ParameterError(f"sample count {n} is too large to allocate") from exc
 
 
-def _draw(dist: QueryDistribution, n: int, rng_seed: int, read, dtype) -> np.ndarray:
-    """The draws of :func:`sample` in draw order, each read by ``read(i, positions)``, part
-    ``i``'s values at raw positions below its ``cut``.  Part masses are floats: sampled bytes
-    depend on their rounding.  Raises ParameterError when ``n`` cannot be allocated and
-    WorkloadError when no key is eligible, before drawing anything."""
+def _draw(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
+    """The raw positions :func:`sample` draws, in draw order, each below the part's
+    ``cut``.  Raises ParameterError when ``n`` cannot be allocated and WorkloadError when
+    no key is eligible, before drawing anything."""
     _check_sample_count(n)
-    mass = [p.weight * p.cut / p.component.size for p in dist.parts]
-    if not any(mass):
+    if not dist.part.cut:
         raise WorkloadError("exclusion removes the whole support")
-    rng = np.random.default_rng(rng_seed)
-    if len(mass) == 1:
-        return read(0, rng.integers(0, dist.parts[0].cut, size=n, dtype=np.uint64))
-    which = rng.choice(len(mass), size=n, p=np.array(mass) / sum(mass))
-    out = np.empty(n, dtype)
-    for i, (part, count) in enumerate(zip(dist.parts, np.bincount(which, minlength=len(mass)))):
-        if count:
-            out[which == i] = read(i, rng.integers(0, part.cut, size=int(count), dtype=np.uint64))
-    return out
+    return np.random.default_rng(rng_seed).integers(0, dist.part.cut, size=n, dtype=np.uint64)
 
 
-def _keys_at(part: Part, marks: Marks | None, pos: np.ndarray) -> np.ndarray:
-    """The keys at raw positions below a part's cut; a position on ``low[i]`` becomes
-    ``top[i]``, in ``pos`` itself.  Without ``marks``, ``np.isin`` finds the moved draws."""
+def _keys_at(dist: QueryDistribution, pos: np.ndarray) -> np.ndarray:
+    """The keys at raw positions below the part's cut; a position on ``low[i]`` becomes
+    ``top[i]``, in ``pos`` itself.  Without marks, ``np.isin`` finds the moved draws."""
+    part, marks = dist.part, dist.marks
     if marks is not None:
         byte = pos.view(np.int64) >> 3  # positions below a cut fit numpy's index type
         bit = np.left_shift(np.uint8(1), pos.astype(np.uint8) & np.uint8(7))
@@ -237,53 +209,46 @@ def _keys_at(part: Part, marks: Marks | None, pos: np.ndarray) -> np.ndarray:
     elif part.low.size:
         moved = np.isin(pos, part.low)
         pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
-    return part.component.keys_at(pos)
+    return dist.source.keys_at(pos)
 
 
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     """Draw n i.i.d. keys from the source conditioned on missing the exclusion; none is rejected.
 
-    A draw picks a component by its weight times its eligible share, then one of
-    its eligible keys uniformly.  Deterministic for fixed (dist, n, rng_seed).
-    Raises WorkloadError when no key is eligible.
+    A draw picks one of the source's eligible keys uniformly.  Deterministic for
+    fixed (dist, n, rng_seed).  Raises WorkloadError when no key is eligible.
     """
-    return _draw(
-        dist, n, rng_seed, lambda i, pos: _keys_at(dist.parts[i], dist.marks[i], pos), np.uint64
-    )
+    return _keys_at(dist, _draw(dist, n, rng_seed))
 
 
-def support_tables(parts, answer) -> list[np.ndarray]:
-    """``answer(keys)`` at each eligible position of each part: one array per part, of
-    ``answer``'s dtype, indexed by raw position below the part's ``cut``.
+def support_table(dist: QueryDistribution, answer) -> np.ndarray:
+    """``answer(keys)`` at each eligible position: one array of ``answer``'s dtype, indexed
+    by raw position below the part's ``cut``.
 
     Position ``i`` holds the answer for the key at ``i``, or at ``top[j]`` when ``i`` is
     ``low[j]``: the key :func:`sample` draws for it.  ``answer`` gets ``BLOCK`` keys at a
     time, each eligible key once, after one call on no keys that gives the dtype.  Raises
-    OracleUnavailableError, before answering any key, when the parts hold more than
-    ``SUPPORT_LIMIT`` eligible keys.
+    OracleUnavailableError, before answering any key, when more than ``SUPPORT_LIMIT``
+    keys are eligible.
     """
-    if not _enumerable(parts):
-        support = sum(part.cut for part in parts)
-        raise OracleUnavailableError(f"eligible support of {support} exceeds the enumeration"
+    part = dist.part
+    if not _enumerable(part):
+        raise OracleUnavailableError(f"eligible support of {part.cut} exceeds the enumeration"
                                      f" limit {SUPPORT_LIMIT}")
-    dtype = answer(np.empty(0, np.uint64)).dtype
-    tables = []
-    for part in parts:
-        table = np.empty(part.cut, dtype)
-        for start in range(0, part.cut, BLOCK):
-            stop = min(start + BLOCK, part.cut)
-            pos = np.arange(start, stop, dtype=np.uint64)
-            first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
-            pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
-            table[start:stop] = answer(part.component.keys_at(pos))
-        tables.append(table)
-    return tables
+    table = np.empty(part.cut, answer(np.empty(0, np.uint64)).dtype)
+    for start in range(0, part.cut, BLOCK):
+        stop = min(start + BLOCK, part.cut)
+        pos = np.arange(start, stop, dtype=np.uint64)
+        first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
+        pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
+        table[start:stop] = answer(dist.source.keys_at(pos))
+    return table
 
 
-def sample_tables(tables: list, dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
-    """The values of ``dist``'s :func:`support_tables` at the keys ``sample(dist, n, rng_seed)``
+def sample_table(table: np.ndarray, dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
+    """The values of ``dist``'s :func:`support_table` at the keys ``sample(dist, n, rng_seed)``
     draws, in draw order: ``answer(sample(dist, n, rng_seed))`` without answering a draw."""
-    return _draw(dist, n, rng_seed, lambda i, pos: tables[i][pos], tables[0].dtype)
+    return table[_draw(dist, n, rng_seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     FixedSet,
-    Mixture,
     QueryDistribution,
-    UniformRange,
     hot_range_example,
     sample,
     uniform_queries,
@@ -143,22 +141,10 @@ class TestExactAlpha:
         dist = QueryDistribution(FixedSet((500, 1500, 2500, 1999)), frozenset({2500}))
         assert exact_alpha(HOT, 0.4, dist) == Fraction(2, 3)
 
-    def test_mixture_support(self):
-        mix = Mixture(
-            components=(UniformRange(1000, 2000), UniformRange(5000, 6000)),
-            weights=(0.25, 0.75),
-        )
-        got = exact_alpha(HOT, 0.4, QueryDistribution(mix))
-        assert got == Fraction(1, 4)
-
-    def test_mixture_with_exclusion_reweights(self):
-        mix = Mixture(
-            components=(UniformRange(0, 4), UniformRange(1000, 1004)),
-            weights=(0.5, 0.5),
-        )
-        dist = QueryDistribution(mix, frozenset({0, 1}))
-        # eligible mass: 0.5 * 2/4 + 0.5 * 1 = 0.75; above mass: 0.5 * 1 = 0.5
-        assert exact_alpha(HOT, 0.4, dist) == Fraction(2, 3)
+    def test_fixed_set_duplicates_count_once_per_position(self):
+        dist = QueryDistribution(FixedSet((1500, 1500, 1500, 500, 2500, 2500)), frozenset({2500}))
+        # eligible positions: three of 1500 and one of 500; the 1500s score above tau
+        assert exact_alpha(HOT, 0.4, dist) == Fraction(3, 4)
 
     def test_support_too_large(self):
         # the limit bounds a walk: a logistic scorer walks, an interval scorer needs none

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,7 +417,11 @@ def _two_pass_train(data, name, epochs, learning_rate, loss_trace):
             return repr(TrainingError(f"non-finite loss or gradient at epoch {epoch}"))
         step = learning_rate
         while step > 1e-30:
-            cand_w, cand_b = w - step * grad_w, b - step * grad_b
+            with np.errstate(over="ignore"):
+                cand_w, cand_b = w - step * grad_w, b - step * grad_b
+            if not (np.all(np.isfinite(cand_w)) and math.isfinite(cand_b)):
+                step *= 0.5  # past the float range: halved before it is scored
+                continue
             cand_loss = loss_at(cand_w, cand_b)
             if math.isfinite(cand_loss) and cand_loss <= loss:
                 w, b, loss = cand_w, cand_b, cand_loss
@@ -513,6 +518,18 @@ class TestTrainer:
         except TrainingError as exc:
             got = repr(exc)
         assert (got, trace) == (expected, expected_trace)
+
+    @pytest.mark.parametrize("name", ["int-norm:1000000", "int-centered:1000000", "byte-ngram:16"])
+    def test_the_largest_rates_halve_past_the_float_range_without_a_warning(self, name):
+        # at 1e308 a first step overflows: each epoch halves about 1,000 times
+        data = TrainingSet(range(1000, 1500), range(5000, 5500))
+        trace, expected_trace = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = train_logistic(data, name, 5, 1e308, loss_trace=trace).to_record()
+            expected = _two_pass_train(data, name, 5, 1e308, expected_trace)
+        assert (got, trace) == (expected, expected_trace)
+        assert trace == sorted(trace, reverse=True) and trace[-1] < trace[0]
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(404)

@@ -26,16 +26,15 @@ from learnedbloom.workloads import (
     SUPPORT_LIMIT,
     FixedSet,
     HotRangeExample,
-    Mixture,
     QueryDistribution,
     UniformRange,
     hot_range_example,
     load_keys_text,
     read_manifest,
     sample,
-    sample_tables,
+    sample_table,
     save_keys_text,
-    support_tables,
+    support_table,
     uniform_queries,
 )
 
@@ -87,23 +86,10 @@ class TestSampling:
         out = sample(dist, 2000, rng_seed=3)
         assert set(out.tolist()) == {4, 15}
 
-    def test_mixture_source(self):
-        mix = Mixture(
-            components=(UniformRange(0, 10), FixedSet((1000,))),
-            weights=(0.5, 0.5),
-        )
-        out = sample(QueryDistribution(mix), 4000, rng_seed=5)
-        high = (out == 1000).mean()
-        assert 0.45 < high < 0.55
-        assert set(out.tolist()) <= set(range(10)) | {1000}
-
-    def test_mixture_respects_exclusion(self):
-        mix = Mixture(
-            components=(UniformRange(0, 4), FixedSet((100, 101))),
-            weights=(0.5, 0.5),
-        )
-        out = sample(QueryDistribution(mix, frozenset({0, 1, 100})), 2000, rng_seed=6)
-        assert set(out.tolist()) <= {2, 3, 101}
+    def test_fixed_set_with_duplicates_respects_exclusion(self):
+        fixed = FixedSet((0, 1, 2, 3, 100, 101, 101))
+        out = sample(QueryDistribution(fixed, frozenset({0, 1, 100})), 2000, rng_seed=6)
+        assert set(out.tolist()) == {2, 3, 101}
 
     def test_uniformity_chi_square(self):
         out = sample(uniform_queries(0, 2000), 100_000, rng_seed=0)
@@ -156,15 +142,14 @@ def _component_keys(component) -> list:
 
 @st.composite
 def _distributions(draw):
-    """A range, a fixed set or a two-component mixture, with a random exclusion."""
-    components = draw(st.lists(_COMPONENTS, min_size=1, max_size=2))
-    if len(components) == 1:
-        source = components[0]
-    else:
-        weight = draw(st.floats(0.25, 0.75))
-        source = Mixture(tuple(components), (weight, 1.0 - weight))
-    keys = sorted({key for c in components for key in _component_keys(c)} | {60, 61})
+    """A range or a fixed set, with a random exclusion."""
+    source = draw(_COMPONENTS)
+    keys = sorted(set(_component_keys(source)) | {60, 61})
     return QueryDistribution(source, draw(st.sets(st.sampled_from(keys))))
+
+
+# a fixed set with duplicates, one of them excluded: each position weighs the same
+_DUPLICATES = QueryDistribution(FixedSet([3, 3, 3, 9, 9, 20, 20, 41, 60]), [9])
 
 
 @pytest.fixture
@@ -179,30 +164,34 @@ _ACROSS_BLOCKS = dict(suppress_health_check=[HealthCheck.function_scoped_fixture
 
 
 def _exact_law(dist) -> dict:
-    """Key -> exact probability: each component's weight spread over its positions,
-    the excluded positions dropped, renormalised (the law rejection converges to)."""
-    source = dist.source
-    mixture = source if isinstance(source, Mixture) else Mixture((source,), (1.0,))
+    """Key -> exact probability: the source's positions less the excluded ones, each
+    equally likely (the law rejection converges to), so a duplicate key counts twice."""
     excluded = set(dist.exclusion.tolist())
-    mass = Counter()
-    for component, weight in zip(mixture.components, mixture.weights):
-        for key in _component_keys(component):
-            if key not in excluded:
-                mass[key] += Fraction(weight) / component.size
-    total = sum(mass.values())
-    return {key: m / total for key, m in mass.items()}
+    counts = Counter(key for key in _component_keys(dist.source) if key not in excluded)
+    total = sum(counts.values())
+    return {key: Fraction(count, total) for key, count in counts.items()}
+
+
+def _past_the_limit(patch, dist):
+    """Patch ``SUPPORT_LIMIT`` one below ``dist``'s eligible count."""
+    patch.setattr(workloads, "SUPPORT_LIMIT", dist.part.cut - 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(dist=_distributions(), seed=st.integers(0, 2**32))
-def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
+@given(dist=_distributions(), seed=st.integers(0, 2**32), enumerable=st.booleans())
+@example(dist=_DUPLICATES, seed=0, enumerable=True)
+@example(dist=_DUPLICATES, seed=0, enumerable=False)
+def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed, enumerable):
     law = _exact_law(dist)
     if not law:
         with pytest.raises(WorkloadError, match="whole support"):
             sample(dist, 1, rng_seed=seed)
         return
     n = 4000
-    counts = Counter(sample(dist, n, rng_seed=seed).tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        if not enumerable:  # past the limit, np.isin maps each draw
+            _past_the_limit(patch, dist)
+        counts = Counter(sample(dist, n, rng_seed=seed).tolist())
     assert not set(counts) - set(law)  # no draw is excluded
     assert set(counts) == set(law)  # every eligible key appears
     if len(law) > 1:
@@ -215,21 +204,34 @@ def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed):
     dist=_distributions(),
     interval=st.tuples(st.integers(0, 62), st.integers(0, 62)).map(sorted),
     tau=st.sampled_from([0.1, 0.5, 0.95]),
+    enumerable=st.booleans(),
 )
-def test_exact_alpha_is_the_exact_law_above_the_threshold(small_blocks, dist, interval, tau):
+@example(dist=_DUPLICATES, interval=[3, 20], tau=0.5, enumerable=True)
+@example(dist=_DUPLICATES, interval=[3, 20], tau=0.5, enumerable=False)
+def test_exact_alpha_is_the_exact_law_above_the_threshold(
+    small_blocks, dist, interval, tau, enumerable
+):
     law = _exact_law(dist)
-    # the interval scorer counts its ranges in closed form; the logistic one, 0.5 up to
-    # the interval's end, walks every part across block edges
+    # the interval scorer counts a range in closed form; the logistic one, 0.5 up to
+    # the interval's end, walks the support across block edges
     for scorer in (
         IntervalScorer((tuple(interval),), inside_score=0.9, outside_score=0.1),
         LogisticScorer((-64.0,), interval[1] + 0.5, "int-norm:64"),
     ):
-        if not law:
-            with pytest.raises(WorkloadError, match="whole support"):
-                exact_alpha(scorer, tau, dist)
-            continue
-        above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
-        assert exact_alpha(scorer, tau, dist) == above
+        with pytest.MonkeyPatch.context() as patch:
+            if not law:
+                with pytest.raises(WorkloadError, match="whole support"):
+                    exact_alpha(scorer, tau, dist)
+                continue
+            closed = isinstance(scorer, IntervalScorer) and isinstance(dist.source, UniformRange)
+            if not enumerable:
+                _past_the_limit(patch, dist)
+                if not closed:  # a walk past the limit is refused
+                    with pytest.raises(OracleUnavailableError, match="exceeds the enumeration"):
+                        exact_alpha(scorer, tau, dist)
+                    continue
+            above = sum((p for key, p in law.items() if scorer.score(key) >= tau), Fraction(0))
+            assert exact_alpha(scorer, tau, dist) == above
 
 
 _TOP = 1 << 64
@@ -239,9 +241,10 @@ _INTERVAL_TAUS = (0.75, 0.25, 0.5, 0.9, 0.1)
 
 @st.composite
 def _interval_cases(draw):
-    """An interval scorer (inside 0.75, outside 0.25) and a distribution inside one 64-key
-    window at 0, mid-universe or the top, so intervals [0, 0] and [2^64 - 1, 2^64 - 1]
-    and ranges ending at 2^64 occur; the exclusion favours interval and range ends."""
+    """An interval scorer (inside 0.75, outside 0.25) and a range or a fixed set inside one
+    64-key window at 0, mid-universe or the top, so intervals [0, 0] and [2^64 - 1, 2^64 - 1]
+    and ranges ending at 2^64 occur; the exclusion favours interval and range ends and the
+    fixed keys."""
     base = draw(st.sampled_from([0, 1 << 40, _TOP - 64]))
     splits = draw(st.sets(st.integers(0, 63)))  # a held key here starts a new interval
     intervals = []
@@ -251,38 +254,37 @@ def _interval_cases(draw):
         else:
             intervals.append([x, x])
     scorer = IntervalScorer([(base + lo, base + hi) for lo, hi in intervals], 0.75, 0.25)
-    bounds = st.tuples(st.integers(0, 64), st.integers(0, 64)).filter(lambda b: b[0] != b[1])
-    ranges = [sorted(b) for b in draw(st.lists(bounds, min_size=1, max_size=2))]
-    components = [UniformRange(base + lo, base + hi) for lo, hi in ranges]
-    if draw(st.booleans()):
-        fixed = draw(st.lists(st.integers(0, 63), min_size=1, max_size=8))
-        components.append(FixedSet([base + key for key in fixed]))
     ends = {e for lo, hi in intervals for e in (lo, hi)}  # closed intervals, half-open ranges
-    ends |= {e for lo, hi in ranges for e in (lo, hi - 1)}
+    if draw(st.booleans()):
+        bounds = st.tuples(st.integers(0, 64), st.integers(0, 64)).filter(lambda b: b[0] != b[1])
+        start, stop = sorted(draw(bounds))
+        source = UniformRange(base + start, base + stop)
+        ends |= {start, stop - 1}
+    else:
+        fixed = draw(st.lists(st.integers(0, 63), min_size=1, max_size=8))
+        source = FixedSet([base + key for key in fixed])
+        ends |= set(fixed)
     excluded = draw(st.sets(st.sampled_from(sorted(ends)) | st.integers(0, 63), max_size=16))
-    shares = [draw(st.integers(1, 4)) for _ in components]
-    source = Mixture(components, [s / sum(shares) for s in shares])
     return scorer, QueryDistribution(source, [base + key for key in excluded])
 
 
 _EDGES = IntervalScorer(((0, 0), (5, 9), (_TOP - 1, _TOP - 1)), 0.75, 0.25)
-_EDGE_PARTS = (UniformRange(0, 64), UniformRange(_TOP - 64, _TOP), FixedSet([0, 5, 9, _TOP - 1]))
 _EDGE_EXCLUDED = [0, 9, 63, _TOP - 64, _TOP - 1]  # interval ends and range ends
-_EDGE_DIST = QueryDistribution(Mixture(_EDGE_PARTS, (0.5, 0.25, 0.25)), _EDGE_EXCLUDED)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_interval_cases())
-@example(case=(_EDGES, _EDGE_DIST))
+@example(case=(_EDGES, QueryDistribution(UniformRange(0, 64), _EDGE_EXCLUDED)))
+@example(case=(_EDGES, QueryDistribution(UniformRange(_TOP - 64, _TOP), _EDGE_EXCLUDED)))
+@example(case=(_EDGES, QueryDistribution(FixedSet([0, 5, 9, _TOP - 1]), _EDGE_EXCLUDED)))
 def test_closed_form_counts_are_the_brute_force_counts(case):
     scorer, dist = case
     law = _exact_law(dist)
+    source = dist.source
     for tau in _INTERVAL_TAUS:
-        for part in dist.parts:
-            source = part.component
-            if isinstance(source, UniformRange):
-                brute = sum(scorer.score(key) >= tau for key in range(source.lo, source.hi))
-                assert scorer.count_at_least(tau, source.lo, source.hi) == brute
+        if isinstance(source, UniformRange):
+            brute = sum(scorer.score(key) >= tau for key in range(source.lo, source.hi))
+            assert scorer.count_at_least(tau, source.lo, source.hi) == brute
         if not law:
             with pytest.raises(WorkloadError, match="whole support"):
                 exact_alpha(scorer, tau, dist)
@@ -302,23 +304,18 @@ def test_samples_never_hit_the_exclusion_set(excluded, seed):
     assert not excluded.intersection(out.tolist())
 
 
-def _reference_keys_at(part, pos):
+def _reference_sample(dist, n, seed):
     """The draw map's spec: a draw on ``low[i]``, found by ``np.isin``, becomes ``top[i]``."""
+    pos, part = workloads._draw(dist, n, seed), dist.part
     moved = np.isin(pos, part.low)
     pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
-    return part.component.keys_at(pos)
-
-
-def _reference_sample(dist, n, seed):
-    return workloads._draw(
-        dist, n, seed, lambda i, pos: _reference_keys_at(dist.parts[i], pos), np.uint64
-    )
+    return dist.source.keys_at(pos)
 
 
 @st.composite
 def _wide_distributions(draw):
-    """A range of up to 3000 keys anywhere in [0, 2^64), alone or mixed with a fixed set, less
-    an exclusion of any density: ``low`` spans many bytes of the marks."""
+    """A range of up to 3000 keys anywhere in [0, 2^64), or as many keys drawn from it with
+    duplicates, less an exclusion of any density: ``low`` spans many bytes of the marks."""
     size = draw(st.integers(1, 3000))
     lo = draw(st.sampled_from([0, 1 << 40, _TOP - size]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -326,8 +323,7 @@ def _wide_distributions(draw):
     excluded = base + np.flatnonzero(rng.random(size) < draw(st.floats(0, 1))).astype(np.uint64)
     source = UniformRange(lo, lo + size)
     if draw(st.booleans()):
-        fixed = FixedSet(base + rng.integers(0, size, draw(st.integers(1, 50)), dtype=np.uint64))
-        source = Mixture((source, fixed), (0.7, 0.3))
+        source = FixedSet(base + rng.integers(0, size, size, dtype=np.uint64))
     return QueryDistribution(source, excluded)
 
 
@@ -341,21 +337,21 @@ def _wide_distributions(draw):
 def test_sample_maps_draws_as_the_reference_map_does(dist, n, seed, enumerable):
     with pytest.MonkeyPatch.context() as patch:
         if not enumerable:  # past the limit, np.isin maps each draw
-            patch.setattr(workloads, "SUPPORT_LIMIT", sum(p.cut for p in dist.parts) - 1)
-        if not any(part.cut for part in dist.parts):
+            _past_the_limit(patch, dist)
+        if not dist.part.cut:
             with pytest.raises(WorkloadError, match="whole support"):
                 sample(dist, n, seed)
             return
         drawn = sample(dist, n, seed)
-        for part, marks in zip(dist.parts, dist.marks):
-            assert (marks is not None) == (enumerable and part.low.size > 0)
+        assert (dist.marks is not None) == (enumerable and dist.part.low.size > 0)
     assert drawn.tolist() == _reference_sample(dist, n, seed).tolist()
 
 
 class TestDrawMarks:
-    def test_an_enumerable_support_is_sampled_without_isin(self, monkeypatch):
-        mix = Mixture((UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))), (0.5, 0.5))
-        dist = QueryDistribution(mix, np.arange(0, 1_000_000, 5))
+    @pytest.mark.parametrize("source", [UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))],
+                             ids=["range", "fixed"])
+    def test_an_enumerable_support_is_sampled_without_isin(self, monkeypatch, source):
+        dist = QueryDistribution(source, np.arange(0, 1_000_000, 5))
         expected = _reference_sample(dist, 100_000, 4)
 
         def refuse(*args, **kwargs):
@@ -374,9 +370,9 @@ class TestDrawMarks:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert dist.marks[0] is not None and drawn.size == 10
+        assert dist.marks is not None and drawn.size == 10
         # a bit and a uint32 rank per 8 positions, the exclusion, low and top
-        assert held <= dist.parts[0].cut == 10**7 - 1000
+        assert held <= dist.part.cut == 10**7 - 1000
 
 
 class TestValidation:
@@ -389,19 +385,6 @@ class TestValidation:
     def test_empty_fixed_set(self):
         with pytest.raises(ParameterError):
             FixedSet(())
-
-    def test_mixture_weights_must_sum_to_one(self):
-        with pytest.raises(ParameterError):
-            Mixture(components=(UniformRange(0, 1), UniformRange(5, 6)), weights=(0.5, 0.6))
-        with pytest.raises(ParameterError):
-            Mixture(components=(UniformRange(0, 1),), weights=(-1.0,))
-        with pytest.raises(ParameterError):
-            Mixture(components=(), weights=())
-
-    def test_nested_mixture_rejected(self):
-        inner = Mixture(components=(UniformRange(0, 10),), weights=(1.0,))
-        with pytest.raises(ParameterError):
-            Mixture(components=(inner, UniformRange(20, 30)), weights=(0.5, 0.5))
 
     @pytest.mark.parametrize("source", [range(5), (0, 10), None])
     def test_unknown_source_rejected(self, source):
@@ -465,9 +448,10 @@ class TestSupport:
         assert alpha == Fraction(int(above.sum()), int(eligible.sum()))
         assert max(batches) == BLOCK  # enumerated block by block, not as one batch
 
-    def test_excluded_positions_are_resolved_once(self, monkeypatch):
-        mix = Mixture((UniformRange(0, 5000), FixedSet([3, 3, 9, 4000, 7000])), (0.4, 0.6))
-        dist = QueryDistribution(mix, np.arange(0, 5000, 3))
+    @pytest.mark.parametrize("source", [UniformRange(0, 5000), FixedSet([3, 3, 9, 4000, 7000])],
+                             ids=["range", "fixed"])
+    def test_excluded_positions_are_resolved_once(self, monkeypatch, source):
+        dist = QueryDistribution(source, np.arange(0, 5000, 3))
         filt = BloomFilter(2000, 3, seed=1)
         filt.insert_many(np.arange(0, 400))
         scorer = IntervalScorer(((100, 4500),), inside_score=0.9, outside_score=0.1)
@@ -527,17 +511,17 @@ _FILTER.insert_many(np.array([2, 11, 29, 40, 57, 60], dtype=np.uint64))
 @settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
 @given(dist=_distributions(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
 def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n, seed):
-    keys = support_tables(dist.parts, lambda keys: keys)  # the key at each position
-    tables = support_tables(dist.parts, _FILTER.contains_many)
-    assert [table.dtype for table in keys + tables] == [np.uint64] * len(keys) + [bool] * len(tables)
-    if not any(part.cut for part in dist.parts):
-        for table in (keys, tables):
+    keys = support_table(dist, lambda keys: keys)  # the key at each position
+    table = support_table(dist, _FILTER.contains_many)
+    assert (keys.dtype, table.dtype) == (np.uint64, bool)
+    if not dist.part.cut:
+        for held in (keys, table):
             with pytest.raises(WorkloadError, match="whole support"):
-                sample_tables(table, dist, n, seed)
+                sample_table(held, dist, n, seed)
         return
     drawn = sample(dist, n, seed)
-    assert sample_tables(keys, dist, n, seed).tolist() == drawn.tolist()
-    answers = sample_tables(tables, dist, n, seed)
+    assert sample_table(keys, dist, n, seed).tolist() == drawn.tolist()
+    answers = sample_table(table, dist, n, seed)
     assert answers.tolist() == _FILTER.contains_many(drawn).tolist()
     assert float(answers.mean()) == evaluate(_FILTER, drawn).empirical_fpr
 
@@ -566,7 +550,7 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
     trials, t_size, q_size = sizes
     monkeypatch.setattr(workloads, "SUPPORT_LIMIT", limit)  # against 0 to 63 eligible keys
     filt = _Counting(_FILTER)
-    if not any(part.cut for part in dist.parts):
+    if not dist.part.cut:
         with pytest.raises(WorkloadError, match="whole support"):
             concentration_experiment(filt, dist, t_size, q_size, epsilon, trials, seed)
         return
@@ -575,7 +559,7 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
         _FILTER, dist, t_size, q_size, epsilon, trials, seed
     )
     assert report.theorem_bound == theorem_bound(epsilon, t_size, q_size)
-    support = sum(part.cut for part in dist.parts)
+    support = dist.part.cut
     if support <= limit:  # a table: each eligible key answered once
         assert filt.queried().size == support
     else:  # every set sampled, then answered
@@ -597,9 +581,10 @@ class _Counting:
 
 
 class TestAnswerTables:
-    # 4 fixed keys and 150,000 - 2,143 range keys eligible, over three table blocks
+    # 0..149,999 and 5, 5, 9, 7000, 200,000: 150,005 - 2,143 positions eligible, over three
+    # table blocks, and keys 5 and 9 at more than one of them
     DIST = QueryDistribution(
-        Mixture((UniformRange(0, 150_000), FixedSet([5, 5, 9, 7000, 200_000])), (0.8, 0.2)),
+        FixedSet(np.concatenate([np.arange(150_000), [5, 5, 9, 7000, 200_000]])),
         np.arange(0, 150_000, 70),
     )
     ELIGIBLE = np.sort(
@@ -654,7 +639,7 @@ class TestAnswerTables:
                 with pytest.raises(OracleUnavailableError, match="eligible support of 101"):
                     exact_alpha(scorer, 0.5, dist)
             # an interval scorer counts a range in closed form, on either side of the limit
-            assert exact_alpha(interval, 0.5, dist) == Fraction(10, dist.parts[0].cut)
+            assert exact_alpha(interval, 0.5, dist) == Fraction(10, dist.part.cut)
 
     def test_a_table_is_filled_in_place_block_by_block(self, monkeypatch):
         monkeypatch.setattr(workloads, "BLOCK", 1000)
@@ -662,7 +647,7 @@ class TestAnswerTables:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            (table,) = support_tables(dist.parts, lambda keys: keys)
+            table = support_table(dist, lambda keys: keys)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -678,9 +663,9 @@ class TestAnswerTables:
             concentration_experiment(filt, uniform_queries(0, 50, [3]), *sizes, 0.5, 1, 2)
         assert filt.batches == []  # refused before the table is built
 
-    def test_an_exclusion_covering_the_support_raises_on_the_table_path(self):
-        mix = Mixture((UniformRange(0, 8), FixedSet([3, 3])), (0.5, 0.5))
-        dist = QueryDistribution(mix, range(8))
+    @pytest.mark.parametrize("source", [UniformRange(0, 8), FixedSet([3, 3])], ids=["range", "fixed"])
+    def test_an_exclusion_covering_the_support_raises_on_the_table_path(self, source):
+        dist = QueryDistribution(source, range(8))
         with pytest.raises(WorkloadError, match="whole support"):
             concentration_experiment(_FILTER, dist, 10, 10, 0.5, 4, 2)
 
