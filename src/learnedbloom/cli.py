@@ -41,7 +41,7 @@ from .evaluation import (
     threshold_sweep,
 )
 from .hashing import _held_keys, as_keys, derive_seed
-from .learned import LearnedBloomFilter
+from .learned import LearnedBloomFilter, _at_or_above
 from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
 from .workloads import (
@@ -274,7 +274,7 @@ def _cmd_build(args) -> int:
                 alpha = float(exact_alpha(lbf.scorer, lbf.tau, dist))
             except OracleUnavailableError:
                 drawn = sample(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
-                alpha = float((lbf.scorer.score_batch(drawn) >= lbf.tau).mean())
+                alpha = float(_at_or_above(lbf.scorer, lbf.tau, drawn).mean())
             summary["alpha"] = alpha
             summary["alpha_dist"] = args.summary_dist
     if args.keys_out:

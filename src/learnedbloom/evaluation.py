@@ -25,7 +25,7 @@ from fractions import Fraction
 from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter, _sized_backup
+from .learned import LearnedBloomFilter, _at_or_above, _sized_backup
 from .scorers import IntervalScorer, Scorer
 from .workloads import (QueryDistribution, UniformRange, _check_sample_count, sample,
                         sample_table, support_table)
@@ -108,10 +108,10 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     if not cut:
         raise WorkloadError("exclusion removes the whole support")
     if isinstance(scorer, IntervalScorer) and isinstance(source, UniformRange):
-        dropped = scorer.score_batch(source.excluded_keys(dist.exclusion)) >= tau
+        dropped = _at_or_above(scorer, tau, source.excluded_keys(dist.exclusion))
         above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
     else:
-        above = int(support_table(dist, lambda keys: scorer.score_batch(keys) >= tau).sum())
+        above = int(support_table(dist, lambda keys: _at_or_above(scorer, tau, keys)).sum())
     return Fraction(above, cut)
 
 

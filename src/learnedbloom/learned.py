@@ -3,7 +3,9 @@
 A query scoring at or above the threshold is answered positive outright;
 anything below is referred to a standard backup Bloom filter that holds
 exactly the build keys the scorer missed, so the composite never returns
-a false negative.
+a false negative.  A batch is scored :data:`bloom._BLOCK` keys at a time into
+one bool mask, :func:`_at_or_above`, so no float temporary grows with it;
+that mask is the one rule for a tie at the threshold in every batch path.
 """
 
 from __future__ import annotations
@@ -14,12 +16,25 @@ import struct
 
 import numpy as np
 
-from .bloom import BloomFilter, FilterParams, params_for_target
+from .bloom import _BLOCK, BloomFilter, FilterParams, params_for_target
 from .errors import FilterFormatError, ParameterError
 from .hashing import as_keys
 from .scorers import Scorer, scorer_from_text, scorer_to_text
 
 _LEN = struct.Struct("<Q")
+
+
+def _at_or_above(scorer: Scorer, tau: float, keys: np.ndarray) -> np.ndarray:
+    """``scorer.score_batch(keys) >= tau`` for a uint64 key array, as one bool mask.
+
+    Scores :data:`_BLOCK` keys per ``score_batch`` call, so each float temporary
+    is at most 128 KB; a tie at ``tau`` counts as above, and a NaN ``tau`` as below.
+    """
+    mask = np.empty(keys.size, dtype=bool)
+    for start in range(0, keys.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        np.greater_equal(scorer.score_batch(keys[block]), tau, out=mask[block])
+    return mask
 
 
 def _sized_backup(backup: FilterParams | float, below: int) -> FilterParams:
@@ -69,7 +84,7 @@ class LearnedBloomFilter:
         backup: FilterParams | float,
         seed: int,
     ) -> "LearnedBloomFilter":
-        """Score every key and store the below-threshold ones in the backup filter.
+        """Score every key, in blocks, and store the below-threshold ones in the backup filter.
 
         ``backup`` is the backup filter's ``FilterParams``, or its design false
         positive rate, in which case the backup is sized for exactly the keys
@@ -80,7 +95,7 @@ class LearnedBloomFilter:
             raise ParameterError("key set must be nonempty")
         if not 0.0 <= tau <= 1.0:
             raise ParameterError("threshold tau must lie in [0, 1]")
-        below = keys[scorer.score_batch(keys) < tau]
+        below = keys[~_at_or_above(scorer, tau, keys)]
         backup_filter = BloomFilter.from_params(_sized_backup(backup, below.size), seed)
         backup_filter.insert_many(below)
         return cls(
@@ -98,9 +113,10 @@ class LearnedBloomFilter:
         return self.backup.contains(key)
 
     def classify_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(score >= tau mask, answers) for any key batch; only keys below tau reach the backup."""
+        """(score >= tau mask, answers) for any key batch, scored in blocks; the keys
+        below tau reach the backup in one :meth:`BloomFilter.contains_many` call."""
         keys = as_keys(keys)
-        above = self.scorer.score_batch(keys) >= self.tau
+        above = _at_or_above(self.scorer, self.tau, keys)
         answers = above.copy()
         pending = ~above
         if pending.any():

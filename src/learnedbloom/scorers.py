@@ -114,7 +114,7 @@ class IntervalScorer(Scorer):
             raise ParameterError(f"invalid range [{lo}, {hi})")
         if self.outside_score >= tau:
             return hi - lo
-        if not self.inside_score >= tau:  # not <, so a NaN tau counts nothing, as in score_batch
+        if not self.inside_score >= tau:  # not <: a NaN tau counts nothing, as in a batch
             return 0
         first = np.searchsorted(self._hi, np.uint64(lo))  # the first interval to end at or past lo
         stop = np.searchsorted(self._lo, np.uint64(hi - 1), side="right")  # past the last to start
@@ -297,8 +297,10 @@ class LogisticScorer(Scorer):
         object.__setattr__(self, "_fm", fm)
         object.__setattr__(self, "_w", fm.held(np.array(ws, dtype=np.float64)))
 
-    def score(self, key) -> float:
-        return float(_sigmoid(np.array([self._fm.logit_one(key, self._w, self.bias)]))[0])
+    def score(self, key) -> float:  # _sigmoid's operations on one Python float, no array
+        z = self._fm.logit_one(key, self._w, self.bias)
+        ez = float(np.exp(-abs(z)))
+        return (1.0 if z >= 0 else ez) / (1.0 + ez)
 
     def score_batch(self, keys) -> np.ndarray:
         return _sigmoid(self._fm.logit(self._fm.encode(keys), self._w, self.bias))

@@ -298,10 +298,12 @@ def hot_range_example(seed: int) -> tuple[HotRangeExample, IntervalScorer, float
     rng = np.random.default_rng(seed)
     hot = np.arange(HOT_LO, HOT_HI + 1, dtype=np.uint64)
     in_range = np.sort(rng.choice(hot, size=500, replace=False))
-    rest = np.concatenate(
-        [np.arange(0, HOT_LO, dtype=np.uint64), np.arange(HOT_HI + 1, UNIVERSE_SIZE, dtype=np.uint64)]
-    )
-    outside = np.sort(rng.choice(rest, size=500, replace=False))
+    # indices into the keys outside the hot interval, in order, each at or past HOT_LO
+    # stepped over the interval: rng.choice's draw from an array of those keys, unbuilt
+    hot_size = HOT_HI + 1 - HOT_LO
+    outside = rng.choice(UNIVERSE_SIZE - hot_size, size=500, replace=False)
+    outside[outside >= HOT_LO] += hot_size
+    outside = np.sort(outside.astype(np.uint64))
     example = HotRangeExample(keys_in_range=in_range, keys_outside=outside)
     scorer = IntervalScorer(((HOT_LO, HOT_HI),), inside_score=0.5, outside_score=0.0)
     return example, scorer, 0.4

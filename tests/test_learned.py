@@ -1,11 +1,14 @@
 """Learned Bloom filter: build partition, queries, insertion, sweep, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from learnedbloom.bloom import FilterParams, params_for_target
+from learnedbloom import learned
+from learnedbloom.bloom import _BLOCK, BloomFilter, FilterParams, params_for_target
 from learnedbloom.errors import FilterFormatError, ParameterError, WorkloadError
 from learnedbloom.evaluation import threshold_sweep
 from learnedbloom.learned import LearnedBloomFilter
@@ -189,8 +192,6 @@ def test_build_partition_matches_direct_enumeration(keys, tau, seed):
     lbf = LearnedBloomFilter.build(keys, HOT, tau, FilterParams(m=512, k=3), seed=seed)
     below = [k for k in keys if HOT.score(k) < tau]
     assert lbf.below_threshold_count == len(below)
-    from learnedbloom.bloom import BloomFilter
-
     reference = BloomFilter(512, 3, seed=seed)
     reference.insert_many(below)
     assert reference.to_bytes() == lbf.backup.to_bytes()
@@ -301,3 +302,96 @@ def test_workload_error_for_impossible_distribution():
 
     with pytest.raises(WorkloadError):
         sample(dist, 5, rng_seed=0)
+
+
+# Batches are scored learned._BLOCK keys at a time into one threshold mask.
+_BLOCK_SCORERS = {
+    "interval": IntervalScorer(((10, 20), (40, 45)), inside_score=0.75, outside_score=0.25),
+    "int-centered": LogisticScorer((6.0,), -1.0, "int-centered:64"),
+    "byte-ngram": LogisticScorer(tuple(np.linspace(-3.0, 3.0, 16)), 0.2, "byte-ngram:16"),
+}
+_KEY = st.integers(0, 63) | st.integers(0, 2**64 - 1)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Score batches 3 keys at a time, so a batch of up to 40 keys crosses many block edges."""
+    monkeypatch.setattr(learned, "_BLOCK", 3)
+
+
+# the fixture sets one constant, the same for every example
+_ACROSS_BLOCKS = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _assert_the_scalar_rule(scorer, tau, keys, queries, seed):
+    """Build and classify_many against score(k) < tau, score(k) >= tau and contains(k)."""
+    lbf = LearnedBloomFilter.build(keys, scorer, tau, FilterParams(m=256, k=3), seed=seed)
+    below = [k for k in keys if scorer.score(k) < tau]
+    reference = BloomFilter(256, 3, seed=seed)
+    reference.insert_many(below)
+    assert lbf.below_threshold_count == len(below)
+    assert lbf.backup.to_bytes() == reference.to_bytes()
+    above, answers = lbf.classify_many(queries)
+    assert above.tolist() == [scorer.score(q) >= tau for q in queries]
+    assert answers.tolist() == [lbf.contains(q) for q in queries]
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_SCORERS))
+@settings(max_examples=40, deadline=None, **_ACROSS_BLOCKS)
+@given(
+    data=st.data(),
+    keys=st.lists(_KEY, min_size=1, max_size=40),
+    queries=st.lists(_KEY, max_size=40),
+    seed=st.integers(0, 2**32),
+)
+def test_blocked_batches_keep_the_scalar_rule(small_blocks, name, data, keys, queries, seed):
+    scorer = _BLOCK_SCORERS[name]
+    # a key's own score as tau puts ties at the threshold on both paths
+    tau = data.draw(st.floats(0.0, 1.0) | st.sampled_from(keys + queries).map(scorer.score))
+    _assert_the_scalar_rule(scorer, tau, keys, queries, seed)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_batches_across_block_boundaries_match_the_scalar_paths(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    keys, queries = (rng.integers(0, 2**20, size=n).tolist() for _ in range(2))
+    scorer = LogisticScorer((6.0,), -0.5, f"int-centered:{2**20}")
+    scored = []
+    score_batch = LogisticScorer.score_batch
+
+    def counted(self, keys):
+        scored.append(len(keys))
+        return score_batch(self, keys)
+
+    monkeypatch.setattr(LogisticScorer, "score_batch", counted)
+    _assert_the_scalar_rule(scorer, scorer.score(keys[0]), keys, queries, seed=n)
+    blocks = [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
+    assert scored == blocks + blocks  # build, then classify_many, one call per block
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_temporaries_do_not_grow_with_the_batch():
+    # A whole-batch float64 score of 10^6 keys is 8 MB, and scoring one took four
+    # of them live at once: 32 MB. In blocks, what grows with the batch is the
+    # masks (n bytes each), the keys below tau (8 bytes each) and the backup's bits.
+    n = 1_000_000
+    keys = np.random.default_rng(3).integers(0, n, size=n, dtype=np.uint64)
+    scorer = LogisticScorer((8.0,), 0.0, f"int-centered:{n}")
+    tau = float(np.quantile(scorer.score_batch(keys[:100_000]), 0.1))
+    below = int(np.count_nonzero(scorer.score_batch(keys) < tau))
+    params = FilterParams(m=10 * below, k=7)
+    bound = 8 * below + 4 * n + 16 * _BLOCK * 8
+    build = lambda: LearnedBloomFilter.build(keys, scorer, tau, params, seed=1)
+    assert _peak_bytes(build) <= bound + params.m + params.m // 8
+    lbf = build()
+    assert lbf.below_threshold_count == below
+    assert _peak_bytes(lambda: lbf.classify_many(keys)) <= bound

@@ -261,6 +261,28 @@ class TestFeatureMaps:
         assert got.dtype == np.float64
         assert got.tolist() == [s.score(k) for k in keys]
 
+    @pytest.mark.parametrize(
+        "logit, weight, bias, key",  # int-norm:1's logit is key * weight + bias
+        [
+            (0.0, 1.0, 0.0, 0),
+            (-0.0, -1.0, -0.0, 0),
+            (math.inf, 1e300, 0.0, 2**64 - 1),
+            (-math.inf, -1e300, 0.0, 2**64 - 1),
+            (1e308, 1e308, 0.0, 1),
+            (-1e308, -1e308, 0.0, 1),
+            (5e-324, 5e-324, 0.0, 1),
+            (-5e-324, -5e-324, 0.0, 1),
+            (-745.0, 1.0, -745.0, 0),  # e^-745 is the smallest subnormal
+        ],
+    )
+    def test_score_equals_score_batch_at_edge_logits(self, logit, weight, bias, key):
+        s = LogisticScorer((weight,), bias, "int-norm:1")
+        z = s._fm.logit_one(key, s._w, s.bias)
+        assert (z, math.copysign(1.0, z)) == (logit, math.copysign(1.0, logit))
+        keys = [key, 0, 1, 2, 2**64 - 1]
+        assert s.score_batch(keys).tolist() == [s.score(k) for k in keys]
+        assert s.score(key) == _sigmoid(np.array([logit]))[0]
+
 
 class TestByteNgramTable:
     """A batch reads the bigram table; its buckets equal the scalar hash's key by key."""

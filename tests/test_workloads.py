@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from learnedbloom import workloads
+from learnedbloom import learned, workloads
 from learnedbloom.bloom import BloomFilter
 from learnedbloom.errors import OracleUnavailableError, ParameterError, WorkloadError
 from learnedbloom.evaluation import (
@@ -154,9 +154,10 @@ _DUPLICATES = QueryDistribution(FixedSet([3, 3, 3, 9, 9, 20, 20, 41, 60]), [9])
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Walk eligible supports 3 positions at a time, so a support of up to 63 keys
-    crosses many block edges and its exclusions land on them."""
+    """Walk eligible supports 3 positions at a time, and score them 2 keys at a time, so
+    a support of up to 63 keys crosses many block edges and its exclusions land on them."""
     monkeypatch.setattr(workloads, "BLOCK", 3)
+    monkeypatch.setattr(learned, "_BLOCK", 2)
 
 
 # the fixture sets one constant, the same for every example
@@ -446,7 +447,8 @@ class TestSupport:
         eligible = ~np.isin(keys, exclusion)
         above = eligible & (keys >= 1000) & (keys <= 1999)
         assert alpha == Fraction(int(above.sum()), int(eligible.sum()))
-        assert max(batches) == BLOCK  # enumerated block by block, not as one batch
+        # enumerated block by block, and each walked block scored in score blocks
+        assert (sum(batches), max(batches)) == (int(eligible.sum()), learned._BLOCK)
 
     @pytest.mark.parametrize("source", [UniformRange(0, 5000), FixedSet([3, 3, 9, 4000, 7000])],
                              ids=["range", "fixed"])
