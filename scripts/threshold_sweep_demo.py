@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from learnedbloom import cli
-from learnedbloom.errors import ParameterError
+from learnedbloom.errors import ParameterError, TrainingError
 from learnedbloom.hashing import derive_seed
 from learnedbloom.repro import worked_example_filter
 from learnedbloom.scorers import TrainingSet, scorer_to_text, train_logistic
@@ -64,3 +64,6 @@ if __name__ == "__main__":
     except ParameterError as exc:  # a bad option: one line and exit 2, as in ``lbf``
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(cli.EXIT_PARAMETER)
+    except TrainingError as exc:  # training failed: one line and exit 5, as in ``lbf``
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(cli.EXIT_TRAINING)

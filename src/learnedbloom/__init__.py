@@ -39,6 +39,7 @@ from .scorers import (
     train_logistic,
 )
 from .workloads import (
+    Draws,
     FixedSet,
     HotRangeExample,
     QueryDistribution,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BloomFilter",
     "ConcentrationReport",
+    "Draws",
     "EvalReport",
     "FilterFormatError",
     "FilterParams",

@@ -41,10 +41,11 @@ from .evaluation import (
     threshold_sweep,
 )
 from .hashing import _held_keys, as_keys, derive_seed
-from .learned import LearnedBloomFilter, _at_or_above
+from .learned import LearnedBloomFilter
 from .repro import build_report, worked_example_filter
 from .scorers import IntervalScorer, Scorer, scorer_from_text
 from .workloads import (
+    Draws,
     FixedSet,
     QueryDistribution,
     UniformRange,
@@ -52,7 +53,6 @@ from .workloads import (
     load_keys_text,
     parse_keys_text,
     read_manifest,
-    sample,
     save_keys_text,
 )
 
@@ -273,8 +273,8 @@ def _cmd_build(args) -> int:
             try:
                 alpha = float(exact_alpha(lbf.scorer, lbf.tau, dist))
             except OracleUnavailableError:
-                drawn = sample(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
-                alpha = float(_at_or_above(lbf.scorer, lbf.tau, drawn).mean())
+                draws = Draws(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
+                alpha = evaluate(lbf, draws).alpha_estimate
             summary["alpha"] = alpha
             summary["alpha_dist"] = args.summary_dist
     if args.keys_out:
@@ -315,8 +315,7 @@ def _cmd_eval(args) -> int:
         if overlap.size:
             raise WorkloadError(f"{overlap.size} query keys overlap the key set (e.g. {overlap[0]})")
     else:
-        dist = _parse_dist(args.dist, key_set)
-        queries = sample(dist, args.samples, derive_seed(args.seed, "eval"))
+        queries = Draws(_parse_dist(args.dist, key_set), args.samples, derive_seed(args.seed, "eval"))
     report = evaluate(filt, queries).to_dict()
     _emit(args, {"schema": "learnedbloom-eval/1", "config": _config_echo(args), **report})
     return EXIT_OK
@@ -504,7 +503,7 @@ def main(argv=None) -> int:
     except (WorkloadError, OracleUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKLOAD
-    except MemoryError as exc:  # an allocation the limits refused past numpy's up-front check
+    except MemoryError as exc:  # an allocation the address-space limit refused
         print(f"error: ran out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_PARAMETER
     except OSError as exc:

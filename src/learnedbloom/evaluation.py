@@ -7,13 +7,13 @@ thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
 form; its other supports, and the experiment's answer table, come from
 ``workloads.support_table``, the one walk of the eligible support and the one
-reader of ``SUPPORT_LIMIT``.  The experiment reads its table at the draws with
-``workloads.sample_table``, so its reports keep the bytes sampling gives.  A
+reader of ``SUPPORT_LIMIT``.  A sampled rate is an integer count over the blocks
+of a ``workloads.Draws``, which the experiment reads its table at, so no more
+than one block of draws is held and reports keep the bytes sampling gives.  A
 report stores what was measured, range-checked when built; ``model_fpr``,
 ``binomial_std_err`` and ``theorem_bound`` are properties computed by this
-module's functions, which ``to_dict`` adds.  Sample counts and set sizes are
-checked by ``workloads._check_sample_count``, backup design rates by
-``learned._sized_backup``, once for every caller.
+module's functions, which ``to_dict`` adds.  Draw counts are checked by
+``workloads.check_draws``, backup design rates by ``learned._sized_backup``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _at_or_above, _sized_backup
 from .scorers import IntervalScorer, Scorer
-from .workloads import (QueryDistribution, UniformRange, _check_sample_count, sample,
-                        sample_table, support_table)
+from .workloads import Draws, QueryDistribution, UniformRange, check_draws, support_table
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,20 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
 def evaluate(filt, queries) -> EvalReport:
     """``filt``'s rate on ``queries`` (non-members) and its prediction: alpha, the share
     scoring at or above ``tau``, composed with the backup's fill ratio^k.  A standard
-    filter is a learned filter with nothing above ``tau``: alpha 0, itself the backup."""
-    queries = as_keys(queries)
-    if queries.size == 0:
+    filter is a learned filter with nothing above ``tau``: alpha 0, itself the backup.
+    ``queries`` is one key batch, or a :class:`workloads.Draws` counted block by block."""
+    drawn = isinstance(queries, Draws)
+    blocks = queries if drawn else [as_keys(queries)]
+    n = queries.n if drawn else blocks[0].size
+    if n == 0:
         raise ParameterError("query list must be nonempty")
-    if isinstance(filt, LearnedBloomFilter):
-        above, answers = filt.classify_many(queries)
-        alpha, backup = float(above.mean()), filt.backup
-    else:
-        answers, alpha, backup = filt.contains_many(queries), 0.0, filt
-    return EvalReport(
-        empirical_fpr=float(answers.mean()),
-        sample_count=int(queries.size),
-        alpha_estimate=alpha,
-        backup_fpr_estimate=backup.fill_ratio ** backup.k,
-    )
+    learned, above, hits = isinstance(filt, LearnedBloomFilter), 0, 0
+    for keys in blocks:
+        mask, answers = filt.classify_many(keys) if learned else (False, filt.contains_many(keys))
+        above, hits = above + np.count_nonzero(mask), hits + np.count_nonzero(answers)
+    backup = filt.backup if learned else filt
+    return EvalReport(empirical_fpr=int(hits) / n, sample_count=n, alpha_estimate=int(above) / n,
+                      backup_fpr_estimate=backup.fill_ratio ** backup.k)
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,9 @@ def threshold_sweep(
 ) -> list[SweepPoint]:
     """Evaluate candidate thresholds against one shared query sample.
 
-    A single sample set serves every threshold, so along a sorted grid the
-    alpha estimates are non-increasing and the backup key counts
-    non-decreasing by pointwise set inclusion, not merely in expectation.
+    A single sample set, each block of it scored once, serves every threshold,
+    so along a sorted grid the alpha estimates are non-increasing and the backup
+    key counts non-decreasing by pointwise set inclusion, not merely in expectation.
     The backup for each candidate is sized for its below-threshold keys at
     ``backup_target_fpp``, as :meth:`LearnedBloomFilter.build` sizes it, and
     the predicted rate composes the sampled alpha with the sized backup's
@@ -174,22 +174,18 @@ def threshold_sweep(
     if not keys.size:
         raise ParameterError("key set must be nonempty")
     _sized_backup(backup_target_fpp, 1)  # a bad rate fails before the draw
-    query_scores = scorer.score_batch(sample(dist, samples, rng_seed))
+    above = [0] * len(taus)
+    for scores in map(scorer.score_batch, Draws(dist, samples, rng_seed)):
+        above = [count + np.count_nonzero(scores >= tau) for count, tau in zip(above, taus)]
     key_scores = scorer.score_batch(keys)
     points = []
-    for tau in taus:
-        alpha = float((query_scores >= tau).mean())
+    for tau, count in zip(taus, above):
+        alpha = int(count) / samples
         below = int((key_scores < tau).sum())
         params = _sized_backup(backup_target_fpp, below)
-        points.append(
-            SweepPoint(
-                tau=tau,
-                alpha_estimate=alpha,
-                backup_keys=below,
-                total_bits=scorer.size_bits() + params.m,
-                model_fpr=model_fpr(alpha, expected_fpp(below, params.m, params.k)),
-            )
-        )
+        predicted = model_fpr(alpha, expected_fpp(below, params.m, params.k))
+        points.append(SweepPoint(tau=tau, alpha_estimate=alpha, backup_keys=below,
+                                 total_bits=scorer.size_bits() + params.m, model_fpr=predicted))
     return points
 
 
@@ -216,33 +212,27 @@ def concentration_experiment(
     the explicit two-sided bound.
 
     A filter's answer depends only on the key, so the filter answers each eligible
-    key once, into :func:`workloads.support_table`, and each set's rate is the mean
-    of the table at the positions :func:`sample` would draw, from the same random
-    stream.  The rates, and so the report, are the same as sampling every set; a
-    support the table refuses (``OracleUnavailableError``) samples every set.
+    key once, into :func:`workloads.support_table`, and each set's rate counts the
+    table at the set's :meth:`workloads.Draws.positions`.  The rates, and so the
+    report, are the same as sampling every set; a support the table refuses
+    (``OracleUnavailableError``) answers every set's keys.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    _check_sample_count(t_size)  # both before any answer table is built
-    _check_sample_count(q_size)
+    # before any table is built; each set is charged 4096 draws for its fixed cost (a trial
+    # of one draw a set still takes about 50 us), so the limit bounds the trials' time too
+    check_draws([t_size, q_size], trials, per_set=4096)
     try:
         table = support_table(dist, lbf.contains_many)
-        rate = lambda n, seed: float(sample_table(table, dist, n, seed).mean())
+        hits = lambda draws: sum(int(np.count_nonzero(table[pos])) for pos in draws.positions())
     except OracleUnavailableError:
-        rate = lambda n, seed: float(lbf.contains_many(sample(dist, n, seed)).mean())
+        hits = lambda draws: sum(int(np.count_nonzero(lbf.contains_many(keys))) for keys in draws)
     exceed = 0
     for trial in range(trials):
-        x = rate(t_size, derive_seed(rng_seed, f"T{trial}"))
-        y = rate(q_size, derive_seed(rng_seed, f"Q{trial}"))
-        if abs(x - y) >= epsilon:
-            exceed += 1
-    return ConcentrationReport(
-        epsilon=float(epsilon),
-        trials=trials,
-        exceed_fraction=exceed / trials,
-        t_size=t_size,
-        q_size=q_size,
-        seed=rng_seed,
-    )
+        x = hits(Draws(dist, t_size, derive_seed(rng_seed, f"T{trial}"))) / t_size
+        y = hits(Draws(dist, q_size, derive_seed(rng_seed, f"Q{trial}"))) / q_size
+        exceed += abs(x - y) >= epsilon
+    return ConcentrationReport(epsilon=float(epsilon), trials=trials, exceed_fraction=exceed / trials,
+                               t_size=t_size, q_size=q_size, seed=rng_seed)

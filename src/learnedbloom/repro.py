@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .evaluation import EvalReport, evaluate, exact_alpha
 from .hashing import derive_seed
 from .learned import LearnedBloomFilter
-from .workloads import RESTRICTED_HI, hot_range_example, sample
+from .workloads import RESTRICTED_HI, Draws, check_draws, hot_range_example
 
 REPORT_SCHEMA = "learnedbloom-report/1"
 
@@ -74,6 +74,7 @@ def build_report(
             f"backup_target_fpp {backup_target_fpp} must lie in (0, 0.5): the standard "
             "filter the report compares against is sized at twice that rate"
         )
+    check_draws([full_samples, restricted_samples], times=2)  # each range is drawn twice
     example, lbf = worked_example_filter(seed, backup_target_fpp)
     keys, scorer, tau = example.keys, lbf.scorer, lbf.tau
 
@@ -82,9 +83,9 @@ def build_report(
     alpha_full = exact_alpha(scorer, tau, full)
     alpha_restricted = exact_alpha(scorer, tau, restricted)
 
-    eval_full = evaluate(lbf, sample(full, full_samples, derive_seed(seed, "eval-full")))
+    eval_full = evaluate(lbf, Draws(full, full_samples, derive_seed(seed, "eval-full")))
     eval_restricted = evaluate(
-        lbf, sample(restricted, restricted_samples, derive_seed(seed, "eval-restricted"))
+        lbf, Draws(restricted, restricted_samples, derive_seed(seed, "eval-restricted"))
     )
 
     full_section = _range_section(alpha_full, eval_full)
@@ -107,9 +108,9 @@ def build_report(
         derive_seed(seed, "reference-filter"),
     )
     reference.insert_many(keys)
-    ref_full = evaluate(reference, sample(full, full_samples, derive_seed(seed, "reference-full")))
+    ref_full = evaluate(reference, Draws(full, full_samples, derive_seed(seed, "reference-full")))
     ref_restricted = evaluate(
-        reference, sample(restricted, restricted_samples, derive_seed(seed, "reference-restricted"))
+        reference, Draws(restricted, restricted_samples, derive_seed(seed, "reference-restricted"))
     )
 
     # undefined (None) when the full-range sample drew no false positive

@@ -6,10 +6,10 @@ into a draw map: sampling draws each key straight from the eligible support, the
 source's keys outside the exclusion, so no draw is rejected.  ``SUPPORT_LIMIT``
 bounds the support that is enumerable: :func:`support_table`, the one walk of it,
 and the held :class:`Marks` a draw is mapped through exist only at or below it;
-past it, ``np.isin`` maps each draw.  :func:`sample_table` reads the table at the
-draws of :func:`sample`.  Also provides the hot-range worked example (1000 keys,
-half clustered in one interval) used by the reproduction experiments, and
-dataset file I/O.
+past it, ``np.isin`` maps each draw.  Every sampled count reads :class:`Draws`,
+``BLOCK`` draws at a time, within :func:`check_draws`'s ``DRAW_LIMIT``.  Also
+provides the hot-range worked example (1000 keys, half clustered in one interval)
+used by the reproduction experiments, and dataset file I/O.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
 
-BLOCK = 1 << 16  # positions per block of an eligible-support walk
+BLOCK = 1 << 16  # positions per block of an eligible-support walk or of a draw stream
 SUPPORT_LIMIT = 10**7  # largest eligible support that is walked or marked
+DRAW_LIMIT = 10**8  # most draws one command makes, checked before its first
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ class QueryDistribution:
     @functools.cached_property
     def marks(self) -> Marks | None:
         """The :class:`Marks` of the part's ``low``, or None where nothing moves or the
-        eligible support is not enumerable; built at the first :func:`sample`, then held,
-        so a distribution only counted in closed form never pays for them."""
+        eligible support is not enumerable; built at the first draws mapped to keys, then
+        held, so a distribution only counted in closed form never pays for them."""
         part = self.part
         return _marks(part) if _enumerable(part) and part.low.size else None
 
@@ -175,24 +176,15 @@ def uniform_queries(lo: int, hi: int, exclude=()) -> QueryDistribution:
     return QueryDistribution(UniformRange(lo, hi), exclude)
 
 
-def _check_sample_count(n: int) -> None:
-    """A ParameterError unless ``n`` is at least 1 and numpy would allocate ``n`` draws."""
-    if n < 1:
+def check_draws(counts, times: int = 1, per_set: int = 0) -> None:
+    """A ParameterError unless each sample count is at least 1 and drawing each ``times``
+    times, each set charged ``per_set`` draws more, stays within ``DRAW_LIMIT``."""
+    if min(counts) < 1:
         raise ParameterError("sample count must be >= 1")
-    try:
-        np.empty(n, dtype=np.uint64)
-    except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
-        raise ParameterError(f"sample count {n} is too large to allocate") from exc
-
-
-def _draw(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
-    """The raw positions :func:`sample` draws, in draw order, each below the part's
-    ``cut``.  Raises ParameterError when ``n`` cannot be allocated and WorkloadError when
-    no key is eligible, before drawing anything."""
-    _check_sample_count(n)
-    if not dist.part.cut:
-        raise WorkloadError("exclusion removes the whole support")
-    return np.random.default_rng(rng_seed).integers(0, dist.part.cut, size=n, dtype=np.uint64)
+    if times * sum(n + per_set for n in counts) > DRAW_LIMIT:
+        asked = " + ".join(map(str, counts)) + (f" + {len(counts)} x {per_set}" if per_set else "")
+        asked = asked if times == 1 else f"{times} x ({asked})"
+        raise ParameterError(f"{asked} draws exceed the draw limit {DRAW_LIMIT}")
 
 
 def _keys_at(dist: QueryDistribution, pos: np.ndarray) -> np.ndarray:
@@ -212,13 +204,33 @@ def _keys_at(dist: QueryDistribution, pos: np.ndarray) -> np.ndarray:
     return dist.source.keys_at(pos)
 
 
+class Draws:
+    """The ``n`` draws :func:`sample` joins, ``BLOCK`` at a time from one stream: iterated,
+    each block's keys; :meth:`positions`, each block's raw positions, below the part's ``cut``.
+    Made only for a count :func:`check_draws` accepts and a distribution with an eligible key."""
+
+    def __init__(self, dist: QueryDistribution, n: int, rng_seed: int):
+        check_draws([n])
+        if not dist.part.cut:
+            raise WorkloadError("exclusion removes the whole support")
+        self.dist, self.n, self.rng_seed = dist, n, rng_seed
+
+    def positions(self):
+        rng, cut = np.random.default_rng(self.rng_seed), self.dist.part.cut
+        for start in range(0, self.n, BLOCK):  # the blocks continue one Generator.integers stream
+            yield rng.integers(0, cut, size=min(BLOCK, self.n - start), dtype=np.uint64)
+
+    def __iter__(self):
+        return (_keys_at(self.dist, pos) for pos in self.positions())
+
+
 def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     """Draw n i.i.d. keys from the source conditioned on missing the exclusion; none is rejected.
 
     A draw picks one of the source's eligible keys uniformly.  Deterministic for
     fixed (dist, n, rng_seed).  Raises WorkloadError when no key is eligible.
     """
-    return _keys_at(dist, _draw(dist, n, rng_seed))
+    return np.concatenate(list(Draws(dist, n, rng_seed)))
 
 
 def support_table(dist: QueryDistribution, answer) -> np.ndarray:
@@ -243,12 +255,6 @@ def support_table(dist: QueryDistribution, answer) -> np.ndarray:
         pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
         table[start:stop] = answer(dist.source.keys_at(pos))
     return table
-
-
-def sample_table(table: np.ndarray, dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
-    """The values of ``dist``'s :func:`support_table` at the keys ``sample(dist, n, rng_seed)``
-    draws, in draw order: ``answer(sample(dist, n, rng_seed))`` without answering a draw."""
-    return table[_draw(dist, n, rng_seed)]
 
 
 # ---------------------------------------------------------------------------

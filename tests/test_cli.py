@@ -11,6 +11,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.repro import worked_example_filter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer, scorer_to_text
-from learnedbloom.workloads import SUPPORT_LIMIT, sample, save_keys_text, uniform_queries
+from learnedbloom.workloads import (DRAW_LIMIT, SUPPORT_LIMIT, sample, save_keys_text,
+                                   uniform_queries)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1513,7 +1515,7 @@ class TestExitCodes:
         ids=["eval_samples", "concentration_t_size", "concentration_q_size", "repro_samples"],
     )
     def test_unallocatable_sample_count_is_one_error_line(self, tmp_path, capsys, argv):
-        # numpy refuses an 80 TB sample array at once, so this allocates nothing
+        # the draw limit refuses 10^13 draws before the first, naming the count
         filt = tmp_path / "ex.lbf"
         run(capsys, "build", "--kind", "example", "--seed", "7", "--out", filt)
         out = tmp_path / "report.json"
@@ -1523,6 +1525,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(10**13) in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, asked",
+    [(["concentration", "--trials", "1000000000", "--t-size", "1", "--q-size", "1"],
+      "1000000000 x (1 + 1 + 2 x 4096)"),
+     (["concentration", "--trials", "12205", "--t-size", "1", "--q-size", "1"],
+      "12205 x (1 + 1 + 2 x 4096)"),  # the first trial count past the limit, at 8,194 a trial
+     (["eval", "--filter", "FILTER", "--dist", "uniform:0:1000000", "--samples", "100000001"],
+      "100000001"),
+     (["sweep", "--keys", "KEYS", "--scorer", "interval:0:9:0.5:0", "--taus", "0.5",
+       "--dist", "uniform:0:1000000", "--samples", "100000001"], "100000001"),
+     (["repro-example", "--samples", "49900000", "--restricted-samples", "100001"],
+      "2 x (49900000 + 100001)")],
+    ids=["concentration_trials", "concentration_one_trial_over", "eval", "sweep", "repro"],
+)  # fmt: skip
+def test_a_command_over_the_draw_limit_exits_2_before_drawing(tmp_path, capsys, argv, asked):
+    filt, keys = tmp_path / "ex.lbf", tmp_path / "keys.txt"
+    run(capsys, "build", "--kind", "example", "--out", filt, "--keys-out", keys)
+    out = tmp_path / "report.json"
+    argv = [str({"FILTER": filt, "KEYS": keys}.get(a, a)) for a in [*argv, "--out", out]]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, capsys.readouterr()) == (
+        EXIT_PARAMETER, ("", f"error: {asked} draws exceed the draw limit {DRAW_LIMIT}\n"))
+    assert not out.exists()
 
 
 def test_every_raise_names_an_error_main_maps_to_an_exit_code():

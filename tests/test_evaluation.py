@@ -1,6 +1,7 @@
 """Rate measurement, the exact-alpha oracle, concentration experiments."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from learnedbloom import workloads
 from learnedbloom.bloom import BloomFilter, expected_fpp, params_for_target
 from learnedbloom.errors import (
     OracleUnavailableError,
@@ -27,6 +29,7 @@ from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
+    Draws,
     FixedSet,
     QueryDistribution,
     hot_range_example,
@@ -202,6 +205,34 @@ class TestEvaluate:
         alone = evaluate(backup, np.arange(10))
         assert (alone.alpha_estimate, alone.backup_fpr_estimate, alone.model_fpr) == (0.0, fill, fill)
         assert expected == pytest.approx(fill, rel=0.5)  # same ballpark, different estimator
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 2501])
+    def test_drawn_queries_give_the_report_of_their_sample(self, example, example_lbf, monkeypatch, n):
+        monkeypatch.setattr(workloads, "BLOCK", 1000)  # n crosses block edges
+        dist = example[0].restricted_range_queries()
+        for filt in (example_lbf, example_lbf.backup):
+            assert evaluate(filt, Draws(dist, n, 12)) == evaluate(filt, sample(dist, n, 12))
+
+    def test_a_generator_of_keys_is_one_batch(self, example_lbf):
+        keys = np.arange(0, 3000, 7)
+        assert evaluate(example_lbf, (int(k) for k in keys)) == evaluate(example_lbf, keys)
+        blocks = iter(Draws(uniform_queries(0, 3000), 10, 1))  # blocks are not keys
+        with pytest.raises(ParameterError, match="keys are integers"):
+            evaluate(example_lbf, blocks)
+
+    @pytest.mark.parametrize("n", [10**5, 4 * 10**6])
+    def test_drawn_queries_peak_in_memory_that_does_not_grow_with_them(self, example, example_lbf, n):
+        # the draws' own held marks included; every draw held at once would be 32 MB at 4 * 10^6
+        dist = example[0].full_range_queries()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = evaluate(example_lbf, Draws(dist, n, 3))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.sample_count == n
+        assert peak <= 4 << 20
 
     def test_empirical_matches_model_within_four_stderr(self, example, example_lbf):
         # rate predicted from the exact alpha oracle plus the realized backup,

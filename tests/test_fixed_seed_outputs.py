@@ -16,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
+from learnedbloom import workloads
 from learnedbloom.cli import main
+from learnedbloom.scorers import LogisticScorer, scorer_to_text
 from learnedbloom.workloads import save_keys_text
 
 COMMANDS = {
@@ -80,23 +82,35 @@ EXPECTED = {
 }
 
 
+def _stdout(commands: dict, work, patch) -> dict:
+    """Name -> the stdout bytes of each command, run in order in ``work``."""
+    got = {}
+    patch.chdir(work)
+    for name, argv in commands.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, name
+        got[name] = out.getvalue().encode("utf-8")
+    return got
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """Name -> bytes: the stdout of each command in order, then each file the builds wrote."""
+def work(tmp_path_factory):
+    """The scratch directory the commands run in, with their key files."""
     work = tmp_path_factory.mktemp("fixed-seed")
     rng = np.random.default_rng(20)
     keys = np.unique(rng.integers(0, 1_000_000, size=2_000)).tolist()
     save_keys_text(work / "keys.txt", keys)
     save_keys_text(work / "queries.txt", keys[:50] + [k + 1 for k in keys[:50]])
-    got = {}
+    return work
+
+
+@pytest.fixture(scope="module")
+def outputs(work):
+    """Name -> bytes: the stdout of each command in order, then each file the builds wrote."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(work)
-        for name, argv in COMMANDS.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            assert code == 0, name
-            got[name] = out.getvalue().encode("utf-8")
+        got = _stdout(COMMANDS, work, mp)
     for name in FILES:
         got[name] = (work / name).read_bytes()
     return got
@@ -128,3 +142,26 @@ def test_a_repro_run_with_no_full_range_false_positive_has_no_ratio(capsys):
     assert report["distribution_shift"]["learned_fpr_ratio"] is None
     jump = report["reference_figures"]["composite_rate_restricted_range"]
     assert jump["qualitative_jump_confirmed"] is False
+
+
+# Every pinned run draws at most 20,000 keys, within one 2^16-draw block.  At a block of
+# 997 draws the sampled ones cross block edges: eval, the sweep, concentration on both
+# sides of SUPPORT_LIMIT, repro, and a build whose summary alpha, past the limit under a
+# logistic scorer, is sampled.
+_SAMPLED = ["eval_standard", "eval_example", "sweep_json", "concentration",
+            "concentration_sampled", "repro_json"]
+_SUMMARY_SAMPLED = ["build", "--kind", "learned", "--keys", "keys.txt", "--scorer", "logistic.json",
+                    "--tau", "0.5", "--seed", "3", "--summary-dist", f"uniform:0:{2 * 10**7}",
+                    "--out", "logistic.lbf"]
+
+
+def test_sampled_reports_do_not_depend_on_the_draw_block(work, outputs):
+    scorer = LogisticScorer((-8.0,), 4.0, "int-norm:20000000")  # 0.5 at 10^7
+    (work / "logistic.json").write_text(scorer_to_text(scorer), encoding="utf-8")
+    commands = {**{name: COMMANDS[name] for name in _SAMPLED}, "summary": _SUMMARY_SAMPLED}
+    with pytest.MonkeyPatch.context() as mp:
+        summary = _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"]
+        mp.setattr(workloads, "BLOCK", 997)
+        small = _stdout(commands, work, mp)
+    assert small == {**{name: outputs[name] for name in _SAMPLED}, "summary": summary}
+    assert 0 < json.loads(summary)["alpha"] < 1  # sampled: 100,000 draws over 101 blocks

@@ -6,7 +6,8 @@ its bytes, ``lbf`` must exit 0, 2, 3, 4 or 5, never with a traceback, and must n
 hang nor exhaust memory.  This guards what the scan of ``raise`` statements cannot
 see: numpy errors, ``ZeroDivisionError`` and ``MemoryError``.  Every mutant runs in
 one child process that caps its own address space, under a timeout, with its working
-directory beside the seed files; so do a few fixed runs that must run out of memory.
+directory beside the seed files; so does a fixed run that asks for more draws than one
+command may make.
 
 Run as a script, ``python tests/test_fuzz.py DIR`` mutates the seed files in
 DIR and prints a JSON summary of the runs.
@@ -39,6 +40,7 @@ ADDRESS_SPACE = 3 << 30  # the child's cap: a mutant asking for more fails, not 
 EXIT_CODES = {0, 2, 3, 4, 5}
 KEY_ARGUMENTS = b"0 15000 18446744073709551615"  # split at spaces into lbf query's key arguments
 EVAL_CONFIG = "dist=uniform:0:300000\nsamples=200\nseed=3\nformat=csv\n"
+CONCENTRATION_CONFIG = "trials=20\nt-size=50\nq-size=50\nepsilon=0.2\n"
 # bytes that keep a config value near a number: digits, signs, exponents, the letters of
 # nan and inf, and the UTF-8 bytes of an Arabic-Indic five
 _CONFIG_BYTES = b"0123456789_+-.eEnaif\xd9\xa5"
@@ -109,7 +111,10 @@ def _runs(seeds: Path, name: str, mutant: str, key_arguments: list[str]) -> list
                 ["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
                  "--dist", f"fixed:{mutant}", "--samples", "200"]]
     if name.endswith(".cfg"):
-        return [["eval", "--filter", str(seeds / "intervals.lbf"), "--keys", keys, "--config", mutant]]
+        command = name.removesuffix(".cfg")  # eval or concentration
+        return [[command, "--filter", str(seeds / "intervals.lbf"), "--keys", keys,
+                 *(["--dist", "uniform:0:300000"] if command == "concentration" else []),
+                 "--config", mutant]]
     if name.endswith(".json"):
         return [["build", "--kind", "learned", "--keys", keys, "--scorer", mutant, "--tau", "0.4",
                  "--out", str(seeds / "built.lbf")],
@@ -127,7 +132,8 @@ def fuzz(directory: str) -> dict:
     warnings.filterwarnings("error", category=RuntimeWarning, module="learnedbloom")
     rng = random.Random(SEED)
     argument_rng = random.Random(SEED + 1)  # its own stream, so the file mutants stay as they were
-    config_rng = random.Random(SEED + 2)  # likewise
+    # likewise, one per config file
+    config_rngs = {"eval.cfg": random.Random(SEED + 2), "concentration.cfg": random.Random(SEED + 3)}
     seeds = Path(directory)
     mutant = str(seeds / "mutant")
     codes, escaped = Counter(), []
@@ -139,7 +145,7 @@ def fuzz(directory: str) -> dict:
             # and a third keep valid JSON with one value replaced
             change = [None, lambda r, b: _mutate(r, b, _JSON_BYTES), _replace_a_value][i % 3]
             if name.endswith(".cfg"):
-                blob = _mutate(config_rng, data, _CONFIG_BYTES)
+                blob = _mutate(config_rngs[name], data, _CONFIG_BYTES)
             elif name.endswith(".lbf") and change:
                 blob = _mutate_scorer_record(rng, data, change)
             elif name.endswith(".json") and change:
@@ -166,9 +172,8 @@ def fuzz(directory: str) -> dict:
 
 
 def _fixed_runs(seeds: Path) -> dict[str, list[str]]:
-    """Unmutated runs whose arrays numpy allocates at once but the capped address space
-    cannot hold: 200M draws against the worked example's keys pass the sample count's
-    check, but the draws and the keys they map to, 1.6 GB each, never fit together."""
+    """Unmutated runs that ask for more than a command may: 200M draws against the worked
+    example's keys are twice ``DRAW_LIMIT``, refused by the draw check before any draw."""
     example = seeds / "example"
     return {"eval_200M_samples": ["eval", "--filter", str(example / "ex.lbf"),
                                   "--keys", str(example / "keys.txt"),
@@ -177,10 +182,12 @@ def _fixed_runs(seeds: Path) -> dict[str, list[str]]:
 
 def _write_seed_files(directory: Path) -> None:
     """keys.txt, a standard filter of those keys, one learned filter per scorer in SCORERS,
-    an eval config file, and the worked example's filter and keys for the fixed runs."""
+    an eval and a concentration config file, and the worked example's filter and keys for
+    the fixed runs."""
     keys = np.random.default_rng(SEED).choice(300_000, size=300, replace=False)
     save_keys_text(directory / "keys.txt", keys.tolist())
     (directory / "eval.cfg").write_text(EVAL_CONFIG, encoding="utf-8")
+    (directory / "concentration.cfg").write_text(CONCENTRATION_CONFIG, encoding="utf-8")
     example = directory / "example"  # no seed file: a directory has no suffix
     example.mkdir()
     assert main(["build", "--kind", "example", "--out", str(example / "ex.lbf"),
@@ -209,10 +216,10 @@ def test_mutated_filter_and_key_files_exit_with_a_code_and_no_traceback(tmp_path
     assert summary["escaped"] == []
     assert set(summary["codes"]) <= {str(code) for code in EXIT_CODES}
     # keys.txt: query with key file and key arguments, and eval; 4 filters: query, eval and
-    # concentration; 3 scorers: build, sweep; eval.cfg: eval
-    assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2 + 1) * MUTANTS_PER_FILE
+    # concentration; 3 scorers: build, sweep; eval.cfg: eval; concentration.cfg: concentration
+    assert sum(summary["codes"].values()) == (3 + 4 * 3 + 3 * 2 + 1 + 1) * MUTANTS_PER_FILE
     assert {"0", "2"} <= set(summary["codes"])  # mutants both load and fail to
-    assert summary["fixed"] == {"eval_200M_samples": 2}  # ran out of memory: one error line
+    assert summary["fixed"] == {"eval_200M_samples": 2}  # over the draw limit: one error line
 
 
 if __name__ == "__main__":

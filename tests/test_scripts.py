@@ -3,11 +3,15 @@
 import csv
 import io
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from learnedbloom import scorers
+from learnedbloom.errors import TrainingError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +48,16 @@ def test_threshold_sweep_demo_writes_one_row_per_tau(options, error):
     assert [float(row[0]) for row in rows[1:]] == [0.0, 0.5, 1.0]
     alphas = [float(row[1]) for row in rows[1:]]
     assert all(b <= a for a, b in zip(alphas, alphas[1:]))
+
+
+def test_threshold_sweep_demo_exits_5_when_training_fails(monkeypatch, capsys):
+    def train_logistic(*args, **kwargs):
+        raise TrainingError("non-finite loss or gradient at epoch 0")
+
+    monkeypatch.setattr(scorers, "train_logistic", train_logistic)  # the script imports it anew
+    script = ROOT / "scripts" / "threshold_sweep_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--negatives", "20", "--samples", "20"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 5
+    assert capsys.readouterr() == ("", "error: non-finite loss or gradient at epoch 0\n")

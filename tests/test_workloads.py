@@ -23,16 +23,18 @@ from learnedbloom.hashing import derive_seed
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     BLOCK,
+    DRAW_LIMIT,
     SUPPORT_LIMIT,
+    Draws,
     FixedSet,
     HotRangeExample,
     QueryDistribution,
     UniformRange,
+    check_draws,
     hot_range_example,
     load_keys_text,
     read_manifest,
     sample,
-    sample_table,
     save_keys_text,
     support_table,
     uniform_queries,
@@ -69,7 +71,7 @@ class TestSampling:
             sample(uniform_queries(0, 10), 0, rng_seed=1)
 
     def test_unallocatable_sample_count_is_a_parameter_error(self):
-        # numpy refuses an 80 TB output at once, so this allocates nothing
+        # past the draw limit: refused before any draw
         with pytest.raises(ParameterError, match="10000000000000"):
             sample(uniform_queries(0, 10), 10**13, rng_seed=1)
 
@@ -80,6 +82,49 @@ class TestSampling:
         c = sample(dist, 5000, rng_seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "cut", [1, 2, 97, 999_000, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7, 2**63 + 5, 2**64 - 1, 2**64]
+    )
+    def test_integers_drawn_in_blocks_equal_one_call(self, cut):
+        # the premise of drawing BLOCK positions at a time: below 2^32 numpy draws 32-bit
+        # halves, and the half left over by a block goes to the next one
+        whole = np.random.default_rng(9).integers(0, cut, size=5000, dtype=np.uint64)
+        for block in [1, 3, 7, 1000, 4096]:
+            rng = np.random.default_rng(9)
+            drawn = [rng.integers(0, cut, size=min(block, 5000 - start), dtype=np.uint64)
+                     for start in range(0, 5000, block)]
+            assert np.concatenate(drawn).tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_draws_do_not_depend_on_the_block(self, monkeypatch, block):
+        dists = [uniform_queries(0, 1_000_000, range(0, 1_000_000, 3)),
+                 uniform_queries(0, 1 << 64, [5, 1 << 40]),
+                 QueryDistribution(FixedSet(np.arange(50_000) % 977), range(0, 977, 2))]
+        whole = [sample(dist, 9000, rng_seed=4) for dist in dists]
+        monkeypatch.setattr(workloads, "BLOCK", block)
+        for dist, drawn in zip(dists, whole):
+            draws = Draws(dist, 9000, rng_seed=4)
+            assert [len(keys) for keys in draws] == [min(block, 9000 - s) for s in range(0, 9000, block)]
+            assert np.concatenate(list(draws)).tolist() == drawn.tolist()
+            assert sample(dist, 9000, rng_seed=4).tolist() == drawn.tolist()
+
+    def test_the_draw_limit_is_checked_before_a_draw(self):
+        check_draws([DRAW_LIMIT])
+        check_draws([DRAW_LIMIT // 2 - 4096, DRAW_LIMIT // 2 - 4096], per_set=4096)
+        check_draws([9, 1], times=DRAW_LIMIT // 10)
+        for counts, times, per_set, asked in [
+            ([DRAW_LIMIT + 1], 1, 0, f"{DRAW_LIMIT + 1}"),
+            ([DRAW_LIMIT // 2, 1], 2, 0, f"2 x ({DRAW_LIMIT // 2} + 1)"),
+            ([1, 1], 10**9, 4096, "1000000000 x (1 + 1 + 2 x 4096)"),
+        ]:
+            with pytest.raises(ParameterError) as refused:
+                check_draws(counts, times, per_set)
+            assert str(refused.value) == f"{asked} draws exceed the draw limit {DRAW_LIMIT}"
+        with pytest.raises(ParameterError, match="^sample count must be >= 1$"):
+            check_draws([5, 0], times=DRAW_LIMIT)  # a count below 1 is named first
+        with pytest.raises(ParameterError, match=f"^{DRAW_LIMIT + 1} draws exceed"):
+            Draws(uniform_queries(0, 10), DRAW_LIMIT + 1, 1)  # refused when made
 
     def test_fixed_set_source(self):
         dist = QueryDistribution(FixedSet((4, 8, 15)), frozenset({8}))
@@ -305,9 +350,14 @@ def test_samples_never_hit_the_exclusion_set(excluded, seed):
     assert not excluded.intersection(out.tolist())
 
 
+def _positions(draws) -> np.ndarray:
+    """The raw positions of ``draws``, every block joined."""
+    return np.concatenate(list(draws.positions()))
+
+
 def _reference_sample(dist, n, seed):
     """The draw map's spec: a draw on ``low[i]``, found by ``np.isin``, becomes ``top[i]``."""
-    pos, part = workloads._draw(dist, n, seed), dist.part
+    pos, part = _positions(Draws(dist, n, seed)), dist.part
     moved = np.isin(pos, part.low)
     pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
     return dist.source.keys_at(pos)
@@ -517,15 +567,16 @@ def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n
     table = support_table(dist, _FILTER.contains_many)
     assert (keys.dtype, table.dtype) == (np.uint64, bool)
     if not dist.part.cut:
-        for held in (keys, table):
-            with pytest.raises(WorkloadError, match="whole support"):
-                sample_table(held, dist, n, seed)
+        with pytest.raises(WorkloadError, match="whole support"):
+            Draws(dist, n, seed)
         return
     drawn = sample(dist, n, seed)
-    assert sample_table(keys, dist, n, seed).tolist() == drawn.tolist()
-    answers = sample_table(table, dist, n, seed)
+    positions = _positions(Draws(dist, n, seed))
+    assert keys[positions].tolist() == drawn.tolist()
+    answers = table[positions]
     assert answers.tolist() == _FILTER.contains_many(drawn).tolist()
     assert float(answers.mean()) == evaluate(_FILTER, drawn).empirical_fpr
+    assert evaluate(_FILTER, Draws(dist, n, seed)) == evaluate(_FILTER, drawn)
 
 
 def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed):
@@ -564,8 +615,10 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
     support = dist.part.cut
     if support <= limit:  # a table: each eligible key answered once
         assert filt.queried().size == support
-    else:  # every set sampled, then answered
-        assert [batch.size for batch in filt.batches] == [t_size, q_size] * trials
+    else:  # every set sampled, then answered a block at a time
+        blocks = [min(3, n - start) for n in [t_size, q_size] * trials  # the fixture's BLOCK
+                  for start in range(0, n, 3)]
+        assert [batch.size for batch in filt.batches] == blocks
 
 
 class _Counting:
@@ -661,7 +714,8 @@ class TestAnswerTables:
     @pytest.mark.parametrize("sizes", [(10**13, 10), (10, 10**13)], ids=["t_size", "q_size"])
     def test_an_unallocatable_set_size_is_refused_on_the_table_path(self, sizes):
         filt = _Counting(_FILTER)
-        with pytest.raises(ParameterError, match=f"sample count {10**13} is too large to allocate"):
+        asked = " + ".join(map(str, sizes)) + f" + 2 x 4096 draws exceed the draw limit {DRAW_LIMIT}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(asked)}$"):
             concentration_experiment(filt, uniform_queries(0, 50, [3]), *sizes, 0.5, 1, 2)
         assert filt.batches == []  # refused before the table is built
 
