@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterFormatError, ParameterError
-from .hashing import _MASK, _key, as_keys, hash_pair, hash_pair_batch
+from .hashing import _MASK, _key, _pair_from_base, _seed_base, as_keys, hash_pair_batch
 
 _LN2 = math.log(2.0)
 
@@ -71,12 +71,18 @@ class BloomFilter:
         params = FilterParams(m=int(m), k=int(k))
         self.m = params.m
         self.k = params.k
-        self.seed = int(seed) & _MASK
+        self._seed = int(seed) & _MASK
+        self._base = _seed_base(self._seed)  # what every scalar probe adds to its key
         try:
             self._bits = np.zeros((self.m + 7) // 8, dtype=np.uint8)
         except (MemoryError, ValueError) as exc:  # numpy refuses at once, allocating nothing
             raise ParameterError(f"bit count m={self.m} is too large to allocate") from exc
         self.inserted_count = 0
+
+    @property
+    def seed(self) -> int:
+        """The hash seed, read-only: the scalar probes hold its mixed base."""
+        return self._seed
 
     @classmethod
     def from_params(cls, params: FilterParams, seed: int) -> "BloomFilter":
@@ -84,7 +90,7 @@ class BloomFilter:
 
     def insert(self, key) -> None:
         """Set the k probe bits for ``key``; idempotent on the bit array."""
-        h, step = hash_pair(_key(key), self.seed)
+        h, step = _pair_from_base(_key(key), self._base)
         bits = self._bits.data
         for _ in range(self.k):
             p = h % self.m
@@ -120,9 +126,9 @@ class BloomFilter:
     def contains(self, key) -> bool:
         """True iff all k probed bits are set; never False for an inserted key.
 
-        Probes in order and stops at the first zero bit, as :meth:`contains_many` does.
+        Probes in order and stops at the first zero bit; :meth:`contains_many` agrees.
         """
-        h, step = hash_pair(_key(key), self.seed)
+        h, step = _pair_from_base(_key(key), self._base)
         bits = self._bits.data
         for _ in range(self.k):
             p = h % self.m
@@ -135,9 +141,12 @@ class BloomFilter:
         """Membership test over any key batch; a boolean array of :meth:`contains` answers.
 
         The batch is checked whole, then probed :data:`_BLOCK` keys and one hash round
-        at a time: round i probes bit ``(h1 + i*h2) % m`` only of the keys whose earlier
-        probes all hit, so a non-member stops at its first zero bit, and no probe
-        temporary grows with the batch or with k.
+        at a time: round i probes bit ``(h1 + i*h2) % m`` of the keys still probed and
+        ANDs it into their mask.  Those keys are compacted to the survivors only once at
+        most half of them are alive, so a dead key is probed until the next compaction
+        (in a block half of members, to the last round) and a batch of members is never
+        copied.  Answers are those of probing each key to its first zero bit, and no
+        probe temporary grows with the batch or with k.
         """
         keys = as_keys(keys)
         answers = np.zeros(keys.size, dtype=bool)
@@ -145,17 +154,21 @@ class BloomFilter:
         for start in range(0, keys.size, _BLOCK):
             acc, step = hash_pair_batch(keys[start : start + _BLOCK], self.seed)
             alive = np.arange(start, start + acc.size)
+            ok = np.ones(acc.size, dtype=np.uint8)  # 1 where every probe since the last compaction hit
             for i in range(self.k):
                 if i:
                     acc += step
                 p = _remainder(acc, m).view(np.int64)  # m < 2^63: the packed array was allocated
-                probed = self._bits[p >> 3] >> (p & 7).astype(np.uint8) & np.uint8(1)
-                # The 0/1 bytes viewed as bool: np.flatnonzero on uint8 is a slower, branchy path.
-                hit = probed.view(bool).nonzero()[0]
-                alive, acc, step = alive[hit], acc[hit], step[hit]
-                if not alive.size:
+                ok &= self._bits[p >> 3] >> (p & 7).astype(np.uint8)  # ANDs the probed bit into bit 0
+                live = np.count_nonzero(ok)
+                if not live:
                     break
-            answers[alive] = True
+                if 2 * live <= ok.size and i + 1 < self.k:  # at least half died: compact
+                    # The 0/1 bytes viewed as bool: np.flatnonzero on uint8 is a slower, branchy path.
+                    hit = ok.view(bool).nonzero()[0]
+                    alive, acc, step = alive[hit], acc[hit], step[hit]
+                    ok = np.ones(hit.size, dtype=np.uint8)
+            answers[alive] = ok.view(bool)  # a scatter: indexing alive by the mask is far slower
         return answers
 
     @property

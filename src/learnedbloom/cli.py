@@ -36,8 +36,8 @@ from .errors import (
 from .evaluation import (
     SweepPoint,
     concentration_experiment,
+    estimate_alpha,
     evaluate,
-    exact_alpha,
     threshold_sweep,
 )
 from .hashing import _held_keys, as_keys, derive_seed
@@ -270,12 +270,8 @@ def _cmd_build(args) -> int:
         summary = {"kind": args.kind, "tau": lbf.tau, **lbf.build_fields(), "out": args.out}
         if args.summary_dist:
             dist = _parse_dist(args.summary_dist, keys)
-            try:
-                alpha = float(exact_alpha(lbf.scorer, lbf.tau, dist))
-            except OracleUnavailableError:
-                draws = Draws(dist, 100_000, derive_seed(args.seed, "summary-alpha"))
-                alpha = evaluate(lbf, draws).alpha_estimate
-            summary["alpha"] = alpha
+            seed = derive_seed(args.seed, "summary-alpha")
+            summary["alpha"] = estimate_alpha(lbf.scorer, lbf.tau, dist, 100_000, seed)
             summary["alpha_dist"] = args.summary_dist
     if args.keys_out:
         save_keys_text(args.keys_out, keys)

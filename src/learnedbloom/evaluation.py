@@ -7,9 +7,11 @@ thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
 form; its other supports, and the experiment's answer table, come from
 ``workloads.support_table``, the one walk of the eligible support and the one
-reader of ``SUPPORT_LIMIT``.  A sampled rate is an integer count over the blocks
-of a ``workloads.Draws``, which the experiment reads its table at, so no more
-than one block of draws is held and reports keep the bytes sampling gives.  A
+reader of ``SUPPORT_LIMIT``.  ``estimate_alpha`` is exact where ``exact_alpha``
+can count, and a count of sampled scores where it cannot.  A sampled rate is an
+integer count over the blocks of a ``workloads.Draws``, which the experiment
+reads its table at, so no more than one block of draws is held and reports keep
+the bytes sampling gives.  A
 report stores what was measured, range-checked when built; ``model_fpr``,
 ``binomial_std_err`` and ``theorem_bound`` are properties computed by this
 module's functions, which ``to_dict`` adds.  Draw counts are checked by
@@ -114,6 +116,18 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     else:
         above = int(support_table(dist, lambda keys: _at_or_above(scorer, tau, keys)).sum())
     return Fraction(above, cut)
+
+
+def estimate_alpha(scorer: Scorer, tau: float, dist: QueryDistribution, samples: int,
+                   rng_seed: int) -> float:
+    """Pr(score >= tau) under the distribution: :func:`exact_alpha` where it can count it,
+    else the share of ``samples`` draws (a :class:`workloads.Draws` from ``rng_seed``)
+    scoring at or above ``tau``.  Only the scorer runs; no filter answers a draw."""
+    try:
+        return float(exact_alpha(scorer, tau, dist))
+    except OracleUnavailableError:
+        draws = Draws(dist, samples, rng_seed)
+        return sum(int(np.count_nonzero(_at_or_above(scorer, tau, keys))) for keys in draws) / samples
 
 
 def evaluate(filt, queries) -> EvalReport:

@@ -59,7 +59,13 @@ def _key(key) -> int:
 
 def hash_pair(key: int, seed: int) -> tuple[int, int]:
     """128-bit keyed hash of the integer ``key`` split into (h1, h2), h2 odd."""
-    z = (key + _seed_base(seed)) & _MASK
+    return _pair_from_base(key, _seed_base(seed))
+
+
+def _pair_from_base(key: int, base: int) -> tuple[int, int]:
+    """:func:`hash_pair` of ``key`` under the seed whose :func:`_seed_base` is ``base``:
+    a filter holds its base, so a scalar probe does not mix the seed again."""
+    z = (key + base) & _MASK
     return _mix64((z + _GOLDEN) & _MASK), _mix64((z + _GOLDEN2) & _MASK) | 1
 
 

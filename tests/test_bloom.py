@@ -274,6 +274,37 @@ def test_batches_across_block_boundaries_match_the_scalar_paths(n):
         assert half.contains_many(batch).tolist() == expected, form
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 20, 64])
+@pytest.mark.parametrize("member_share", [0.0, 0.5, 1.0])
+def test_compacting_the_survivors_keeps_the_scalar_answers(k, member_share, monkeypatch):
+    # 64-key blocks, the last one a single key: non-members die over the rounds, so blocks
+    # are compacted at different rounds or never, and members survive every round.
+    monkeypatch.setattr(bloom, "_BLOCK", 64)
+    members = np.random.default_rng(k).integers(0, 1 << 64, size=500, dtype=np.uint64)
+    f = BloomFilter(math.ceil(500 * k / math.log(2)), k, seed=k)  # about half full
+    f.insert_many(members)
+    n = 5 * 64 + 1
+    taken = round(n * member_share)
+    rng = np.random.default_rng(100 + k)
+    queries = np.concatenate([members[:taken], rng.integers(0, 1 << 64, size=n - taken, dtype=np.uint64)])
+    rng.shuffle(queries)
+    expected = [f.contains(key) for key in queries.tolist()]
+    assert f.contains_many(queries).tolist() == expected
+    assert sum(expected) >= taken
+
+
+@pytest.mark.parametrize("k", [1, 7, 64])
+@pytest.mark.parametrize("fill", [0x00, 0xFF], ids=["empty", "every-bit-set"])
+def test_a_filter_where_every_key_dies_at_once_or_never(k, fill, monkeypatch):
+    monkeypatch.setattr(bloom, "_BLOCK", 64)
+    m = 1000
+    header = BloomFilter(m, k, seed=3).to_bytes()[:32]
+    f = BloomFilter.from_bytes(header + bytes([fill]) * ((m + 7) // 8))
+    queries = np.random.default_rng(k).integers(0, 1 << 64, size=2 * 64 + 1, dtype=np.uint64)
+    assert f.contains_many(queries).tolist() == [bool(fill)] * queries.size
+    assert [f.contains(key) for key in queries.tolist()] == [bool(fill)] * queries.size
+
+
 def _bad_key_after_the_first_block(bad, form=list):
     keys = list(range(_BLOCK + 10))
     keys[_BLOCK + 5] = bad
@@ -452,6 +483,14 @@ class TestMonteCarlo:
         p = f.fill_ratio**f.k
         stderr = math.sqrt(p * (1 - p) / fresh.size)
         assert abs(rate - p) <= 3 * stderr
+
+
+def test_the_seed_is_read_only():
+    # the scalar probes hold the seed's mixed base, so a new seed would leave it stale
+    f = BloomFilter(1000, 3, seed=5)
+    with pytest.raises(AttributeError):
+        f.seed = 6
+    assert f.seed == 5
 
 
 class TestSerialization:

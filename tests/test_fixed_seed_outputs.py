@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from learnedbloom import workloads
+from learnedbloom.bloom import BloomFilter
 from learnedbloom.cli import main
 from learnedbloom.scorers import LogisticScorer, scorer_to_text
 from learnedbloom.workloads import save_keys_text
@@ -165,3 +166,19 @@ def test_sampled_reports_do_not_depend_on_the_draw_block(work, outputs):
         small = _stdout(commands, work, mp)
     assert small == {**{name: outputs[name] for name in _SAMPLED}, "summary": summary}
     assert 0 < json.loads(summary)["alpha"] < 1  # sampled: 100,000 draws over 101 blocks
+
+
+
+def _answer_nothing(self, keys):
+    raise AssertionError("a filter answered a draw")
+
+
+def test_a_sampled_summary_alpha_answers_no_filter(work):
+    # the alpha needs only the scores of the draws; the backup never answers one
+    scorer = LogisticScorer((-8.0,), 4.0, "int-norm:20000000")
+    (work / "logistic.json").write_text(scorer_to_text(scorer), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        summary = _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"]
+        mp.setattr(BloomFilter, "contains_many", _answer_nothing)
+        assert _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"] == summary
+    assert 0 < json.loads(summary)["alpha"] < 1

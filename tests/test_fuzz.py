@@ -72,6 +72,16 @@ def _mutate(rng: random.Random, data: bytes, alphabet: bytes | None = None) -> b
     return data[:at] + new + data[at:]
 
 
+def _mutate_a_setting(rng: random.Random, data: bytes) -> bytes:
+    """The config file ``data`` with the value of one line, the text after ``=``, mutated
+    over ``_CONFIG_BYTES``; the key names stay, so the mutant reaches the value grammars."""
+    lines = data.split(b"\n")
+    at = rng.choice([i for i, line in enumerate(lines) if b"=" in line])
+    key, value = lines[at].split(b"=", 1)
+    lines[at] = key + b"=" + _mutate(rng, value, _CONFIG_BYTES)
+    return b"\n".join(lines)
+
+
 def _replace_a_value(rng: random.Random, record: bytes) -> bytes:
     """The JSON ``record`` with one value, at any depth, replaced by one of ``_JSON_VALUES``."""
     tree = json.loads(record)
@@ -145,7 +155,7 @@ def fuzz(directory: str) -> dict:
             # and a third keep valid JSON with one value replaced
             change = [None, lambda r, b: _mutate(r, b, _JSON_BYTES), _replace_a_value][i % 3]
             if name.endswith(".cfg"):
-                blob = _mutate(config_rngs[name], data, _CONFIG_BYTES)
+                blob = _mutate_a_setting(config_rngs[name], data)
             elif name.endswith(".lbf") and change:
                 blob = _mutate_scorer_record(rng, data, change)
             elif name.endswith(".json") and change:

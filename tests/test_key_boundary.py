@@ -296,7 +296,7 @@ def test_no_batch_path_goes_key_by_key(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("learnedbloom"):
-            for attr in ("_key", "hash_pair"):
+            for attr in ("_key", "hash_pair", "_pair_from_base"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, scalar_path)
     monkeypatch.setattr(IntervalScorer, "score", scalar_path)
