@@ -8,14 +8,16 @@ agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
 form; its other supports, and the experiment's answer table, come from
 ``workloads.support_table``, the one walk of the eligible support and the one
 reader of ``SUPPORT_LIMIT``.  ``estimate_alpha`` is exact where ``exact_alpha``
-can count, and a count of sampled scores where it cannot.  A sampled rate is an
-integer count over the blocks of a ``workloads.Draws``, which the experiment
-reads its table at, so no more than one block of draws is held and reports keep
-the bytes sampling gives.  A
-report stores what was measured, range-checked when built; ``model_fpr``,
-``binomial_std_err`` and ``theorem_bound`` are properties computed by this
-module's functions, which ``to_dict`` adds.  Draw counts are checked by
-``workloads.check_draws``, backup design rates by ``learned._sized_backup``.
+can count, and a count of sampled scores where it cannot: the count the sweep
+makes of its draws.  This module compares no score with a threshold: every
+scored count goes through ``learned._at_or_above`` or ``learned._count_at_or_above``.
+A sampled rate is an integer count over the blocks of a ``workloads.Draws``,
+which the experiment reads its table at, so no more than one block of draws is
+held and reports keep the bytes sampling gives.  A report stores what was
+measured, range-checked when built; ``model_fpr``, ``binomial_std_err`` and
+``theorem_bound`` are properties computed by this module's functions, which
+``to_dict`` adds.  Draw counts are checked by ``workloads.check_draws``, backup
+design rates by ``learned._sized_backup``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter, _at_or_above, _sized_backup
+from .learned import LearnedBloomFilter, _at_or_above, _count_at_or_above, _sized_backup
 from .scorers import IntervalScorer, Scorer
 from .workloads import Draws, QueryDistribution, UniformRange, check_draws, support_table
 
@@ -105,7 +107,7 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     that score at or above ``tau``, so any range in [0, 2^64) is exact.  Any
     other support is walked by :func:`workloads.support_table`, each eligible key
     scored once.  It raises OracleUnavailableError when a walked support holds more
-    than ``SUPPORT_LIMIT`` eligible keys; callers should then fall back to sampling.
+    than ``SUPPORT_LIMIT`` eligible keys; :func:`estimate_alpha` then samples instead.
     """
     source, cut = dist.source, dist.part.cut
     if not cut:
@@ -126,8 +128,7 @@ def estimate_alpha(scorer: Scorer, tau: float, dist: QueryDistribution, samples:
     try:
         return float(exact_alpha(scorer, tau, dist))
     except OracleUnavailableError:
-        draws = Draws(dist, samples, rng_seed)
-        return sum(int(np.count_nonzero(_at_or_above(scorer, tau, keys))) for keys in draws) / samples
+        return _count_at_or_above(scorer, [tau], Draws(dist, samples, rng_seed))[0] / samples
 
 
 def evaluate(filt, queries) -> EvalReport:
@@ -171,9 +172,12 @@ def threshold_sweep(
 ) -> list[SweepPoint]:
     """Evaluate candidate thresholds against one shared query sample.
 
-    A single sample set, each block of it scored once, serves every threshold,
-    so along a sorted grid the alpha estimates are non-increasing and the backup
-    key counts non-decreasing by pointwise set inclusion, not merely in expectation.
+    A single sample set serves every threshold, so along a sorted grid the alpha
+    estimates are non-increasing and the backup key counts non-decreasing by
+    pointwise set inclusion, not merely in expectation.  Both are counted by
+    ``learned._count_at_or_above``, the draws and then the keys, each block scored
+    once for the whole grid, so the sweep holds no score array of the key set and
+    a key's backup membership is the one :meth:`LearnedBloomFilter.build` decides.
     The backup for each candidate is sized for its below-threshold keys at
     ``backup_target_fpp``, as :meth:`LearnedBloomFilter.build` sizes it, and
     the predicted rate composes the sampled alpha with the sized backup's
@@ -188,14 +192,12 @@ def threshold_sweep(
     if not keys.size:
         raise ParameterError("key set must be nonempty")
     _sized_backup(backup_target_fpp, 1)  # a bad rate fails before the draw
-    above = [0] * len(taus)
-    for scores in map(scorer.score_batch, Draws(dist, samples, rng_seed)):
-        above = [count + np.count_nonzero(scores >= tau) for count, tau in zip(above, taus)]
-    key_scores = scorer.score_batch(keys)
+    drawn = _count_at_or_above(scorer, taus, Draws(dist, samples, rng_seed))
+    kept = _count_at_or_above(scorer, taus, [keys])
     points = []
-    for tau, count in zip(taus, above):
-        alpha = int(count) / samples
-        below = int((key_scores < tau).sum())
+    for tau, count, above in zip(taus, drawn, kept):
+        alpha = count / samples
+        below = keys.size - above
         params = _sized_backup(backup_target_fpp, below)
         predicted = model_fpr(alpha, expected_fpp(below, params.m, params.k))
         points.append(SweepPoint(tau=tau, alpha_estimate=alpha, backup_keys=below,

@@ -3,9 +3,11 @@
 A query scoring at or above the threshold is answered positive outright;
 anything below is referred to a standard backup Bloom filter that holds
 exactly the build keys the scorer missed, so the composite never returns
-a false negative.  A batch is scored :data:`bloom._BLOCK` keys at a time into
-one bool mask, :func:`_at_or_above`, so no float temporary grows with it;
-that mask is the one rule for a tie at the threshold in every batch path.
+a false negative.  A batch is scored :data:`bloom._BLOCK` keys at a time, so no
+float temporary grows with it, into one bool mask, :func:`_at_or_above` (read by
+build, ``classify_many`` and the exact alpha), or into one count per threshold,
+:func:`_count_at_or_above` (the sampled alpha and the threshold sweep).  Both
+compare ``score >= tau``: the one rule for a tie at the threshold in every batch path.
 """
 
 from __future__ import annotations
@@ -35,6 +37,21 @@ def _at_or_above(scorer: Scorer, tau: float, keys: np.ndarray) -> np.ndarray:
         block = slice(start, start + _BLOCK)
         np.greater_equal(scorer.score_batch(keys[block]), tau, out=mask[block])
     return mask
+
+
+def _count_at_or_above(scorer: Scorer, taus, batches) -> list[int]:
+    """For each of ``taus``, how many keys in ``batches`` (uint64 arrays) score at or above it.
+
+    The comparison :func:`_at_or_above` makes, with each :data:`_BLOCK` keys scored
+    once for every tau, so no temporary grows with a batch; a sampled alpha and a
+    sweep's key counts are this count.
+    """
+    counts = [0] * len(taus)
+    for keys in batches:
+        for start in range(0, keys.size, _BLOCK):
+            scores = scorer.score_batch(keys[start : start + _BLOCK])
+            counts = [count + int(np.count_nonzero(scores >= tau)) for count, tau in zip(counts, taus)]
+    return counts
 
 
 def _sized_backup(backup: FilterParams | float, below: int) -> FilterParams:

@@ -20,10 +20,12 @@ from learnedbloom.evaluation import (
     ConcentrationReport,
     EvalReport,
     concentration_experiment,
+    estimate_alpha,
     evaluate,
     exact_alpha,
     model_fpr,
     theorem_bound,
+    threshold_sweep,
 )
 from learnedbloom.hashing import derive_seed
 from learnedbloom.learned import LearnedBloomFilter
@@ -185,6 +187,19 @@ class TestExactAlpha:
     def test_empty_support(self):
         with pytest.raises(WorkloadError):
             exact_alpha(HOT, 0.4, uniform_queries(0, 3, exclude=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("scorer", [HOT, LogisticScorer((-8.0,), 4.0, "int-norm:3000")])
+def test_a_sampled_alpha_is_the_sweeps_alpha(scorer, monkeypatch):
+    # the limit one below the 5,994 eligible positions: exact_alpha refuses, so estimate_alpha
+    # samples; each tau's draws cross a workloads.BLOCK edge and many learned._BLOCK edges
+    dist = QueryDistribution(FixedSet(np.arange(6000) // 2 + 500), [999, 1000, 2001])
+    monkeypatch.setattr(workloads, "SUPPORT_LIMIT", dist.part.cut - 1)
+    with pytest.raises(OracleUnavailableError):
+        exact_alpha(scorer, 0.5, dist)
+    for tau in (0.0, 0.25, 0.5, scorer.score(1500), 1.0):
+        (point,) = threshold_sweep([1500], scorer, [tau], dist, 70_001, 0.01, rng_seed=5)
+        assert estimate_alpha(scorer, tau, dist, 70_001, rng_seed=5) == point.alpha_estimate
 
 
 class TestEvaluate:

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from learnedbloom import learned
+from learnedbloom import learned, workloads
 from learnedbloom.bloom import _BLOCK, BloomFilter, FilterParams, params_for_target
 from learnedbloom.errors import FilterFormatError, ParameterError, WorkloadError
-from learnedbloom.evaluation import threshold_sweep
+from learnedbloom.evaluation import estimate_alpha, threshold_sweep
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
+    FixedSet,
     QueryDistribution,
     UniformRange,
     hot_range_example,
+    sample,
     uniform_queries,
 )
 
@@ -324,8 +326,11 @@ _ACROSS_BLOCKS = dict(suppress_health_check=[HealthCheck.function_scoped_fixture
 
 
 def _assert_the_scalar_rule(scorer, tau, keys, queries, seed):
-    """Build and classify_many against score(k) < tau, score(k) >= tau and contains(k)."""
-    lbf = LearnedBloomFilter.build(keys, scorer, tau, FilterParams(m=256, k=3), seed=seed)
+    """Build, classify_many and a one-tau sweep against score(k) < tau, score(k) >= tau
+    and contains(k); the sweep draws len(keys) + len(queries) times from the keys and
+    queries, so its draws hold their ties at tau too."""
+    params = FilterParams(m=256, k=3)
+    lbf = LearnedBloomFilter.build(keys, scorer, tau, params, seed=seed)
     below = [k for k in keys if scorer.score(k) < tau]
     reference = BloomFilter(256, 3, seed=seed)
     reference.insert_many(below)
@@ -334,6 +339,11 @@ def _assert_the_scalar_rule(scorer, tau, keys, queries, seed):
     above, answers = lbf.classify_many(queries)
     assert above.tolist() == [scorer.score(q) >= tau for q in queries]
     assert answers.tolist() == [lbf.contains(q) for q in queries]
+    dist, n = QueryDistribution(FixedSet(keys + queries), ()), len(keys) + len(queries)
+    (point,) = threshold_sweep(keys, scorer, [tau], dist, n, params, seed)
+    assert (point.backup_keys, point.total_bits) == (len(below), lbf.size_bits())
+    drawn = sample(dist, n, seed).tolist()
+    assert point.alpha_estimate == sum(scorer.score(q) >= tau for q in drawn) / n
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_SCORERS))
@@ -351,11 +361,17 @@ def test_blocked_batches_keep_the_scalar_rule(small_blocks, name, data, keys, qu
     _assert_the_scalar_rule(scorer, tau, keys, queries, seed)
 
 
+def _blocks(n: int, size: int = _BLOCK) -> list[int]:
+    """The sizes of ``n`` keys cut into blocks of ``size``."""
+    return [min(size, n - start) for start in range(0, n, size)]
+
+
 @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_batches_across_block_boundaries_match_the_scalar_paths(monkeypatch, n):
     rng = np.random.default_rng(n)
     keys, queries = (rng.integers(0, 2**20, size=n).tolist() for _ in range(2))
     scorer = LogisticScorer((6.0,), -0.5, f"int-centered:{2**20}")
+    tau = scorer.score(keys[0])
     scored = []
     score_batch = LogisticScorer.score_batch
 
@@ -364,9 +380,16 @@ def test_batches_across_block_boundaries_match_the_scalar_paths(monkeypatch, n):
         return score_batch(self, keys)
 
     monkeypatch.setattr(LogisticScorer, "score_batch", counted)
-    _assert_the_scalar_rule(scorer, scorer.score(keys[0]), keys, queries, seed=n)
-    blocks = [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
-    assert scored == blocks + blocks  # build, then classify_many, one call per block
+    _assert_the_scalar_rule(scorer, tau, keys, queries, seed=n)
+    # the sweep's 2n draws come in workloads.BLOCK blocks, each scored in _BLOCK blocks
+    draws = [size for block in _blocks(2 * n, workloads.BLOCK) for size in _blocks(block)]
+    # build, classify_many, then the sweep's draws and its keys: one call per block
+    assert scored == _blocks(n) * 2 + draws + _blocks(n)
+    # past the limit, estimate_alpha samples the sweep's draws
+    monkeypatch.setattr(workloads, "SUPPORT_LIMIT", 2 * n - 1)
+    scored.clear()
+    estimate_alpha(scorer, tau, QueryDistribution(FixedSet(keys + queries), ()), 2 * n, n)
+    assert scored == draws
 
 
 def _peak_bytes(call) -> int:
@@ -395,3 +418,7 @@ def test_batch_temporaries_do_not_grow_with_the_batch():
     lbf = build()
     assert lbf.below_threshold_count == below
     assert _peak_bytes(lambda: lbf.classify_many(keys)) <= bound
+    dist = uniform_queries(0, n)
+    sweep = lambda: threshold_sweep(keys, scorer, [tau], dist, 100_000, params, rng_seed=1)
+    assert _peak_bytes(sweep) <= bound
+    assert sweep()[0].backup_keys == below
