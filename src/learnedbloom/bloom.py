@@ -26,22 +26,24 @@ MAX_K = 2048
 _HEADER = struct.Struct("<4sQIQQ")  # magic, m, k, seed, inserted_count
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 # Keys hashed and probed at a time by the batch paths, so each uint64 temporary
-# is 128 KB. 2^13 to 2^16 measure alike on 1M-key batches (10.7M to 12.3M keys/s
-# on a 2-core VM, numpy 2.4.6); 2^12 and 2^17 or more measured slower.
+# is 128 KB. On a 1M-key contains_many batch, half members (m 9.59M, k 7), 2^14
+# and 2^15 measured fastest and 2^13 to 2^17 within a fifth of them (21M to 29M
+# keys/s over two runs on a 2-core VM, numpy 2.4.6); 2^12 measured 15M to 21M.
 _BLOCK = 1 << 14
 
 
-def _remainder(acc: np.ndarray, m: np.uint64) -> np.ndarray:
-    """``acc % m`` as a new uint64 array, exact for every uint64 ``acc`` and m >= 1.
+def _remainder(acc: np.ndarray, m: np.uint64, out: np.ndarray) -> np.ndarray:
+    """``acc % m`` written into ``out``, a uint64 array that is not ``acc``; exact for
+    every uint64 ``acc`` and m >= 1.
 
     Not ``%``: numpy's floor_divide divides by a scalar through a precomputed
     reciprocal, while its remainder does one hardware divide per element, so
     this costs about a third of ``acc % m`` on a 2^14-key block.
     """
-    r = acc // m
-    r *= m
-    np.subtract(acc, r, out=r)
-    return r
+    np.floor_divide(acc, m, out=out)
+    out *= m
+    np.subtract(acc, out, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class BloomFilter:
                 if i:
                     acc += step
                 # m < 2^63: the packed array was allocated
-                unpacked[_remainder(acc, m).view(np.int64)] = 1
+                unpacked[_remainder(acc, m, out=np.empty_like(acc)).view(np.int64)] = 1
         self._bits = np.packbits(unpacked, bitorder="little")
         self.inserted_count += int(keys.size)
 
@@ -145,30 +147,47 @@ class BloomFilter:
         ANDs it into their mask.  Those keys are compacted to the survivors only once at
         most half of them are alive, so a dead key is probed until the next compaction
         (in a block half of members, to the last round) and a batch of members is never
-        copied.  Answers are those of probing each key to its first zero bit, and no
-        probe temporary grows with the batch or with k.
+        copied.  A round writes its positions, bit offsets and probed bytes into three
+        buffers allocated once a call, so no probe temporary grows with the batch or
+        with k.  Answers are those of probing each key to its first zero bit.
         """
         keys = as_keys(keys)
         answers = np.zeros(keys.size, dtype=bool)
         m = np.uint64(self.m)
+        size = min(keys.size, _BLOCK)
+        pos = np.empty(size, dtype=np.uint64)  # a round's bit positions, then their bytes
+        shift = np.empty(size, dtype=np.uint8)  # a round's bit offsets in those bytes
+        got = np.empty(size, dtype=np.uint8)  # the probed bytes, shifted to their bit
         for start in range(0, keys.size, _BLOCK):
             acc, step = hash_pair_batch(keys[start : start + _BLOCK], self.seed)
-            alive = np.arange(start, start + acc.size)
+            alive = None  # the block's answer indices, made at its first compaction
             ok = np.ones(acc.size, dtype=np.uint8)  # 1 where every probe since the last compaction hit
             for i in range(self.k):
                 if i:
                     acc += step
-                p = _remainder(acc, m).view(np.int64)  # m < 2^63: the packed array was allocated
-                ok &= self._bits[p >> 3] >> (p & 7).astype(np.uint8)  # ANDs the probed bit into bit 0
+                p, sh, g = pos[: acc.size], shift[: acc.size], got[: acc.size]
+                _remainder(acc, m, out=p)
+                np.copyto(sh, p, casting="unsafe")  # the low byte: p & 7 once masked
+                sh &= 7
+                p >>= 3
+                # m < 2^63, so p fits int64; p < the byte count, so "wrap" never wraps
+                # (and, unlike "raise", gathers straight into g, not into a copy of it)
+                np.take(self._bits, p.view(np.int64), out=g, mode="wrap")
+                g >>= sh
+                ok &= g  # ANDs the probed bit into bit 0
                 live = np.count_nonzero(ok)
                 if not live:
                     break
                 if 2 * live <= ok.size and i + 1 < self.k:  # at least half died: compact
                     # The 0/1 bytes viewed as bool: np.flatnonzero on uint8 is a slower, branchy path.
                     hit = ok.view(bool).nonzero()[0]
-                    alive, acc, step = alive[hit], acc[hit], step[hit]
+                    alive = hit + start if alive is None else alive[hit]
+                    acc, step = acc[hit], step[hit]
                     ok = np.ones(hit.size, dtype=np.uint8)
-            answers[alive] = ok.view(bool)  # a scatter: indexing alive by the mask is far slower
+            if alive is None:
+                answers[start : start + ok.size] = ok.view(bool)
+            else:
+                answers[alive] = ok.view(bool)  # a scatter: indexing alive by the mask is far slower
         return answers
 
     @property

@@ -6,10 +6,11 @@ into a draw map: sampling draws each key straight from the eligible support, the
 source's keys outside the exclusion, so no draw is rejected.  ``SUPPORT_LIMIT``
 bounds the support that is enumerable: :func:`support_table`, the one walk of it,
 and the held :class:`Marks` a draw is mapped through exist only at or below it;
-past it, ``np.isin`` maps each draw.  Every sampled count reads :class:`Draws`,
-``BLOCK`` draws at a time, within :func:`check_draws`'s ``DRAW_LIMIT``.  Also
-provides the hot-range worked example (1000 keys, half clustered in one interval)
-used by the reproduction experiments, and dataset file I/O.
+past it, one ``searchsorted`` of each draw block in the map's excluded positions
+maps it.  Every sampled count reads :class:`Draws`, ``BLOCK`` draws at a time,
+within :func:`check_draws`'s ``DRAW_LIMIT``.  Also provides the hot-range worked
+example (1000 keys, half clustered in one interval) used by the reproduction
+experiments, and dataset file I/O.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def check_draws(counts, times: int = 1, per_set: int = 0) -> None:
 
 def _keys_at(dist: QueryDistribution, pos: np.ndarray) -> np.ndarray:
     """The keys at raw positions below the part's cut; a position on ``low[i]`` becomes
-    ``top[i]``, in ``pos`` itself.  Without marks, ``np.isin`` finds the moved draws."""
+    ``top[i]``, in ``pos`` itself.  Without marks, one ``searchsorted`` of the draws in
+    ``low`` finds each draw's ``i``, and the draws that land on it move."""
     part, marks = dist.part, dist.marks
     if marks is not None:
         byte = pos.view(np.int64) >> 3  # positions below a cut fit numpy's index type
@@ -199,8 +201,10 @@ def _keys_at(dist: QueryDistribution, pos: np.ndarray) -> np.ndarray:
         rank = marks.rank[byte[moved]] + _POPCOUNT[held[moved] & (bit[moved] - np.uint8(1))]
         pos[moved] = part.top[rank]
     elif part.low.size:
-        moved = np.isin(pos, part.low)
-        pos[moved] = part.top[np.searchsorted(part.low, pos[moved])]
+        i = np.searchsorted(part.low, pos)
+        np.minimum(i, part.low.size - 1, out=i)  # a draw past the last of low stays
+        moved = part.low[i] == pos
+        pos[moved] = part.top[i[moved]]
     return dist.source.keys_at(pos)
 
 

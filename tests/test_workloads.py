@@ -235,7 +235,7 @@ def test_draws_follow_the_exact_law_of_the_eligible_support(dist, seed, enumerab
         return
     n = 4000
     with pytest.MonkeyPatch.context() as patch:
-        if not enumerable:  # past the limit, np.isin maps each draw
+        if not enumerable:  # past the limit, a searchsorted in low maps each draw
             _past_the_limit(patch, dist)
         counts = Counter(sample(dist, n, rng_seed=seed).tolist())
     assert not set(counts) - set(law)  # no draw is excluded
@@ -387,7 +387,7 @@ def _wide_distributions(draw):
 )
 def test_sample_maps_draws_as_the_reference_map_does(dist, n, seed, enumerable):
     with pytest.MonkeyPatch.context() as patch:
-        if not enumerable:  # past the limit, np.isin maps each draw
+        if not enumerable:  # past the limit, a searchsorted in low maps each draw
             _past_the_limit(patch, dist)
         if not dist.part.cut:
             with pytest.raises(WorkloadError, match="whole support"):
@@ -398,18 +398,28 @@ def test_sample_maps_draws_as_the_reference_map_does(dist, n, seed, enumerable):
     assert drawn.tolist() == _reference_sample(dist, n, seed).tolist()
 
 
+def _refuse_isin(*args, **kwargs):
+    raise AssertionError("np.isin called")
+
+
 class TestDrawMarks:
     @pytest.mark.parametrize("source", [UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))],
                              ids=["range", "fixed"])
     def test_an_enumerable_support_is_sampled_without_isin(self, monkeypatch, source):
         dist = QueryDistribution(source, np.arange(0, 1_000_000, 5))
         expected = _reference_sample(dist, 100_000, 4)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.isin called")
-
-        monkeypatch.setattr(np, "isin", refuse)
+        monkeypatch.setattr(np, "isin", _refuse_isin)
         assert sample(dist, 100_000, 4).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("source", [UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))],
+                             ids=["range", "fixed"])
+    def test_a_support_past_the_limit_is_sampled_without_isin(self, monkeypatch, source):
+        dist = QueryDistribution(source, np.arange(0, 1_000_000, 5))
+        _past_the_limit(monkeypatch, dist)  # before the first draw, which would build marks
+        expected = _reference_sample(dist, 100_000, 4)
+        monkeypatch.setattr(np, "isin", _refuse_isin)
+        assert sample(dist, 100_000, 4).tolist() == expected.tolist()
+        assert dist.marks is None and dist.part.low.size
 
     def test_a_distribution_holds_at_most_a_byte_per_eligible_position(self):
         excluded = np.random.default_rng(5).choice(10**7, 1000, replace=False)
