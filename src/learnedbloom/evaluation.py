@@ -242,7 +242,9 @@ def concentration_experiment(
     check_draws([t_size, q_size], trials, per_set=4096)
     try:
         table = support_table(dist, lbf.contains_many)
-        hits = lambda draws: sum(int(np.count_nonzero(table[pos])) for pos in draws.positions())
+        # positions lie below the table's size, so an int64 view indexes without numpy's cast
+        hits = lambda draws: sum(int(np.count_nonzero(table[pos.view(np.int64)]))
+                                 for pos in draws.positions())
     except OracleUnavailableError:
         hits = lambda draws: sum(int(np.count_nonzero(lbf.contains_many(keys))) for keys in draws)
     exceed = 0

@@ -241,7 +241,8 @@ class _ByteNgram(FeatureMap):
 
     def encode(self, keys) -> np.ndarray:
         pairs = as_keys(keys) >> np.arange(0, 56, 8, dtype=np.uint64)[:, None]  # bytes i, i+1
-        return self._pair_buckets[pairs & np.uint64(0xFFFF)]
+        pairs &= np.uint64(0xFFFF)
+        return self._pair_buckets[pairs.view(np.int64)]  # a bigram fits int64: no index cast
 
     def logit(self, codes: np.ndarray, held: np.ndarray, bias: float) -> np.ndarray:
         z = held[codes[0]]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloom import _POPCOUNT
+from .bloom import _POPCOUNT, _or_bits
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import _held_keys, as_keys
 from .scorers import IntervalScorer
@@ -81,7 +81,7 @@ class FixedSet:
         return np.flatnonzero(np.isin(self.keys, exclusion)).astype(np.uint64)
 
     def keys_at(self, positions: np.ndarray) -> np.ndarray:
-        return self.keys[positions]
+        return self.keys[positions.view(np.int64)]  # positions below the size fit int64
 
 
 class Mixture:
@@ -114,12 +114,21 @@ class Marks(NamedTuple):
 
 
 def _marks(part: Part) -> Marks:
-    on_low = np.zeros(part.cut, bool)
-    on_low[part.low] = True
-    bits = np.packbits(on_low, bitorder="little")
-    del on_low
+    bits = np.zeros((part.cut + 7) // 8, np.uint8)
+    size = min(part.low.size, BLOCK)
+    pos, scratch = np.empty(size, np.uint64), np.empty((3, size), np.uint8)
+    # low is sorted and distinct, so low[i] and low[i + 8] never share a byte: every 8th
+    # position at a time, each call sets its bits in one pass, with no same-byte losers
+    for first in range(8):
+        every8 = part.low[first::8]
+        for start in range(0, every8.size, BLOCK):
+            low = every8[start : start + BLOCK]
+            p = pos[: low.size]
+            np.copyto(p, low)
+            _or_bits(bits, p, scratch)
     rank = np.zeros(bits.size, np.uint32)  # low holds at most SUPPORT_LIMIT positions, < 2^32
-    np.cumsum(_POPCOUNT[bits[:-1]], dtype=np.uint32, out=rank[1:])
+    rank[1:] = _POPCOUNT[bits[:-1]]
+    np.cumsum(rank, out=rank)  # in place: a cast from uint8 would take a uint32 copy
     for held in (bits, rank):
         held.flags.writeable = False
     return Marks(bits, rank)

@@ -73,6 +73,21 @@ class TestConstruction:
             f.insert_many([4, 5])
         assert f.to_bytes() == before
 
+    def test_unallocatable_packed_insert_copy_is_a_parameter_error(self, monkeypatch):
+        # numpy refusing the packed side's working copy of the bits
+        monkeypatch.setattr(bloom, "_UNPACK_LIMIT", 0)
+        f = BloomFilter(1000, 3, seed=4)
+        f.insert_many([1, 2, 3])
+        before = f.to_bytes()
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("unable to allocate")
+
+        monkeypatch.setattr(np, "copy", refuse)
+        with pytest.raises(ParameterError, match="m=1000"):
+            f.insert_many([4, 5])
+        assert f.to_bytes() == before
+
 
 class TestInsertContains:
     def test_insert_then_contains(self):
@@ -215,6 +230,56 @@ def test_insert_many_sets_the_bits_of_a_per_key_insert_loop(keys, m, k, seed):
     assert batch.to_bytes() == loop.to_bytes()
 
 
+def _refuse_unpacking(*args, **kwargs):
+    raise AssertionError("the packed path unpacked the bits")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    held=st.lists(U64, max_size=30),
+    keys=st.lists(U64, max_size=60),
+    repeats=st.integers(0, 60),
+    m=st.integers(1, 4096),
+    k=st.integers(1, 40),
+    seed=U64,
+)
+def test_packed_insert_many_sets_the_bits_of_a_per_key_insert_loop(held, keys, repeats, m, k, seed):
+    # m up to 4096 bits puts many of a round's positions in one byte, so the retry passes run
+    batch = keys + keys[:repeats]  # repeated keys write the same bits in one round
+    loop = BloomFilter(m, k, seed)
+    for key in held + batch:
+        loop.insert(key)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bloom, "_UNPACK_LIMIT", 0)
+        patch.setattr(np, "unpackbits", _refuse_unpacking)
+        f = BloomFilter(m, k, seed)
+        f.insert_many(held)  # a batch into a filter that already holds keys
+        f.insert_many(batch)
+    assert f.to_bytes() == loop.to_bytes()
+
+
+def test_one_round_setting_all_eight_bits_of_a_byte_takes_eight_passes(monkeypatch):
+    # k = 1, m = 8: eight keys whose one probe hits each bit of the only byte once
+    by_bit = {}
+    for key in range(1000):
+        by_bit.setdefault(hash_pair(key, 3)[0] % 8, key)
+    keys = [by_bit[bit] for bit in range(8)]
+    passes = []
+    flatnonzero = np.flatnonzero
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return flatnonzero(*args, **kwargs)
+
+    monkeypatch.setattr(bloom, "_UNPACK_LIMIT", 0)
+    monkeypatch.setattr(np, "flatnonzero", counted)
+    f = BloomFilter(8, 1, seed=3)
+    f.insert_many(keys)
+    # each pass ends by finding its losers, and settles one bit: the last writer's
+    assert len(passes) == 8
+    assert f.to_bytes()[32:] == b"\xff"
+
+
 @settings(max_examples=80, deadline=None)
 @given(keys=KEYS, others=KEYS, **SHAPES)
 def test_contains_many_answers_as_contains_does(keys, others, m, k, seed):
@@ -352,6 +417,16 @@ def test_batch_temporaries_do_not_grow_with_the_batch():
     f = BloomFilter(m, 3, seed=5)
     assert _peak_bytes(lambda: f.insert_many(keys)) <= m + m // 8 + 16 * _BLOCK * 8
     assert _peak_bytes(lambda: f.contains_many(keys)) <= n + 16 * _BLOCK * 8
+
+
+def test_a_large_filter_inserts_without_an_unpacked_copy():
+    # past _UNPACK_LIMIT: a working copy of the 1.2 MB packed array and per-block
+    # temporaries, where the m-byte unpacked copy alone would be 9.6 MB
+    m = 9_585_059
+    keys = np.random.default_rng(6).integers(0, 1 << 64, size=1_000_000, dtype=np.uint64)
+    f = BloomFilter(m, 7, seed=6)
+    assert m > bloom._UNPACK_LIMIT
+    assert _peak_bytes(lambda: f.insert_many(keys)) < 3_000_000
 
 
 @pytest.mark.parametrize("writeable", [False, True])

@@ -435,6 +435,20 @@ class TestDrawMarks:
         # a bit and a uint32 rank per 8 positions, the exclusion, low and top
         assert held <= dist.part.cut == 10**7 - 1000
 
+    def test_building_the_marks_never_takes_a_byte_per_position(self):
+        excluded = np.random.default_rng(6).choice(10**7, 100_000, replace=False)
+        dist = uniform_queries(0, 10**7, excluded)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            marks = dist.marks
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert marks is not None
+        # the bits, their uint32 ranks and one popcount per byte: 3/4 of a byte a position
+        assert peak <= dist.part.cut
+
 
 class TestValidation:
     def test_bad_range(self):
