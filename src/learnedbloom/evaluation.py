@@ -5,12 +5,14 @@ from the above-threshold query mass (alpha) composed with the backup filter's
 rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
-form; its other supports, and the experiment's answer table, come from
-``workloads.support_table``, the one walk of the eligible support and the one
-reader of ``SUPPORT_LIMIT``.  ``estimate_alpha`` is exact where ``exact_alpha``
+form, and its other supports over ``workloads.support_blocks``, the one walk of
+the eligible support, holding no table; the experiment's answer table is
+``workloads.support_table``, filled from the same walk.  Whether a support is
+walked is ``workloads._enumerable``'s one reading of ``SUPPORT_LIMIT``, which a
+distribution's marks read too.  ``estimate_alpha`` is exact where ``exact_alpha``
 can count, and a count of sampled scores where it cannot: the count the sweep
 makes of its draws.  This module compares no score with a threshold: every
-scored count goes through ``learned._at_or_above`` or ``learned._count_at_or_above``.
+scored count is one ``learned._count_at_or_above`` call.
 A sampled rate is an integer count over the blocks of a ``workloads.Draws``,
 which the experiment reads its table at, so no more than one block of draws is
 held and reports keep the bytes sampling gives.  A report stores what was
@@ -31,9 +33,9 @@ import numpy as np
 from .bloom import expected_fpp
 from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
-from .learned import LearnedBloomFilter, _at_or_above, _count_at_or_above, _sized_backup
+from .learned import LearnedBloomFilter, _count_at_or_above, _sized_backup
 from .scorers import IntervalScorer, Scorer
-from .workloads import Draws, QueryDistribution, UniformRange, check_draws, support_table
+from .workloads import Draws, QueryDistribution, UniformRange, check_draws, support_blocks, support_table
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,19 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
     count.  For an interval scorer, a uniform range's count is closed-form:
     :meth:`IntervalScorer.count_at_least` less the excluded keys in the range
     that score at or above ``tau``, so any range in [0, 2^64) is exact.  Any
-    other support is walked by :func:`workloads.support_table`, each eligible key
-    scored once.  It raises OracleUnavailableError when a walked support holds more
+    other support is counted over the blocks of :func:`workloads.support_blocks`,
+    each eligible key scored once and no table held.  It raises
+    OracleUnavailableError, before scoring any key, when a walked support holds more
     than ``SUPPORT_LIMIT`` eligible keys; :func:`estimate_alpha` then samples instead.
     """
     source, cut = dist.source, dist.part.cut
     if not cut:
         raise WorkloadError("exclusion removes the whole support")
     if isinstance(scorer, IntervalScorer) and isinstance(source, UniformRange):
-        dropped = _at_or_above(scorer, tau, source.excluded_keys(dist.exclusion))
-        above = scorer.count_at_least(tau, source.lo, source.hi) - int(dropped.sum())
+        dropped = _count_at_or_above(scorer, [tau], [source.excluded_keys(dist.exclusion)])[0]
+        above = scorer.count_at_least(tau, source.lo, source.hi) - dropped
     else:
-        above = int(support_table(dist, lambda keys: _at_or_above(scorer, tau, keys)).sum())
+        above = _count_at_or_above(scorer, [tau], support_blocks(dist))[0]
     return Fraction(above, cut)
 
 

@@ -5,8 +5,8 @@ anything below is referred to a standard backup Bloom filter that holds
 exactly the build keys the scorer missed, so the composite never returns
 a false negative.  A batch is scored :data:`bloom._BLOCK` keys at a time, so no
 float temporary grows with it, into one bool mask, :func:`_at_or_above` (read by
-build, ``classify_many`` and the exact alpha), or into one count per threshold,
-:func:`_count_at_or_above` (the sampled alpha and the threshold sweep).  Both
+build and ``classify_many``), or into one count per threshold,
+:func:`_count_at_or_above` (the exact and sampled alpha and the threshold sweep).  Both
 compare ``score >= tau``: the one rule for a tie at the threshold in every batch path.
 """
 
@@ -43,8 +43,8 @@ def _count_at_or_above(scorer: Scorer, taus, batches) -> list[int]:
     """For each of ``taus``, how many keys in ``batches`` (uint64 arrays) score at or above it.
 
     The comparison :func:`_at_or_above` makes, with each :data:`_BLOCK` keys scored
-    once for every tau, so no temporary grows with a batch; a sampled alpha and a
-    sweep's key counts are this count.
+    once for every tau, so no temporary grows with a batch; an exact or sampled alpha
+    and a sweep's key counts are this count.
     """
     counts = [0] * len(taus)
     for keys in batches:

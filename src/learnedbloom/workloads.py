@@ -4,8 +4,9 @@ A distribution is an immutable description of one source, a uniform range or a
 fixed key list, less an exclusion.  It resolves the excluded positions once,
 into a draw map: sampling draws each key straight from the eligible support, the
 source's keys outside the exclusion, so no draw is rejected.  ``SUPPORT_LIMIT``
-bounds the support that is enumerable: :func:`support_table`, the one walk of it,
-and the held :class:`Marks` a draw is mapped through exist only at or below it;
+bounds the support that is enumerable: :func:`support_blocks`, the one walk of it
+(which :func:`support_table` fills an answer table from), and the held
+:class:`Marks` a draw is mapped through exist only at or below it;
 past it, one ``searchsorted`` of each draw block in the map's excluded positions
 maps it.  Every sampled count reads :class:`Draws`, ``BLOCK`` draws at a time,
 within :func:`check_draws`'s ``DRAW_LIMIT``.  Also provides the hot-range worked
@@ -246,27 +247,45 @@ def sample(dist: QueryDistribution, n: int, rng_seed: int) -> np.ndarray:
     return np.concatenate(list(Draws(dist, n, rng_seed)))
 
 
-def support_table(dist: QueryDistribution, answer) -> np.ndarray:
-    """``answer(keys)`` at each eligible position: one array of ``answer``'s dtype, indexed
-    by raw position below the part's ``cut``.
+def support_blocks(dist: QueryDistribution):
+    """The eligible keys in raw position order, ``BLOCK`` at a time: the one walk of the
+    eligible support.
 
-    Position ``i`` holds the answer for the key at ``i``, or at ``top[j]`` when ``i`` is
-    ``low[j]``: the key :func:`sample` draws for it.  ``answer`` gets ``BLOCK`` keys at a
-    time, each eligible key once, after one call on no keys that gives the dtype.  Raises
-    OracleUnavailableError, before answering any key, when more than ``SUPPORT_LIMIT``
-    keys are eligible.
+    Position ``i`` gives the key at ``i``, or at ``top[j]`` when ``i`` is ``low[j]``: the
+    key :func:`sample` draws for it, so each eligible key comes once.  Each block maps its
+    positions through one slice of ``low`` and ``top``.  Raises OracleUnavailableError at
+    the call, before any block is made, when more than ``SUPPORT_LIMIT`` keys are eligible.
     """
     part = dist.part
     if not _enumerable(part):
         raise OracleUnavailableError(f"eligible support of {part.cut} exceeds the enumeration"
                                      f" limit {SUPPORT_LIMIT}")
-    table = np.empty(part.cut, answer(np.empty(0, np.uint64)).dtype)
-    for start in range(0, part.cut, BLOCK):
-        stop = min(start + BLOCK, part.cut)
-        pos = np.arange(start, stop, dtype=np.uint64)
-        first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
-        pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
-        table[start:stop] = answer(dist.source.keys_at(pos))
+
+    def walk():
+        for start in range(0, part.cut, BLOCK):
+            stop = min(start + BLOCK, part.cut)
+            pos = np.arange(start, stop, dtype=np.uint64)
+            first, last = np.searchsorted(part.low, np.array([start, stop], dtype=np.uint64))
+            pos[part.low[first:last] - np.uint64(start)] = part.top[first:last]
+            yield dist.source.keys_at(pos)
+
+    return walk()
+
+
+def support_table(dist: QueryDistribution, answer) -> np.ndarray:
+    """``answer(keys)`` at each eligible position: one array of ``answer``'s dtype, indexed
+    by raw position below the part's ``cut``, filled from :func:`support_blocks`.
+
+    ``answer`` gets each block of the walk, so each eligible key once, after one call on
+    no keys that gives the dtype.  Raises OracleUnavailableError, before answering any
+    key, when more than ``SUPPORT_LIMIT`` keys are eligible.
+    """
+    blocks = support_blocks(dist)
+    table = np.empty(dist.part.cut, answer(np.empty(0, np.uint64)).dtype)
+    start = 0
+    for keys in blocks:
+        table[start : start + keys.size] = answer(keys)
+        start += keys.size
     return table
 
 

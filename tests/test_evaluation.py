@@ -157,6 +157,33 @@ class TestExactAlpha:
         with pytest.raises(OracleUnavailableError):
             exact_alpha(LogisticScorer((4.0,), -2.0, "int-norm:1000"), 0.4, dist)
         assert exact_alpha(HOT, 0.4, dist) == Fraction(1001, 10**7 + 1)
+        # no next(): the walk raises when called, before it makes any block
+        with pytest.raises(OracleUnavailableError, match="exceeds the enumeration limit"):
+            workloads.support_blocks(uniform_queries(0, 1 << 64))
+
+    def test_a_walk_at_the_limit_holds_no_table(self):
+        # 10^7 eligible keys, the most a walk takes: a bool table of them alone is 10 MB.
+        # The logistic scorer rises with the key, so a top key counted in place of the
+        # excluded position it fills would move the count.
+        scorer, tau = LogisticScorer((4.0,), -2.0, "int-norm:10000000"), 0.6
+        hi = workloads.SUPPORT_LIMIT + 1000
+        excluded = np.random.default_rng(11).choice(hi, 1000, replace=False).astype(np.uint64)
+        dist = uniform_queries(0, hi, excluded)
+        assert dist.part.cut == workloads.SUPPORT_LIMIT
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            alpha = exact_alpha(scorer, tau, dist)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        above = 0
+        for lo in range(0, hi, 10**6):
+            keys = np.arange(lo, min(lo + 10**6, hi), dtype=np.uint64)
+            keys = keys[~np.isin(keys, excluded)]
+            above += int(np.count_nonzero(scorer.score_batch(keys) >= tau))
+        assert alpha == Fraction(above, workloads.SUPPORT_LIMIT)
+        assert peak < 4 << 20
 
     def test_whole_universe_agrees_with_sampling(self):
         # 2^64 keys: no walk reaches this support, so sampling is the only other witness

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from learnedbloom import learned, workloads
 from learnedbloom.bloom import _BLOCK, BloomFilter, FilterParams, params_for_target
 from learnedbloom.errors import FilterFormatError, ParameterError, WorkloadError
-from learnedbloom.evaluation import estimate_alpha, threshold_sweep
+from learnedbloom.evaluation import estimate_alpha, exact_alpha, threshold_sweep
 from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
@@ -385,6 +385,11 @@ def test_batches_across_block_boundaries_match_the_scalar_paths(monkeypatch, n):
     draws = [size for block in _blocks(2 * n, workloads.BLOCK) for size in _blocks(block)]
     # build, classify_many, then the sweep's draws and its keys: one call per block
     assert scored == _blocks(n) * 2 + draws + _blocks(n)
+    # under the limit, exact_alpha walks the 2n positions: workloads.BLOCK keys a walk
+    # block, each scored in _BLOCK blocks, the sizes the draws come in
+    scored.clear()
+    exact_alpha(scorer, tau, QueryDistribution(FixedSet(keys + queries), ()))
+    assert scored == draws
     # past the limit, estimate_alpha samples the sweep's draws
     monkeypatch.setattr(workloads, "SUPPORT_LIMIT", 2 * n - 1)
     scored.clear()

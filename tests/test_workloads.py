@@ -36,6 +36,7 @@ from learnedbloom.workloads import (
     read_manifest,
     sample,
     save_keys_text,
+    support_blocks,
     support_table,
     uniform_queries,
 )
@@ -590,6 +591,11 @@ def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n
     keys = support_table(dist, lambda keys: keys)  # the key at each position
     table = support_table(dist, _FILTER.contains_many)
     assert (keys.dtype, table.dtype) == (np.uint64, bool)
+    # the table is the walk's blocks end to end; a support of no key walks no block
+    blocks = list(support_blocks(dist))
+    walked = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
+    assert walked.dtype == np.uint64 and walked.tolist() == keys.tolist()
+    assert all(block.size <= workloads.BLOCK for block in blocks)
     if not dist.part.cut:
         with pytest.raises(WorkloadError, match="whole support"):
             Draws(dist, n, seed)
