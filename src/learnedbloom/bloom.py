@@ -51,7 +51,7 @@ def _remainder(acc: np.ndarray, m: np.uint64, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _or_bits(bits: np.ndarray, pos: np.ndarray, scratch: np.ndarray) -> None:
+def _or_bits(bits: np.ndarray, pos: np.ndarray, scratch: np.ndarray, *, apart: bool = False) -> None:
     """Set bit p of the packed array ``bits`` (bit ``p & 7`` of byte ``p >> 3``) for each
     uint64 p in ``pos``, every p below ``8 * bits.size``.
 
@@ -60,7 +60,8 @@ def _or_bits(bits: np.ndarray, pos: np.ndarray, scratch: np.ndarray) -> None:
     entries sharing a byte only the last write stays, so the bytes are gathered again and
     the entries whose byte differs from what they wrote make the next pass.  A pass sets
     the bit of its last writer in every contested byte, and entries of one bit write
-    alike, so a byte is settled within 8 passes.
+    alike, so a byte is settled within 8 passes.  A caller whose positions lie ``apart``,
+    no two in one byte, loses no write: its one pass is not checked.
     """
     n = pos.size
     mask, wrote, back = scratch[:, :n]
@@ -74,6 +75,8 @@ def _or_bits(bits: np.ndarray, pos: np.ndarray, scratch: np.ndarray) -> None:
     np.take(bits, byte, out=wrote, mode="wrap")
     wrote |= mask
     bits[byte] = wrote
+    if apart:
+        return
     np.take(bits, byte, out=back, mode="wrap")
     lost = np.flatnonzero(np.not_equal(back, wrote, out=back.view(bool)))
     while lost.size:  # a few entries a round: fresh arrays cost less than the buffers' slicing

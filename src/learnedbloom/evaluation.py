@@ -6,18 +6,20 @@ rate (a standard filter is its own backup, with alpha 0), sweeps candidate
 thresholds, and runs the concentration experiment: test-set vs query-set rate
 agreement.  ``exact_alpha`` counts an interval scorer's uniform range in closed
 form, and its other supports over ``workloads.support_blocks``, the one walk of
-the eligible support, holding no table; the experiment's answer table is
+the eligible support, holding no table; an answer table is
 ``workloads.support_table``, filled from the same walk.  Whether a support is
 walked is ``workloads._enumerable``'s one reading of ``SUPPORT_LIMIT``, which a
 distribution's marks read too.  ``estimate_alpha`` is exact where ``exact_alpha``
 can count, and a count of sampled scores where it cannot: the count the sweep
 makes of its draws.  This module compares no score with a threshold: every
 scored count is one ``learned._count_at_or_above`` call.
-A sampled rate is an integer count over the blocks of a ``workloads.Draws``,
-which the experiment reads its table at, so no more than one block of draws is
-held and reports keep the bytes sampling gives.  A report stores what was
-measured, range-checked when built; ``model_fpr``, ``binomial_std_err`` and
-``theorem_bound`` are properties computed by this module's functions, which
+A sampled rate is an integer count over the blocks of a ``workloads.Draws``, so
+no more than one block of draws is held and reports keep the bytes sampling
+gives.  Where the walk answers each eligible key once into a table, the draws
+count it at their positions (``_at_positions``): the experiment's always, and
+``evaluate``'s when they are at least twice the eligible keys.  A report stores
+what was measured, range-checked when built; ``model_fpr``, ``binomial_std_err``
+and ``theorem_bound`` are properties computed by this module's functions, which
 ``to_dict`` adds.  Draw counts are checked by ``workloads.check_draws``, backup
 design rates by ``learned._sized_backup``.
 """
@@ -35,7 +37,8 @@ from .errors import OracleUnavailableError, ParameterError, WorkloadError
 from .hashing import as_keys, derive_seed
 from .learned import LearnedBloomFilter, _count_at_or_above, _sized_backup
 from .scorers import IntervalScorer, Scorer
-from .workloads import Draws, QueryDistribution, UniformRange, check_draws, support_blocks, support_table
+from .workloads import (Draws, QueryDistribution, UniformRange, _enumerable, check_draws, support_blocks,
+                        support_table)
 
 
 @dataclass(frozen=True)
@@ -138,19 +141,46 @@ def evaluate(filt, queries) -> EvalReport:
     """``filt``'s rate on ``queries`` (non-members) and its prediction: alpha, the share
     scoring at or above ``tau``, composed with the backup's fill ratio^k.  A standard
     filter is a learned filter with nothing above ``tau``: alpha 0, itself the backup.
-    ``queries`` is one key batch, or a :class:`workloads.Draws` counted block by block."""
+
+    ``queries`` is one key batch, or a :class:`workloads.Draws` counted block by block.
+    When the draws number at least twice the eligible keys of a support the walk takes,
+    each eligible key is answered once instead, into a :func:`workloads.support_table`
+    of one byte a key (bit 0: it scores at or above ``tau``; bit 1: the filter's
+    answer), and the table is counted at the draws' positions: the same counts, from
+    ``cut`` bytes and no draw mapped to its key.  Fewer draws are answered, since the
+    walk costs about as much as answering ``cut`` draws.
+    """
     drawn = isinstance(queries, Draws)
     blocks = queries if drawn else [as_keys(queries)]
     n = queries.n if drawn else blocks[0].size
     if n == 0:
         raise ParameterError("query list must be nonempty")
-    learned, above, hits = isinstance(filt, LearnedBloomFilter), 0, 0
-    for keys in blocks:
-        mask, answers = filt.classify_many(keys) if learned else (False, filt.contains_many(keys))
-        above, hits = above + np.count_nonzero(mask), hits + np.count_nonzero(answers)
+    learned = isinstance(filt, LearnedBloomFilter)
+
+    def coded(keys):
+        if not learned:
+            return filt.contains_many(keys).view(np.uint8) << 1
+        mask, answers = filt.classify_many(keys)
+        return (answers.view(np.uint8) << 1) | mask
+
+    part = queries.dist.part if drawn else None
+    if drawn and _enumerable(part) and 2 * part.cut <= n:
+        codes = _at_positions(support_table(queries.dist, coded), queries)
+    else:
+        codes = map(coded, blocks)
+    above = hits = 0
+    for block in codes:
+        above += int(np.count_nonzero(block & 1))
+        hits += int(np.count_nonzero(block & 2))
     backup = filt.backup if learned else filt
-    return EvalReport(empirical_fpr=int(hits) / n, sample_count=n, alpha_estimate=int(above) / n,
+    return EvalReport(empirical_fpr=hits / n, sample_count=n, alpha_estimate=above / n,
                       backup_fpr_estimate=backup.fill_ratio ** backup.k)
+
+
+def _at_positions(table: np.ndarray, draws: Draws):
+    """``table``'s entries at each block of the draws' raw positions; positions lie below
+    the table's size, so an int64 view indexes without numpy's cast."""
+    return (table[pos.view(np.int64)] for pos in draws.positions())
 
 
 @dataclass(frozen=True)
@@ -245,9 +275,7 @@ def concentration_experiment(
     check_draws([t_size, q_size], trials, per_set=4096)
     try:
         table = support_table(dist, lbf.contains_many)
-        # positions lie below the table's size, so an int64 view indexes without numpy's cast
-        hits = lambda draws: sum(int(np.count_nonzero(table[pos.view(np.int64)]))
-                                 for pos in draws.positions())
+        hits = lambda draws: sum(int(np.count_nonzero(block)) for block in _at_positions(table, draws))
     except OracleUnavailableError:
         hits = lambda draws: sum(int(np.count_nonzero(lbf.contains_many(keys))) for keys in draws)
     exceed = 0

@@ -119,14 +119,14 @@ def _marks(part: Part) -> Marks:
     size = min(part.low.size, BLOCK)
     pos, scratch = np.empty(size, np.uint64), np.empty((3, size), np.uint8)
     # low is sorted and distinct, so low[i] and low[i + 8] never share a byte: every 8th
-    # position at a time, each call sets its bits in one pass, with no same-byte losers
+    # position at a time, each call sets its bits in one unchecked pass
     for first in range(8):
         every8 = part.low[first::8]
         for start in range(0, every8.size, BLOCK):
             low = every8[start : start + BLOCK]
             p = pos[: low.size]
             np.copyto(p, low)
-            _or_bits(bits, p, scratch)
+            _or_bits(bits, p, scratch, apart=True)
     rank = np.zeros(bits.size, np.uint32)  # low holds at most SUPPORT_LIMIT positions, < 2^32
     rank[1:] = _POPCOUNT[bits[:-1]]
     np.cumsum(rank, out=rank)  # in place: a cast from uint8 would take a uint32 copy

@@ -37,6 +37,12 @@ COMMANDS = {
                       "--dist", "uniform:0:1000000", "--samples", "20000", "--seed", "4"],
     "eval_example": ["eval", "--filter", "example.lbf", "--keys", "example-keys.txt",
                      "--dist", "uniform:0:100000", "--samples", "20000", "--seed", "4"],
+    # 20,000 draws over fewer than 5,000 eligible keys, at least twice as many: each key
+    # answered once, into a table that the draws read
+    "eval_standard_table": ["eval", "--filter", "standard.bloom", "--keys", "keys.txt",
+                            "--dist", "uniform:0:5000", "--samples", "20000", "--seed", "4"],
+    "eval_example_table": ["eval", "--filter", "example.lbf", "--keys", "example-keys.txt",
+                           "--dist", "uniform:0:5000", "--samples", "20000", "--seed", "4"],
     "sweep_json": ["sweep", "--keys", "example-keys.txt", "--scorer", "interval:1000:2000:0.5:0.0",
                    "--taus", "0,0.25,0.5,1", "--dist", "uniform:0:1000000",
                    "--samples", "20000", "--seed", "1"],
@@ -69,6 +75,8 @@ EXPECTED = {
     "query_example": "c6de042868171c2b4ab2e58d8ec8e64e49ba536bc3ac2af87b97309189df77c5",
     "eval_standard": "c466c480fa792b2163b5ae21bd69db22f4ee2df05644f9f30151b8ff69b25aa2",
     "eval_example": "e3c8a364de98e90a737548eead723b0bc166d1ee8f9f1c4a24a20ed78731cce4",
+    "eval_standard_table": "f5cfc9d5a6755c3004eb407c135c9539e22b7110b2b5825cd22fd0922daccc4d",
+    "eval_example_table": "9d06b3c034df980b2ebdd4e03e942137f5390084ad619650005b455ffe54c6da",
     "sweep_json": "05b9a076fa0ec920fa4d601af6d30b6262c8cec32d6f792bb6b540ff2422efd7",
     "sweep_csv": "97233646bd599b44e21efded7c386c3e4d49331177974d97e7a696fb2ee8d9ba",
     "concentration": "d237564f7610b594a8c7dca055bff7a229c2491d2cf2fb96d4c18ca0dc4d7de8",
@@ -146,10 +154,10 @@ def test_a_repro_run_with_no_full_range_false_positive_has_no_ratio(capsys):
 
 
 # Every pinned run draws at most 20,000 keys, within one 2^16-draw block.  At a block of
-# 997 draws the sampled ones cross block edges: eval, the sweep, concentration on both
-# sides of SUPPORT_LIMIT, repro, and a build whose summary alpha, past the limit under a
-# logistic scorer, is sampled.
-_SAMPLED = ["eval_standard", "eval_example", "sweep_json", "concentration",
+# 997 draws the sampled ones cross block edges: eval on both sides of its table rule, the
+# sweep, concentration on both sides of SUPPORT_LIMIT, repro, and a build whose summary
+# alpha, past the limit under a logistic scorer, is sampled.
+_SAMPLED = ["eval_standard", "eval_example", "eval_example_table", "sweep_json", "concentration",
             "concentration_sampled", "repro_json"]
 _SUMMARY_SAMPLED = ["build", "--kind", "learned", "--keys", "keys.txt", "--scorer", "logistic.json",
                     "--tau", "0.5", "--seed", "3", "--summary-dist", f"uniform:0:{2 * 10**7}",

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from learnedbloom import learned, workloads
-from learnedbloom.bloom import BloomFilter
+from learnedbloom.bloom import BloomFilter, FilterParams
 from learnedbloom.errors import OracleUnavailableError, ParameterError, WorkloadError
 from learnedbloom.evaluation import (
     concentration_experiment,
@@ -20,6 +20,7 @@ from learnedbloom.evaluation import (
     theorem_bound,
 )
 from learnedbloom.hashing import derive_seed
+from learnedbloom.learned import LearnedBloomFilter
 from learnedbloom.scorers import IntervalScorer, LogisticScorer
 from learnedbloom.workloads import (
     BLOCK,
@@ -403,6 +404,10 @@ def _refuse_isin(*args, **kwargs):
     raise AssertionError("np.isin called")
 
 
+def _refuse_the_loser_search(*args, **kwargs):
+    raise AssertionError("np.flatnonzero called")
+
+
 class TestDrawMarks:
     @pytest.mark.parametrize("source", [UniformRange(0, 800_000), FixedSet(np.arange(0, 9000, 3))],
                              ids=["range", "fixed"])
@@ -449,6 +454,22 @@ class TestDrawMarks:
         assert marks is not None
         # the bits, their uint32 ranks and one popcount per byte: 3/4 of a byte a position
         assert peak <= dist.part.cut
+
+    def test_the_marks_are_set_in_one_unchecked_pass_a_call(self, monkeypatch):
+        monkeypatch.setattr(workloads, "BLOCK", 1000)  # every 8th of low spans several calls
+        excluded = np.random.default_rng(7).choice(200_000, 30_000, replace=False)
+        dist = uniform_queries(0, 200_000, excluded)
+        # low[i] and low[i + 8] never share a byte, so no call looks for a lost write
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "flatnonzero", _refuse_the_loser_search)
+            marks = dist.marks
+        moved = np.zeros(dist.part.cut, bool)
+        moved[dist.part.low.view(np.int64)] = True
+        bits = np.packbits(moved, bitorder="little")
+        counts = np.unpackbits(bits).reshape(-1, 8).sum(axis=1)
+        ranks = np.cumsum(counts) - counts  # the positions of low below each byte
+        assert dist.part.low.size > 20_000
+        assert marks.bits.tolist() == bits.tolist() and marks.rank.tolist() == ranks.tolist()
 
 
 class TestValidation:
@@ -609,6 +630,27 @@ def test_answer_tables_give_the_sampled_answers_key_by_key(small_blocks, dist, n
     assert evaluate(_FILTER, Draws(dist, n, seed)) == evaluate(_FILTER, drawn)
 
 
+# 10..30 score 0.9, at or above tau; 2, 40, 57 and 60 fill a 16-bit backup that answers
+# many of the other keys, so bit 0 (above tau) and bit 1 (the answer) of a table differ
+_INSIDE = IntervalScorer(((10, 30),), inside_score=0.9, outside_score=0.1)
+_LEARNED = LearnedBloomFilter.build([2, 11, 29, 40, 57, 60], _INSIDE, 0.5, FilterParams(16, 2), seed=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, **_ACROSS_BLOCKS)
+@given(dist=_distributions(), n=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_a_learned_filters_table_gives_the_sampled_report(small_blocks, dist, n, seed):
+    # a support of at most 12 keys: n below twice it answers the draws, else a table
+    if not dist.part.cut:
+        with pytest.raises(WorkloadError, match="whole support"):
+            Draws(dist, n, seed)
+        return
+    drawn = sample(dist, n, seed)
+    report = evaluate(_LEARNED, Draws(dist, n, seed))
+    assert report == evaluate(_LEARNED, drawn)
+    assert report.alpha_estimate == np.count_nonzero(_INSIDE.score_batch(drawn) >= 0.5) / n
+    assert report.empirical_fpr == sum(map(_LEARNED.contains, drawn.tolist())) / n
+
+
 def _sampled_concentration(filt, dist, t_size, q_size, epsilon, trials, rng_seed):
     """The concentration report from a plain loop: every set sampled, then answered."""
     exceed = 0
@@ -652,14 +694,22 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
 
 
 class _Counting:
-    """A filter that records every batch its ``contains_many`` answers."""
+    """A filter that records every batch its ``contains_many`` answers, or a scorer every
+    batch its ``score_batch`` scores; anything else is the wrapped object's."""
 
-    def __init__(self, filt):
-        self.filt, self.batches = filt, []
+    def __init__(self, inner, method="contains_many"):
+        self.inner, self.method, self.batches = inner, method, []
 
-    def contains_many(self, keys):
-        self.batches.append(np.array(keys, dtype=np.uint64))
-        return self.filt.contains_many(keys)
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.method:
+            return attr
+
+        def recorded(keys):
+            self.batches.append(np.array(keys, dtype=np.uint64))
+            return attr(keys)
+
+        return recorded
 
     def queried(self) -> np.ndarray:
         return np.concatenate(self.batches)
@@ -754,6 +804,71 @@ class TestAnswerTables:
         dist = QueryDistribution(source, range(8))
         with pytest.raises(WorkloadError, match="whole support"):
             concentration_experiment(_FILTER, dist, 10, 10, 0.5, 4, 2)
+
+
+def _refuse_the_draw_map(*args, **kwargs):
+    raise AssertionError("a draw was mapped to its key")
+
+
+class TestEvaluateRule:
+    """``evaluate`` answers each eligible key once, into a table, when the draws number at
+    least twice the eligible keys, and else answers the draws block by block."""
+
+    EXCLUDED = TestAnswerTables.DIST.exclusion
+    ELIGIBLE = TestAnswerTables.ELIGIBLE  # 147,862 positions
+    # keys 0..50,000 score at or above tau; the excluded keys are the learned filter's
+    # members, and those above 50,000 fill its backup
+    SCORER = IntervalScorer(((0, 50_000),), inside_score=0.9, outside_score=0.1)
+
+    def _run(self, n, mapped=True):
+        """A standard and a learned report on ``n`` draws from a fresh distribution, whose
+        marks no earlier draw built, checked equal to their reports on the draws sampled;
+        then the draws, and the recording filter, scorer and backup.  Unless ``mapped``, a
+        draw mapped to its key fails the test."""
+        dist = QueryDistribution(TestAnswerTables.DIST.source, self.EXCLUDED)
+        built = LearnedBloomFilter.build(self.EXCLUDED, self.SCORER, 0.5, 0.01, seed=4)
+        standard, backup = _Counting(_FILTER), _Counting(built.backup)
+        scorer = _Counting(self.SCORER, "score_batch")
+        learned = LearnedBloomFilter(scorer, 0.5, backup, built.key_count, built.below_threshold_count)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in () if mapped else ("_keys_at", "_marks"):
+                patch.setattr(workloads, name, _refuse_the_draw_map)
+            reports = [evaluate(filt, Draws(dist, n, 8)) for filt in (standard, learned)]
+        drawn = sample(dist, n, 8)
+        assert reports == [evaluate(filt, drawn) for filt in (_FILTER, built)]
+        return drawn, standard, scorer, backup
+
+    @pytest.mark.parametrize("n", [2 * ELIGIBLE.size, 2 * ELIGIBLE.size + 70_001])
+    def test_draws_twice_the_support_answer_each_eligible_key_once(self, n):
+        _, standard, scorer, backup = self._run(n, mapped=False)
+        eligible = self.ELIGIBLE.tolist()
+        below = self.ELIGIBLE[self.ELIGIBLE > 50_000].tolist()
+        for filt, keys in [(standard, eligible), (scorer, eligible), (backup, below)]:
+            assert np.sort(filt.queried()).tolist() == keys
+            assert max(batch.size for batch in filt.batches) <= BLOCK
+
+    def test_fewer_draws_are_answered_block_by_block(self):
+        n = 2 * self.ELIGIBLE.size - 1
+        drawn, standard, scorer, backup = self._run(n)
+        blocks = [min(BLOCK, n - start) for start in range(0, n, BLOCK)]
+        assert [batch.size for batch in standard.batches] == blocks
+        assert standard.queried().tolist() == scorer.queried().tolist() == drawn.tolist()
+        assert backup.queried().tolist() == drawn[drawn > 50_000].tolist()
+
+    def test_a_table_holds_a_byte_per_eligible_key_and_a_few_blocks(self):
+        dist = uniform_queries(0, 4 * 10**6, np.arange(0, 4 * 10**6, 1000))  # 3,996,000 eligible
+        n = 2 * dist.part.cut
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = evaluate(_FILTER, Draws(dist, n, 2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.sample_count == n
+        # the table, and the uint64 positions, keys and probe temporaries of a few blocks;
+        # two bytes a key would be 8 MB, and every draw held 64 MB
+        assert peak <= dist.part.cut + 6 * 8 * BLOCK
 
 
 class TestHotRangeExample:
