@@ -130,14 +130,24 @@ class LearnedBloomFilter:
         return self.backup.contains(key)
 
     def classify_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(score >= tau mask, answers) for any key batch, scored in blocks; the keys
-        below tau reach the backup in one :meth:`BloomFilter.contains_many` call."""
+        """(score >= tau mask, answers) for any key batch, :data:`_BLOCK` keys at a time.
+
+        A block's keys below tau reach the backup in one :meth:`BloomFilter.contains_many`
+        call, so nothing but the two masks grows with the batch.
+        """
         keys = as_keys(keys)
-        above = _at_or_above(self.scorer, self.tau, keys)
-        answers = above.copy()
-        pending = ~above
-        if pending.any():
-            answers[pending] = self.backup.contains_many(keys[pending])
+        above = np.empty(keys.size, dtype=bool)
+        answers = np.empty(keys.size, dtype=bool)
+        for start in range(0, keys.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            hit = _at_or_above(self.scorer, self.tau, keys[block])
+            above[block] = answers[block] = hit
+            below = ~hit
+            count = np.count_nonzero(below)
+            if count:
+                # a mask indexes fast only when nearly all True; else its indices are faster
+                at = below if 32 * count >= 31 * below.size else np.flatnonzero(below)
+                answers[block][at] = self.backup.contains_many(keys[block][at])
         return above, answers
 
     def contains_many(self, keys) -> np.ndarray:

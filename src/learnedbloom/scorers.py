@@ -193,7 +193,8 @@ class _Affine(FeatureMap):
         return (self._scale * float(_key(key)) / self._max + self._offset) * float(held[0]) + bias
 
     def gradient(self, codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        return np.array([codes @ residual])
+        # numpy's own pairwise sum, not BLAS: a BLAS dot splits the sum by thread count
+        return np.array([np.multiply(codes, residual).sum()])
 
 
 _NGRAM_KEY = b"lbf-ngram"  # blake2b key of the byte-bigram hash
@@ -379,7 +380,8 @@ def train_logistic(
     or increase the loss it is halved until neither holds (or the step underflows,
     which freezes the weights).  One logit pass gives each visited point's loss and,
     once the step is taken, the next epoch's gradient.  The learning rate must
-    be positive and finite.  Zero initialization and whole-batch updates make
+    be positive and finite.  Zero initialization, whole-batch updates and sums
+    that never go through BLAS (whose thread count moves their last bits) make
     the trainer fully deterministic.  When ``loss_trace`` is a list, the loss
     before training and after each epoch is appended to it.
     """

@@ -446,13 +446,16 @@ def test_batch_paths_never_write_the_callers_keys(writeable):
 
 
 def test_one_public_call_per_batch(monkeypatch):
-    # The benchmark's tracer wraps the public methods: a call per block would split a batch.
-    calls = []
+    # The benchmark's tracer wraps the public methods and adds up their counters over
+    # calls: a filter answers a batch in one call, and a learned filter's backup once
+    # per block that holds a key below tau, so the sums are exact either way.
+    calls, sizes = [], []
     for name in ("insert_many", "contains_many"):
         method = getattr(BloomFilter, name)
 
         def counted(self, keys, method=method, name=name):
             calls.append(name)
+            sizes.append(len(keys))
             return method(self, keys)
 
         monkeypatch.setattr(BloomFilter, name, counted)
@@ -461,11 +464,19 @@ def test_one_public_call_per_batch(monkeypatch):
     f.insert_many(keys)
     assert f.contains_many(keys).all()
     assert calls == ["insert_many", "contains_many"]
+    # the first block scores at or above tau, the second half, the third not at all
+    hot = IntervalScorer([(0, _BLOCK + _BLOCK // 2 - 1)], inside_score=1.0, outside_score=0.0)
     calls.clear()
-    cold = IntervalScorer([(2**63, 2**64 - 1)], inside_score=1.0, outside_score=0.0)
-    lbf = LearnedBloomFilter.build(keys, cold, 0.5, 0.01, seed=2)  # every key goes to the backup
-    assert lbf.classify_many(keys)[1].all()
-    assert calls == ["insert_many", "contains_many"]
+    lbf = LearnedBloomFilter.build(keys, hot, 0.5, 0.01, seed=2)
+    assert calls == ["insert_many"]
+    calls.clear()
+    sizes.clear()
+    above, answers = lbf.classify_many(keys)
+    assert answers.all()
+    per_block = np.bincount(np.flatnonzero(~above) // _BLOCK)
+    assert sizes == per_block[per_block > 0].tolist() == [_BLOCK // 2, _BLOCK]
+    assert calls == ["contains_many"] * len(sizes)
+    assert max(sizes) <= _BLOCK and sum(sizes) == np.count_nonzero(~above)
 
 
 def test_determinism_same_inputs_bit_identical():

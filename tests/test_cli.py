@@ -1597,6 +1597,29 @@ def test_the_package_names_no_numpy_2_only_api():
     assert found == []
 
 
+# numpy API that computes through BLAS, whose sums split across its threads
+_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def test_the_package_makes_no_call_through_blas():
+    # a BLAS reduction's last bits depend on the thread count, so no result may go through one
+    found = []
+    for source in sorted((ROOT / "src" / "learnedbloom").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = [*node.module.split(".")[1:], *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")[1:]]
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}: {n}" for n in names if n == "@" or n in _BLAS]
+    assert found == []
+
+
 def test_every_imported_name_is_used_by_its_module():
     # the project runs no linter; __init__.py imports to re-export, and the __future__ import is a mode
     unused = []

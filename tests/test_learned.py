@@ -427,3 +427,17 @@ def test_batch_temporaries_do_not_grow_with_the_batch():
     sweep = lambda: threshold_sweep(keys, scorer, [tau], dist, 100_000, params, rng_seed=1)
     assert _peak_bytes(sweep) <= bound
     assert sweep()[0].backup_keys == below
+
+
+def test_classify_many_holds_its_two_masks_and_one_blocks_temporaries():
+    # Most queries below tau, as on a learned filter's usual query mix. The keys below
+    # tau, copied out whole, would be 8 bytes each (7.2 MB here) on top of the masks.
+    n = 1_000_000
+    keys = np.random.default_rng(7).integers(0, n, size=n, dtype=np.uint64)
+    scorer = LogisticScorer((8.0,), 0.0, f"int-centered:{n}")
+    tau = float(np.quantile(scorer.score_batch(keys[:100_000]), 0.9))
+    lbf = LearnedBloomFilter.build(keys[:100_000], scorer, tau, 0.01, seed=7)
+    above, answers = lbf.classify_many(keys)
+    assert np.count_nonzero(~above) >= 0.9 * n
+    assert answers[:100_000].all()
+    assert _peak_bytes(lambda: lbf.classify_many(keys)) <= 2 * n + 16 * _BLOCK * 8

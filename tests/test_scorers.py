@@ -496,6 +496,27 @@ class TestTrainer:
         assert a.weights == b.weights
         assert a.bias == b.bias
 
+    def test_training_does_not_depend_on_the_blas_thread_count(self):
+        # 20,000 keys: enough that a BLAS dot splits its sum between two threads
+        code = (
+            "import json, numpy as np\n"
+            "from learnedbloom.scorers import TrainingSet, train_logistic\n"
+            "keys = np.random.default_rng(11).choice(1 << 20, size=20_000, replace=False)\n"
+            "data = TrainingSet(keys[:10_000] // 2, keys[10_000:] // 2 + (1 << 19))\n"
+            "scorer = train_logistic(data, 'int-centered:1048576', epochs=100, learning_rate=1e-3)\n"
+            "print(json.dumps(scorer.to_record(), sort_keys=True))\n"
+        )
+        records = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            records.append(json.loads(done.stdout))
+        assert records[0] == records[1]
+
     def test_rejects_bad_hyperparameters(self):
         data = TrainingSet(positives=(1,), negatives=(2,))
         with pytest.raises(ParameterError):
