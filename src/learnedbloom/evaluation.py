@@ -11,8 +11,8 @@ the eligible support, holding no table; an answer table is
 walked is ``workloads._enumerable``'s one reading of ``SUPPORT_LIMIT``, which a
 distribution's marks read too.  ``estimate_alpha`` is exact where ``exact_alpha``
 can count, and a count of sampled scores where it cannot: the count the sweep
-makes of its draws.  This module compares no score with a threshold: every
-scored count is one ``learned._count_at_or_above`` call.
+makes of its draws.  This module applies no threshold itself: every count
+at or above one is a ``learned._count_at_or_above`` call, the rule's one home.
 A sampled rate is an integer count over the blocks of a ``workloads.Draws``, so
 no more than one block of draws is held and reports keep the bytes sampling
 gives.  Where the walk answers each eligible key once into a table, the draws
@@ -104,14 +104,15 @@ def model_fpr(alpha: float, backup_fpr: float) -> float:
 
 
 def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction:
-    """Exact Pr(score >= tau) under the distribution.
+    """Exact Pr(the key is at or above tau) under the distribution, by the rule
+    ``learned`` applies.
 
     Returns the exact rational: above-threshold eligible count over eligible
     count.  For an interval scorer, a uniform range's count is closed-form:
     :meth:`IntervalScorer.count_at_least` less the excluded keys in the range
     that score at or above ``tau``, so any range in [0, 2^64) is exact.  Any
     other support is counted over the blocks of :func:`workloads.support_blocks`,
-    each eligible key scored once and no table held.  It raises
+    each eligible key ranked once and no table held.  It raises
     OracleUnavailableError, before scoring any key, when a walked support holds more
     than ``SUPPORT_LIMIT`` eligible keys; :func:`estimate_alpha` then samples instead.
     """
@@ -128,9 +129,9 @@ def exact_alpha(scorer: Scorer, tau: float, dist: QueryDistribution) -> Fraction
 
 def estimate_alpha(scorer: Scorer, tau: float, dist: QueryDistribution, samples: int,
                    rng_seed: int) -> float:
-    """Pr(score >= tau) under the distribution: :func:`exact_alpha` where it can count it,
-    else the share of ``samples`` draws (a :class:`workloads.Draws` from ``rng_seed``)
-    scoring at or above ``tau``.  Only the scorer runs; no filter answers a draw."""
+    """Pr(at or above tau) under the distribution: :func:`exact_alpha` where it can count
+    it, else the share of ``samples`` draws (a :class:`workloads.Draws` from ``rng_seed``)
+    at or above ``tau``.  Only the scorer runs; no filter answers a draw."""
     try:
         return float(exact_alpha(scorer, tau, dist))
     except OracleUnavailableError:
@@ -208,7 +209,7 @@ def threshold_sweep(
     A single sample set serves every threshold, so along a sorted grid the alpha
     estimates are non-increasing and the backup key counts non-decreasing by
     pointwise set inclusion, not merely in expectation.  Both are counted by
-    ``learned._count_at_or_above``, the draws and then the keys, each block scored
+    ``learned._count_at_or_above``, the draws and then the keys, each block ranked
     once for the whole grid, so the sweep holds no score array of the key set and
     a key's backup membership is the one :meth:`LearnedBloomFilter.build` decides.
     The backup for each candidate is sized for its below-threshold keys at

@@ -3,11 +3,14 @@
 A query scoring at or above the threshold is answered positive outright;
 anything below is referred to a standard backup Bloom filter that holds
 exactly the build keys the scorer missed, so the composite never returns
-a false negative.  A batch is scored :data:`bloom._BLOCK` keys at a time, so no
-float temporary grows with it, into one bool mask, :func:`_at_or_above` (read by
-build and ``classify_many``), or into one count per threshold,
-:func:`_count_at_or_above` (the exact and sampled alpha and the threshold sweep).  Both
-compare ``score >= tau``: the one rule for a tie at the threshold in every batch path.
+a false negative.  A key is at or above ``tau`` iff ``scorer.rank(key) >=
+scorer.cut(tau)``: for a logistic scorer its logit against z_tau, so no ``np.exp``
+decides an answer, and a stored filter answers alike on every machine.  A batch is
+ranked :data:`bloom._BLOCK` keys at a time, so no float temporary grows with it, into
+one bool mask, :func:`_at_or_above` (read by build and ``classify_many``), or into one
+count per threshold, :func:`_count_at_or_above` (the exact and sampled alpha and the
+threshold sweep).  Both, and the scalar ``contains``, compare ``rank >= cut``: the one
+rule for a tie at the threshold in every path.
 """
 
 from __future__ import annotations
@@ -26,31 +29,32 @@ from .scorers import Scorer, scorer_from_text, scorer_to_text
 _LEN = struct.Struct("<Q")
 
 
-def _at_or_above(scorer: Scorer, tau: float, keys: np.ndarray) -> np.ndarray:
-    """``scorer.score_batch(keys) >= tau`` for a uint64 key array, as one bool mask.
+def _at_or_above(scorer: Scorer, cut: float, keys: np.ndarray) -> np.ndarray:
+    """``scorer.rank_batch(keys) >= cut`` for a uint64 key array, as one bool mask.
 
-    Scores :data:`_BLOCK` keys per ``score_batch`` call, so each float temporary
-    is at most 128 KB; a tie at ``tau`` counts as above, and a NaN ``tau`` as below.
+    Ranks :data:`_BLOCK` keys per ``rank_batch`` call, so each float temporary
+    is at most 128 KB; a tie at ``cut`` counts as above, and a NaN ``cut`` as below.
     """
     mask = np.empty(keys.size, dtype=bool)
     for start in range(0, keys.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        np.greater_equal(scorer.score_batch(keys[block]), tau, out=mask[block])
+        np.greater_equal(scorer.rank_batch(keys[block]), cut, out=mask[block])
     return mask
 
 
 def _count_at_or_above(scorer: Scorer, taus, batches) -> list[int]:
-    """For each of ``taus``, how many keys in ``batches`` (uint64 arrays) score at or above it.
+    """For each of ``taus``, how many keys in ``batches`` (uint64 arrays) are at or above it.
 
-    The comparison :func:`_at_or_above` makes, with each :data:`_BLOCK` keys scored
-    once for every tau, so no temporary grows with a batch; an exact or sampled alpha
-    and a sweep's key counts are this count.
+    The comparison :func:`_at_or_above` makes, with each tau's cut derived once and
+    each :data:`_BLOCK` keys ranked once for every tau, so no temporary grows with a
+    batch; an exact or sampled alpha and a sweep's key counts are this count.
     """
-    counts = [0] * len(taus)
+    cuts = [scorer.cut(tau) for tau in taus]
+    counts = [0] * len(cuts)
     for keys in batches:
         for start in range(0, keys.size, _BLOCK):
-            scores = scorer.score_batch(keys[start : start + _BLOCK])
-            counts = [count + int(np.count_nonzero(scores >= tau)) for count, tau in zip(counts, taus)]
+            ranks = scorer.rank_batch(keys[start : start + _BLOCK])
+            counts = [count + int(np.count_nonzero(ranks >= cut)) for count, cut in zip(counts, cuts)]
     return counts
 
 
@@ -68,7 +72,8 @@ def _sized_backup(backup: FilterParams | float, below: int) -> FilterParams:
 class LearnedBloomFilter:
     """Composite membership filter with no false negatives.
 
-    Ties at the threshold count as positive.  The structure is immutable for
+    Ties at the threshold count as positive.  Only ``tau`` is stored; its cut is
+    derived from it once, when the filter is made or loaded.  The structure is immutable for
     queries after build; ``insert`` requires exclusive access and there is no
     deletion.  ``inserted_after_build`` counts post-build insertions so
     reports can flag false-positive drift in the (smaller) backup filter.
@@ -87,6 +92,7 @@ class LearnedBloomFilter:
             raise ParameterError("threshold tau must lie in [0, 1]")
         self.scorer = scorer
         self.tau = float(tau)
+        self._cut = scorer.cut(self.tau)  # derived once; only tau is stored
         self.backup = backup
         self.key_count = int(key_count)
         self.below_threshold_count = int(below_threshold_count)
@@ -112,7 +118,7 @@ class LearnedBloomFilter:
             raise ParameterError("key set must be nonempty")
         if not 0.0 <= tau <= 1.0:
             raise ParameterError("threshold tau must lie in [0, 1]")
-        below = keys[~_at_or_above(scorer, tau, keys)]
+        below = keys[~_at_or_above(scorer, scorer.cut(tau), keys)]
         backup_filter = BloomFilter.from_params(_sized_backup(backup, below.size), seed)
         backup_filter.insert_many(below)
         return cls(
@@ -124,13 +130,13 @@ class LearnedBloomFilter:
         )
 
     def contains(self, key) -> bool:
-        """Positive iff score >= tau, or the backup filter reports the key."""
-        if self.scorer.score(key) >= self.tau:
+        """Positive iff the key is at or above tau (rank >= cut), or the backup filter reports it."""
+        if self.scorer.rank(key) >= self._cut:
             return True
         return self.backup.contains(key)
 
     def classify_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(score >= tau mask, answers) for any key batch, :data:`_BLOCK` keys at a time.
+        """(at-or-above-tau mask, answers) for any key batch, :data:`_BLOCK` keys at a time.
 
         A block's keys below tau reach the backup in one :meth:`BloomFilter.contains_many`
         call, so nothing but the two masks grows with the batch.
@@ -140,7 +146,7 @@ class LearnedBloomFilter:
         answers = np.empty(keys.size, dtype=bool)
         for start in range(0, keys.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            hit = _at_or_above(self.scorer, self.tau, keys[block])
+            hit = _at_or_above(self.scorer, self._cut, keys[block])
             above[block] = answers[block] = hit
             below = ~hit
             count = np.count_nonzero(below)

@@ -13,6 +13,14 @@ starts, O(n log I); a logistic batch is encoded in O(1) values per key, never an
 n x dim matrix.  ``byte-ngram`` sums seven gathered weights per key in bigram order,
 O(n*7 + D) for D buckets, which can round unlike a dot product with bigram counts.
 Scorers are immutable after construction and safe for concurrent reads.
+
+A threshold ``tau`` is applied to a key's ``rank`` (``rank_batch``), not its score: a
+key is at or above ``tau`` iff its rank is ``>= cut(tau)``.  An interval scorer's rank
+is its score and its cut is ``tau``.  A logistic scorer's rank is its logit, and its
+cut is :func:`logit_cut`, derived from ``tau`` by IEEE arithmetic alone.  A logit
+rounds alike on every machine while ``np.exp`` does not (numpy picks its SIMD loop at
+import), so a logistic key's side of ``tau`` depends on the weights and ``tau`` alone;
+its displayed ``score`` is the same bit for bit only within one process.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+import struct
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
@@ -46,6 +55,19 @@ class Scorer(ABC):
     @abstractmethod
     def score_batch(self, keys) -> np.ndarray:
         """Scores of any key batch (:func:`as_keys`), equal to :meth:`score` key by key."""
+
+    @abstractmethod
+    def rank(self, key) -> float:
+        """The value a threshold is applied to for one key, equal to its :meth:`rank_batch` entry."""
+
+    @abstractmethod
+    def rank_batch(self, keys) -> np.ndarray:
+        """The values a threshold is applied to for any key batch (:func:`as_keys`): a key
+        is at or above ``tau`` iff its rank is ``>= cut(tau)``."""
+
+    @abstractmethod
+    def cut(self, tau: float) -> float:
+        """The least rank at or above ``tau``: -inf if every rank is, NaN if none is."""
 
     @abstractmethod
     def size_bits(self) -> int:
@@ -106,6 +128,15 @@ class IntervalScorer(Scorer):
             for lo, hi in zip(self._lo, self._hi):
                 inside |= (x >= lo) & (x <= hi)
         return np.where(inside, self.inside_score, self.outside_score)
+
+    def rank(self, key) -> float:
+        return self.score(key)
+
+    def rank_batch(self, keys) -> np.ndarray:
+        return self.score_batch(keys)
+
+    def cut(self, tau: float) -> float:
+        return tau
 
     def count_at_least(self, tau: float, lo: int, hi: int) -> int:
         """How many keys in [lo, hi) score at or above ``tau``: the whole range, nothing, or
@@ -275,9 +306,70 @@ def feature_map(name: str) -> FeatureMap:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp overflows."""
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp overflows.
+
+    For display and training only: ``np.exp``'s last bits move with numpy's SIMD loop."""
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+
+# Cody-Waite split of ln 2: _LN2_HI's low 21 bits are zero, so n * _LN2_HI is exact
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")  # ln 2 - _LN2_HI
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(12, -1, -1))  # 1/12! down to 1/0!
+
+
+def _sigmoid_ref(z: float) -> float:
+    """:func:`_sigmoid` of one float, with e^-|z| from IEEE add, multiply, round-half-even
+    and ``ldexp`` alone: -|z| = n ln 2 + r with |r| <= ln 2 / 2, then a 13-term Taylor
+    series in r scaled by 2^n.  Every machine computes it bit for bit alike; it lay
+    within 3 ulp of :func:`_sigmoid` on every point measured."""
+    x = -abs(z)
+    if x < -746.0:  # e^x is below half the least subnormal
+        ez = 0.0
+    else:
+        n = round(x * _INV_LN2)
+        r = (x - n * _LN2_HI) - n * _LN2_LO
+        p = 0.0
+        for c in _TAYLOR:
+            p = p * r + c
+        ez = math.ldexp(p, n)
+    return (1.0 if z >= 0 else ez) / (1.0 + ez)
+
+
+def _ordinal(x: float) -> int:
+    """The rank of a non-NaN double among the doubles, 0 at +-0; :func:`_double` inverts it."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & (1 << 63) - 1)
+
+
+def _double(ordinal: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", ordinal if ordinal >= 0 else -ordinal | 1 << 63))[0]
+
+
+def logit_cut(tau: float) -> float:
+    """z_tau, the cut a logit is compared with for the threshold ``tau``.
+
+    A bisection over the ordered doubles, 64 steps from -inf to +inf, finds where
+    ``_sigmoid_ref`` crosses ``tau``: the least double z with ``_sigmoid_ref(z) >= tau``
+    wherever ``_sigmoid_ref`` is non-decreasing, which its rounding breaks only at an
+    ulp's scale.  -inf when tau <= 0 (every logit is at or above), NaN when no logit is
+    (tau above 1, or NaN).  The rule ``z >= z_tau`` is monotone by construction; it
+    differs from ``_sigmoid(z) >= tau`` only where that score is within 2 ulp of ``tau``.
+    """
+    if not _sigmoid_ref(math.inf) >= tau:
+        return math.nan
+    if _sigmoid_ref(-math.inf) >= tau:
+        return -math.inf
+    lo, hi = _ordinal(-math.inf), _ordinal(math.inf)  # below tau at lo, not below at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sigmoid_ref(_double(mid)) >= tau:
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
 
 
 @dataclass(frozen=True)
@@ -300,12 +392,24 @@ class LogisticScorer(Scorer):
         object.__setattr__(self, "_w", fm.held(np.array(ws, dtype=np.float64)))
 
     def score(self, key) -> float:  # _sigmoid's operations on one Python float, no array
-        z = self._fm.logit_one(key, self._w, self.bias)
+        z = self.rank(key)
         ez = float(np.exp(-abs(z)))
         return (1.0 if z >= 0 else ez) / (1.0 + ez)
 
     def score_batch(self, keys) -> np.ndarray:
-        return _sigmoid(self._fm.logit(self._fm.encode(keys), self._w, self.bias))
+        return _sigmoid(self.rank_batch(keys))
+
+    def rank(self, key) -> float:
+        """The key's logit, :meth:`FeatureMap.logit_one`."""
+        return self._fm.logit_one(key, self._w, self.bias)
+
+    def rank_batch(self, keys) -> np.ndarray:
+        """The keys' logits, :meth:`FeatureMap.logit`."""
+        return self._fm.logit(self._fm.encode(keys), self._w, self.bias)
+
+    def cut(self, tau: float) -> float:
+        """:func:`logit_cut`: z_tau, the same for every logistic scorer."""
+        return logit_cut(tau)
 
     def size_bits(self) -> int:
         # 64 bits per weight + 64 for the bias; the feature-map name is free.
@@ -382,8 +486,10 @@ def train_logistic(
     once the step is taken, the next epoch's gradient.  The learning rate must
     be positive and finite.  Zero initialization, whole-batch updates and sums
     that never go through BLAS (whose thread count moves their last bits) make
-    the trainer fully deterministic.  When ``loss_trace`` is a list, the loss
-    before training and after each epoch is appended to it.
+    the trainer deterministic on one machine; its loss goes through ``np.exp``,
+    ``np.log`` and ``np.log1p``, whose last bits can differ on another.  When
+    ``loss_trace`` is a list, the loss before training and after each epoch is
+    appended to it.
     """
     if epochs < 0:
         raise ParameterError("epochs must be >= 0")
@@ -416,16 +522,6 @@ def train_logistic(
         if loss_trace is not None:
             loss_trace.append(loss)
     return LogisticScorer(weights=tuple(float(v) for v in w), bias=b, feature_map=fm.name)
-
-
-def log_loss_gradient(
-    weights: np.ndarray, bias: float, fm: FeatureMap, data: TrainingSet
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the clamped cross-entropy at (weights, bias)."""
-    codes = fm.encode(np.concatenate([data.positives, data.negatives]))
-    w = np.asarray(weights, dtype=np.float64)
-    _, residual = _loss_and_residual(fm, codes, data.positives.size, w, bias)
-    return fm.gradient(codes, residual), float(residual.sum())
 
 
 # ---------------------------------------------------------------------------

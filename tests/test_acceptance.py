@@ -34,10 +34,10 @@ from learnedbloom.scorers import (
     TrainingSet,
     feature_map,
     log_loss,
-    log_loss_gradient,
     train_logistic,
 )
 from learnedbloom.workloads import hot_range_example, sample
+from support import log_loss_gradient
 
 
 def _pass(name: str, detail: str) -> None:

@@ -1620,6 +1620,31 @@ def test_the_package_makes_no_call_through_blas():
     assert found == []
 
 
+# what goes through np.exp, whose last bits move with numpy's SIMD loop
+_EXP = {"score", "score_batch", "_sigmoid"}
+
+
+def test_no_answer_goes_through_np_exp():
+    # learned and evaluation decide every answer and alpha; they compare ranks with cuts
+    found = []
+    for name in ("learned.py", "evaluation.py"):
+        tree = ast.parse((ROOT / "src" / "learnedbloom" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names if alias.name in _EXP | {"exp"}]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id] if node.func.id in _EXP else []
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                func = node.func
+                owner = func.value.id if isinstance(func.value, ast.Name) else None
+                numpy_exp = func.attr == "exp" and owner in ("np", "numpy")
+                names = [func.attr] if func.attr in _EXP or numpy_exp else []
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {n}" for n in names]
+    assert found == []
+
+
 def test_every_imported_name_is_used_by_its_module():
     # the project runs no linter; __init__.py imports to re-export, and the __future__ import is a mode
     unused = []

@@ -2,10 +2,11 @@
 
 Every command runs in process through ``cli.main`` in a scratch directory,
 with relative paths, so the paths the reports echo do not depend on where
-the test runs.  Only standard and interval-scorer filters take part, so no
-pinned byte depends on the platform's floating-point ``exp``.  A change
-that alters one of these outputs on purpose updates its pin and says why.
-Every JSON output is strict JSON: it holds no NaN or Infinity.
+the test runs.  Only standard and interval-scorer filters take part in the pins;
+a logistic build whose summary alpha is sampled is checked against itself, in
+blocks and under numpy's narrower SIMD dispatch.  A change that alters one of
+these outputs on purpose updates its pin and says why.  Every JSON output is
+strict JSON: it holds no NaN or Infinity.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from learnedbloom.bloom import BloomFilter
 from learnedbloom.cli import main
 from learnedbloom.scorers import LogisticScorer, scorer_to_text
 from learnedbloom.workloads import save_keys_text
+from support import dispatch_off, run_python
 
 COMMANDS = {
     "build_standard": ["build", "--kind", "standard", "--keys", "keys.txt",
@@ -104,14 +106,23 @@ def _stdout(commands: dict, work, patch) -> dict:
     return got
 
 
-@pytest.fixture(scope="module")
-def work(tmp_path_factory):
-    """The scratch directory the commands run in, with their key files."""
-    work = tmp_path_factory.mktemp("fixed-seed")
+_LOGISTIC = LogisticScorer((-8.0,), 4.0, "int-norm:20000000")  # 0.5 at 10^7
+
+
+def _write_inputs(work):
+    """The key files and the logistic scorer record that the commands read."""
     rng = np.random.default_rng(20)
     keys = np.unique(rng.integers(0, 1_000_000, size=2_000)).tolist()
     save_keys_text(work / "keys.txt", keys)
     save_keys_text(work / "queries.txt", keys[:50] + [k + 1 for k in keys[:50]])
+    (work / "logistic.json").write_text(scorer_to_text(_LOGISTIC), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """The scratch directory the commands run in, with their inputs."""
+    work = tmp_path_factory.mktemp("fixed-seed")
+    _write_inputs(work)
     return work
 
 
@@ -165,8 +176,6 @@ _SUMMARY_SAMPLED = ["build", "--kind", "learned", "--keys", "keys.txt", "--score
 
 
 def test_sampled_reports_do_not_depend_on_the_draw_block(work, outputs):
-    scorer = LogisticScorer((-8.0,), 4.0, "int-norm:20000000")  # 0.5 at 10^7
-    (work / "logistic.json").write_text(scorer_to_text(scorer), encoding="utf-8")
     commands = {**{name: COMMANDS[name] for name in _SAMPLED}, "summary": _SUMMARY_SAMPLED}
     with pytest.MonkeyPatch.context() as mp:
         summary = _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"]
@@ -182,11 +191,38 @@ def _answer_nothing(self, keys):
 
 
 def test_a_sampled_summary_alpha_answers_no_filter(work):
-    # the alpha needs only the scores of the draws; the backup never answers one
-    scorer = LogisticScorer((-8.0,), 4.0, "int-norm:20000000")
-    (work / "logistic.json").write_text(scorer_to_text(scorer), encoding="utf-8")
+    # the alpha needs only the logits of the draws; the backup never answers one
     with pytest.MonkeyPatch.context() as mp:
         summary = _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"]
         mp.setattr(BloomFilter, "contains_many", _answer_nothing)
         assert _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"] == summary
     assert 0 < json.loads(summary)["alpha"] < 1
+
+
+def _digests(work) -> dict:
+    """Name -> SHA-256 of every pinned output, and of the logistic build's summary, each
+    command run in order in ``work``."""
+    with pytest.MonkeyPatch.context() as mp:
+        got = _stdout({**COMMANDS, "summary": _SUMMARY_SAMPLED}, work, mp)
+    got.update((name, (work / name).read_bytes()) for name in FILES)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+
+
+_DIGESTS_THERE = """
+import json, pathlib, sys
+import test_fixed_seed_outputs as pins
+work = pathlib.Path(sys.argv[1])
+pins._write_inputs(work)
+print(json.dumps(pins._digests(work)))
+"""
+
+
+@pytest.mark.parametrize("level", [4, 3], ids=["avx512-off", "avx2-off"])
+def test_pins_hold_where_numpy_dispatches_to_a_lower_level(work, tmp_path, level):
+    off = dispatch_off(level)
+    if not off:
+        pytest.skip(f"numpy has no x86-64 level {level} dispatch target on this CPU: nothing to turn off")
+    with pytest.MonkeyPatch.context() as mp:
+        summary = _stdout({"summary": _SUMMARY_SAMPLED}, work, mp)["summary"]
+    there = json.loads(run_python(_DIGESTS_THERE, str(tmp_path), NPY_DISABLE_CPU_FEATURES=off))
+    assert there == {**EXPECTED, "summary": hashlib.sha256(summary).hexdigest()}

@@ -1,5 +1,6 @@
 """Learned Bloom filter: build partition, queries, insertion, sweep, serialization."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from learnedbloom.bloom import _BLOCK, BloomFilter, FilterParams, params_for_tar
 from learnedbloom.errors import FilterFormatError, ParameterError, WorkloadError
 from learnedbloom.evaluation import estimate_alpha, exact_alpha, threshold_sweep
 from learnedbloom.learned import LearnedBloomFilter
-from learnedbloom.scorers import IntervalScorer, LogisticScorer
+from learnedbloom.scorers import IntervalScorer, LogisticScorer, scorer_to_text
 from learnedbloom.workloads import (
     FixedSet,
     QueryDistribution,
@@ -21,6 +22,7 @@ from learnedbloom.workloads import (
     sample,
     uniform_queries,
 )
+from support import dispatch_off, run_python
 
 HOT = IntervalScorer(((1000, 2000),), inside_score=0.5, outside_score=0.0)
 SMALL = FilterParams(m=1000, k=4)
@@ -325,25 +327,32 @@ def small_blocks(monkeypatch):
 _ACROSS_BLOCKS = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _at_or_above(scorer, tau):
+    """The threshold rule one key at a time: the key's scalar rank reaches tau's cut."""
+    cut = scorer.cut(tau)
+    return lambda key: scorer.rank(key) >= cut
+
+
 def _assert_the_scalar_rule(scorer, tau, keys, queries, seed):
-    """Build, classify_many and a one-tau sweep against score(k) < tau, score(k) >= tau
-    and contains(k); the sweep draws len(keys) + len(queries) times from the keys and
+    """Build, classify_many and a one-tau sweep against the rule key by key, and
+    contains(k); the sweep draws len(keys) + len(queries) times from the keys and
     queries, so its draws hold their ties at tau too."""
     params = FilterParams(m=256, k=3)
     lbf = LearnedBloomFilter.build(keys, scorer, tau, params, seed=seed)
-    below = [k for k in keys if scorer.score(k) < tau]
+    at_or_above = _at_or_above(scorer, tau)
+    below = [k for k in keys if not at_or_above(k)]
     reference = BloomFilter(256, 3, seed=seed)
     reference.insert_many(below)
     assert lbf.below_threshold_count == len(below)
     assert lbf.backup.to_bytes() == reference.to_bytes()
     above, answers = lbf.classify_many(queries)
-    assert above.tolist() == [scorer.score(q) >= tau for q in queries]
+    assert above.tolist() == [at_or_above(q) for q in queries]
     assert answers.tolist() == [lbf.contains(q) for q in queries]
     dist, n = QueryDistribution(FixedSet(keys + queries), ()), len(keys) + len(queries)
     (point,) = threshold_sweep(keys, scorer, [tau], dist, n, params, seed)
     assert (point.backup_keys, point.total_bits) == (len(below), lbf.size_bits())
     drawn = sample(dist, n, seed).tolist()
-    assert point.alpha_estimate == sum(scorer.score(q) >= tau for q in drawn) / n
+    assert point.alpha_estimate == sum(at_or_above(q) for q in drawn) / n
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_SCORERS))
@@ -361,6 +370,31 @@ def test_blocked_batches_keep_the_scalar_rule(small_blocks, name, data, keys, qu
     _assert_the_scalar_rule(scorer, tau, keys, queries, seed)
 
 
+_EDGE_SCORERS = {
+    **_BLOCK_SCORERS,
+    # every logit +-1e308 or +-inf: scores of exactly 1.0 or 0.0
+    "logit-inf": LogisticScorer((1e308,), 1e308, "int-norm:1"),
+    "logit-minus-inf": LogisticScorer((-1e308,), -1e308, "int-norm:1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SCORERS))
+def test_edge_taus_and_infinite_logits_keep_the_scores_meaning(name):
+    # tau 0 counts every key, tau 1 the keys scoring 1.0 and a NaN tau none; an
+    # infinite logit sits on the side of tau its saturated score does
+    scorer = _EDGE_SCORERS[name]
+    keys = np.array([0, 1, 2, 15, 42, 63, 2**63, 2**64 - 1], dtype=np.uint64)
+    scores = scorer.score_batch(keys)
+    taus = [0.0, 0.5, 1.0, math.nan]
+    want = [int(np.count_nonzero(scores >= tau)) for tau in taus]
+    assert want[0] == keys.size and want[3] == 0
+    assert learned._count_at_or_above(scorer, taus, [keys]) == want
+    for tau in taus[:3]:
+        lbf = LearnedBloomFilter.build(keys, scorer, tau, FilterParams(256, 3), seed=1)
+        assert lbf.classify_many(keys)[0].tolist() == (scores >= tau).tolist()
+        assert lbf.contains_many(keys).all() and all(lbf.contains(k) for k in keys.tolist())
+
+
 def _blocks(n: int, size: int = _BLOCK) -> list[int]:
     """The sizes of ``n`` keys cut into blocks of ``size``."""
     return [min(size, n - start) for start in range(0, n, size)]
@@ -373,20 +407,20 @@ def test_batches_across_block_boundaries_match_the_scalar_paths(monkeypatch, n):
     scorer = LogisticScorer((6.0,), -0.5, f"int-centered:{2**20}")
     tau = scorer.score(keys[0])
     scored = []
-    score_batch = LogisticScorer.score_batch
+    rank_batch = LogisticScorer.rank_batch
 
     def counted(self, keys):
         scored.append(len(keys))
-        return score_batch(self, keys)
+        return rank_batch(self, keys)
 
-    monkeypatch.setattr(LogisticScorer, "score_batch", counted)
+    monkeypatch.setattr(LogisticScorer, "rank_batch", counted)
     _assert_the_scalar_rule(scorer, tau, keys, queries, seed=n)
-    # the sweep's 2n draws come in workloads.BLOCK blocks, each scored in _BLOCK blocks
+    # the sweep's 2n draws come in workloads.BLOCK blocks, each ranked in _BLOCK blocks
     draws = [size for block in _blocks(2 * n, workloads.BLOCK) for size in _blocks(block)]
-    # build, classify_many, then the sweep's draws and its keys: one call per block
+    # build, classify_many, then the sweep's draws and its keys: one logit call per block
     assert scored == _blocks(n) * 2 + draws + _blocks(n)
     # under the limit, exact_alpha walks the 2n positions: workloads.BLOCK keys a walk
-    # block, each scored in _BLOCK blocks, the sizes the draws come in
+    # block, each ranked in _BLOCK blocks, the sizes the draws come in
     scored.clear()
     exact_alpha(scorer, tau, QueryDistribution(FixedSet(keys + queries), ()))
     assert scored == draws
@@ -441,3 +475,56 @@ def test_classify_many_holds_its_two_masks_and_one_blocks_temporaries():
     assert np.count_nonzero(~above) >= 0.9 * n
     assert answers[:100_000].all()
     assert _peak_bytes(lambda: lbf.classify_many(keys)) <= 2 * n + 16 * _BLOCK * 8
+
+
+# numpy picks its exp loop by the CPU, so the scores of one key can differ between two
+# machines by an ulp or two; the logits cannot
+_DISPATCH_SCORERS = {
+    "int-centered": LogisticScorer((37.0,), -1.3, f"int-centered:{2**40}"),
+    "int-norm": LogisticScorer((37.0,), -19.8, f"int-norm:{2**40}"),
+    "byte-ngram": LogisticScorer(tuple(np.linspace(-9.0, 9.0, 16)), 0.3, "byte-ngram:16"),
+}
+_SCORES_THERE = """
+import sys, numpy as np
+from learnedbloom.scorers import scorer_from_text
+keys = np.load(sys.argv[1])
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as fh:
+        np.save(path + ".npy", scorer_from_text(fh.read()).score_batch(keys))
+"""
+_MISSED_THERE = """
+import sys, numpy as np
+from learnedbloom.learned import LearnedBloomFilter
+keys = np.load(sys.argv[1])
+for path in sys.argv[2:]:
+    with open(path, "rb") as fh:
+        lbf = LearnedBloomFilter.from_bytes(fh.read())
+    print(np.count_nonzero(~lbf.contains_many(keys)), sum(not lbf.contains(k) for k in keys.tolist()))
+"""
+
+
+def test_a_saved_filter_answers_every_member_where_numpy_dispatches_otherwise(tmp_path):
+    off = dispatch_off(4)
+    if not off:
+        pytest.skip("numpy has no AVX-512 dispatch target on this CPU: nothing to compare")
+    keys = np.unique(np.random.default_rng(37).integers(0, 2**40, size=50_000, dtype=np.uint64))
+    np.save(tmp_path / "keys.npy", keys)
+    records = [tmp_path / f"{name}.json" for name in _DISPATCH_SCORERS]
+    for path, scorer in zip(records, _DISPATCH_SCORERS.values()):
+        path.write_text(scorer_to_text(scorer), encoding="utf-8")
+    run_python(_SCORES_THERE, str(tmp_path / "keys.npy"), *map(str, records), NPY_DISABLE_CPU_FEATURES=off)
+    moved, filters = 0, []
+    for path, scorer in zip(records, _DISPATCH_SCORERS.values()):
+        here, there = scorer.score_batch(keys), np.load(f"{path}.npy")
+        moved += int(np.count_nonzero(here != there))
+        # tau at a member's score here, one that scores lower there if any does: a rule
+        # that compared scores would send that member to a backup that lacks it
+        lower = np.flatnonzero(there < here)
+        tau = float(here[lower[0] if lower.size else keys.size // 2])
+        filters.append(tmp_path / f"{path.stem}.lbf")
+        filters[-1].write_bytes(LearnedBloomFilter.build(keys, scorer, tau, 1e-6, seed=1).to_bytes())
+    if not moved:
+        pytest.skip(f"score_batch gave the same bytes with {off} off: nothing to compare")
+    missed = run_python(_MISSED_THERE, str(tmp_path / "keys.npy"), *map(str, filters),
+                        NPY_DISABLE_CPU_FEATURES=off)  # fmt: skip
+    assert missed.split() == ["0", "0"] * len(filters)

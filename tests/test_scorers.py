@@ -3,13 +3,9 @@
 import dataclasses
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +23,12 @@ from learnedbloom.scorers import (
     _sigmoid,
     feature_map,
     log_loss,
-    log_loss_gradient,
     scorer_from_text,
     scorer_to_text,
     train_logistic,
 )
+from support import log_loss_gradient, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 HOT = IntervalScorer(((1000, 2000),), inside_score=0.5, outside_score=0.0)
 
 
@@ -260,6 +255,7 @@ class TestFeatureMaps:
         got = s.score_batch(keys)
         assert got.dtype == np.float64
         assert got.tolist() == [s.score(k) for k in keys]
+        assert s.rank_batch(keys).tolist() == [s.rank(k) for k in keys]  # the logits
 
     @pytest.mark.parametrize(
         "logit, weight, bias, key",  # int-norm:1's logit is key * weight + bias
@@ -282,6 +278,88 @@ class TestFeatureMaps:
         keys = [key, 0, 1, 2, 2**64 - 1]
         assert s.score_batch(keys).tolist() == [s.score(k) for k in keys]
         assert s.score(key) == _sigmoid(np.array([logit]))[0]
+
+
+def _ulp_step(z: float, steps: int) -> float:
+    """The double ``steps`` places above ``z`` in the order of the doubles."""
+    return scorers._double(scorers._ordinal(z) + steps)
+
+
+class TestThresholdRule:
+    """A key is at or above tau iff its rank reaches cut(tau); for a logistic scorer the
+    logit against z_tau, which IEEE arithmetic alone derives from tau."""
+
+    def test_an_interval_scorer_ranks_by_score_and_cuts_at_tau(self):
+        keys = [0, 1000, 1500, 2000, 2001, 2**64 - 1]
+        assert HOT.rank_batch(keys).tolist() == [HOT.rank(k) for k in keys] == [HOT.score(k) for k in keys]
+        assert HOT.cut(0.25) == 0.25 and math.isnan(HOT.cut(math.nan))
+
+    @pytest.mark.parametrize("tau, cut", [(0.0, -math.inf), (-0.5, -math.inf), (-math.inf, -math.inf),
+                                          (1.0 + 2**-52, math.nan), (2.0, math.nan), (math.nan, math.nan)])
+    def test_every_logit_or_none_is_at_or_above(self, tau, cut):
+        got = scorers.logit_cut(tau)
+        assert got == cut or math.isnan(got) and math.isnan(cut)
+
+    def test_cuts_are_pinned(self):
+        # the same doubles on every machine and numpy: no libm or SIMD function derives them
+        pinned = {0.5: "-0x1.0000000000000p-54", 1.0: "0x1.25e4f7b2737fbp+5",
+                  0.1: "-0x1.193ea7aad030ap+1", 0.9: "0x1.193ea7aad030cp+1",
+                  2**-60: "-0x1.4cb5ecf0a9650p+5", 1e-300: "-0x1.5963447f87fb5p+9"}  # fmt: skip
+        assert {tau: scorers.logit_cut(tau).hex() for tau in pinned} == pinned
+
+    def test_the_reference_sigmoid_at_its_edges(self):
+        ref = scorers._sigmoid_ref
+        assert (ref(-math.inf), ref(-746.0), ref(0.0), ref(-0.0), ref(math.inf)) == (0.0, 0.0, 0.5, 0.5, 1.0)
+        assert 0.0 < ref(-745.0) == _sigmoid(np.array([-745.0]))[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.floats(-800.0, 800.0) | st.sampled_from([-math.inf, math.inf]))
+    def test_the_reference_sigmoid_lies_within_3_ulp_of_the_sigmoid(self, z):
+        got, want = scorers._sigmoid_ref(z), _sigmoid(np.array([z]))[0]
+        assert abs(got - want) <= 3 * math.ulp(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau=st.floats(0.0, 1.0, exclude_min=True) | st.floats(-40.0, 40.0).map(
+        lambda z: float(_sigmoid(np.array([z]))[0])).filter(lambda t: t > 0.0))
+    def test_the_cut_is_where_the_bisection_crosses_tau(self, tau):
+        cut = scorers.logit_cut(tau)
+        assert scorers._sigmoid_ref(cut) >= tau > scorers._sigmoid_ref(_ulp_step(cut, -1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=st.floats(0.0, 1.0) | st.floats(-40.0, 40.0).map(lambda z: float(_sigmoid(np.array([z]))[0])),
+        steps=st.integers(-64, 64),
+    )
+    def test_the_rule_differs_from_the_score_only_within_2_ulp_of_tau(self, tau, steps):
+        cut = scorers.logit_cut(tau)
+        z = _ulp_step(cut, steps) if math.isfinite(cut) else steps * 1.0
+        score = _sigmoid(np.array([z]))[0]
+        if (z >= cut) != (score >= tau):
+            assert abs(score - tau) <= 2 * max(math.ulp(score), math.ulp(tau))
+
+    def test_the_rule_and_the_score_do_differ_at_some_ties(self):
+        # the property above is not vacuous: next to the cut the two rules part somewhere
+        rng = np.random.default_rng(41)
+        parted = 0
+        for tau in _sigmoid(rng.uniform(-10.0, 10.0, 200)):
+            cut = scorers.logit_cut(float(tau))
+            z = np.array([_ulp_step(cut, step) for step in range(-8, 8)])
+            parted += int(np.count_nonzero((z >= cut) != (_sigmoid(z) >= tau)))
+        assert parted > 0
+
+    @pytest.mark.parametrize("tau", [0.0, 2**-60, 0.5, 1.0])
+    def test_infinite_logits_keep_their_scores_side(self, tau):
+        cut = scorers.logit_cut(tau)
+        for z in (-math.inf, math.inf):
+            assert (z >= cut) == (_sigmoid(np.array([z]))[0] >= tau)
+
+    def test_a_logistic_scorer_ranks_by_logit(self):
+        s = LogisticScorer((37.0,), -1.3, "int-centered:1000000")
+        keys = np.arange(0, 1_000_001, 997, dtype=np.uint64)
+        z = s.rank_batch(keys)
+        assert z.tolist() == s._fm.logit(s._fm.encode(keys), s._w, s.bias).tolist()
+        assert s.score_batch(keys).tolist() == _sigmoid(z).tolist()
+        assert s.cut(0.3) == scorers.logit_cut(0.3)
 
 
 class TestByteNgramTable:
@@ -360,13 +438,7 @@ class TestByteNgramTable:
             "scorer.score_batch(np.arange(100, dtype=np.uint64))\n"
             "print(_pair_digests.cache_info().currsize)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"]
+        assert run_python(code).split() == ["0"]
 
 
 class TestTrainingSet:
@@ -506,15 +578,7 @@ class TestTrainer:
             "scorer = train_logistic(data, 'int-centered:1048576', epochs=100, learning_rate=1e-3)\n"
             "print(json.dumps(scorer.to_record(), sort_keys=True))\n"
         )
-        records = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-            )
-            assert done.returncode == 0, done.stderr
-            records.append(json.loads(done.stdout))
+        records = [json.loads(run_python(code, OPENBLAS_NUM_THREADS=threads)) for threads in ("1", "2")]
         assert records[0] == records[1]
 
     def test_rejects_bad_hyperparameters(self):

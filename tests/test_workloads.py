@@ -695,7 +695,7 @@ def test_concentration_equals_the_sampled_loop_on_both_sides_of_the_table_rule(
 
 class _Counting:
     """A filter that records every batch its ``contains_many`` answers, or a scorer every
-    batch its ``score_batch`` scores; anything else is the wrapped object's."""
+    batch its ``rank_batch`` ranks; anything else is the wrapped object's."""
 
     def __init__(self, inner, method="contains_many"):
         self.inner, self.method, self.batches = inner, method, []
@@ -828,7 +828,7 @@ class TestEvaluateRule:
         dist = QueryDistribution(TestAnswerTables.DIST.source, self.EXCLUDED)
         built = LearnedBloomFilter.build(self.EXCLUDED, self.SCORER, 0.5, 0.01, seed=4)
         standard, backup = _Counting(_FILTER), _Counting(built.backup)
-        scorer = _Counting(self.SCORER, "score_batch")
+        scorer = _Counting(self.SCORER, "rank_batch")
         learned = LearnedBloomFilter(scorer, 0.5, backup, built.key_count, built.below_threshold_count)
         with pytest.MonkeyPatch.context() as patch:
             for name in () if mapped else ("_keys_at", "_marks"):
